@@ -30,7 +30,7 @@ occur negated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import NormlogError

@@ -59,7 +59,10 @@ USAGE_ERRORS = (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise NormlogError(f"{path}: not valid UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _write_or_print(text: str, output: Optional[str]) -> None:
@@ -87,6 +90,17 @@ def _parse_sizes(text: Optional[str]) -> dict[str, int]:
         except ValueError:
             raise ModelError(f"bad carrier size '{num}' for '{name}'") from None
     return out
+
+
+def _non_negative(text: str) -> int:
+    """A --budget or --cap-bits value: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def _parse_ints(text: Optional[str]) -> tuple[int, ...]:
@@ -421,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", help="carrier sizes, e.g. Vehicle=1,Day=1,Road=1")
     p.add_argument("--ints", help="integer values, e.g. 90,130,320")
     p.add_argument("--no-inversions", action="store_true")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_non_negative, default=5_000_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -432,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--sizes")
     p.add_argument("--ints")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_non_negative, default=5_000_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_correspond)
 
@@ -444,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legal-models", help="enumerate legal models of a configuration")
     p.add_argument("file")
     p.add_argument("--minimal-only", action="store_true")
-    p.add_argument("--cap-bits", type=int, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_legal_models)
 
     p = sub.add_parser("answer-sets", help="stable models of the answer set encoding")
     p.add_argument("file")
     p.add_argument("--project", action="store_true", help="project to is_legal/legally_valid")
-    p.add_argument("--cap-bits", type=int, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_answer_sets)
 
@@ -461,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--no-converse", action="store_true", help="skip the legal model sweep")
-    p.add_argument("--cap-bits", type=int, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_lemma4)
 

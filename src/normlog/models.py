@@ -7,6 +7,15 @@ explicit list of integer values.  Quantifiers over a subclass become
 quantifiers over its sort guarded by the characteristic predicate, so
 the enumerator only ever deals with sort carriers.
 
+The enumerator assigns one free symbol a whole table at a time, in
+declaration order, and tests each formula as soon as the last symbol
+it mentions has a table.  Its budget counts these whole-table
+assignments.  At the start of each search every formula is compiled
+once into nested closures (`compile_expr`), so testing a candidate
+table walks no syntax tree; `eval_expr`, the tree-walking evaluator,
+is kept as the reference the compiler is tested against and for
+evaluating formulas outside the search.
+
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
 arguments, and quantification over the root class.  Integer handling is
@@ -17,8 +26,9 @@ point of a desk-scale checker: small counterexamples first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+import operator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional, Sequence
 
 from .syntax import (
     BOOL,
@@ -315,6 +325,164 @@ def eval_expr(
 
 
 # ---------------------------------------------------------------------------
+# compilation to closures
+
+
+_MISSING = object()
+
+_CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _fail(message: str) -> Callable[[], object]:
+    def fail():
+        raise ModelError(message)
+
+    return fail
+
+
+def compile_expr(
+    e: Expr,
+    tables: dict[str, dict[tuple, object]],
+    carriers: dict[str, tuple[str, ...]],
+    ints: Sequence[int],
+) -> Callable[[], object]:
+    """Compile a closed formula or term into a closure of no arguments.
+
+    The tree is walked once, here; calling the closure evaluates the
+    expression against `tables` as they stand at the call, while
+    `carriers` and `ints` are fixed now.  The closure returns what
+    `eval_expr(e, tables, carriers, ints)` would and raises the same
+    ModelError, under the same short-circuiting: every check is made
+    when its node is reached, so a branch never reached raises nothing.
+    Quantified variables live in one cell per binder."""
+
+    def domain(t: LType) -> tuple:
+        if isinstance(t, ClassT):
+            if t.name in carriers:
+                return carriers[t.name]
+            raise ModelError(f"cannot quantify over '{t.name}' (no carrier)")
+        if isinstance(t, BoolT):
+            return (False, True)
+        if isinstance(t, IntT):
+            if not ints:
+                raise ModelError("integer quantifier but no integer values were given")
+            return tuple(ints)
+        raise ModelError(f"cannot quantify over type '{t}'")
+
+    def symbol(name: str) -> Callable[[], object]:
+        missing = f"no interpretation for symbol '{name}'"
+        nullary = f"symbol '{name}' used without arguments"
+
+        def const():
+            t = tables.get(name)
+            if t is None:
+                raise ModelError(missing)
+            v = t.get((), _MISSING)
+            if v is _MISSING:
+                raise ModelError(nullary)
+            return v
+
+        return const
+
+    def application(head: str, args: list[Callable[[], object]]) -> Callable[[], object]:
+        missing = f"no interpretation for symbol '{head}'"
+        partial = f"partial application of '{head}'"
+
+        # Most atoms have one argument; their key needs no loop.
+        if len(args) == 1:
+            (arg,) = args
+
+            def app1():
+                t = tables.get(head)
+                if t is None:
+                    raise ModelError(missing)
+                v = t.get((arg(),), _MISSING)
+                if v is _MISSING:
+                    raise ModelError(partial)
+                return v
+
+            return app1
+
+        def app():
+            t = tables.get(head)
+            if t is None:
+                raise ModelError(missing)
+            v = t.get(tuple([a() for a in args]), _MISSING)
+            if v is _MISSING:
+                raise ModelError(partial)
+            return v
+
+        return app
+
+    def comp(e: Expr, scope: dict[str, list]) -> Callable[[], object]:
+        if isinstance(e, Var):
+            bound = scope.get(e.name)
+            if bound is None:
+                return symbol(e.name)
+            return lambda: bound[0]
+        if isinstance(e, (BoolLit, IntLit)):
+            value = e.value
+            return lambda: value
+        if isinstance(e, (StringLit, FloatLit)):
+            return _fail(f"{type(e).__name__} values are not supported by the enumerator")
+        if isinstance(e, Not):
+            arg = comp(e.arg, scope)
+            return lambda: not arg()
+        if isinstance(e, (And, Or, Implies, Eq, Cmp)):
+            left, right = comp(e.left, scope), comp(e.right, scope)
+            if isinstance(e, And):
+                return lambda: left() and right()
+            if isinstance(e, Or):
+                return lambda: left() or right()
+            if isinstance(e, Implies):
+                return lambda: (not left()) or right()
+            if isinstance(e, Eq):
+                return lambda: left() == right()
+            op = _CMP_OPS[e.op]
+            return lambda: op(left(), right())
+        if isinstance(e, App):
+            parts = atom_parts(e)
+            if parts is None:
+                return _fail("cannot evaluate application of a non-symbol")
+            head, args = parts
+            if head in scope:
+                return _fail(f"cannot apply bound variable '{head}'")
+            return application(head, [comp(a, scope) for a in args])
+        if isinstance(e, (Forall, Exists)):
+            try:
+                values = domain(e.var_type)
+            except ModelError as err:
+                return _fail(str(err))
+            cell: list = [None]
+            body = comp(e.body, {**scope, e.var: cell})
+            if isinstance(e, Forall):
+
+                def forall():
+                    for v in values:
+                        cell[0] = v
+                        if not body():
+                            return False
+                    return True
+
+                return forall
+
+            def exists():
+                for v in values:
+                    cell[0] = v
+                    if body():
+                        return True
+                return False
+
+            return exists
+        if isinstance(e, IfThenElse):
+            cond, then, other = comp(e.cond, scope), comp(e.then, scope), comp(e.other, scope)
+            return lambda: then() if cond() else other()
+        return _fail(f"cannot evaluate {type(e).__name__} nodes")
+
+    return comp(e, {})
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -376,18 +544,18 @@ def enumerate_models(
         cells = tuple(itertools.product(*arg_domains))
         free.append((d.name, cells, domain(cod)))
 
-    stage: dict[int, list[tuple[str, Expr]]] = {}
-    index = {name: i for i, (name, _, _) in enumerate(free)}
-    for fname, expr in fs.formulas:
-        refs = [index[n] for n in free_vars(expr) if n in index]
-        stage.setdefault(max(refs) if refs else -1, []).append((fname, expr))
-
     tables: dict[str, dict[tuple, object]] = dict(pinned)
+    stage: dict[int, list[Callable[[], object]]] = {}
+    index = {name: i for i, (name, _, _) in enumerate(free)}
+    for _, expr in fs.formulas:
+        refs = [index[n] for n in free_vars(expr) if n in index]
+        compiled = compile_expr(expr, tables, carriers, int_values)
+        stage.setdefault(max(refs) if refs else -1, []).append(compiled)
     budget = [node_budget]
 
     def holds_at(k: int) -> bool:
-        for _, expr in stage.get(k, ()):
-            if not eval_expr(expr, tables, carriers, int_values):
+        for formula in stage.get(k, ()):
+            if not formula():
                 return False
         return True
 

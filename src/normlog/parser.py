@@ -206,11 +206,19 @@ def tokenize(text: str) -> list[Token]:
 
 _ATOM_STARTS = {"ident", "int", "float", "string"}
 
+# How deep expressions and types may nest.  Each parenthesis, `not`,
+# binder, if/then/else, right-nested `-->` or `->` is one level.  The
+# parser spends up to ten interpreter frames on a level and the later
+# passes walk the tree recursively too, so the limit keeps the deepest
+# accepted input well inside Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -246,12 +254,21 @@ class _Parser:
         t = self.peek()
         raise LParseError(t.loc, f"expected {what}, found {t.text!r}")
 
+    def descend(self) -> None:
+        """Enter one more level of nesting; the caller leaves it with
+        `self.depth -= 1` once the nested part is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise LParseError(self.peek().loc, f"nested more than {MAX_NESTING} levels deep")
+
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> LType:
+        self.descend()
         t = self._atom_type()
         if self.accept("sym", "->"):
-            return self._mk_fun(t, self.parse_type())
+            t = self._mk_fun(t, self.parse_type())
+        self.depth -= 1
         return t
 
     @staticmethod
@@ -283,6 +300,12 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
+        self.descend()
+        e = self._expr()
+        self.depth -= 1
+        return e
+
+    def _expr(self) -> Expr:
         t = self.peek()
         if t.kind == "kw" and t.text in ("forall", "exists"):
             self.next()
@@ -349,7 +372,10 @@ class _Parser:
     def _unary(self) -> Expr:
         if self.at("kw", "not"):
             t = self.next()
-            return Not(self._unary(), loc=t.loc)
+            self.descend()
+            arg = self._unary()
+            self.depth -= 1
+            return Not(arg, loc=t.loc)
         return self._app()
 
     def _starts_atom(self) -> bool:

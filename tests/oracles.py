@@ -7,20 +7,26 @@ would have to be made twice (and identically) to slip through.
 
 from itertools import product
 
+from normlog.models import Interpretation, eval_expr
 from normlog.syntax import (
     And,
     App,
     BoolLit,
+    BoolT,
+    ClassT,
     Cmp,
     Eq,
     Exists,
     Forall,
     Implies,
     IntLit,
+    IntT,
     Not,
     Or,
     Var,
+    free_vars,
     print_expr,
+    uncurry,
 )
 
 
@@ -214,4 +220,70 @@ def brute_stable_models(rules):
                     changed = True
         if frozenset(lm) == cand:
             found.append(cand)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# finite models by whole-table assignment and tree-walking evaluation
+
+
+def reference_models(fs, sizes, ints=()):
+    """The models of a formula set, in the order the enumerator must
+    yield them, by plain whole-table search: every free symbol takes
+    each whole table from product(codomain, repeat=cells) in turn, and
+    a formula is evaluated with the tree-walking eval_expr as soon as
+    the last free symbol it mentions has a table.  No budget; keep the
+    inputs small."""
+    fixed = fs.fixed_map()
+    carriers = {
+        s: fixed[s] if s in fixed else tuple(f"{s.lower()}{i}" for i in range(sizes[s]))
+        for s in fs.sorts
+    }
+    int_values = tuple(dict.fromkeys(ints))
+
+    def domain(t):
+        if isinstance(t, ClassT):
+            return carriers[t.name]
+        if isinstance(t, BoolT):
+            return (False, True)
+        assert isinstance(t, IntT) and int_values, t
+        return int_values
+
+    tables = {}
+    free = []
+    for d in fs.decls:
+        args, cod = uncurry(d.type)
+        if d.name in fs.char_true:
+            tables[d.name] = {(v,): True for v in domain(args[0])}
+        elif not args and isinstance(cod, ClassT) and d.name in fixed.get(cod.name, ()):
+            tables[d.name] = {(): d.name}
+        else:
+            free.append((d.name, list(product(*map(domain, args))), domain(cod)))
+
+    index = {name: i for i, (name, _, _) in enumerate(free)}
+    stage = {}
+    for _, expr in fs.formulas:
+        refs = [index[n] for n in free_vars(expr) if n in index]
+        stage.setdefault(max(refs, default=-1), []).append(expr)
+
+    def holds_at(k):
+        return all(eval_expr(e, tables, carriers, int_values) for e in stage.get(k, ()))
+
+    found = []
+
+    def search(k):
+        if k == len(free):
+            found.append(
+                Interpretation(dict(carriers), int_values, {n: dict(t) for n, t in tables.items()})
+            )
+            return
+        name, cells, cod = free[k]
+        for combo in product(cod, repeat=len(cells)):
+            tables[name] = dict(zip(cells, combo))
+            if holds_at(k):
+                search(k + 1)
+        del tables[name]
+
+    if holds_at(-1):
+        search(0)
     return found

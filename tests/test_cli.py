@@ -9,6 +9,7 @@ import json
 import pytest
 
 from conftest import CASES, run_cli
+from normlog.parser import MAX_NESTING
 
 REPAIRED = "cases/speedlimit_repaired.l4"
 SIZES = "Vehicle=1,Day=1,Road=1"
@@ -59,6 +60,66 @@ def test_parse_rejects_bad_module(tmp_path):
     bad.write_text("rule <r> if p then\n")
     rc, out, err = run_cli("parse", str(bad))
     assert rc == 2 and err.startswith("error:")
+
+
+def test_non_utf8_module_is_bad_input(tmp_path):
+    bad = tmp_path / "latin1.l4"
+    bad.write_bytes("class S\n# caf\u00e9\ndecl p : S -> Boolean\n".encode("latin-1"))
+    rc, out, err = run_cli("parse", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {bad}: not valid UTF-8: invalid continuation byte at byte 13\n"
+
+
+def test_non_utf8_configuration_is_bad_input(tmp_path):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("fact a.\n# \u00e9\n".encode("latin-1"))
+    rc, out, err = run_cli("legal-models", str(bad))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {bad}: not valid UTF-8:")
+
+
+_NESTED = """class S
+decl p : S -> Boolean
+decl q : S -> Boolean
+rule <r> for x: S if {pre} then q x
+assert <a> forall x: S. {guard} --> q x
+"""
+
+
+def _nested_module(tmp_path, pre, guard="p x"):
+    path = tmp_path / "nested.l4"
+    path.write_text(_NESTED.format(pre=pre, guard=guard))
+    return str(path)
+
+
+def test_deep_parentheses_are_bad_input(tmp_path):
+    path = _nested_module(tmp_path, "(" * 3000 + "p x" + ")" * 3000)
+    rc, out, err = run_cli("transform", path)
+    assert (rc, out) == (2, "")
+    # The precondition, level one, starts at column 22; the error points
+    # at the first token nested past the limit.
+    assert err == f"error: 4:{22 + MAX_NESTING}: nested more than {MAX_NESTING} levels deep\n"
+
+
+def test_deep_negation_is_bad_input(tmp_path):
+    path = _nested_module(tmp_path, "not " * 3000 + "p x")
+    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=2")
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"nested more than {MAX_NESTING} levels deep\n")
+
+
+def test_negation_just_under_the_nesting_limit_is_checked(tmp_path):
+    # The precondition is one level, each `not` one more.  The formulas
+    # built from the rule, and the closures compiled from them, nest as
+    # deeply as the chain.
+    n = MAX_NESTING - 1
+    guard = "p x" if n % 2 == 0 else "not p x"
+    path = _nested_module(tmp_path, "not " * n + "p x", guard)
+    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=2")
+    assert (rc, out, err) == (0, "assertion a (valid): valid\n", "")
+    path = _nested_module(tmp_path, "not " * (n + 1) + "p x", guard)
+    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=2")
+    assert rc == 2
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +322,15 @@ def test_check_budget_exhaustion_is_exit_3():
     assert err == "resource cap: model search exceeded 1 table assignments\n"
 
 
+def test_check_rejects_a_negative_budget():
+    rc, out, err = run_cli(
+        "check", REPAIRED, "--assert", "maxSpFunctional", "--sizes", SIZES, "--ints", INTS,
+        "--budget", "-1",
+    )
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: argument --budget: must be non-negative, got -1\n")
+
+
 # ---------------------------------------------------------------------------
 # correspond
 
@@ -339,6 +409,12 @@ def test_legal_models_cap_is_exit_3():
     rc, out, err = run_cli("legal-models", "cases/bob.cfg", "--cap-bits", "3")
     assert rc == 3
     assert err == "resource cap: legal model search needs 2^9 candidates, cap is 2^3\n"
+
+
+def test_legal_models_rejects_negative_cap_bits():
+    rc, out, err = run_cli("legal-models", "cases/bob.cfg", "--cap-bits", "-1")
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: argument --cap-bits: must be non-negative, got -1\n")
 
 
 def test_answer_sets_projected():

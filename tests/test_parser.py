@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from normlog.parser import LParseError, parse_expr, parse_module, parse_type
+from normlog.parser import MAX_NESTING, LParseError, parse_expr, parse_module, parse_type
 from normlog.randgen import random_annotated_module
 from normlog.syntax import (
     BOOL,
@@ -188,3 +188,14 @@ def test_parse_error_carries_position():
 def test_module_print_parse_round_trip(seed):
     sample = random_annotated_module(random.Random(seed))
     assert parse_module(print_module(sample.module)) == sample.module
+
+
+def test_nesting_is_limited_before_the_interpreter_stack_is():
+    inner = "(" * (MAX_NESTING - 1) + "p" + ")" * (MAX_NESTING - 1)
+    assert parse_expr(inner) == Var("p")
+    for deep in ("(" + inner + ")", "not " * 3000 + "p"):
+        with pytest.raises(LParseError, match=f"nested more than {MAX_NESTING} levels deep"):
+            parse_expr(deep)
+    for deep in ("(" * 3000 + "Boolean" + ")" * 3000, "Boolean -> " * 3000 + "Boolean"):
+        with pytest.raises(LParseError, match=f"nested more than {MAX_NESTING} levels deep"):
+            parse_type(deep)
