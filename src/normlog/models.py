@@ -388,21 +388,6 @@ def compile_expr(
         missing = f"no interpretation for symbol '{head}'"
         partial = f"partial application of '{head}'"
 
-        # Most atoms have one argument; their key needs no loop.
-        if len(args) == 1:
-            (arg,) = args
-
-            def app1():
-                t = tables.get(head)
-                if t is None:
-                    raise ModelError(missing)
-                v = t.get((arg(),), _MISSING)
-                if v is _MISSING:
-                    raise ModelError(partial)
-                return v
-
-            return app1
-
         def app():
             t = tables.get(head)
             if t is None:

@@ -206,11 +206,12 @@ def tokenize(text: str) -> list[Token]:
 
 _ATOM_STARTS = {"ident", "int", "float", "string"}
 
-# How deep expressions and types may nest.  Each parenthesis, `not`,
-# binder, if/then/else, right-nested `-->` or `->` is one level.  The
-# parser spends up to ten interpreter frames on a level and the later
-# passes walk the tree recursively too, so the limit keeps the deepest
-# accepted input well inside Python's default recursion limit of 1000.
+# How deep parsed expressions and types may nest.  Each parenthesis,
+# `not`, binder, if/then/else, right-nested `-->` or `->` is one level.
+# The parser spends up to ten interpreter frames on a level, so the
+# limit keeps parsing well inside Python's default recursion limit of
+# 1000.  It bounds only the parsed text: later passes may build deeper
+# trees, such as the precondition transform along subjectTo chains.
 MAX_NESTING = 64
 
 

@@ -227,6 +227,27 @@ def brute_stable_models(rules):
 # finite models by whole-table assignment and tree-walking evaluation
 
 
+def carriers_and_domain(fs, sizes, ints):
+    """The carrier of every sort of a formula set, named as the
+    enumerator names them (fixed constants, else `s.lower()` plus an
+    index), and the domain of a type over those carriers and `ints`."""
+    fixed = fs.fixed_map()
+    carriers = {
+        s: fixed[s] if s in fixed else tuple(f"{s.lower()}{i}" for i in range(sizes[s]))
+        for s in fs.sorts
+    }
+
+    def domain(t):
+        if isinstance(t, ClassT):
+            return carriers[t.name]
+        if isinstance(t, BoolT):
+            return (False, True)
+        assert isinstance(t, IntT) and ints, t
+        return tuple(ints)
+
+    return carriers, domain
+
+
 def reference_models(fs, sizes, ints=()):
     """The models of a formula set, in the order the enumerator must
     yield them, by plain whole-table search: every free symbol takes
@@ -234,21 +255,9 @@ def reference_models(fs, sizes, ints=()):
     a formula is evaluated with the tree-walking eval_expr as soon as
     the last free symbol it mentions has a table.  No budget; keep the
     inputs small."""
-    fixed = fs.fixed_map()
-    carriers = {
-        s: fixed[s] if s in fixed else tuple(f"{s.lower()}{i}" for i in range(sizes[s]))
-        for s in fs.sorts
-    }
     int_values = tuple(dict.fromkeys(ints))
-
-    def domain(t):
-        if isinstance(t, ClassT):
-            return carriers[t.name]
-        if isinstance(t, BoolT):
-            return (False, True)
-        assert isinstance(t, IntT) and int_values, t
-        return int_values
-
+    carriers, domain = carriers_and_domain(fs, sizes, int_values)
+    fixed = fs.fixed_map()
     tables = {}
     free = []
     for d in fs.decls:

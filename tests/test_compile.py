@@ -16,7 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import load_case
-from oracles import reference_models
+from oracles import carriers_and_domain, reference_models
 from normlog.models import (
     ModelError,
     compile_expr,
@@ -26,7 +26,7 @@ from normlog.models import (
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
-from normlog.syntax import BoolT, ClassT, uncurry
+from normlog.syntax import uncurry
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -124,19 +124,7 @@ def _formula_set(seed, variant):
 
 
 def _random_tables(fs, sizes, ints, rng):
-    fixed = fs.fixed_map()
-    carriers = {
-        s: fixed[s] if s in fixed else tuple(f"{s.lower()}{i}" for i in range(sizes[s]))
-        for s in fs.sorts
-    }
-
-    def domain(t):
-        if isinstance(t, ClassT):
-            return carriers[t.name]
-        if isinstance(t, BoolT):
-            return (False, True)
-        return ints
-
+    carriers, domain = carriers_and_domain(fs, sizes, ints)
     tables = {}
     for d in fs.decls:
         args, cod = uncurry(d.type)
