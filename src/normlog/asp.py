@@ -17,14 +17,17 @@ argument order, fixed here once and used everywhere:
 
 Legal models are checked directly against the defining conditions (see
 `axiom_violations`); they are deliberately NOT minimized, because
-non-minimal legal models are part of the semantics.  The answer set
-encoding (`emit_asp`) computes a subset of them; `verify_lemma4` holds
-the two against each other.
+non-minimal legal models are part of the semantics.  The conditions
+force the legal atoms once the valid rules are chosen, so
+`legal_models` enumerates validity sets.  The answer set encoding
+(`emit_asp`) computes a subset of them; `verify_lemma4` holds the two
+against each other.
 
-The stable-model search grounds schematic clauses against the least
-model of the negation-free relaxation (every stable model is contained
-in it), then tries candidate assignments only for atoms that actually
-occur negated.
+The stable-model search grounds schematic clauses semi-naively against
+the least model of the negation-free relaxation (every stable model is
+contained in it).  The well-founded model then decides most negated
+atoms, and candidate assignments are tried only for the negated atoms
+it leaves undecided.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import NormlogError
 from .models import ResourceCapError
+from .parser import MAX_NESTING
 
 
 class ConfigError(NormlogError):
@@ -168,6 +172,7 @@ class _CfgParser:
     def __init__(self, text: str):
         self.toks = self._tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _tokenize(text: str):
@@ -296,11 +301,20 @@ class _CfgParser:
             self.pos -= 1
             self._err("atoms must start with a lowercase letter")
         args: list = []
-        if self.accept("sym", "("):
+        if self.at("sym", "("):
+            # Each argument list is one level.  Atoms are parsed, grounded
+            # and compared recursively; the `.l4` parser's limit keeps all
+            # of that well inside Python's default recursion limit.
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                _, _, line, col = self.toks[self.pos]
+                raise ConfigError(f"{line}:{col}: nested more than {MAX_NESTING} levels deep")
+            self.pos += 1
             args.append(self.term())
             while self.accept("sym", ","):
                 args.append(self.term())
             self.expect("sym", ")")
+            self.depth -= 1
         return Atom(name, tuple(args))
 
     def term(self) -> Term:
@@ -544,31 +558,25 @@ def _exclusion_justified(cfg: Config, legal, valid, r: DefRule, rmap: dict) -> b
 
 
 def legal_models(cfg: Config, cap_bits: int = 20) -> list[LegalModel]:
-    """All legal models, by exhaustive candidate enumeration over the
-    atoms that can possibly be legal (facts and rule conclusions) and
-    the possible validity pairs."""
+    """All legal models.  Fact-legality, valid-rule-support and
+    legality-support force ``is_legal`` to be the facts plus the
+    conclusions of the valid rules, so the candidates are the validity
+    sets, 2^rules of them, each with the legal atoms it forces; every
+    candidate is checked against all the conditions by
+    `axiom_violations`.  `cap_bits` bounds the number of rules."""
     if not cfg.is_ground():
         raise ConfigError("legal models are only defined for ground configurations")
-    atoms: list[Atom] = []
-    seen = set()
-    for a in itertools.chain(cfg.facts, (r.head for r in cfg.rules)):
-        if a not in seen:
-            seen.add(a)
-            atoms.append(a)
     pairs = [(r.id, r.head) for r in cfg.rules]
-    bits = len(atoms) + len(pairs)
-    if bits > cap_bits:
+    if len(pairs) > cap_bits:
         raise ResourceCapError(
-            f"legal model search needs 2^{bits} candidates, cap is 2^{cap_bits}"
+            f"legal model search needs 2^{len(pairs)} candidates, cap is 2^{cap_bits}"
         )
 
+    facts = frozenset(cfg.facts)
     out = []
-    for mask in range(1 << bits):
-        legal = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        valid = frozenset(
-            p for i, p in enumerate(pairs) if mask >> (len(atoms) + i) & 1
-        )
-        model = LegalModel(legal, valid)
+    for mask in range(1 << len(pairs)):
+        valid = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        model = LegalModel(facts.union(c for _, c in valid), valid)
         if not axiom_violations(cfg, model):
             out.append(model)
     out.sort(key=LegalModel.key)
@@ -722,10 +730,6 @@ def _unify(pattern: Term, value: Term, b: dict) -> Optional[dict]:
     return b if pattern == value else None
 
 
-def _match_atom(pattern: Atom, value: Atom, b: dict) -> Optional[dict]:
-    return _unify(pattern, value, b)
-
-
 @dataclass(frozen=True)
 class GroundRule:
     head: Atom
@@ -738,97 +742,172 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     negation-free relaxation.  Every stable model is a subset of that
     least model, so instances pruned here cannot fire in any stable
     model.  Negative literals on atoms outside it are dropped as
-    trivially true."""
+    trivially true.
+
+    The least model is built semi-naively (Bancilhon & Ramakrishnan
+    1986).  Derived atoms are kept per predicate in derivation order.
+    The first round instantiates the clauses without positive literals;
+    after it, a clause is matched only where one of its positive
+    literals binds an atom derived in the round before.  An unsafe
+    clause raises `ConfigError` when its positive literals first match."""
+    derived: dict[str, list[Atom]] = {}
     possible: set[Atom] = set()
     instances: set[GroundRule] = set()
 
-    def body_matches(body, b, acc):
-        if not body:
-            yield b
+    clauses = []
+    for r in p.rules:
+        pos = tuple(l.atom for l in r.body if l.positive)
+        neg = tuple(l.atom for l in r.body if not l.positive)
+        bound = set().union(*map(_term_vars, pos))
+        unsafe = next(
+            (
+                f"unsafe clause: variable in negative literal {l} not bound "
+                f"by a positive literal"
+                for l in r.body
+                if not l.positive and _term_vars(l.atom) - bound
+            ),
+            f"unsafe clause: unbound variable in head {r.head}"
+            if _term_vars(r.head) - bound
+            else None,
+        )
+        clauses.append((r.head, pos, neg, unsafe))
+
+    def joins(pos, spans, b, matched):
+        """Bindings extending `b` that match each pos[j] against the
+        atoms derived[pred][lo:hi], spans[j] = (lo, hi)."""
+        j = len(matched)
+        if j == len(pos):
+            yield b, matched
             return
-        lit, rest = body[0], body[1:]
-        if not lit.positive:
-            if _term_vars(lit.atom) - set(b):
-                raise ConfigError(
-                    f"unsafe clause: variable in negative literal {lit} not bound "
-                    f"by a positive literal"
-                )
-            yield from body_matches(rest, b, acc)
-            return
-        for v in list(acc):
-            nb = _match_atom(lit.atom, v, b)
+        (lo, hi), atoms = spans[j], derived.get(pos[j].pred, ())
+        for a in atoms[lo:hi]:
+            nb = _unify(pos[j], a, b)
             if nb is not None:
-                yield from body_matches(rest, nb, acc)
+                yield from joins(pos, spans, nb, matched + (a,))
 
-    changed = True
-    while changed:
-        changed = False
-        for r in p.rules:
-            pos = [l for l in r.body if l.positive]
-            order = pos + [l for l in r.body if not l.positive]
-            for b in body_matches(tuple(order), {}, possible):
-                if _term_vars(r.head) - set(b):
-                    raise ConfigError(f"unsafe clause: unbound variable in head {r.head}")
-                head = _subst_atom(r.head, b)
-                gpos = tuple(_subst_atom(l.atom, b) for l in pos)
-                gneg = tuple(
-                    _subst_atom(l.atom, b) for l in r.body if not l.positive
+    def add(head, gpos, neg, b):
+        g = GroundRule(_subst_atom(head, b), gpos, tuple(_subst_atom(a, b) for a in neg))
+        n = len(instances)
+        instances.add(g)
+        if len(instances) == n:
+            return
+        if len(instances) > instance_cap:
+            raise ResourceCapError(f"grounding exceeded {instance_cap} rule instances")
+        if g.head not in possible:
+            possible.add(g.head)
+            derived.setdefault(g.head.pred, []).append(g.head)
+
+    for head, pos, neg, unsafe in clauses:
+        if not pos:
+            if unsafe:
+                raise ConfigError(unsafe)
+            add(head, (), neg, {})
+    before: dict[str, int] = {}  # atoms per predicate before the last round
+    now = {q: len(atoms) for q, atoms in derived.items()}
+    while now != before:
+        for head, pos, neg, unsafe in clauses:
+            for i, lit in enumerate(pos):
+                lo, hi = before.get(lit.pred, 0), now.get(lit.pred, 0)
+                if lo == hi:
+                    continue
+                # pos[i] binds an atom of the last round and the literals
+                # before it older atoms only, so no match is made twice.
+                spans = (
+                    [(0, before.get(a.pred, 0)) for a in pos[:i]]
+                    + [(lo, hi)]
+                    + [(0, now.get(a.pred, 0)) for a in pos[i + 1 :]]
                 )
-                g = GroundRule(head, gpos, gneg)
-                if g not in instances:
-                    instances.add(g)
-                    if len(instances) > instance_cap:
-                        raise ResourceCapError(
-                            f"grounding exceeded {instance_cap} rule instances"
-                        )
-                    changed = True
-                if head not in possible:
-                    possible.add(head)
-                    changed = True
+                for b, matched in joins(pos, spans, {}, ()):
+                    if unsafe:
+                        raise ConfigError(unsafe)
+                    add(head, matched, neg, b)
+        before, now = now, {q: len(atoms) for q, atoms in derived.items()}
 
-    out = []
-    for g in sorted(instances, key=lambda g: (str(g.head), g.pos and tuple(map(str, g.pos)) or (), tuple(map(str, g.neg)))):
-        neg = tuple(a for a in g.neg if a in possible)
-        out.append(GroundRule(g.head, g.pos, neg))
-    return out
+    def key(g: GroundRule):
+        return (str(g.head), tuple(map(str, g.pos)), tuple(map(str, g.neg)))
+
+    return [
+        GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
+        for g in sorted(instances, key=key)
+    ]
 
 
-def _least_model(rules: Sequence[tuple[Atom, tuple]]) -> frozenset:
-    known: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in rules:
-            if head not in known and all(a in known for a in pos):
-                known.add(head)
-                changed = True
-    return frozenset(known)
+def _reduct(ground_rules: Sequence[GroundRule]):
+    """The least model of the reduct, as a function of the atoms
+    assumed true: rules with a negated atom among them are dropped, the
+    other negative literals too.  Each rule waits on a count of its
+    missing positive atoms, so one call is linear in the program."""
+    waiting: dict[Atom, list[int]] = {}
+    missing = []
+    for i, g in enumerate(ground_rules):
+        body = set(g.pos)
+        missing.append(len(body))
+        for a in body:
+            waiting.setdefault(a, []).append(i)
+
+    def least_model(assumed: frozenset) -> frozenset:
+        left = missing.copy()
+        for i, g in enumerate(ground_rules):
+            if not assumed.isdisjoint(g.neg):
+                left[i] = -1
+        stack = [g.head for g, n in zip(ground_rules, left) if n == 0]
+        known: set[Atom] = set()
+        while stack:
+            a = stack.pop()
+            if a in known:
+                continue
+            known.add(a)
+            for i in waiting.get(a, ()):
+                left[i] -= 1
+                if left[i] == 0:
+                    stack.append(ground_rules[i].head)
+        return frozenset(known)
+
+    return least_model
+
+
+def _well_founded(least_model) -> tuple[frozenset, frozenset]:
+    """The well-founded model of a program, given by its `_reduct`, as
+    a pair ``(true, possible)``, computed by the alternating fixpoint
+    (Van Gelder, Ross & Schlipf 1991): ``true`` is the least fixpoint
+    of applying the reduct's least model twice, ``possible`` the
+    reduct's least model by ``true``.  Every stable model M has
+    ``true <= M <= possible``."""
+    true: frozenset = frozenset()
+    while True:
+        possible = least_model(true)
+        closer = least_model(possible)
+        if closer == true:
+            return true, possible
+        true = closer
 
 
 def answer_sets(
     p: AspProgram, guess_cap_bits: int = 20, instance_cap: int = 1_000_000
 ) -> list[frozenset]:
-    """All stable models.  Candidates are generated only over atoms
-    that occur negated somewhere in the grounding: the reduct, and
-    hence stability, depends on nothing else."""
+    """All stable models.  The reduct, and hence stability, depends
+    only on which negated atoms a candidate holds.  The well-founded
+    model fixes those it makes true as held and those outside its
+    possible atoms as not held; candidates are generated only over the
+    rest, and each is kept when the least model of its reduct holds
+    exactly the negated atoms guessed.  `guess_cap_bits` bounds the
+    number of negated atoms the well-founded model leaves undecided."""
     ground_rules = _ground_program(p, instance_cap)
-    neg_atoms = sorted(
-        {a for g in ground_rules for a in g.neg}, key=str
-    )
-    if len(neg_atoms) > guess_cap_bits:
+    neg_set = frozenset(a for g in ground_rules for a in g.neg)
+    least_model = _reduct(ground_rules)
+    true, possible = _well_founded(least_model)
+    fixed = neg_set & true
+    undecided = sorted(neg_set & possible - true, key=str)
+    if len(undecided) > guess_cap_bits:
         raise ResourceCapError(
-            f"stable model search needs 2^{len(neg_atoms)} candidates, "
+            f"stable model search needs 2^{len(undecided)} candidates, "
             f"cap is 2^{guess_cap_bits}"
         )
-    neg_set = frozenset(neg_atoms)
 
     out = []
-    for mask in range(1 << len(neg_atoms)):
-        chosen = frozenset(a for i, a in enumerate(neg_atoms) if mask >> i & 1)
-        reduct = [
-            (g.head, g.pos) for g in ground_rules if not (set(g.neg) & chosen)
-        ]
-        lm = _least_model(reduct)
+    for mask in range(1 << len(undecided)):
+        chosen = fixed.union(a for i, a in enumerate(undecided) if mask >> i & 1)
+        lm = least_model(chosen)
         if lm & neg_set == chosen:
             out.append(lm)
     out.sort(key=lambda s: (len(s), tuple(sorted(map(str, s)))))

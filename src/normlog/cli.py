@@ -9,7 +9,8 @@ Exit codes: 0 success (including "the check passed"), 1 a checked
 property failed (countermodel found, correspondence violated, encoding
 unsound), 2 bad input or usage (parse or type errors, cyclic rule
 orderings, malformed configurations), 3 a resource cap was hit, which
-says nothing about the property itself.
+says nothing about the property itself, 4 an internal error (an
+unexpected exception, such as running out of recursion depth).
 
 Output is plain deterministic text (or JSON with --json); no color is
 ever emitted, so NO_COLOR holds trivially.
@@ -504,6 +505,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # A fault or a limit of the implementation (such as Python's
+        # recursion limit on a deep tree), never a verdict on the input.
+        detail = str(e).splitlines()[:1]
+        print(": ".join(["internal error", type(e).__name__, *detail]), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,12 @@ from normlog.typecheck import elaborate, typecheck_module
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ROOT / "cases"
+
+# Child processes (`python -m normlog.cli`) run this checkout's package,
+# installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+)
 
 
 def load_case(name):

@@ -7,7 +7,15 @@ would have to be made twice (and identically) to slip through.
 
 from itertools import product
 
-from normlog.models import Interpretation, eval_expr
+from normlog.asp import (
+    Atom,
+    ConfigError,
+    GroundRule,
+    LegalModel,
+    TVar,
+    axiom_violations,
+)
+from normlog.models import Interpretation, ResourceCapError, eval_expr
 from normlog.syntax import (
     And,
     App,
@@ -221,6 +229,124 @@ def brute_stable_models(rules):
         if frozenset(lm) == cand:
             found.append(cand)
     return found
+
+
+# ---------------------------------------------------------------------------
+# configurations: the full legal-model sweep and naive grounding
+
+
+def sweep_legal_models(cfg):
+    """Every legal model of a ground configuration: each subset of the
+    atoms that can be legal (facts and conclusions) crossed with each
+    subset of the (rule, conclusion) pairs, kept when
+    `axiom_violations` finds nothing.  Sorted as `legal_models` sorts."""
+    atoms = list(dict.fromkeys([*cfg.facts, *(r.head for r in cfg.rules)]))
+    pairs = [(r.id, r.head) for r in cfg.rules]
+    assert len(atoms) + len(pairs) <= 16, "oracle is exponential in atoms and rules"
+    found = []
+    for legal_bits in product((False, True), repeat=len(atoms)):
+        legal = frozenset(a for a, b in zip(atoms, legal_bits) if b)
+        for valid_bits in product((False, True), repeat=len(pairs)):
+            valid = frozenset(p for p, b in zip(pairs, valid_bits) if b)
+            model = LegalModel(legal, valid)
+            if not axiom_violations(cfg, model):
+                found.append(model)
+    return sorted(found, key=LegalModel.key)
+
+
+def _vars(t):
+    if isinstance(t, TVar):
+        return {t.name}
+    if isinstance(t, Atom):
+        return set().union(*map(_vars, t.args))
+    return set()
+
+
+def _subst(t, b):
+    if isinstance(t, TVar):
+        return b[t.name]
+    if isinstance(t, Atom):
+        return Atom(t.pred, tuple(_subst(a, b) for a in t.args))
+    return t
+
+
+def _match(pattern, value, b):
+    """`b` extended so that `pattern` instantiates to `value`, or None."""
+    if isinstance(pattern, TVar):
+        if pattern.name in b:
+            return b if b[pattern.name] == value else None
+        return {**b, pattern.name: value}
+    if isinstance(pattern, Atom):
+        if not isinstance(value, Atom) or pattern.pred != value.pred:
+            return None
+        if len(pattern.args) != len(value.args):
+            return None
+        for pa, va in zip(pattern.args, value.args):
+            b = _match(pa, va, b)
+            if b is None:
+                return None
+        return b
+    return b if pattern == value else None
+
+
+def reference_ground_program(p, instance_cap=1_000_000):
+    """The ground instances of an answer set program by naive bottom-up
+    evaluation: every round matches every clause against every atom
+    derived so far, until a round adds nothing.  Instances, their order
+    and the errors are those `_ground_program` promises."""
+    possible = set()
+    instances = set()
+
+    def body_matches(body, b):
+        if not body:
+            yield b
+            return
+        lit, rest = body[0], body[1:]
+        if not lit.positive:
+            if _vars(lit.atom) - set(b):
+                raise ConfigError(
+                    f"unsafe clause: variable in negative literal {lit} not bound "
+                    f"by a positive literal"
+                )
+            yield from body_matches(rest, b)
+            return
+        for v in list(possible):
+            nb = _match(lit.atom, v, b)
+            if nb is not None:
+                yield from body_matches(rest, nb)
+
+    changed = True
+    while changed:
+        changed = False
+        for r in p.rules:
+            pos = [l for l in r.body if l.positive]
+            neg = [l for l in r.body if not l.positive]
+            for b in body_matches(tuple(pos + neg), {}):
+                if _vars(r.head) - set(b):
+                    raise ConfigError(f"unsafe clause: unbound variable in head {r.head}")
+                g = GroundRule(
+                    _subst(r.head, b),
+                    tuple(_subst(l.atom, b) for l in pos),
+                    tuple(_subst(l.atom, b) for l in neg),
+                )
+                if g not in instances:
+                    instances.add(g)
+                    if len(instances) > instance_cap:
+                        raise ResourceCapError(
+                            f"grounding exceeded {instance_cap} rule instances"
+                        )
+                    changed = True
+                if g.head not in possible:
+                    possible.add(g.head)
+                    changed = True
+
+    def key(g):
+        return (str(g.head), tuple(map(str, g.pos)), tuple(map(str, g.neg)))
+
+    return [
+        GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
+        for g in sorted(instances, key=key)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 models checked directly against their defining conditions."""
 
 import pathlib
+import random
 
 import pytest
 
@@ -23,8 +24,11 @@ from normlog.asp import (
     parse_config,
 )
 from normlog.models import ResourceCapError
+from normlog.parser import MAX_NESTING
+from normlog.randgen import random_config
 
 from conftest import CASES
+from oracles import sweep_legal_models
 
 
 def cfg_file(name: str) -> Config:
@@ -112,6 +116,26 @@ def test_error_positions_count_lines():
     with pytest.raises(ConfigError) as exc:
         parse_config("rule 1: p.\nfact: Q.")
     assert str(exc.value).startswith("2:7:")
+
+
+def nested_atom(levels: int) -> str:
+    """An atom whose argument lists nest `levels` deep."""
+    return "p(" + "f(" * (levels - 1) + "a" + ")" * levels
+
+
+def test_nesting_limit():
+    # "fact: p(" puts the first level at column 8; the error points at
+    # the parenthesis that opens one level too many.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"fact: {nested_atom(MAX_NESTING + 1)}.")
+    assert str(exc.value) == f"1:{8 + 2 * MAX_NESTING}: nested more than {MAX_NESTING} levels deep"
+
+
+def test_nesting_limit_counts_levels_not_arguments():
+    atom = nested_atom(MAX_NESTING)
+    cfg = parse_config(f"fact: {atom}.\nrule 1: q <- {atom}, {atom}.\nfact: {atom}.")
+    assert str(cfg.facts[0]) == atom
+    assert [str(lit) for lit in cfg.rules[0].body] == [atom, atom]
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +417,34 @@ def test_self_despite_leaves_the_empty_model():
 
 
 def test_legal_models_cap():
-    cfg = parse_config("\n".join(f"fact: a{i}." for i in range(25)))
+    # One candidate per validity set: the cap counts rules.
+    cfg = parse_config("\n".join(f"rule {i}: a{i}." for i in range(25)))
     with pytest.raises(ResourceCapError) as exc:
         legal_models(cfg, cap_bits=10)
     assert str(exc.value) == "legal model search needs 2^25 candidates, cap is 2^10"
+
+
+def test_facts_cost_no_candidates():
+    cfg = parse_config("\n".join(f"fact: a{i}." for i in range(25)))
+    (m,) = legal_models(cfg, cap_bits=0)
+    assert m == LegalModel(frozenset(cfg.facts), frozenset())
+
+
+def test_legal_models_match_the_full_sweep_on_random_configs():
+    rng = random.Random(1986)
+    found = 0
+    for _ in range(250):
+        cfg = random_config(rng)
+        models = legal_models(cfg)
+        assert models == sweep_legal_models(cfg), cfg
+        found += len(models)
+    assert found > 100
+
+
+@pytest.mark.parametrize("path", sorted(CASES.glob("*.cfg")), ids=lambda p: p.stem)
+def test_legal_models_match_the_full_sweep_on_cases(path):
+    cfg = parse_config(path.read_text())
+    assert legal_models(cfg) == sweep_legal_models(cfg)
 
 
 def test_legal_models_deterministic():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CASES, run_cli
 from normlog.parser import MAX_NESTING
+from test_asp import nested_atom
 
 REPAIRED = "cases/speedlimit_repaired.l4"
 SIZES = "Vehicle=1,Day=1,Road=1"
@@ -120,6 +121,77 @@ def test_negation_just_under_the_nesting_limit_is_checked(tmp_path):
     path = _nested_module(tmp_path, "not " * (n + 1) + "p x", guard)
     rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=2")
     assert rc == 2
+
+
+CFG_COMMANDS = ("legal-models", "answer-sets", "verify-lemma4")
+
+
+def test_deep_configuration_term_is_bad_input(tmp_path):
+    path = tmp_path / "deep.cfg"
+    path.write_text(f"fact: {nested_atom(3000)}.\n")
+    for command in CFG_COMMANDS:
+        rc, out, err = run_cli(command, path)
+        assert (rc, out) == (2, ""), command
+        assert err == f"error: 1:{8 + 2 * MAX_NESTING}: nested more than {MAX_NESTING} levels deep\n"
+
+
+def test_deep_configuration_rule_is_bad_input(tmp_path):
+    # 400 levels used to parse and then overflow while grounding.
+    path = tmp_path / "deep.cfg"
+    atom = nested_atom(400)
+    path.write_text(f"fact: {atom}.\nrule 1: q <- {atom}.\n")
+    rc, out, err = run_cli("verify-lemma4", path)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"nested more than {MAX_NESTING} levels deep\n")
+
+
+def test_configuration_just_under_the_nesting_limit_is_decided(tmp_path):
+    path = tmp_path / "deep.cfg"
+    atom = nested_atom(MAX_NESTING)
+    path.write_text(f"fact: {atom}.\nrule 1: q <- {atom}.\n")
+    rc, out, err = run_cli("legal-models", path)
+    assert (rc, err) == (0, "")
+    assert out == f"1 legal model(s)\nmodel 1: is_legal {{{atom}, q}} legally_valid {{(1, q)}}\n"
+    rc, out, err = run_cli("answer-sets", path, "--project")
+    assert (rc, err) == (0, "")
+    assert out == f"1 answer set(s)\nanswer set 1: is_legal {{{atom}, q}} legally_valid {{(1, q)}}\n"
+    rc, out, err = run_cli("verify-lemma4", path)
+    assert (rc, out, err) == (
+        0,
+        "answer sets: 1\nlegal models: 1\nevery answer set projects to a legal model\n",
+        "",
+    )
+
+
+# The recursive tree walkers still overflow on trees the parser's
+# nesting limit does not count; that is an internal error (exit 4),
+# never a verdict (exit 1).
+
+
+def test_long_conjunction_is_an_internal_error(tmp_path):
+    path = _nested_module(tmp_path, " && ".join(["p x"] * 500))
+    for command in ("parse", "transform"):
+        rc, out, err = run_cli(command, path)
+        assert (rc, out) == (4, ""), command
+        assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_long_subject_to_chain_is_an_internal_error(tmp_path):
+    rules = [
+        f"rule <r{i}>{f' {{restrict: {{subjectTo: r{i - 1}}}}}' if i else ''}\n"
+        f"  for x: S\n  if p x\n  then q x\n"
+        for i in range(500)
+    ]
+    path = tmp_path / "chain.l4"
+    path.write_text(
+        "class S\ndecl p : S -> Boolean\ndecl q : S -> Boolean\n\n"
+        + "\n".join(rules)
+        + "\nassert <a> {SMT: {valid}}\n  forall x: S. p x --> q x\n"
+    )
+    for args in (("transform",), ("check", "--assert", "a", "--sizes", "S=1")):
+        rc, out, err = run_cli(args[0], path, *args[1:])
+        assert (rc, out) == (4, ""), args
+        assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +480,7 @@ def test_legal_models_json():
 def test_legal_models_cap_is_exit_3():
     rc, out, err = run_cli("legal-models", "cases/bob.cfg", "--cap-bits", "3")
     assert rc == 3
-    assert err == "resource cap: legal model search needs 2^9 candidates, cap is 2^3\n"
+    assert err == "resource cap: legal model search needs 2^4 candidates, cap is 2^3\n"
 
 
 def test_legal_models_rejects_negative_cap_bits():

@@ -22,11 +22,15 @@ from normlog.asp import (
     project_answer_set,
     verify_lemma4,
     _ground_program,
+    _reduct,
+    _term_vars,
+    _well_founded,
 )
 from normlog.models import ResourceCapError
 from normlog.randgen import random_config
 
-from oracles import brute_stable_models
+from conftest import CASES
+from oracles import brute_stable_models, reference_ground_program
 from test_asp import cfg_file
 
 
@@ -87,6 +91,175 @@ def test_ground_program_instance_cap():
     )
     with pytest.raises(ResourceCapError, match="grounding exceeded 10 rule instances"):
         _ground_program(emit_asp(cfg), instance_cap=10)
+
+
+# ---------------------------------------------------------------------------
+# the semi-naive grounder against naive bottom-up grounding
+
+
+def outcome(ground_fn, prog, **kw):
+    """The instances, or the type and message of the error raised."""
+    try:
+        return ground_fn(prog, **kw)
+    except (ConfigError, ResourceCapError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_grounding_matches_naive_on_random_configs():
+    rng = random.Random(1986)
+    for _ in range(250):
+        prog = emit_asp(random_config(rng))
+        assert _ground_program(prog) == reference_ground_program(prog)
+
+
+def random_schematic_config(rng):
+    consts = ["a", "b", "c"][: rng.randrange(1, 4)]
+    preds = ["p", "q", "r", "s"]
+    X = TVar("X")
+
+    def atom(schematic):
+        return Atom(rng.choice(preds), (X if schematic else rng.choice(consts),))
+
+    lines = []
+    for rid in range(1, rng.randrange(2, 5)):
+        schematic = rng.random() < 0.7
+        head = atom(schematic)
+        body = [atom(schematic) for _ in range(rng.randrange(1 if schematic else 0, 3))]
+        if schematic and all(a.args != (X,) for a in body):
+            body[0] = Atom(body[0].pred, (X,))
+        negs = [rng.random() < 0.3 for _ in body]
+        text = ", ".join(("not " if n else "") + str(a) for a, n in zip(body, negs))
+        lines.append(f"rule {rid}: {head}" + (f" <- {text}." if body else "."))
+    for _ in range(rng.randrange(1, 4)):
+        lines.append(f"fact: {atom(False)}.")
+    if len(lines) > 2 and rng.random() < 0.7:
+        kind = rng.choice(["despite", "subject_to", "strong_subject_to"])
+        lines.append(f"modifier: {kind}(1, 2).")
+    if rng.random() < 0.6:
+        lines.append(f"inconsistent: {{{atom(False)}, {atom(False)}}}.")
+    return ground(parse_config("\n".join(lines)))
+
+
+def test_grounding_matches_naive_on_grounded_schematic_configs():
+    rng = random.Random(1987)
+    tried = 0
+    for _ in range(300):
+        try:
+            cfg = random_schematic_config(rng)
+        except ConfigError:  # an inconsistent set of one atom
+            continue
+        prog = emit_asp(cfg)
+        assert _ground_program(prog) == reference_ground_program(prog)
+        tried += 1
+    assert tried >= 200
+
+
+@pytest.mark.parametrize("path", sorted(CASES.glob("*.cfg")), ids=lambda p: p.stem)
+def test_grounding_matches_naive_on_cases(path):
+    prog = emit_asp(parse_config(path.read_text()))
+    assert _ground_program(prog) == reference_ground_program(prog)
+
+
+def random_schematic_program(rng):
+    """Clauses over two-place predicates and nested terms, joined on
+    shared variables; now and then a clause is unsafe, or its head
+    nests a term deeper than its body."""
+    X, Y, Z = TVar("X"), TVar("Y"), TVar("Z")
+    consts = ["a", "b", "a", "b", 1, Atom("f", ("a",))]
+    terms = [X, Y, Z, "a", Atom("f", (X,))]
+    preds = ["e", "p", "q"]
+
+    def atom(pool):
+        return Atom(rng.choice(preds), (rng.choice(pool), rng.choice(pool)))
+
+    rules = [AspRule(atom(consts)) for _ in range(rng.randrange(4, 13))]
+    for _ in range(rng.randrange(2, 7)):
+        body = [Literal(atom(terms)) for _ in range(rng.randrange(1, 4))]
+        bound = set().union(*(_term_vars(l.atom) for l in body))
+        safe = [TVar(v) for v in sorted(bound)] or ["a"]
+        if rng.random() < 0.4:
+            pool = safe if rng.random() < 0.9 else [X, Y, Z]
+            body.append(Literal(atom(pool), positive=False))
+        head = atom(safe if rng.random() < 0.95 else [X, Y, Z])
+        if rng.random() < 0.1:  # a term that grows without end
+            head = Atom(head.pred, (Atom("f", (head.args[0],)), head.args[1]))
+        rules.append(AspRule(head, tuple(body)))
+    return AspProgram(tuple(rules))
+
+
+def test_grounding_matches_naive_on_random_schematic_programs():
+    rng = random.Random(1988)
+    kinds = set()
+    joined = 0
+    for _ in range(400):
+        prog = random_schematic_program(rng)
+        got = outcome(_ground_program, prog, instance_cap=60)
+        assert got == outcome(reference_ground_program, prog, instance_cap=60), prog
+        kinds.add(got[0] if isinstance(got, tuple) else "instances")
+        joined += isinstance(got, list) and len(got) >= len(prog.rules) + 5
+    assert kinds == {"instances", "ConfigError", "ResourceCapError"}
+    assert joined >= 30
+
+
+# ---------------------------------------------------------------------------
+# the well-founded model brackets every stable model
+
+
+def random_ground_program(rng):
+    atoms = [Atom(f"a{i}") for i in range(rng.randrange(2, 9))]
+    rules = []
+    for _ in range(rng.randrange(1, 11)):
+        body = rng.sample(atoms, rng.randrange(0, 3))
+        rules.append(
+            AspRule(rng.choice(atoms), tuple(Literal(a, rng.random() < 0.5) for a in body))
+        )
+    return AspProgram(tuple(rules))
+
+
+def test_well_founded_model_brackets_every_stable_model():
+    rng = random.Random(1991)
+    decided = undecided = 0
+    for _ in range(400):
+        prog = random_ground_program(rng)
+        rules = _ground_program(prog)
+        true, possible = _well_founded(_reduct(rules))
+        negated = {a for g in rules for a in g.neg}
+        decided += bool(negated & true)
+        undecided += bool(negated & possible - true)
+        stable = brute_stable_models([(g.head, g.pos, g.neg) for g in rules])
+        for m in stable:
+            assert true <= m <= possible
+        key = lambda s: (len(s), tuple(sorted(map(str, s))))
+        assert answer_sets(prog) == sorted(stable, key=key)
+    assert decided > 50 and undecided > 50
+
+
+def test_well_founded_model_brackets_stable_models_of_encodings():
+    rng = random.Random(1992)
+    checked = 0
+    for _ in range(80):
+        rules = _ground_program(emit_asp(random_config(rng)))
+        if len({a for g in rules for a in (g.head, *g.pos, *g.neg)}) > 11:
+            continue
+        true, possible = _well_founded(_reduct(rules))
+        for m in brute_stable_models([(g.head, g.pos, g.neg) for g in rules]):
+            assert true <= m <= possible
+        checked += 1
+    assert checked >= 12
+
+
+def test_well_founded_model_decides_a_stratified_program():
+    # b is never derivable, so "not b" holds, a holds, and "not a" fails.
+    prog = AspProgram(
+        (
+            AspRule(Atom("c")),
+            AspRule(Atom("a"), (Literal(Atom("c")), Literal(Atom("b"), positive=False))),
+            AspRule(Atom("b"), (Literal(Atom("a")), Literal(Atom("d"), positive=False))),
+            AspRule(Atom("d"), (Literal(Atom("c")),)),
+        )
+    )
+    true, possible = _well_founded(_reduct(_ground_program(prog)))
+    assert true == possible == {Atom("a"), Atom("c"), Atom("d")}
 
 
 # ---------------------------------------------------------------------------
