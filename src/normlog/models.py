@@ -5,7 +5,9 @@ Boolean formulas over the declared symbols; a backtracking enumerator
 then searches all interpretations over user-given carrier sizes and an
 explicit list of integer values.  Quantifiers over a subclass become
 quantifiers over its sort guarded by the characteristic predicate, so
-the enumerator only ever deals with sort carriers.
+the enumerator only ever deals with sort carriers.  The precondition
+transform shares subterms between rules; the translation visits each
+distinct node once and keeps that sharing in the formulas it returns.
 
 The enumerator assigns one free symbol a whole table at a time, in
 declaration order, and tests each formula as soon as the last symbol
@@ -107,56 +109,85 @@ class FormulaSet:
         return dict(self.fixed)
 
 
-def rewrite_fields(e: Expr) -> Expr:
-    """Attribute access as application of the generated accessor."""
-    if isinstance(e, FieldAccess):
-        return App(Var(e.fieldname), rewrite_fields(e.obj))
+def _rebuild(e: Expr, post: Callable[[Expr], Expr], memo: dict) -> Expr:
+    """Rebuild `e` bottom-up, applying `post` to each inner node once
+    its children are rebuilt; leaves are returned as they are.
+
+    Each distinct node is visited once: `memo` maps `id(node)` to
+    `(node, result)`, keeping the node alive so that its id is not
+    reused, and may be shared by calls over formulas with common
+    subterms.  A node none of whose children changed is passed to
+    `post` itself, so the sharing of the input survives into the
+    output.  The recursion spends one frame per tree level."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Not):
-        return replace(e, arg=rewrite_fields(e.arg))
-    if isinstance(e, (And, Or, Implies, Eq, Cmp)):
-        return replace(e, left=rewrite_fields(e.left), right=rewrite_fields(e.right))
-    if isinstance(e, App):
-        return replace(e, fn=rewrite_fields(e.fn), arg=rewrite_fields(e.arg))
-    if isinstance(e, (Lambda, Forall, Exists)):
-        return replace(e, body=rewrite_fields(e.body))
-    if isinstance(e, IfThenElse):
-        return replace(
-            e,
-            cond=rewrite_fields(e.cond),
-            then=rewrite_fields(e.then),
-            other=rewrite_fields(e.other),
-        )
+        arg = _rebuild(e.arg, post, memo)
+        out = e if arg is e.arg else replace(e, arg=arg)
+    elif isinstance(e, (And, Or, Implies, Eq, Cmp)):
+        left = _rebuild(e.left, post, memo)
+        right = _rebuild(e.right, post, memo)
+        out = e if left is e.left and right is e.right else replace(e, left=left, right=right)
+    elif isinstance(e, App):
+        fn = _rebuild(e.fn, post, memo)
+        arg = _rebuild(e.arg, post, memo)
+        out = e if fn is e.fn and arg is e.arg else replace(e, fn=fn, arg=arg)
+    elif isinstance(e, (Lambda, Forall, Exists)):
+        body = _rebuild(e.body, post, memo)
+        out = e if body is e.body else replace(e, body=body)
+    elif isinstance(e, IfThenElse):
+        cond = _rebuild(e.cond, post, memo)
+        then = _rebuild(e.then, post, memo)
+        other = _rebuild(e.other, post, memo)
+        if cond is e.cond and then is e.then and other is e.other:
+            out = e
+        else:
+            out = replace(e, cond=cond, then=then, other=other)
+    elif isinstance(e, FieldAccess):
+        obj = _rebuild(e.obj, post, memo)
+        out = e if obj is e.obj else replace(e, obj=obj)
+    else:
+        return e
+    out = post(out)
+    memo[id(e)] = (e, out)
+    return out
+
+
+def _field_to_app(e: Expr) -> Expr:
+    if isinstance(e, FieldAccess):
+        return App(Var(e.fieldname), e.obj)
     return e
 
 
-def guard_quantifiers(e: Expr, env: Env) -> Expr:
+def rewrite_fields(e: Expr, memo: Optional[dict] = None) -> Expr:
+    """Attribute access as application of the generated accessor.
+
+    Visits each distinct node once and returns unchanged nodes
+    themselves; `memo` may be shared between calls (see `_rebuild`)."""
+    return _rebuild(e, _field_to_app, {} if memo is None else memo)
+
+
+def guard_quantifiers(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
     """Quantification over a proper subclass becomes quantification
-    over its sort, guarded by the characteristic predicate."""
+    over its sort, guarded by the characteristic predicate.
+
+    Visits each distinct node once and returns unchanged nodes
+    themselves; `memo` may be shared between calls (see `_rebuild`)."""
 
     def guard(e: Expr) -> Expr:
-        if isinstance(e, (Forall, Exists)):
-            body = guard(e.body)
-            t = e.var_type
-            if isinstance(t, ClassT) and t.name != ROOT_CLASS and not is_sort(t.name, env.classes):
-                sort = sort_of(t.name, env.classes)
-                test = App(Var(char_pred_name(t.name)), Var(e.var))
-                if isinstance(e, Forall):
-                    return Forall(e.var, ClassT(sort), Implies(test, body))
-                return Exists(e.var, ClassT(sort), And(test, body))
-            return replace(e, body=body)
-        if isinstance(e, Not):
-            return replace(e, arg=guard(e.arg))
-        if isinstance(e, (And, Or, Implies, Eq, Cmp)):
-            return replace(e, left=guard(e.left), right=guard(e.right))
-        if isinstance(e, App):
-            return replace(e, fn=guard(e.fn), arg=guard(e.arg))
-        if isinstance(e, Lambda):
-            return replace(e, body=guard(e.body))
-        if isinstance(e, IfThenElse):
-            return replace(e, cond=guard(e.cond), then=guard(e.then), other=guard(e.other))
-        return e
+        if not isinstance(e, (Forall, Exists)):
+            return e
+        t = e.var_type
+        if not isinstance(t, ClassT) or t.name == ROOT_CLASS or is_sort(t.name, env.classes):
+            return e
+        sort = sort_of(t.name, env.classes)
+        test = App(Var(char_pred_name(t.name)), Var(e.var))
+        if isinstance(e, Forall):
+            return Forall(e.var, ClassT(sort), Implies(test, e.body))
+        return Exists(e.var, ClassT(sort), And(test, e.body))
 
-    return guard(e)
+    return _rebuild(e, guard, {} if memo is None else memo)
 
 
 def normalize_type(t: LType, env: Env) -> LType:
@@ -171,11 +202,11 @@ def normalize_type(t: LType, env: Env) -> LType:
     return t
 
 
-def closed_rule_formula(r: Rule, env: Env) -> Expr:
+def closed_rule_formula(r: Rule) -> Expr:
     body: Expr = r.postcond if r.precond == TRUE else Implies(r.precond, r.postcond)
     for n, t in reversed(r.params):
         body = Forall(n, t, body)
-    return guard_quantifiers(rewrite_fields(body), env)
+    return body
 
 
 def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> FormulaSet:
@@ -202,11 +233,20 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
         for d in m.all_decls()
     )
 
+    # One memo per pass for the whole module: the transformed
+    # preconditions share subterms across rules, and each distinct
+    # node is then rewritten once.
+    fields_memo: dict = {}
+    guard_memo: dict = {}
+
+    def translate(f: Expr) -> Expr:
+        return guard_quantifiers(rewrite_fields(f, fields_memo), env, guard_memo)
+
     formulas: list[tuple[str, Expr]] = []
     for r in m.rules:
         if r.is_bodyless():
             continue
-        formulas.append((f"rule {r.name}", closed_rule_formula(r, env)))
+        formulas.append((f"rule {r.name}", translate(closed_rule_formula(r))))
     for g in m.globals:
         if isinstance(g.type, ClassT) and g.type.name != ROOT_CLASS:
             if not is_sort(g.type.name, env.classes):
@@ -220,7 +260,7 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
         body_rules = [r for r in m.rules if not r.is_bodyless()]
         for p in inversion_targets(m):
             f = inversion_formula(body_rules, p, env)
-            formulas.append((f"inversion {p}", guard_quantifiers(rewrite_fields(f), env)))
+            formulas.append((f"inversion {p}", translate(f)))
 
     return FormulaSet(sorts, tuple(fixed), char_true, decls, tuple(formulas))
 

@@ -8,15 +8,26 @@ characteristic predicates, one assert per formula, and optionally a
 goal.  A validity goal is asserted negated, so `sat` answers from a
 solver mean "countermodel found" and `unsat` means "valid".
 
-The reader is not a solver and does not try to be one.  It parses
-s-expressions, tracks declarations and binders, and checks every
-applied symbol is known with a consistent arity.  That is enough to
-catch emitter regressions without an external dependency.
+The emitter renders each distinct expression node once per script, so
+preconditions shared between rules cost their size once, not once per
+occurrence.
+
+The reader is not a solver and does not try to be one.  It splits the
+text into tokens with one regular expression, parses s-expressions,
+tracks declarations and binders, and checks every applied symbol is
+known with a consistent arity.  Numerals and decimals follow the
+SMT-LIB grammar (`0`, `[1-9][0-9]*`, optionally `.[0-9]+`); every
+other token, `inf` or `nan` included, is a symbol and must be
+declared.  That is enough to catch emitter regressions without an
+external dependency.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional, Sequence, Union
 
 from .syntax import (
@@ -85,65 +96,103 @@ def smt_sort(t) -> str:
 
 
 def _implies_spine(e: Expr) -> list[Expr]:
-    if isinstance(e, Implies):
-        return [e.left] + _implies_spine(e.right)
-    return [e]
+    out = []
+    while isinstance(e, Implies):
+        out.append(e.left)
+        e = e.right
+    out.append(e)
+    return out
 
 
-def _and_spine(e: Expr) -> list[Expr]:
-    if isinstance(e, And):
-        return _and_spine(e.left) + _and_spine(e.right)
-    return [e]
+def _spine(e: Expr, kind: type) -> list[Expr]:
+    """The operands of a chain of `kind` (And or Or), left to right,
+    however the chain is bracketed."""
+    out: list[Expr] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, kind):
+            stack.append(x.right)
+            stack.append(x.left)
+        else:
+            out.append(x)
+    return out
 
 
-def _or_spine(e: Expr) -> list[Expr]:
-    if isinstance(e, Or):
-        return _or_spine(e.left) + _or_spine(e.right)
-    return [e]
+def smt_decimal(v: float) -> str:
+    """An SMT-LIB decimal with the digits of the float's shortest repr,
+    never in exponent notation, which SMT-LIB does not have."""
+    if not math.isfinite(v):
+        raise SmtError(f"float {v!r} has no SMT-LIB decimal")
+    body = format(Decimal(repr(abs(v))), "f")
+    if "." not in body:
+        body += ".0"
+    return body if v >= 0 else f"(- {body})"
 
 
-def expr_to_sexp(e: Expr) -> str:
+_CONNECTIVES = {And: "and", Or: "or", Implies: "=>"}
+
+
+def expr_to_sexp(e: Expr, memo: Optional[dict[int, str]] = None) -> str:
+    """The SMT-LIB term of an expression.
+
+    Each distinct node is rendered once: `memo` maps `id(node)` to its
+    text, so a subterm shared by several formulas is rendered once and
+    its text reused.  A memo is only valid while the nodes it has seen
+    are alive; `emit_smtlib` uses one per script."""
+    if memo is None:
+        memo = {}
+    s = memo.get(id(e))
+    if s is not None:
+        return s
     if isinstance(e, Var):
-        return smt_symbol(e.name)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, IntLit):
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    if isinstance(e, FloatLit):
-        v = e.value
-        body = repr(abs(v)) if "." in repr(abs(v)) else f"{abs(v)}.0"
-        return body if v >= 0 else f"(- {body})"
-    if isinstance(e, StringLit):
-        return '"' + e.value.replace('"', '""') + '"'
-    if isinstance(e, Not):
-        return f"(not {expr_to_sexp(e.arg)})"
-    if isinstance(e, And):
-        return "(and " + " ".join(expr_to_sexp(x) for x in _and_spine(e)) + ")"
-    if isinstance(e, Or):
-        return "(or " + " ".join(expr_to_sexp(x) for x in _or_spine(e)) + ")"
-    if isinstance(e, Implies):
-        return "(=> " + " ".join(expr_to_sexp(x) for x in _implies_spine(e)) + ")"
-    if isinstance(e, Eq):
-        return f"(= {expr_to_sexp(e.left)} {expr_to_sexp(e.right)})"
-    if isinstance(e, Cmp):
-        return f"({e.op} {expr_to_sexp(e.left)} {expr_to_sexp(e.right)})"
-    if isinstance(e, App):
-        parts = atom_parts(e)
-        if parts is None:
+        s = smt_symbol(e.name)
+    elif isinstance(e, BoolLit):
+        s = "true" if e.value else "false"
+    elif isinstance(e, IntLit):
+        s = str(e.value) if e.value >= 0 else f"(- {-e.value})"
+    elif isinstance(e, FloatLit):
+        s = smt_decimal(e.value)
+    elif isinstance(e, StringLit):
+        s = '"' + e.value.replace('"', '""') + '"'
+    elif isinstance(e, Not):
+        s = f"(not {expr_to_sexp(e.arg, memo)})"
+    elif isinstance(e, (And, Or, Implies)):
+        operands = _implies_spine(e) if isinstance(e, Implies) else _spine(e, type(e))
+        parts = []
+        for x in operands:
+            parts.append(expr_to_sexp(x, memo))
+        s = f"({_CONNECTIVES[type(e)]} " + " ".join(parts) + ")"
+    elif isinstance(e, Eq):
+        s = f"(= {expr_to_sexp(e.left, memo)} {expr_to_sexp(e.right, memo)})"
+    elif isinstance(e, Cmp):
+        s = f"({e.op} {expr_to_sexp(e.left, memo)} {expr_to_sexp(e.right, memo)})"
+    elif isinstance(e, App):
+        head_args = atom_parts(e)
+        if head_args is None:
             raise SmtError("cannot emit application of a non-symbol")
-        head, args = parts
-        return f"({smt_symbol(head)} " + " ".join(expr_to_sexp(a) for a in args) + ")"
-    if isinstance(e, (Forall, Exists)):
+        head, args = head_args
+        parts = []
+        for a in args:
+            parts.append(expr_to_sexp(a, memo))
+        s = f"({smt_symbol(head)} " + " ".join(parts) + ")"
+    elif isinstance(e, (Forall, Exists)):
         kind = "forall" if isinstance(e, Forall) else "exists"
         binders = []
         body = e
         while isinstance(body, type(e)):
             binders.append(f"({smt_symbol(body.var)} {smt_sort(body.var_type)})")
             body = body.body
-        return f"({kind} (" + " ".join(binders) + f") {expr_to_sexp(body)})"
-    if isinstance(e, IfThenElse):
-        return f"(ite {expr_to_sexp(e.cond)} {expr_to_sexp(e.then)} {expr_to_sexp(e.other)})"
-    raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
+        s = f"({kind} (" + " ".join(binders) + f") {expr_to_sexp(body, memo)})"
+    elif isinstance(e, IfThenElse):
+        s = (
+            f"(ite {expr_to_sexp(e.cond, memo)} {expr_to_sexp(e.then, memo)} "
+            f"{expr_to_sexp(e.other, memo)})"
+        )
+    else:
+        raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
+    memo[id(e)] = s
+    return s
 
 
 def emit_smtlib(
@@ -186,18 +235,19 @@ def emit_smtlib(
         lines.append(f"; {p} holds on all of {sort}")
         lines.append(f"(assert (forall ((x {sort})) ({smt_symbol(p)} x)))")
 
+    memo: dict[int, str] = {}
     for name, expr in fs.formulas:
         lines.append(f"; {name}")
-        lines.append(f"(assert {expr_to_sexp(expr)})")
+        lines.append(f"(assert {expr_to_sexp(expr, memo)})")
 
     if goal is not None:
         gname, mode, gexpr = goal
         if mode == VALID:
             lines.append(f"; goal {gname} (validity: negated, sat = countermodel)")
-            lines.append(f"(assert (not {expr_to_sexp(gexpr)}))")
+            lines.append(f"(assert (not {expr_to_sexp(gexpr, memo)}))")
         else:
             lines.append(f"; goal {gname} (satisfiability)")
-            lines.append(f"(assert {expr_to_sexp(gexpr)})")
+            lines.append(f"(assert {expr_to_sexp(gexpr, memo)})")
 
     lines.append("(check-sat)")
     lines.append("(get-model)")
@@ -211,47 +261,24 @@ def emit_smtlib(
 Sexp = Union[str, int, float, tuple, list]
 
 
+# One alternative per token kind, tried in order: a comment (the empty
+# group, dropped), a parenthesis, a |quoted symbol|, a "string" with ""
+# escapes, a simple symbol or numeral.  A lone | or " is what remains
+# of an unterminated symbol or string.
+_TOKEN = re.compile(r';[^\n]*|([()]|\|[^|]*\||"(?:[^"]|"")*"|[^\s();|"]+|[|"])')
+
+
 def _tokenize(text: str) -> list[str]:
-    toks: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtError("unterminated |symbol|")
-            toks.append(text[i : j + 1])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise SmtError("unterminated string literal")
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        buf.append('"')
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            toks.append('"' + "".join(buf) + '"')
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();|\"":
-                j += 1
-            toks.append(text[i:j])
-            i = j
+    toks = list(filter(None, _TOKEN.findall(text)))
+    bad = [toks.index(t) for t in ("|", '"') if t in toks]
+    if bad:
+        if toks[min(bad)] == "|":
+            raise SmtError("unterminated |symbol|")
+        raise SmtError("unterminated string literal")
+    if '""' in text:
+        toks = [
+            '"' + t[1:-1].replace('""', '"') + '"' if t[0] == '"' else t for t in toks
+        ]
     return toks
 
 
@@ -280,19 +307,19 @@ def _parse_sexps(toks: list[str]) -> list[Sexp]:
     return out
 
 
+# SMT-LIB numerals and decimals; every other token is a symbol.
+_NUMBER = re.compile(r"(?:0|[1-9][0-9]*)(\.[0-9]+)?")
+
+
 def _atom(t: str) -> Sexp:
-    if t.startswith('"'):
+    if t[0] == '"':
         return ("string", t[1:-1])
-    if t.startswith("|"):
+    if t[0] == "|":
         return t[1:-1]
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
+    if t[0] in "0123456789":
+        m = _NUMBER.fullmatch(t)
+        if m is not None:
+            return float(t) if m.group(1) else int(t)
     return t
 
 

@@ -22,7 +22,8 @@ have different layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 ROOT_CLASS = "Class"
@@ -141,10 +142,23 @@ def uncurry(t: LType) -> tuple[tuple[LType, ...], LType]:
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class of all expressions."""
+    """Base class of all expressions.
+
+    Nodes hash structurally, like any frozen dataclass, but each node
+    computes its hash once and keeps it in `_hash`, which is not a
+    field: `==`, `repr` and `dataclasses.replace` ignore it, and a
+    pickled node leaves it behind, since string hashes differ between
+    processes."""
+
+    _hash = None
 
     def __str__(self) -> str:
         return print_expr(self)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -265,6 +279,28 @@ class FieldAccess(Expr):
     obj: Expr
     fieldname: str
     loc: Optional[Loc] = _loc_field()
+
+
+def _hash_once(cls: type) -> None:
+    """Replace a node class's field hash by one computed on first use.
+    The value is the dataclass's own, the hash of the tuple of compared
+    fields, so sets and dicts of nodes behave exactly as before."""
+    names = [f.name for f in fields(cls) if f.compare]
+    get = attrgetter(*names)
+    single = len(names) == 1
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((get(self),) if single else get(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+
+
+for _cls in Expr.__subclasses__():
+    _hash_once(_cls)
 
 
 TRUE = BoolLit(True)
@@ -443,9 +479,6 @@ class Restrict:
     subject_to: tuple[str, ...] = ()
     despite: tuple[str, ...] = ()
 
-    def is_empty(self) -> bool:
-        return not self.subject_to and not self.despite
-
 
 @dataclass(frozen=True)
 class Source:
@@ -532,17 +565,11 @@ class RuleModule:
     def all_decls(self) -> tuple[FunDecl, ...]:
         return self.decls + self.globals
 
-    def class_map(self) -> dict[str, ClassDecl]:
-        return {c.name: c for c in self.classes}
-
     def rule_map(self) -> dict[str, Rule]:
         return {r.name: r for r in self.rules}
 
     def user_rules(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if not r.system)
-
-    def with_rules(self, rules) -> "RuleModule":
-        return replace(self, rules=tuple(rules))
 
     def __str__(self) -> str:
         return print_module(self)

@@ -40,3 +40,18 @@ def run_cli(*args):
         cwd=ROOT,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def subject_to_chain(n):
+    """A module of n one-line rules over one sort, each subjectTo the
+    one before, and one validity assertion."""
+    rules = [
+        f"rule <r{i}>{f' {{restrict: {{subjectTo: r{i - 1}}}}}' if i else ''}\n"
+        f"  for x: S\n  if p x\n  then q x\n"
+        for i in range(n)
+    ]
+    return (
+        "class S\ndecl p : S -> Boolean\ndecl q : S -> Boolean\n\n"
+        + "\n".join(rules)
+        + "\nassert <a> {SMT: {valid}}\n  forall x: S. p x --> q x\n"
+    )

@@ -5,6 +5,7 @@ possibly work, independently of the code under test, so that a bug
 would have to be made twice (and identically) to slip through.
 """
 
+from dataclasses import replace
 from itertools import product
 
 from normlog.asp import (
@@ -16,7 +17,9 @@ from normlog.asp import (
     axiom_violations,
 )
 from normlog.models import Interpretation, ResourceCapError, eval_expr
+from normlog.smtlib import SmtError, smt_decimal, smt_sort, smt_symbol
 from normlog.syntax import (
+    ROOT_CLASS,
     And,
     App,
     BoolLit,
@@ -25,17 +28,25 @@ from normlog.syntax import (
     Cmp,
     Eq,
     Exists,
+    FieldAccess,
+    FloatLit,
     Forall,
+    IfThenElse,
     Implies,
     IntLit,
     IntT,
+    Lambda,
     Not,
     Or,
+    StringLit,
     Var,
+    atom_parts,
+    char_pred_name,
     free_vars,
     print_expr,
     uncurry,
 )
+from normlog.typecheck import is_sort, sort_of
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +433,166 @@ def reference_models(fs, sizes, ints=()):
     if holds_at(-1):
         search(0)
     return found
+
+
+# ---------------------------------------------------------------------------
+# formula translation and SMT-LIB text by walking the tree
+
+
+def tree_rewrite_fields(e, memo=None):
+    """Attribute access as accessor application, rebuilding every node
+    of the tree, shared or not.  `memo` is accepted and ignored."""
+    if isinstance(e, FieldAccess):
+        return App(Var(e.fieldname), tree_rewrite_fields(e.obj))
+    if isinstance(e, Not):
+        return replace(e, arg=tree_rewrite_fields(e.arg))
+    if isinstance(e, (And, Or, Implies, Eq, Cmp)):
+        return replace(e, left=tree_rewrite_fields(e.left), right=tree_rewrite_fields(e.right))
+    if isinstance(e, App):
+        return replace(e, fn=tree_rewrite_fields(e.fn), arg=tree_rewrite_fields(e.arg))
+    if isinstance(e, (Lambda, Forall, Exists)):
+        return replace(e, body=tree_rewrite_fields(e.body))
+    if isinstance(e, IfThenElse):
+        return replace(
+            e,
+            cond=tree_rewrite_fields(e.cond),
+            then=tree_rewrite_fields(e.then),
+            other=tree_rewrite_fields(e.other),
+        )
+    return e
+
+
+def tree_guard_quantifiers(e, env, memo=None):
+    """Subclass quantifiers as guarded sort quantifiers, rebuilding
+    every node of the tree.  `memo` is accepted and ignored."""
+
+    def guard(e):
+        if isinstance(e, (Forall, Exists)):
+            body = guard(e.body)
+            t = e.var_type
+            if isinstance(t, ClassT) and t.name != ROOT_CLASS and not is_sort(t.name, env.classes):
+                sort = sort_of(t.name, env.classes)
+                test = App(Var(char_pred_name(t.name)), Var(e.var))
+                if isinstance(e, Forall):
+                    return Forall(e.var, ClassT(sort), Implies(test, body))
+                return Exists(e.var, ClassT(sort), And(test, body))
+            return replace(e, body=body)
+        if isinstance(e, Not):
+            return replace(e, arg=guard(e.arg))
+        if isinstance(e, (And, Or, Implies, Eq, Cmp)):
+            return replace(e, left=guard(e.left), right=guard(e.right))
+        if isinstance(e, App):
+            return replace(e, fn=guard(e.fn), arg=guard(e.arg))
+        if isinstance(e, Lambda):
+            return replace(e, body=guard(e.body))
+        if isinstance(e, IfThenElse):
+            return replace(e, cond=guard(e.cond), then=guard(e.then), other=guard(e.other))
+        return e
+
+    return guard(e)
+
+
+def _chain(e, kind):
+    if isinstance(e, kind):
+        return _chain(e.left, kind) + _chain(e.right, kind)
+    return [e]
+
+
+def _implies_chain(e):
+    if isinstance(e, Implies):
+        return [e.left] + _implies_chain(e.right)
+    return [e]
+
+
+def tree_expr_to_sexp(e, memo=None):
+    """The SMT-LIB term of an expression, rendering every occurrence of
+    a shared subterm again.  `memo` is accepted and ignored."""
+    if isinstance(e, Var):
+        return smt_symbol(e.name)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, IntLit):
+        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
+    if isinstance(e, FloatLit):
+        return smt_decimal(e.value)
+    if isinstance(e, StringLit):
+        return '"' + e.value.replace('"', '""') + '"'
+    if isinstance(e, Not):
+        return f"(not {tree_expr_to_sexp(e.arg)})"
+    if isinstance(e, And):
+        return "(and " + " ".join(tree_expr_to_sexp(x) for x in _chain(e, And)) + ")"
+    if isinstance(e, Or):
+        return "(or " + " ".join(tree_expr_to_sexp(x) for x in _chain(e, Or)) + ")"
+    if isinstance(e, Implies):
+        return "(=> " + " ".join(tree_expr_to_sexp(x) for x in _implies_chain(e)) + ")"
+    if isinstance(e, Eq):
+        return f"(= {tree_expr_to_sexp(e.left)} {tree_expr_to_sexp(e.right)})"
+    if isinstance(e, Cmp):
+        return f"({e.op} {tree_expr_to_sexp(e.left)} {tree_expr_to_sexp(e.right)})"
+    if isinstance(e, App):
+        parts = atom_parts(e)
+        if parts is None:
+            raise SmtError("cannot emit application of a non-symbol")
+        head, args = parts
+        return f"({smt_symbol(head)} " + " ".join(tree_expr_to_sexp(a) for a in args) + ")"
+    if isinstance(e, (Forall, Exists)):
+        kind = "forall" if isinstance(e, Forall) else "exists"
+        binders = []
+        body = e
+        while isinstance(body, type(e)):
+            binders.append(f"({smt_symbol(body.var)} {smt_sort(body.var_type)})")
+            body = body.body
+        return f"({kind} (" + " ".join(binders) + f") {tree_expr_to_sexp(body)})"
+    if isinstance(e, IfThenElse):
+        return (
+            f"(ite {tree_expr_to_sexp(e.cond)} {tree_expr_to_sexp(e.then)} "
+            f"{tree_expr_to_sexp(e.other)})"
+        )
+    raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
+
+
+def char_tokenize(text):
+    """SMT-LIB tokens by a character loop: comments and whitespace
+    dropped, |symbols| kept quoted, strings kept quoted with their ""
+    escapes undone."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            toks.append(c)
+            i += 1
+        elif c == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SmtError("unterminated |symbol|")
+            toks.append(text[i : j + 1])
+            i = j + 1
+        elif c == '"':
+            j = i + 1
+            buf = []
+            while True:
+                if j >= n:
+                    raise SmtError("unterminated string literal")
+                if text[j] == '"':
+                    if j + 1 < n and text[j + 1] == '"':
+                        buf.append('"')
+                        j += 2
+                        continue
+                    break
+                buf.append(text[j])
+                j += 1
+            toks.append('"' + "".join(buf) + '"')
+            i = j + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "();|\"":
+                j += 1
+            toks.append(text[i:j])
+            i = j
+    return toks

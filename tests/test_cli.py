@@ -5,10 +5,12 @@ text, and the promise that output is deterministic byte-for-byte.
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CASES, run_cli
+from conftest import CASES, ROOT, run_cli, subject_to_chain
 from normlog.parser import MAX_NESTING
 from test_asp import nested_atom
 
@@ -42,6 +44,17 @@ def test_parse_prints_the_module():
         "assert <anything> {SMT: {satisfiable}}\n"
         "  P || not P\n"
     )
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "normlog", "parse", "cases/selfref.l4"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("parse", "cases/selfref.l4")[1]
 
 
 def test_parse_json_wraps_the_text():
@@ -192,6 +205,16 @@ def test_long_subject_to_chain_is_an_internal_error(tmp_path):
         rc, out, err = run_cli(args[0], path, *args[1:])
         assert (rc, out) == (4, ""), args
         assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+
+
+def test_subject_to_chain_below_the_limit_compiles(tmp_path):
+    # The translation and the SMT-LIB emitter visit each shared
+    # precondition once and spend one frame per level of what is new.
+    path = tmp_path / "chain.l4"
+    path.write_text(subject_to_chain(450))
+    for args in (("emit-smt",), ("check", "--assert", "a", "--sizes", "S=1")):
+        rc, out, err = run_cli(args[0], path, *args[1:])
+        assert (rc, err) == (0, ""), args
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """SMT-LIB emission and the structural script reader."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import load_case
+from normlog import smtlib
 from normlog.models import rules_to_formulas
-from normlog.parser import parse_expr
+from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
 from normlog.smtlib import SmtError, emit_smtlib, expr_to_sexp, read_script, smt_symbol
+from normlog.syntax import FloatLit
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -153,3 +156,85 @@ def test_random_modules_emit_readable_scripts(seed, variant):
     fs = rules_to_formulas(res.module)
     info = read_script(emit_smtlib(fs))
     assert info.has_check_sat
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("0", 0), ("42", 42), ("3.25", 3.25), ("0.5", 0.5)],
+)
+def test_reader_reads_smtlib_numerals(token, value):
+    info = read_script(f"(declare-const p Bool)\n(assert (and p (< {token} 1)))\n")
+    assert info.assert_count == 1
+    assert smtlib._atom(token) == value and type(smtlib._atom(token)) is type(value)
+
+
+@pytest.mark.parametrize("token", ["inf", "nan", "Infinity", "-1", "007", "1e5", "1.", "1_0"])
+def test_reader_takes_other_tokens_as_symbols(token):
+    # Only SMT-LIB numerals and decimals are numbers; Python's int() and
+    # float() accept these, and an undeclared one used to pass.
+    assert smtlib._atom(token) == token
+    with pytest.raises(SmtError, match=f"unknown symbol '{token}'"):
+        read_script(f"(declare-const p Bool)\n(assert (and p {token}))\n")
+
+
+def test_reader_accepts_declared_float_like_symbols():
+    m = elaborate(
+        parse_module(
+            "class S\ndecl inf : S -> Boolean\ndecl nan : S -> Boolean\n\n"
+            "rule <r>\n  for x: S\n  if inf x\n  then nan x\n"
+        )
+    )
+    typecheck_module(m)
+    info = read_script(emit_smtlib(rules_to_formulas(m)))
+    assert info.symbols["inf"] == 1 and info.symbols["nan"] == 1
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("(assert |abc", "unterminated |symbol|"),
+        ('(assert "abc', "unterminated string literal"),
+        ('(assert "a""', "unterminated string literal"),
+        ('(assert "a" |b', "unterminated |symbol|"),
+        ('(assert |b "a', "unterminated |symbol|"),
+    ],
+)
+def test_reader_reports_unterminated_tokens(script, message):
+    with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
+        read_script(script)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (1.5, "1.5"),
+        (100.0, "100.0"),
+        (-0.25, "(- 0.25)"),
+        (1e16, "10000000000000000.0"),
+        (1.2345678901234567e19, "12345678901234567000.0"),
+        (1.5e-7, "0.00000015"),
+    ],
+)
+def test_floats_emit_as_smtlib_decimals(value, text):
+    assert expr_to_sexp(FloatLit(value)) == text
+    if value >= 0:
+        assert smtlib._atom(text) == value
+
+
+def test_emitted_large_float_reads_back():
+    m = elaborate(
+        parse_module(
+            "class S\ndecl f : S -> Float\ndecl q : S -> Boolean\n\n"
+            "rule <r>\n  for x: S\n  if f x > 12345678901234567890.5\n  then q x\n"
+        )
+    )
+    typecheck_module(m)
+    text = emit_smtlib(rules_to_formulas(m))
+    assert "(> (f x) 12345678901234567000.0)" in text
+    assert read_script(text).assert_count == 3  # isS axiom, rule, inversion
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_floats_are_not_emitted(value):
+    with pytest.raises(SmtError, match="no SMT-LIB decimal"):
+        expr_to_sexp(FloatLit(value))

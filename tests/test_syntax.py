@@ -1,5 +1,8 @@
 """AST helpers, the pretty printer, and module well-formedness checks."""
 
+import pickle
+from dataclasses import replace
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -249,3 +252,27 @@ rule <r1> {restrict: {subjectTo: nosuch}}
   then p v
 """
     assert any("nosuch" in m for m in _errors(text))
+
+
+def test_nodes_cache_their_structural_hash():
+    a = And(App(Var("p"), Var("x")), Not(Var("q")))
+    b = And(App(Var("p"), Var("x")), Not(Var("q")))
+    text = repr(a)
+    assert a is not b and hash(a) == hash(b) and a == b
+    # The cache is no field: equality with an unhashed twin, repr,
+    # replace and pickling ignore it.
+    assert a._hash is not None and b == And(App(Var("p"), Var("x")), Not(Var("q")))
+    assert repr(a) == text and "_hash" not in text
+    c = replace(a, right=Var("r"))
+    assert c._hash is None
+    assert hash(c) == hash(And(App(Var("p"), Var("x")), Var("r"))) and c != a
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy._hash is None and copy == a and hash(copy) == hash(a)
+
+
+def test_cached_hash_is_the_dataclass_hash():
+    # Sets and dicts of nodes iterate in the same order as with the
+    # plain dataclass hash: the hash of the tuple of compared fields.
+    e = Cmp("<", IntLit(1), Var("y"))
+    assert hash(e) == hash(("<", IntLit(1), Var("y")))
+    assert hash(Var("y")) == hash(("y",))
