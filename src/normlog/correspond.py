@@ -33,11 +33,13 @@ from .transform import (
 )
 from .inversion import NormalizedRule, normalize_rule, rules_concluding
 from .models import (
+    Compiled,
+    FormulaCompiler,
     FormulaSet,
     Interpretation,
     ModelError,
+    Symbol,
     enumerate_models,
-    eval_expr,
     rules_to_formulas,
 )
 
@@ -137,8 +139,44 @@ def _base_domain(t, carriers: dict[str, tuple[str, ...]], ints: Sequence[int]):
     raise ModelError(f"unsupported argument type '{t}' in transfer")
 
 
-def to_deriv(pair: CorrespondencePair, mp: Interpretation) -> Interpretation:
-    """Image of a precondition-route model on the derivability side."""
+class _Reader:
+    """Expressions evaluated on a run of interpretations with the same
+    carriers and tables' cells, as the models of one search have: each
+    is compiled once, against tables that `load` refills in place."""
+
+    def __init__(self) -> None:
+        self.tables: dict[str, dict[tuple, object]] = {}
+        self.compiler: Optional[FormulaCompiler] = None
+        self.compiled: dict[object, Compiled] = {}
+
+    def load(self, interp: Interpretation) -> None:
+        if self.compiler is None:
+            self.tables = {name: {} for name in interp.tables}
+            symbols = {
+                name: Symbol(self.tables[name], frozenset(t), None)
+                for name, t in interp.tables.items()
+            }
+            self.compiler = FormulaCompiler(symbols, interp.carriers, interp.ints)
+        for name, table in self.tables.items():
+            table.clear()
+            table.update(interp.tables[name])
+
+    def get(self, key: object, e, params: Sequence[str] = ()) -> Compiled:
+        c = self.compiled.get(key)
+        if c is None:
+            c = self.compiled[key] = self.compiler.compile(e, params)
+        return c
+
+
+def to_deriv(
+    pair: CorrespondencePair, mp: Interpretation, reader: Optional[_Reader] = None
+) -> Interpretation:
+    """Image of a precondition-route model on the derivability side.
+    A `reader` kept over the models of one search compiles each final
+    precondition once."""
+    if reader is None:
+        reader = _Reader()
+    reader.load(mp)
     carriers = dict(mp.carriers)
     for cls, consts in pair.constants.items():
         carriers[cls] = consts
@@ -164,10 +202,11 @@ def to_deriv(pair: CorrespondencePair, mp: Interpretation) -> Interpretation:
             for cell in itertools.product(*doms):
                 rn, args = cell[0], cell[1:]
                 nr = pair.normalized[rn]
-                binding = {p[0]: v for p, v in zip(nr.params, args)}
-                table[cell] = bool(
-                    eval_expr(nr.precond, mp.tables, mp.carriers, mp.ints, binding)
-                )
+                params = [p[0] for p in nr.params[: len(args)]]
+                precond = reader.get(rn, nr.precond, params)
+                for param, v in zip(precond.params, args):
+                    param[0] = v
+                table[cell] = bool(precond.fn())
             tables[d.name] = table
         else:
             raise CorrespondenceError(
@@ -203,10 +242,18 @@ def to_precond(pair: CorrespondencePair, md: Interpretation) -> Interpretation:
 
 
 def _check_against(
-    fs: FormulaSet, interp: Interpretation, direction: str, out: list[Violation], cap: int
+    fs: FormulaSet,
+    interp: Interpretation,
+    direction: str,
+    out: list[Violation],
+    cap: int,
+    reader: Optional[_Reader] = None,
 ) -> None:
-    for name, expr in fs.formulas:
-        if not eval_expr(expr, interp.tables, interp.carriers, interp.ints):
+    if reader is None:
+        reader = _Reader()
+    reader.load(interp)
+    for i, (name, expr) in enumerate(fs.formulas):
+        if not reader.get(i, expr).fn():
             if len(out) < cap:
                 out.append(Violation(direction, name, interp.to_json()))
 
@@ -224,15 +271,19 @@ def check_model_correspondence(
     violations: list[Violation] = []
 
     checked_p = 0
+    precond_models, deriv_images = _Reader(), _Reader()
     for mp in enumerate_models(pair.fs_precond, sizes, ints, node_budget):
         checked_p += 1
-        md = to_deriv(pair, mp)
-        _check_against(pair.fs_deriv, md, "precond->deriv", violations, violation_cap)
+        md = to_deriv(pair, mp, precond_models)
+        _check_against(pair.fs_deriv, md, "precond->deriv", violations, violation_cap, deriv_images)
 
     checked_d = 0
+    precond_images = _Reader()
     for md in enumerate_models(pair.fs_deriv, sizes, ints, node_budget):
         checked_d += 1
         mp = to_precond(pair, md)
-        _check_against(pair.fs_precond, mp, "deriv->precond", violations, violation_cap)
+        _check_against(
+            pair.fs_precond, mp, "deriv->precond", violations, violation_cap, precond_images
+        )
 
     return CorrespondenceReport(checked_p, checked_d, tuple(violations))

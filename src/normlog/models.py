@@ -9,14 +9,17 @@ the enumerator only ever deals with sort carriers.  The precondition
 transform shares subterms between rules; the translation visits each
 distinct node once and keeps that sharing in the formulas it returns.
 
-The enumerator assigns one free symbol a whole table at a time, in
-declaration order, and tests each formula as soon as the last symbol
-it mentions has a table.  Its budget counts these whole-table
-assignments.  At the start of each search every formula is compiled
-once into nested closures (`compile_expr`), so testing a candidate
-table walks no syntax tree; `eval_expr`, the tree-walking evaluator,
-is kept as the reference the compiler is tested against and for
-evaluating formulas outside the search.
+The enumerator assigns one cell of one free symbol at a time: symbols
+in declaration order, each symbol's cells in order, values in codomain
+order, so models come out in the order of whole tables.  Every formula
+is compiled once per search into three-valued closures
+(`FormulaCompiler`), which read unset cells as unknown.  After each
+cell every formula mentioning its symbol is evaluated, and the search
+backtracks as soon as one is false; a formula is also staged at the
+last symbol it mentions, where it is evaluated in full.  A formula
+that may raise a ModelError takes part only at its stage, so errors
+are raised where a whole-table search raises them.  The budget counts
+cell assignments.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
@@ -28,9 +31,10 @@ point of a desk-scale checker: small counterexamples first.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
     BOOL,
@@ -266,7 +270,7 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
 
 
 # ---------------------------------------------------------------------------
-# interpretations and evaluation
+# interpretations
 
 
 @dataclass(frozen=True)
@@ -286,225 +290,401 @@ class Interpretation:
         }
 
 
-def eval_expr(
-    e: Expr,
-    tables: dict[str, dict[tuple, object]],
-    carriers: dict[str, tuple[str, ...]],
-    ints: Sequence[int],
-    binding: Optional[dict[str, object]] = None,
-):
-    """Evaluate a closed (or binding-closed) formula/term to a Python
-    value: bool, int, or a carrier element name."""
-    b = binding or {}
-
-    def domain(t: LType):
-        if isinstance(t, ClassT):
-            if t.name in carriers:
-                return carriers[t.name]
-            raise ModelError(f"cannot quantify over '{t.name}' (no carrier)")
-        if isinstance(t, BoolT):
-            return (False, True)
-        if isinstance(t, IntT):
-            if not ints:
-                raise ModelError("integer quantifier but no integer values were given")
-            return tuple(ints)
-        raise ModelError(f"cannot quantify over type '{t}'")
-
-    def ev(e: Expr, b: dict[str, object]):
-        if isinstance(e, Var):
-            if e.name in b:
-                return b[e.name]
-            t = tables.get(e.name)
-            if t is None:
-                raise ModelError(f"no interpretation for symbol '{e.name}'")
-            if () not in t:
-                raise ModelError(f"symbol '{e.name}' used without arguments")
-            return t[()]
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, StringLit) or isinstance(e, FloatLit):
-            raise ModelError(f"{type(e).__name__} values are not supported by the enumerator")
-        if isinstance(e, Not):
-            return not ev(e.arg, b)
-        if isinstance(e, And):
-            return ev(e.left, b) and ev(e.right, b)
-        if isinstance(e, Or):
-            return ev(e.left, b) or ev(e.right, b)
-        if isinstance(e, Implies):
-            return (not ev(e.left, b)) or ev(e.right, b)
-        if isinstance(e, Eq):
-            return ev(e.left, b) == ev(e.right, b)
-        if isinstance(e, Cmp):
-            l, r = ev(e.left, b), ev(e.right, b)
-            return {"<": l < r, "<=": l <= r, ">": l > r, ">=": l >= r}[e.op]
-        if isinstance(e, App):
-            parts = atom_parts(e)
-            if parts is None:
-                raise ModelError("cannot evaluate application of a non-symbol")
-            head, args = parts
-            if head in b:
-                raise ModelError(f"cannot apply bound variable '{head}'")
-            table = tables.get(head)
-            if table is None:
-                raise ModelError(f"no interpretation for symbol '{head}'")
-            key = tuple(ev(a, b) for a in args)
-            if key not in table:
-                raise ModelError(f"partial application of '{head}'")
-            return table[key]
-        if isinstance(e, Forall):
-            return all(ev(e.body, {**b, e.var: v}) for v in domain(e.var_type))
-        if isinstance(e, Exists):
-            return any(ev(e.body, {**b, e.var: v}) for v in domain(e.var_type))
-        if isinstance(e, IfThenElse):
-            return ev(e.then, b) if ev(e.cond, b) else ev(e.other, b)
-        raise ModelError(f"cannot evaluate {type(e).__name__} nodes")
-
-    return ev(e, b)
-
-
 # ---------------------------------------------------------------------------
-# compilation to closures
+# compilation to three-valued closures
 
+
+BOOLS = frozenset((False, True))
 
 _MISSING = object()
 
 _CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+# An application whose argument values span more tuples than this is
+# not checked against the table's cells at compile time; it keeps its
+# check at run time.
+_MAX_CHECKED_KEYS = 4096
 
-def _fail(message: str) -> Callable[[], object]:
+NEVER = math.inf
+
+_LEAVES = (Var, BoolLit, IntLit, StringLit, FloatLit)
+_BINARY = (And, Or, Implies, Eq, Cmp)
+
+
+class Symbol(NamedTuple):
+    """What compiled closures know of one symbol.  `table` maps each
+    cell assigned so far to its value and is read in place at every
+    call; `cells` holds every cell it may hold and `values` every value
+    it may take (None when not known).  `rank` is the symbol's place in
+    the order the search assigns tables, -1 for a complete table."""
+
+    table: dict
+    cells: frozenset
+    values: Optional[frozenset]
+    rank: int = -1
+
+
+class Compiled(NamedTuple):
+    """A compiled formula or term.  `fn()` evaluates it against the
+    tables as they stand; `safe` says that it never raises, whichever
+    of its cells are set; `params` are the cells of the variables
+    passed to `FormulaCompiler.compile`, which the caller fills.
+    `false_from` is a rank k such that `fn()` cannot return False while
+    the symbols ranked above k have no cells set, or NEVER."""
+
+    fn: Callable[[], object]
+    safe: bool
+    params: tuple[list, ...]
+    false_from: float
+
+
+class _Node(NamedTuple):
+    """A compiled node: its closure, the values it may return (None if
+    not known), whether it is safe, its binder cell if it is a bound
+    variable, and the ranks from which it may return True and False (a
+    term: any definite value) while the symbols ranked above have no
+    cells set."""
+
+    fn: Callable[[], object]
+    values: Optional[frozenset]
+    safe: bool
+    cell: Optional[list]
+    true_from: float
+    false_from: float
+
+    @property
+    def definite_from(self) -> float:
+        return min(self.true_from, self.false_from)
+
+
+def _bound(cell: list, values: Optional[frozenset]) -> _Node:
+    return _Node(lambda: cell[0], values, True, cell, -1, -1)
+
+
+def _fail(message: str) -> _Node:
     def fail():
         raise ModelError(message)
 
-    return fail
+    return _Node(fail, None, False, None, -1, -1)
 
 
-def compile_expr(
-    e: Expr,
-    tables: dict[str, dict[tuple, object]],
-    carriers: dict[str, tuple[str, ...]],
-    ints: Sequence[int],
-) -> Callable[[], object]:
-    """Compile a closed formula or term into a closure of no arguments.
+def _union(a: Optional[frozenset], b: Optional[frozenset]) -> Optional[frozenset]:
+    return None if a is None or b is None else a | b
 
-    The tree is walked once, here; calling the closure evaluates the
-    expression against `tables` as they stand at the call, while
-    `carriers` and `ints` are fixed now.  The closure returns what
-    `eval_expr(e, tables, carriers, ints)` would and raises the same
+
+def _orderable(a: Optional[frozenset], b: Optional[frozenset]) -> bool:
+    """Whether `<` between any value of `a` and any of `b` cannot raise."""
+    if a is None or b is None:
+        return False
+    both = a | b
+    return all(isinstance(v, int) for v in both) or all(isinstance(v, str) for v in both)
+
+
+class FormulaCompiler:
+    """Compiles expressions over one vocabulary of symbols into closures
+    of no arguments, for the fixed `carriers` and `ints`.
+
+    A closure is three-valued: it returns None while a cell it reads is
+    unset, and a definite value only if every completion of the tables
+    gives that value (Kleene's strong connectives; a quantifier is
+    definite once one instance decides it or all are definite).  When
+    every cell it reads is set it returns what the tree-walking
+    reference evaluator (tests/oracles.py) returns and raises the same
     ModelError, under the same short-circuiting: every check is made
     when its node is reached, so a branch never reached raises nothing.
-    Quantified variables live in one cell per binder."""
 
-    def domain(t: LType) -> tuple:
+    Checks that cannot fail are left out, which is what makes a closure
+    `safe`: a symbol, arity and argument values that fit the symbol's
+    cells, a quantifier domain, a supported node.  An application whose
+    key may fall outside the cells keeps its check; an unset cell then
+    reads as None and any other missing key raises.
+
+    One compiler serves one search.  A closure is memoized by the
+    identity of its node and the binders above it (variables and types,
+    numbered as contexts), and a binder's cell is keyed by its variable
+    and depth, so a subterm shared between rules compiles once.  The
+    compilation spends one frame per tree level, and so does a call of
+    its closure."""
+
+    def __init__(
+        self,
+        symbols: dict[str, Symbol],
+        carriers: dict[str, tuple[str, ...]],
+        ints: Sequence[int],
+    ) -> None:
+        self.symbols = symbols
+        self.carriers = carriers
+        self.ints = tuple(ints)
+        self._memo: dict[tuple[int, int], tuple[Expr, _Node]] = {}
+        self._cells: dict[tuple[str, int], list] = {}
+        self._leaves: dict[tuple, _Node] = {}
+        # binder contexts: (outer context, variable, type) -> context;
+        # context 0 has no binders, and _depth gives each one's count
+        self._contexts: dict[tuple, int] = {}
+        self._depth: list[int] = [0]
+
+    def compile(self, e: Expr, params: Sequence[str] = ()) -> Compiled:
+        """Compile `e`, whose free variables among `params` are bound to
+        cells returned in `params` order; all other names are symbols."""
+        scope: dict[str, _Node] = {}
+        context = 0
+        for name in params:
+            scope[name] = _bound(self._cell(name, self._depth[context]), None)
+            context = self._context(context, name, None)
+        node = self._comp(e, scope, context)
+        cells = tuple(scope[name].cell for name in params)
+        return Compiled(node.fn, node.safe, cells, node.false_from)
+
+    def _context(self, outer: int, var: str, t: Optional[LType]) -> int:
+        context = self._contexts.get((outer, var, t))
+        if context is None:
+            context = self._contexts[(outer, var, t)] = len(self._depth)
+            self._depth.append(self._depth[outer] + 1)
+        return context
+
+    def _cell(self, var: str, depth: int) -> list:
+        cell = self._cells.get((var, depth))
+        if cell is None:
+            cell = self._cells[(var, depth)] = [None]
+        return cell
+
+    def _domain(self, t: LType) -> tuple:
         if isinstance(t, ClassT):
-            if t.name in carriers:
-                return carriers[t.name]
+            if t.name in self.carriers:
+                return self.carriers[t.name]
             raise ModelError(f"cannot quantify over '{t.name}' (no carrier)")
         if isinstance(t, BoolT):
             return (False, True)
         if isinstance(t, IntT):
-            if not ints:
+            if not self.ints:
                 raise ModelError("integer quantifier but no integer values were given")
-            return tuple(ints)
+            return self.ints
         raise ModelError(f"cannot quantify over type '{t}'")
 
-    def symbol(name: str) -> Callable[[], object]:
-        missing = f"no interpretation for symbol '{name}'"
-        nullary = f"symbol '{name}' used without arguments"
+    def _leaf(self, e: Expr) -> _Node:
+        if isinstance(e, Var):
+            sym = self.symbols.get(e.name)
+            if sym is None:
+                return _fail(f"no interpretation for symbol '{e.name}'")
+            if () not in sym.cells:
+                return _fail(f"symbol '{e.name}' used without arguments")
+            get = sym.table.get
+            return _Node(lambda: get(()), sym.values, True, None, sym.rank, sym.rank)
+        if isinstance(e, (BoolLit, IntLit)):
+            value = e.value
+            true_from = NEVER if value is False else -1
+            false_from = NEVER if value is True else -1
+            return _Node(lambda: value, frozenset((value,)), True, None, true_from, false_from)
+        return _fail(f"{type(e).__name__} values are not supported by the enumerator")
 
-        def const():
-            t = tables.get(name)
-            if t is None:
-                raise ModelError(missing)
-            v = t.get((), _MISSING)
-            if v is _MISSING:
-                raise ModelError(nullary)
-            return v
+    def _comp(self, e: Expr, scope: dict[str, _Node], context: int) -> _Node:
+        kind = type(e)
+        if kind in _LEAVES:
+            if kind is Var and e.name in scope:
+                return scope[e.name]
+            leaf_key = (kind, e.name if kind is Var else e.value)
+            leaf = self._leaves.get(leaf_key)
+            if leaf is None:
+                leaf = self._leaves[leaf_key] = self._leaf(e)
+            return leaf
 
-        return const
+        memo_key = (id(e), context)
+        hit = self._memo.get(memo_key)
+        if hit is not None:
+            return hit[1]
+        comp = self._comp
+        if kind is Not:
+            arg = comp(e.arg, scope, context)
+            a = arg.fn
 
-    def application(head: str, args: list[Callable[[], object]]) -> Callable[[], object]:
-        missing = f"no interpretation for symbol '{head}'"
+            def not_():
+                v = a()
+                return None if v is None else not v
+
+            out = _Node(not_, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+        elif kind in _BINARY:
+            ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
+            left, right = ln.fn, rn.fn
+            safe = ln.safe and rn.safe
+            vals = _union(BOOLS, _union(ln.values, rn.values))
+            if kind is And:
+
+                def fn():
+                    l = left()
+                    if l is None:
+                        r = right()
+                        return None if r is None or r else r
+                    return right() if l else l
+
+                true_from = max(ln.true_from, rn.true_from)
+                false_from = min(ln.false_from, rn.false_from)
+            elif kind is Or:
+
+                def fn():
+                    l = left()
+                    if l is None:
+                        r = right()
+                        return r if r else None
+                    return l if l else right()
+
+                true_from = min(ln.true_from, rn.true_from)
+                false_from = max(ln.false_from, rn.false_from)
+            elif kind is Implies:
+
+                def fn():
+                    l = left()
+                    if l is None:
+                        r = right()
+                        return r if r else None
+                    return right() if l else True
+
+                true_from = min(ln.false_from, rn.true_from)
+                false_from = max(ln.true_from, rn.false_from)
+            else:
+                op = operator.eq if kind is Eq else _CMP_OPS[e.op]
+                if kind is Cmp:
+                    safe = safe and _orderable(ln.values, rn.values)
+
+                def fn():
+                    l = left()
+                    r = right()
+                    return None if l is None or r is None else op(l, r)
+
+                vals = BOOLS
+                true_from = false_from = max(ln.definite_from, rn.definite_from)
+            out = _Node(fn, vals, safe, None, true_from, false_from)
+        elif kind is App:
+            parts = atom_parts(e)
+            if parts is None:
+                out = _fail("cannot evaluate application of a non-symbol")
+            elif parts[0] in scope:
+                out = _fail(f"cannot apply bound variable '{parts[0]}'")
+            elif parts[0] not in self.symbols:
+                out = _fail(f"no interpretation for symbol '{parts[0]}'")
+            else:
+                args = []
+                for a in parts[1]:
+                    args.append(comp(a, scope, context))
+                out = _application(parts[0], self.symbols[parts[0]], args)
+        elif kind is Forall or kind is Exists:
+            try:
+                values = self._domain(e.var_type)
+            except ModelError as err:
+                out = _fail(str(err))
+            else:
+                cell = self._cell(e.var, self._depth[context])
+                inner = {**scope, e.var: _bound(cell, frozenset(values))}
+                body = comp(e.body, inner, self._context(context, e.var, e.var_type))
+                fn = _quantifier(kind is Forall, values, cell, body.fn)
+                out = _Node(fn, BOOLS, body.safe, None, body.true_from, body.false_from)
+        elif kind is IfThenElse:
+            cn = comp(e.cond, scope, context)
+            tn = comp(e.then, scope, context)
+            on = comp(e.other, scope, context)
+            cond, then, other = cn.fn, tn.fn, on.fn
+
+            def ite():
+                c = cond()
+                if c is None:
+                    t = then()
+                    return t if t is not None and t == other() else None
+                return then() if c else other()
+
+            def branches(then_from: float, other_from: float) -> float:
+                return min(
+                    max(cn.true_from, then_from),
+                    max(cn.false_from, other_from),
+                    max(then_from, other_from),
+                )
+
+            out = _Node(
+                ite,
+                _union(tn.values, on.values),
+                cn.safe and tn.safe and on.safe,
+                None,
+                branches(tn.true_from, on.true_from),
+                branches(tn.false_from, on.false_from),
+            )
+        else:
+            out = _fail(f"cannot evaluate {type(e).__name__} nodes")
+        self._memo[memo_key] = (e, out)
+        return out
+
+
+def _application(head: str, sym: Symbol, args: list[_Node]) -> _Node:
+    """The node of `head` applied to compiled `args`: unchecked when
+    every key the arguments can form is a cell of `sym`, else checked."""
+    get = sym.table.get
+    fns = tuple(a.fn for a in args)
+    cells = [a.cell for a in args]
+    definite_from = max([sym.rank] + [a.definite_from for a in args])
+    keys = 1
+    for a in args:
+        keys *= len(a.values) if a.safe and a.values is not None else _MAX_CHECKED_KEYS + 1
+    safe = keys <= _MAX_CHECKED_KEYS and all(
+        k in sym.cells for k in itertools.product(*(a.values for a in args))
+    )
+    if not safe:
         partial = f"partial application of '{head}'"
+        table, cellset = sym.table, sym.cells
 
-        def app():
-            t = tables.get(head)
-            if t is None:
-                raise ModelError(missing)
-            v = t.get(tuple([a() for a in args]), _MISSING)
+        def checked():
+            k = tuple([a() for a in fns])
+            v = table.get(k, _MISSING)
             if v is _MISSING:
+                if k in cellset or None in k:
+                    return None
                 raise ModelError(partial)
             return v
 
-        return app
+        return _Node(checked, sym.values, False, None, definite_from, definite_from)
+    # An unset argument makes a key with None, which no table holds.
+    if len(args) == 1:
+        (c,) = cells
+        (a,) = fns
+        fn = (lambda: get((c[0],))) if c is not None else (lambda: get((a(),)))
+    elif len(args) == 2 and None not in cells:
+        c0, c1 = cells
+        fn = lambda: get((c0[0], c1[0]))
+    elif None not in cells:
+        fn = lambda: get(tuple(map(_first, cells)))
+    else:
+        fn = lambda: get(tuple([a() for a in fns]))
+    return _Node(fn, sym.values, True, None, definite_from, definite_from)
 
-    def comp(e: Expr, scope: dict[str, list]) -> Callable[[], object]:
-        if isinstance(e, Var):
-            bound = scope.get(e.name)
-            if bound is None:
-                return symbol(e.name)
-            return lambda: bound[0]
-        if isinstance(e, (BoolLit, IntLit)):
-            value = e.value
-            return lambda: value
-        if isinstance(e, (StringLit, FloatLit)):
-            return _fail(f"{type(e).__name__} values are not supported by the enumerator")
-        if isinstance(e, Not):
-            arg = comp(e.arg, scope)
-            return lambda: not arg()
-        if isinstance(e, (And, Or, Implies, Eq, Cmp)):
-            left, right = comp(e.left, scope), comp(e.right, scope)
-            if isinstance(e, And):
-                return lambda: left() and right()
-            if isinstance(e, Or):
-                return lambda: left() or right()
-            if isinstance(e, Implies):
-                return lambda: (not left()) or right()
-            if isinstance(e, Eq):
-                return lambda: left() == right()
-            op = _CMP_OPS[e.op]
-            return lambda: op(left(), right())
-        if isinstance(e, App):
-            parts = atom_parts(e)
-            if parts is None:
-                return _fail("cannot evaluate application of a non-symbol")
-            head, args = parts
-            if head in scope:
-                return _fail(f"cannot apply bound variable '{head}'")
-            return application(head, [comp(a, scope) for a in args])
-        if isinstance(e, (Forall, Exists)):
-            try:
-                values = domain(e.var_type)
-            except ModelError as err:
-                return _fail(str(err))
-            cell: list = [None]
-            body = comp(e.body, {**scope, e.var: cell})
-            if isinstance(e, Forall):
 
-                def forall():
-                    for v in values:
-                        cell[0] = v
-                        if not body():
-                            return False
-                    return True
+_first = operator.itemgetter(0)
 
-                return forall
 
-            def exists():
-                for v in values:
-                    cell[0] = v
-                    if body():
-                        return True
-                return False
+def _quantifier(forall: bool, values: tuple, cell: list, body: Callable[[], object]):
+    if forall:
 
-            return exists
-        if isinstance(e, IfThenElse):
-            cond, then, other = comp(e.cond, scope), comp(e.then, scope), comp(e.other, scope)
-            return lambda: then() if cond() else other()
-        return _fail(f"cannot evaluate {type(e).__name__} nodes")
+        def forall_():
+            unknown = False
+            for v in values:
+                cell[0] = v
+                r = body()
+                if not r:
+                    if r is None:
+                        unknown = True
+                    else:
+                        return False
+            return None if unknown else True
 
-    return comp(e, {})
+        return forall_
+
+    def exists():
+        unknown = False
+        for v in values:
+            cell[0] = v
+            r = body()
+            if r:
+                return True
+            if r is None:
+                unknown = True
+        return None if unknown else False
+
+    return exists
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +700,7 @@ def enumerate_models(
     """All interpretations of the formula set, in a deterministic
     order.  Sorts take their size from `sizes` (or their fixed carrier);
     Integer ranges over `ints` exactly.  Raises ResourceCapError when
-    the number of attempted table assignments exceeds the budget."""
+    the number of cell assignments exceeds the budget."""
     fixed = fs.fixed_map()
     carriers: dict[str, tuple[str, ...]] = {}
     for s in fs.sorts:
@@ -549,64 +729,115 @@ def enumerate_models(
             return int_values
         raise ModelError(f"the enumerator does not support type '{t}'")
 
-    pinned: dict[str, dict[tuple, object]] = {}
+    symbols: dict[str, Symbol] = {}
+    pinned: list[str] = []
     free: list[tuple[str, tuple[tuple, ...], tuple]] = []
     for d in fs.decls:
         args, cod = uncurry(d.type)
         if d.name in fs.char_true:
-            dom = domain(args[0])
-            pinned[d.name] = {(v,): True for v in dom}
-            continue
-        if (
+            table = {(v,): True for v in domain(args[0])}
+        elif (
             not args
             and isinstance(cod, ClassT)
             and cod.name in fixed
             and d.name in fixed[cod.name]
         ):
-            pinned[d.name] = {(): d.name}
+            table = {(): d.name}
+        else:
+            arg_domains = [domain(a) for a in args]
+            cells = tuple(itertools.product(*arg_domains))
+            values = domain(cod)
+            symbols[d.name] = Symbol({}, frozenset(cells), frozenset(values), len(free))
+            free.append((d.name, cells, values))
             continue
-        arg_domains = [domain(a) for a in args]
-        cells = tuple(itertools.product(*arg_domains))
-        free.append((d.name, cells, domain(cod)))
+        pinned.append(d.name)
+        symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()))
 
-    tables: dict[str, dict[tuple, object]] = dict(pinned)
-    stage: dict[int, list[Callable[[], object]]] = {}
-    index = {name: i for i, (name, _, _) in enumerate(free)}
+    # A formula is staged at the last free symbol it mentions: it is
+    # evaluated once that symbol's last cell is set, in formula order.
+    # A safe formula is also evaluated after each cell of every free
+    # symbol it mentions, and prunes as soon as it is false; it is left
+    # out where it cannot be false yet (`false_from`).  A formula that
+    # may raise is evaluated at its stage only, and no formula after it
+    # in stage order prunes before that stage is complete, so an error
+    # is raised at the same assignment as by a search of whole tables.
+    compiler = FormulaCompiler(symbols, carriers, int_values)
+    index = {name: k for k, (name, _, _) in enumerate(free)}
+    names_memo: dict = {}
+    staged: list[tuple[int, set[int], Compiled]] = []
     for _, expr in fs.formulas:
-        refs = [index[n] for n in free_vars(expr) if n in index]
-        compiled = compile_expr(expr, tables, carriers, int_values)
-        stage.setdefault(max(refs) if refs else -1, []).append(compiled)
-    budget = [node_budget]
+        refs = {index[n] for n in free_vars(expr, names_memo) if n in index}
+        staged.append((max(refs, default=-1), refs, compiler.compile(expr)))
+    prune_after: list[int] = [0] * len(staged)
+    last_unsafe = -2
+    for i in sorted(range(len(staged)), key=lambda i: staged[i][0]):
+        prune_after[i] = last_unsafe
+        if not staged[i][2].safe:
+            last_unsafe = staged[i][0]
 
-    def holds_at(k: int) -> bool:
-        for formula in stage.get(k, ()):
-            if not formula():
-                return False
-        return True
+    flat: list[tuple[dict, tuple, tuple, list]] = []
+    for k, (name, cells, values) in enumerate(free):
+        early = [
+            (stage, c.fn)
+            for (stage, refs, c), after in zip(staged, prune_after)
+            if c.safe and k in refs and after < k and c.false_from <= k
+        ]
+        complete = [
+            c.fn for stage, _, c in staged if stage == k and (not c.safe or c.false_from <= k)
+        ] + [fn for stage, fn in early if stage != k]
+        early_fns = [fn for _, fn in early]
+        table = symbols[name].table
+        for i, cell in enumerate(cells):
+            flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
 
-    def rec(k: int) -> Iterator[Interpretation]:
-        if k == len(free):
-            yield Interpretation(
-                carriers=dict(carriers),
-                ints=int_values,
-                tables={n: dict(t) for n, t in tables.items()},
-            )
+    names = pinned + [name for name, _, _ in free]
+
+    def model() -> Interpretation:
+        return Interpretation(
+            carriers=dict(carriers),
+            ints=int_values,
+            tables={n: dict(symbols[n].table) for n in names},
+        )
+
+    for stage, _, c in staged:
+        if stage == -1 and not c.fn():
             return
-        name, cells, cod = free[k]
-        for combo in itertools.product(cod, repeat=len(cells)):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise ResourceCapError(
-                    f"model search exceeded {node_budget} table assignments"
-                )
-            tables[name] = dict(zip(cells, combo))
-            if holds_at(k):
-                yield from rec(k + 1)
-        del tables[name]
-
-    if not holds_at(-1):
+    if not flat:
+        yield model()
         return
-    yield from rec(0)
+
+    # Depth-first over the cells in order, values in codomain order, so
+    # the models come out in the order itertools.product gives whole
+    # tables.  Cells are inserted in order and deleted on backtracking,
+    # so every table keeps its cells in order.
+    budget = node_budget
+    last = len(flat) - 1
+    tried = [0] * len(flat)
+    d = 0
+    while True:
+        table, cell, values, checks = flat[d]
+        i = tried[d]
+        if i == len(values):
+            del table[cell]
+            tried[d] = 0
+            if d == 0:
+                return
+            d -= 1
+            continue
+        tried[d] = i + 1
+        budget -= 1
+        if budget < 0:
+            raise ResourceCapError(f"model search exceeded {node_budget} cell assignments")
+        table[cell] = values[i]
+        for check in checks:
+            r = check()
+            if not r and r is not None:
+                break
+        else:
+            if d == last:
+                yield model()
+            else:
+                d += 1
 
 
 # ---------------------------------------------------------------------------

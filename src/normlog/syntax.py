@@ -304,7 +304,6 @@ for _cls in Expr.__subclasses__():
 
 
 TRUE = BoolLit(True)
-FALSE = BoolLit(False)
 
 
 def apply(fn: Union[str, Expr], *args: Expr) -> Expr:
@@ -322,15 +321,6 @@ def conj(exprs: list[Expr]) -> Expr:
     e = exprs[0]
     for x in exprs[1:]:
         e = And(e, x)
-    return e
-
-
-def disj(exprs: list[Expr]) -> Expr:
-    if not exprs:
-        return FALSE
-    e = exprs[0]
-    for x in exprs[1:]:
-        e = Or(e, x)
     return e
 
 
@@ -356,31 +346,56 @@ def conjuncts(e: Expr) -> list[Expr]:
     return [e]
 
 
-def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
+def free_vars(e: Expr, memo: Optional[dict] = None) -> frozenset[str]:
     """Names of free variables, treating every unbound name as a variable.
 
     Declared function symbols are names too, so callers that only want
     genuine rule variables must subtract the declared vocabulary.
-    """
-    if isinstance(e, Var):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, (BoolLit, IntLit, FloatLit, StringLit)):
-        return set()
-    if isinstance(e, Not):
-        return free_vars(e.arg, bound)
-    if isinstance(e, (And, Or, Implies, Eq)):
-        return free_vars(e.left, bound) | free_vars(e.right, bound)
-    if isinstance(e, Cmp):
-        return free_vars(e.left, bound) | free_vars(e.right, bound)
-    if isinstance(e, App):
-        return free_vars(e.fn, bound) | free_vars(e.arg, bound)
-    if isinstance(e, (Lambda, Forall, Exists)):
-        return free_vars(e.body, bound | {e.var})
-    if isinstance(e, IfThenElse):
-        return free_vars(e.cond, bound) | free_vars(e.then, bound) | free_vars(e.other, bound)
-    if isinstance(e, FieldAccess):
-        return free_vars(e.obj, bound)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+    Each distinct node is visited once: `memo` maps `id(node)` to
+    `(node, names)`, keeping the node alive so that its id is not
+    reused, and may be shared by calls over formulas with common
+    subterms.  The recursion spends one frame per tree level."""
+    return _free_names(e, {} if memo is None else memo)
+
+
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _free_names(e: Expr, memo: dict) -> frozenset[str]:
+    kind = type(e)
+    if kind is Var:
+        return frozenset((e.name,))
+    if kind is App:
+        # a unary atom on a variable, the commonest node, skips the memo
+        fn, arg = e.fn, e.arg
+        if type(fn) is Var and type(arg) is Var:
+            return frozenset((fn.name, arg.name))
+    elif kind in (BoolLit, IntLit, FloatLit, StringLit):
+        return _NO_NAMES
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if kind is App:
+        out = _free_names(e.fn, memo) | _free_names(e.arg, memo)
+    elif kind in (And, Or, Implies, Eq, Cmp):
+        out = _free_names(e.left, memo) | _free_names(e.right, memo)
+    elif kind is Not:
+        out = _free_names(e.arg, memo)
+    elif kind in (Forall, Exists, Lambda):
+        out = _free_names(e.body, memo) - {e.var}
+    elif kind is IfThenElse:
+        out = (
+            _free_names(e.cond, memo)
+            | _free_names(e.then, memo)
+            | _free_names(e.other, memo)
+        )
+    elif kind is FieldAccess:
+        out = _free_names(e.obj, memo)
+    else:
+        raise TypeError(f"unknown expression node {kind.__name__}")
+    memo[id(e)] = (e, out)
+    return out
 
 
 def substitute(e: Expr, subst: dict[str, Expr]) -> Expr:

@@ -348,10 +348,6 @@ def _check_type_resolves(t: LType, env: Env, what: str) -> None:
             _check_type_resolves(it, env, what)
 
 
-def declared_sorts(m: RuleModule) -> list[str]:
-    return [c.name for c in m.classes if c.parent == ROOT_CLASS]
-
-
 def inclusion_map(classes: dict[str, ClassDecl]) -> dict[str, frozenset[str]]:
     """Map each characteristic predicate to the characteristic
     predicates it entails (one per proper ancestor class)."""

@@ -16,7 +16,7 @@ from normlog.asp import (
     TVar,
     axiom_violations,
 )
-from normlog.models import Interpretation, ResourceCapError, eval_expr
+from normlog.models import Interpretation, ModelError, ResourceCapError
 from normlog.smtlib import SmtError, smt_decimal, smt_sort, smt_symbol
 from normlog.syntax import (
     ROOT_CLASS,
@@ -358,6 +358,107 @@ def reference_ground_program(p, instance_cap=1_000_000):
         GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
         for g in sorted(instances, key=key)
     ]
+
+
+# ---------------------------------------------------------------------------
+# expressions by walking the tree
+
+
+def eval_expr(e, tables, carriers, ints, binding=None):
+    """Evaluate a closed (or binding-closed) formula/term to a Python
+    value: bool, int, or a carrier element name.  The reference the
+    compiled closures of normlog.models are tested against."""
+    b = binding or {}
+
+    def domain(t):
+        if isinstance(t, ClassT):
+            if t.name in carriers:
+                return carriers[t.name]
+            raise ModelError(f"cannot quantify over '{t.name}' (no carrier)")
+        if isinstance(t, BoolT):
+            return (False, True)
+        if isinstance(t, IntT):
+            if not ints:
+                raise ModelError("integer quantifier but no integer values were given")
+            return tuple(ints)
+        raise ModelError(f"cannot quantify over type '{t}'")
+
+    def ev(e, b):
+        if isinstance(e, Var):
+            if e.name in b:
+                return b[e.name]
+            t = tables.get(e.name)
+            if t is None:
+                raise ModelError(f"no interpretation for symbol '{e.name}'")
+            if () not in t:
+                raise ModelError(f"symbol '{e.name}' used without arguments")
+            return t[()]
+        if isinstance(e, BoolLit):
+            return e.value
+        if isinstance(e, IntLit):
+            return e.value
+        if isinstance(e, StringLit) or isinstance(e, FloatLit):
+            raise ModelError(f"{type(e).__name__} values are not supported by the enumerator")
+        if isinstance(e, Not):
+            return not ev(e.arg, b)
+        if isinstance(e, And):
+            return ev(e.left, b) and ev(e.right, b)
+        if isinstance(e, Or):
+            return ev(e.left, b) or ev(e.right, b)
+        if isinstance(e, Implies):
+            return (not ev(e.left, b)) or ev(e.right, b)
+        if isinstance(e, Eq):
+            return ev(e.left, b) == ev(e.right, b)
+        if isinstance(e, Cmp):
+            l, r = ev(e.left, b), ev(e.right, b)
+            return {"<": l < r, "<=": l <= r, ">": l > r, ">=": l >= r}[e.op]
+        if isinstance(e, App):
+            parts = atom_parts(e)
+            if parts is None:
+                raise ModelError("cannot evaluate application of a non-symbol")
+            head, args = parts
+            if head in b:
+                raise ModelError(f"cannot apply bound variable '{head}'")
+            table = tables.get(head)
+            if table is None:
+                raise ModelError(f"no interpretation for symbol '{head}'")
+            key = tuple(ev(a, b) for a in args)
+            if key not in table:
+                raise ModelError(f"partial application of '{head}'")
+            return table[key]
+        if isinstance(e, Forall):
+            return all(ev(e.body, {**b, e.var: v}) for v in domain(e.var_type))
+        if isinstance(e, Exists):
+            return any(ev(e.body, {**b, e.var: v}) for v in domain(e.var_type))
+        if isinstance(e, IfThenElse):
+            return ev(e.then, b) if ev(e.cond, b) else ev(e.other, b)
+        raise ModelError(f"cannot evaluate {type(e).__name__} nodes")
+
+    return ev(e, b)
+
+
+def tree_free_vars(e, bound=frozenset()):
+    """Free names of an expression by walking it as a tree."""
+    if isinstance(e, Var):
+        return set() if e.name in bound else {e.name}
+    if isinstance(e, (BoolLit, IntLit, FloatLit, StringLit)):
+        return set()
+    if isinstance(e, Not):
+        return tree_free_vars(e.arg, bound)
+    if isinstance(e, (And, Or, Implies, Eq, Cmp)):
+        return tree_free_vars(e.left, bound) | tree_free_vars(e.right, bound)
+    if isinstance(e, App):
+        return tree_free_vars(e.fn, bound) | tree_free_vars(e.arg, bound)
+    if isinstance(e, (Lambda, Forall, Exists)):
+        return tree_free_vars(e.body, bound | {e.var})
+    if isinstance(e, IfThenElse):
+        return (
+            tree_free_vars(e.cond, bound)
+            | tree_free_vars(e.then, bound)
+            | tree_free_vars(e.other, bound)
+        )
+    assert isinstance(e, FieldAccess), e
+    return tree_free_vars(e.obj, bound)
 
 
 # ---------------------------------------------------------------------------

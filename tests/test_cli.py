@@ -201,10 +201,13 @@ def test_long_subject_to_chain_is_an_internal_error(tmp_path):
         + "\n".join(rules)
         + "\nassert <a> {SMT: {valid}}\n  forall x: S. p x --> q x\n"
     )
-    for args in (("transform",), ("check", "--assert", "a", "--sizes", "S=1")):
-        rc, out, err = run_cli(args[0], path, *args[1:])
-        assert (rc, out) == (4, ""), args
-        assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+    rc, out, err = run_cli("transform", path)
+    assert (rc, out) == (4, "")
+    assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
+    # The search compiles and stages each shared precondition once, so
+    # `check` gets through the same chain.
+    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=1")
+    assert (rc, out, err) == (0, "assertion a (valid): valid\n", "")
 
 
 def test_subject_to_chain_below_the_limit_compiles(tmp_path):
@@ -414,7 +417,17 @@ def test_check_budget_exhaustion_is_exit_3():
         "1",
     )
     assert rc == 3
-    assert err == "resource cap: model search exceeded 1 table assignments\n"
+    assert err == "resource cap: model search exceeded 1 cell assignments\n"
+
+
+def test_check_integer_outside_the_pool_is_bad_input():
+    # 320 is not among the integers, so the sports car rule applies
+    # maxSp outside its table: an error where the whole-table search
+    # raised it, not a pruned branch.
+    rc, out, err = run_cli(
+        "check", REPAIRED, "--assert", "maxSpFunctional", "--sizes", SIZES, "--ints", "90,130"
+    )
+    assert (rc, out, err) == (2, "", "error: partial application of 'maxSp'\n")
 
 
 def test_check_rejects_a_negative_budget():

@@ -1,10 +1,13 @@
 """The compiled evaluator agrees with the tree-walking reference.
 
-enumerate_models decides formulas with closures from compile_expr;
-eval_expr stays the reference.  Both must return the same value, or
-raise a ModelError with the same message, wherever they are asked, and
-the search must yield the models the whole-table, eval_expr search of
-tests/oracles.py yields, in the same order.
+enumerate_models decides formulas with three-valued closures from
+FormulaCompiler; eval_expr in tests/oracles.py is the reference.  On
+tables whose cells are all set both must return the same value, or
+raise a ModelError with the same message, wherever they are asked; on
+partial tables a safe closure never raises and never returns a value
+that some completion of the tables contradicts.  The search must yield
+the models the whole-table, eval_expr search of tests/oracles.py
+yields, in the same order.
 """
 
 import json
@@ -16,17 +19,17 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import load_case
-from oracles import carriers_and_domain, reference_models
+from oracles import carriers_and_domain, eval_expr, reference_models
 from normlog.models import (
+    FormulaCompiler,
     ModelError,
-    compile_expr,
+    Symbol,
     enumerate_models,
-    eval_expr,
     rules_to_formulas,
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
-from normlog.syntax import uncurry
+from normlog.syntax import And, Not, uncurry
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -38,8 +41,20 @@ def _outcome(evaluate):
     return type(v), v
 
 
+def _symbols(tables):
+    """Symbols whose cells and values are those their tables hold."""
+    return {
+        name: Symbol(table, frozenset(table), frozenset(table.values()))
+        for name, table in tables.items()
+    }
+
+
+def _compile(e, tables, carriers, ints):
+    return FormulaCompiler(_symbols(tables), carriers, ints).compile(e).fn
+
+
 def _agree(e, tables, carriers, ints):
-    compiled = compile_expr(e, tables, carriers, ints)
+    compiled = _compile(e, tables, carriers, ints)
     assert _outcome(compiled) == _outcome(lambda: eval_expr(e, tables, carriers, ints))
 
 
@@ -67,6 +82,7 @@ _EXPRESSIONS = [
     "forall y: S. p y",
     "exists y: S. p y && p (f y)",
     "forall y: S. exists y: S. p y",
+    "forall y: S. (exists y: S. p y) && p y",
     "exists y: S. forall z: S. r y z",
     "forall k: Integer. k < 5",
     "exists b: Boolean. b",
@@ -101,14 +117,51 @@ def test_compiled_expression_matches_eval_expr(text, ints):
 
 
 def test_compiled_closure_reads_the_tables_at_call_time():
-    tables = {"p": {("s0",): True}}
-    f = compile_expr(parse_expr("p c"), tables, _CARRIERS, ())
-    with pytest.raises(ModelError, match="no interpretation for symbol 'c'"):
-        f()
-    tables["c"] = {(): "s0"}
+    # Each symbol's table is bound when compiling and read in place at
+    # every call; a name without a table stays unknown.
+    tables = {"p": {("s0",): True, ("s1",): True}, "c": {(): "s0"}}
+    symbols = _symbols(tables)
+    compiler = FormulaCompiler(symbols, _CARRIERS, ())
+    f = compiler.compile(parse_expr("p c")).fn
     assert f() is True
-    tables["p"] = {("s0",): False}
+    tables["p"][("s0",)] = False
     assert f() is False
+    del tables["p"][("s0",)]
+    assert f() is None
+    tables["c"][()] = "s1"
+    assert f() is True
+    g = compiler.compile(parse_expr("p d")).fn
+    tables["d"] = {(): "s0"}
+    with pytest.raises(ModelError, match="no interpretation for symbol 'd'"):
+        g()
+
+
+def test_shared_subterms_compile_once():
+    compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
+    shared = parse_expr("p y && not p (f y)")
+    a = parse_expr("forall y: S. p c")
+    b = parse_expr("exists y: S. p c")
+    a = type(a)(a.var, a.var_type, shared)
+    b = type(b)(b.var, b.var_type, shared)
+    compiler.compile(a)
+    size = len(compiler._memo)
+    compiler.compile(b)
+    # only the new binder is compiled: same variable, type and depth
+    assert len(compiler._memo) == size + 1
+
+
+def test_a_shared_subterm_under_other_binders_reads_their_cells():
+    # `p y` under one binder at depth 0 and under another at depth 1.
+    p_y = parse_expr("p y")
+    one = parse_expr("forall y: S. p c")
+    one = type(one)(one.var, one.var_type, p_y)
+    two = parse_expr("exists x: S. exists y: S. not p c && p x")
+    inner = two.body
+    inner = type(inner)(inner.var, inner.var_type, And(Not(p_y), inner.body.right))
+    two = type(two)(two.var, two.var_type, inner)
+    compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
+    for e in (one, two, one):
+        assert compiler.compile(e).fn() == eval_expr(e, _TABLES, _CARRIERS, ())
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +212,55 @@ def test_compiled_formulas_match_eval_expr_on_random_modules(seed, variant, tabl
         _agree(e, tables, carriers, ints)
 
 
+def _complete(partial, shapes, rng):
+    return {
+        name: {cell: partial[name].get(cell, rng.choice(cod)) for cell in cells}
+        for name, (cells, cod) in shapes.items()
+    }
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    variant=st.sampled_from(list(Variant)),
+    table_seed=st.integers(0, 10_000),
+    unset=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_three_valued_closures_never_contradict_a_completion(seed, variant, table_seed, unset):
+    fs, sizes, ints = _formula_set(seed, variant)
+    rng = random.Random(table_seed)
+    carriers, domain = carriers_and_domain(fs, sizes, ints)
+    shapes = {}
+    for d in fs.decls:
+        args, cod = uncurry(d.type)
+        shapes[d.name] = (list(product(*map(domain, args))), domain(cod))
+    full = _complete({name: {} for name in shapes}, shapes, rng)
+    partial = {
+        name: {cell: v for cell, v in table.items() if rng.random() >= unset}
+        for name, table in full.items()
+    }
+    symbols = {
+        name: Symbol(partial[name], frozenset(cells), frozenset(cod))
+        for name, (cells, cod) in shapes.items()
+    }
+    compiler = FormulaCompiler(symbols, carriers, ints)
+    completions = [full] + [_complete(partial, shapes, rng) for _ in range(20)]
+    for _, e in fs.formulas:
+        compiled = compiler.compile(e)
+        if unset == 0.0:
+            assert _outcome(compiled.fn) == _outcome(
+                lambda: eval_expr(e, partial, carriers, ints)
+            )
+        if not compiled.safe:
+            continue
+        r = compiled.fn()
+        assert r in (None, False, True)
+        if r is None:
+            continue
+        for tables in completions:
+            assert bool(eval_expr(e, tables, carriers, ints)) is r
+
+
 # ---------------------------------------------------------------------------
 # the search yields the reference's models in the reference's order
 
@@ -180,3 +282,96 @@ def test_speed_limit_models_match_the_reference(variant):
 def test_random_module_models_match_the_reference(seed, variant):
     fs, sizes, ints = _formula_set(seed, variant)
     _same_models(fs, sizes, ints)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    variant=st.sampled_from(list(Variant)),
+    table_seed=st.integers(0, 10_000),
+)
+def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_seed):
+    # Rank the symbols in declaration order; with the cells of ranks up
+    # to k partly set and none above k, a formula whose false_from
+    # exceeds k must not evaluate to False.
+    fs, sizes, ints = _formula_set(seed, variant)
+    rng = random.Random(table_seed)
+    carriers, domain = carriers_and_domain(fs, sizes, ints)
+    shapes = {}
+    for d in fs.decls:
+        args, cod = uncurry(d.type)
+        shapes[d.name] = (list(product(*map(domain, args))), domain(cod))
+    full = _complete({name: {} for name in shapes}, shapes, rng)
+    k = rng.randrange(len(shapes))
+    partial = {}
+    for rank, (name, table) in enumerate(full.items()):
+        keep = 1.0 if rank < k else 0.5 if rank == k else 0.0
+        partial[name] = {c: v for c, v in table.items() if rng.random() < keep}
+    symbols = {
+        name: Symbol(partial[name], frozenset(cells), frozenset(cod), rank)
+        for rank, (name, (cells, cod)) in enumerate(shapes.items())
+    }
+    compiler = FormulaCompiler(symbols, carriers, ints)
+    for _, e in fs.formulas:
+        compiled = compiler.compile(e)
+        if compiled.safe and compiled.false_from > k:
+            assert compiled.fn() is not False
+
+
+# Two ranked symbols over two elements and a constant, and formulas
+# whose connectives make the may-be-true and may-be-false ranks differ.
+_RANKED = ["p", "q", "c"]
+_RANKED_FORMULAS = [
+    "forall x: S. not (q x --> p x)",
+    "exists x: S. p x && not q x",
+    "forall x: S. p x || q x",
+    "if p c then q c else not p (c)",
+    "if q c then p c else p c",
+    "not (if p c then true else q c)",
+    "(exists x: S. q x) --> (forall x: S. p x)",
+    "p c == q c",
+]
+
+
+def _ranked_tables():
+    """Every partial interpretation of p, q and c in which the symbols
+    ranked below some k are complete and those above it have no cells."""
+    cells = {"p": [("s0",), ("s1",)], "q": [("s0",), ("s1",)], "c": [()]}
+    cod = {"p": (False, True), "q": (False, True), "c": ("s0", "s1")}
+    options = {n: [None, *cod[n]] for n in _RANKED}
+
+    def tables_of(name, allow_unset):
+        values = options[name] if allow_unset else list(cod[name])
+        for combo in product(values, repeat=len(cells[name])):
+            yield {cell: v for cell, v in zip(cells[name], combo) if v is not None}
+
+    for k, name in enumerate(_RANKED):
+        for low in product(*(list(tables_of(n, False)) for n in _RANKED[:k])):
+            for mid in tables_of(name, True):
+                tables = dict(zip(_RANKED[:k], low))
+                tables[name] = mid
+                tables.update({n: {} for n in _RANKED[k + 1 :]})
+                yield k, tables, cells, cod
+
+
+@pytest.mark.parametrize("text", _RANKED_FORMULAS)
+def test_hand_picked_formulas_over_every_partial_table(text):
+    e = parse_expr(text)
+    for k, tables, cells, cod in _ranked_tables():
+        symbols = {
+            n: Symbol(tables[n], frozenset(cells[n]), frozenset(cod[n]), rank)
+            for rank, n in enumerate(_RANKED)
+        }
+        compiled = FormulaCompiler(symbols, _CARRIERS, ()).compile(e)
+        assert compiled.safe
+        r = compiled.fn()
+        if compiled.false_from > k:
+            assert r is not False, (k, tables)
+        if r is None:
+            continue
+        for combo in product(
+            *(product(cod[n], repeat=len(cells[n])) for n in _RANKED)
+        ):
+            full = {n: dict(zip(cells[n], vs)) for n, vs in zip(_RANKED, combo)}
+            if all(full[n][c] == v for n in _RANKED for c, v in tables[n].items()):
+                assert eval_expr(e, full, _CARRIERS, ()) == r, (k, tables, full)

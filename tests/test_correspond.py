@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from conftest import load_case
 from normlog.correspond import (
+    _Reader,
     _check_against,
     build_correspondence,
     check_model_correspondence,
@@ -88,9 +89,10 @@ def test_tampered_formula_set_produces_violations():
         ),
     )
     violations = []
+    reader = _Reader()  # compiles the formulas once for all the models
     for md in enumerate_models(weakened, _SIZES, _INTS):
         mp = to_precond(pair, md)
-        _check_against(pair.fs_precond, mp, "deriv->precond", violations, cap=5)
+        _check_against(pair.fs_precond, mp, "deriv->precond", violations, cap=5, reader=reader)
     assert violations
     assert len(violations) <= 5
     assert all(v.direction == "deriv->precond" for v in violations)
@@ -150,3 +152,36 @@ def test_random_modules_correspond(seed):
     typecheck_module(m)
     rep = check_model_correspondence(m, sample.sizes, sample.ints)
     assert rep.ok, rep.to_json()
+
+
+def test_speed_limits_correspond_over_two_days():
+    # Vehicle=1, Day=2, Road=1: Car and SportsCar membership 2 x 2 ways,
+    # Workday 2 x 2 and Highway 2 ways, maxSp then fixed: 24 models on
+    # each side.  The deriv side's lifted table has 18 cells.
+    rep = check_model_correspondence(
+        load_case("speedlimit_repaired.l4"), {"Vehicle": 1, "Day": 2, "Road": 1}, _INTS
+    )
+    assert (rep.checked_precond, rep.checked_deriv, rep.violations) == (24, 24, ())
+
+
+def _two_things_with_integers(seed, n):
+    rng = random.Random(seed)
+    while n:
+        sample = random_annotated_module(rng)
+        if sample.sizes["Thing"] == 2 and sample.ints:
+            n -= 1
+            yield sample
+
+
+def test_modules_of_two_things_with_integer_arguments_correspond():
+    # The larger randgen family: two things and an integer argument,
+    # so the lifted tables have 2 x 2 x 2 to 3 x 2 x 2 cells.
+    checked = 0
+    for sample in _two_things_with_integers(17, 30):
+        m = elaborate(sample.module)
+        typecheck_module(m)
+        rep = check_model_correspondence(m, sample.sizes, sample.ints)
+        assert rep.ok, rep.to_json()
+        assert rep.checked_precond == rep.checked_deriv > 0
+        checked += 1
+    assert checked == 30

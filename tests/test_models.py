@@ -1,21 +1,24 @@
 """Finite-carrier model enumeration and assertion checking."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import load_case
 from normlog.models import (
+    FormulaSet,
     ModelError,
     ResourceCapError,
     adjusted_rules,
     check_assertion,
     enumerate_models,
-    eval_expr,
     guard_quantifiers,
     rewrite_fields,
     rules_to_formulas,
 )
-from normlog.parser import parse_expr, parse_module
-from normlog.syntax import free_vars
+from normlog.parser import parse_expr, parse_module, parse_type
+from normlog.syntax import FunDecl, free_vars
+from oracles import eval_expr, reference_models
 from normlog.typecheck import Env, elaborate, typecheck_module
 
 
@@ -152,6 +155,42 @@ def test_node_budget_is_enforced():
     fs = rules_to_formulas(m, include_inversions=False)
     with pytest.raises(ResourceCapError):
         list(enumerate_models(fs, {"S": 2}, (), node_budget=3))
+
+
+def test_an_error_is_raised_where_the_whole_table_search_raises_it():
+    # F is false for every table of p, so pruning by cell would skip the
+    # rest of the search; but G, staged at h before F's stage at r, may
+    # raise (7 is not among the integers) and must be evaluated first.
+    decls = [("p", "S -> Boolean"), ("h", "Integer -> Boolean"), ("r", "S -> Boolean")]
+    fs = FormulaSet(
+        sorts=("S",),
+        fixed=(),
+        char_true=(),
+        decls=tuple(FunDecl(n, parse_type(t)) for n, t in decls),
+        formulas=(
+            ("F", parse_expr("forall x: S. p x && not p x && (r x || true)")),
+            ("G", parse_expr("h 7")),
+        ),
+    )
+    for search in (enumerate_models, reference_models):
+        with pytest.raises(ModelError, match="^partial application of 'h'$"):
+            list(search(fs, {"S": 1}, (1, 2)))
+    # Without G nothing is left to raise, and nothing satisfies F.
+    assert list(enumerate_models(replace(fs, formulas=fs.formulas[:1]), {"S": 1}, (1, 2))) == []
+
+
+def test_budget_counts_cell_assignments_and_pruning_is_by_cell():
+    # "forall x. p x" is false as soon as one cell of p is: p takes
+    # 2 + 2 + 2 assignments to become all true, then q's three cells
+    # take their first value.  A whole-table search tries 8 tables of p.
+    m = _module("class S\ndecl p : S -> Boolean\ndecl q : S -> Boolean")
+    fs = rules_to_formulas(m, include_inversions=False)
+    fs = replace(fs, formulas=(("all p", parse_expr("forall x: S. p x")),))
+    model = next(enumerate_models(fs, {"S": 3}, (), node_budget=9))
+    assert set(model.tables["p"].values()) == {True}
+    assert set(model.tables["q"].values()) == {False}
+    with pytest.raises(ResourceCapError, match="^model search exceeded 8 cell assignments$"):
+        next(enumerate_models(fs, {"S": 3}, (), node_budget=8))
 
 
 def test_interpretation_to_json_shape():

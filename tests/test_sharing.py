@@ -1,10 +1,10 @@
 """The compile passes after the transform visit each distinct node once.
 
 The precondition transform shares subterms between rules, so the
-translated formulas form a DAG.  `rewrite_fields`, `guard_quantifiers`
-and `expr_to_sexp` memoize by node identity and `_tokenize` reads a
-script with one regular expression; the tree-walking versions in
-tests/oracles.py are the reference.  Formula sets, SMT-LIB text and
+translated formulas form a DAG.  `rewrite_fields`, `guard_quantifiers`,
+`expr_to_sexp` and `free_vars` memoize by node identity and `_tokenize`
+reads a script with one regular expression; the tree-walking versions
+in tests/oracles.py are the reference.  Formula sets, SMT-LIB text and
 token lists must be exactly the reference's.
 """
 
@@ -21,7 +21,18 @@ from normlog.models import guard_quantifiers, rewrite_fields, rules_to_formulas
 from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
 from normlog.smtlib import SmtError, _tokenize, emit_smtlib, expr_to_sexp
-from normlog.syntax import And, Or, iter_subexprs
+from normlog.syntax import (
+    And,
+    App,
+    BoolLit,
+    FloatLit,
+    IntLit,
+    Or,
+    StringLit,
+    Var,
+    free_vars,
+    iter_subexprs,
+)
 from normlog.transform import CycleError, Variant, transform_module
 from normlog.typecheck import Env, elaborate, typecheck_module
 
@@ -120,6 +131,35 @@ def test_translation_keeps_the_sharing_of_the_transform():
     # Each rule adds an implication and one binder per parameter.
     wrappers = sum(1 + len(r.params) for r in rules)
     assert len(_distinct(e for _, e in fs.formulas)) <= len(_distinct(bodies)) + wrappers
+
+
+def test_free_vars_visits_each_distinct_node_once():
+    m = elaborate(parse_module(subject_to_chain(30)))
+    fs = rules_to_formulas(transform_module(m, Variant.PRECOND).module)
+    memo = {}
+    for _, e in fs.formulas:
+        assert free_vars(e, memo) == oracles.tree_free_vars(e)
+    # every node but the leaves and the unary atoms on a variable
+    leaves = (Var, BoolLit, IntLit, FloatLit, StringLit)
+    inner = {
+        id(x)
+        for _, e in fs.formulas
+        for x in iter_subexprs(e)
+        if not isinstance(x, leaves)
+        and not (isinstance(x, App) and isinstance(x.fn, Var) and isinstance(x.arg, Var))
+    }
+    assert set(memo) == inner
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_free_vars_match_the_tree_walk_on_random_modules(variant):
+    for seed in range(60):
+        m = elaborate(random_annotated_module(random.Random(seed)).module)
+        typecheck_module(m)
+        fs = rules_to_formulas(transform_module(m, variant).module)
+        memo = {}
+        for _, e in fs.formulas:
+            assert free_vars(e, memo) == oracles.tree_free_vars(e)
 
 
 # Characters that matter to the tokenizer, and a few that do not.

@@ -9,7 +9,6 @@ from hypothesis import given
 from normlog.parser import parse_expr, parse_module
 from normlog.syntax import (
     BOOL,
-    FALSE,
     INT,
     TRUE,
     And,
@@ -36,7 +35,6 @@ from normlog.syntax import (
     check_well_formed,
     conj,
     conjuncts,
-    disj,
     free_vars,
     fresh_name,
     fun_type,
@@ -51,12 +49,6 @@ def test_conj_left_nested():
     assert conj([a, b, c]) == And(And(a, b), c)
     assert conj([a]) == a
     assert conj([]) == TRUE
-
-
-def test_disj():
-    a, b = Var("a"), Var("b")
-    assert disj([a, b]) == Or(a, b)
-    assert disj([]) == FALSE
 
 
 def test_conjuncts_flattens_nesting():

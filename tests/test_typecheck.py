@@ -19,7 +19,6 @@ from normlog.typecheck import (
     Env,
     LTypeError,
     ancestors,
-    declared_sorts,
     elaborate,
     inclusion_map,
     inclusion_rule_name,
@@ -199,8 +198,6 @@ decl maxSp : Vehicle -> Integer -> Boolean
     assert str(incl.precond) == "isCar x"
     assert str(incl.postcond) == "isVehicle x"
     assert inclusion_rule_name("SportsCar", "Car") in em.rule_map()
-
-    assert declared_sorts(em) == ["Vehicle"]
 
 
 def test_elaborate_is_idempotent():
