@@ -418,9 +418,10 @@ class FormulaCompiler:
         self._memo: dict[tuple[int, int], tuple[Expr, _Node]] = {}
         self._cells: dict[tuple[str, int], list] = {}
         self._leaves: dict[tuple, _Node] = {}
-        # binder contexts: (outer context, variable, type) -> context;
-        # context 0 has no binders, and _depth gives each one's count
-        self._contexts: dict[tuple, int] = {}
+        self._fits: dict[tuple, bool] = {}
+        # (outer context, variable, type) -> see _binder; context 0 has
+        # no binders, and _depth gives each context's count
+        self._binders: dict[tuple, object] = {}
         self._depth: list[int] = [0]
 
     def compile(self, e: Expr, params: Sequence[str] = ()) -> Compiled:
@@ -429,24 +430,32 @@ class FormulaCompiler:
         scope: dict[str, _Node] = {}
         context = 0
         for name in params:
-            scope[name] = _bound(self._cell(name, self._depth[context]), None)
-            context = self._context(context, name, None)
+            context, scope[name], _ = self._binder(context, name, None)
         node = self._comp(e, scope, context)
         cells = tuple(scope[name].cell for name in params)
         return Compiled(node.fn, node.safe, cells, node.false_from)
 
-    def _context(self, outer: int, var: str, t: Optional[LType]) -> int:
-        context = self._contexts.get((outer, var, t))
-        if context is None:
-            context = self._contexts[(outer, var, t)] = len(self._depth)
-            self._depth.append(self._depth[outer] + 1)
-        return context
-
-    def _cell(self, var: str, depth: int) -> list:
-        cell = self._cells.get((var, depth))
-        if cell is None:
-            cell = self._cells[(var, depth)] = [None]
-        return cell
+    def _binder(self, outer: int, var: str, t: Optional[LType]):
+        """For a binder of `var` of type `t` in context `outer`: the
+        context inside it, the node of its variable and its domain; or
+        the message of the ModelError for a type without a domain.  A
+        parameter has no type, and its values are not known."""
+        key = (outer, var, t)
+        hit = self._binders.get(key)
+        if hit is None:
+            try:
+                domain = () if t is None else self._domain(t)
+            except ModelError as err:
+                hit = self._binders[key] = str(err)
+                return hit
+            depth = self._depth[outer]
+            cell = self._cells.get((var, depth))
+            if cell is None:
+                cell = self._cells[(var, depth)] = [None]
+            node = _bound(cell, None if t is None else frozenset(domain))
+            self._depth.append(depth + 1)
+            hit = self._binders[key] = (len(self._depth) - 1, node, domain)
+        return hit
 
     def _domain(self, t: LType) -> tuple:
         if isinstance(t, ClassT):
@@ -494,65 +503,9 @@ class FormulaCompiler:
             return hit[1]
         comp = self._comp
         if kind is Not:
-            arg = comp(e.arg, scope, context)
-            a = arg.fn
-
-            def not_():
-                v = a()
-                return None if v is None else not v
-
-            out = _Node(not_, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+            out = _negation(comp(e.arg, scope, context))
         elif kind in _BINARY:
-            ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
-            left, right = ln.fn, rn.fn
-            safe = ln.safe and rn.safe
-            vals = _union(BOOLS, _union(ln.values, rn.values))
-            if kind is And:
-
-                def fn():
-                    l = left()
-                    if l is None:
-                        r = right()
-                        return None if r is None or r else r
-                    return right() if l else l
-
-                true_from = max(ln.true_from, rn.true_from)
-                false_from = min(ln.false_from, rn.false_from)
-            elif kind is Or:
-
-                def fn():
-                    l = left()
-                    if l is None:
-                        r = right()
-                        return r if r else None
-                    return l if l else right()
-
-                true_from = min(ln.true_from, rn.true_from)
-                false_from = max(ln.false_from, rn.false_from)
-            elif kind is Implies:
-
-                def fn():
-                    l = left()
-                    if l is None:
-                        r = right()
-                        return r if r else None
-                    return right() if l else True
-
-                true_from = min(ln.false_from, rn.true_from)
-                false_from = max(ln.true_from, rn.false_from)
-            else:
-                op = operator.eq if kind is Eq else _CMP_OPS[e.op]
-                if kind is Cmp:
-                    safe = safe and _orderable(ln.values, rn.values)
-
-                def fn():
-                    l = left()
-                    r = right()
-                    return None if l is None or r is None else op(l, r)
-
-                vals = BOOLS
-                true_from = false_from = max(ln.definite_from, rn.definite_from)
-            out = _Node(fn, vals, safe, None, true_from, false_from)
+            out = _binary(e, comp(e.left, scope, context), comp(e.right, scope, context))
         elif kind is App:
             parts = atom_parts(e)
             if parts is None:
@@ -565,65 +518,137 @@ class FormulaCompiler:
                 args = []
                 for a in parts[1]:
                     args.append(comp(a, scope, context))
-                out = _application(parts[0], self.symbols[parts[0]], args)
+                out = _application(parts[0], self.symbols[parts[0]], args, self._fits)
         elif kind is Forall or kind is Exists:
-            try:
-                values = self._domain(e.var_type)
-            except ModelError as err:
-                out = _fail(str(err))
+            binder = self._binder(context, e.var, e.var_type)
+            if isinstance(binder, str):
+                out = _fail(binder)
             else:
-                cell = self._cell(e.var, self._depth[context])
-                inner = {**scope, e.var: _bound(cell, frozenset(values))}
-                body = comp(e.body, inner, self._context(context, e.var, e.var_type))
-                fn = _quantifier(kind is Forall, values, cell, body.fn)
-                out = _Node(fn, BOOLS, body.safe, None, body.true_from, body.false_from)
+                inner, var, values = binder
+                body = comp(e.body, {**scope, e.var: var}, inner)
+                out = _quantifier(kind is Forall, values, var.cell, body)
         elif kind is IfThenElse:
-            cn = comp(e.cond, scope, context)
-            tn = comp(e.then, scope, context)
-            on = comp(e.other, scope, context)
-            cond, then, other = cn.fn, tn.fn, on.fn
-
-            def ite():
-                c = cond()
-                if c is None:
-                    t = then()
-                    return t if t is not None and t == other() else None
-                return then() if c else other()
-
-            def branches(then_from: float, other_from: float) -> float:
-                return min(
-                    max(cn.true_from, then_from),
-                    max(cn.false_from, other_from),
-                    max(then_from, other_from),
-                )
-
-            out = _Node(
-                ite,
-                _union(tn.values, on.values),
-                cn.safe and tn.safe and on.safe,
-                None,
-                branches(tn.true_from, on.true_from),
-                branches(tn.false_from, on.false_from),
+            out = _conditional(
+                comp(e.cond, scope, context),
+                comp(e.then, scope, context),
+                comp(e.other, scope, context),
             )
         else:
-            out = _fail(f"cannot evaluate {type(e).__name__} nodes")
+            out = _fail(f"cannot evaluate {kind.__name__} nodes")
         self._memo[memo_key] = (e, out)
         return out
 
 
-def _application(head: str, sym: Symbol, args: list[_Node]) -> _Node:
-    """The node of `head` applied to compiled `args`: unchecked when
-    every key the arguments can form is a cell of `sym`, else checked."""
-    get = sym.table.get
-    fns = tuple(a.fn for a in args)
-    cells = [a.cell for a in args]
-    definite_from = max([sym.rank] + [a.definite_from for a in args])
-    keys = 1
-    for a in args:
-        keys *= len(a.values) if a.safe and a.values is not None else _MAX_CHECKED_KEYS + 1
-    safe = keys <= _MAX_CHECKED_KEYS and all(
-        k in sym.cells for k in itertools.product(*(a.values for a in args))
+def _negation(arg: _Node) -> _Node:
+    a = arg.fn
+
+    def not_():
+        v = a()
+        return None if v is None else not v
+
+    return _Node(not_, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+
+
+def _binary(e: Expr, ln: _Node, rn: _Node) -> _Node:
+    """And, Or, Implies, Eq or Cmp over compiled operands."""
+    left, right = ln.fn, rn.fn
+    safe = ln.safe and rn.safe
+    vals = _union(BOOLS, _union(ln.values, rn.values))
+    kind = type(e)
+    if kind is And:
+
+        def fn():
+            l = left()
+            if l is None:
+                r = right()
+                return None if r is None or r else r
+            return right() if l else l
+
+        true_from = max(ln.true_from, rn.true_from)
+        false_from = min(ln.false_from, rn.false_from)
+    elif kind is Or:
+
+        def fn():
+            l = left()
+            if l is None:
+                r = right()
+                return r if r else None
+            return l if l else right()
+
+        true_from = min(ln.true_from, rn.true_from)
+        false_from = max(ln.false_from, rn.false_from)
+    elif kind is Implies:
+
+        def fn():
+            l = left()
+            if l is None:
+                r = right()
+                return r if r else None
+            return right() if l else True
+
+        true_from = min(ln.false_from, rn.true_from)
+        false_from = max(ln.true_from, rn.false_from)
+    else:
+        op = operator.eq if kind is Eq else _CMP_OPS[e.op]
+        if kind is Cmp:
+            safe = safe and _orderable(ln.values, rn.values)
+
+        def fn():
+            l = left()
+            r = right()
+            return None if l is None or r is None else op(l, r)
+
+        vals = BOOLS
+        true_from = false_from = max(ln.definite_from, rn.definite_from)
+    return _Node(fn, vals, safe, None, true_from, false_from)
+
+
+def _conditional(cn: _Node, tn: _Node, on: _Node) -> _Node:
+    cond, then, other = cn.fn, tn.fn, on.fn
+
+    def ite():
+        c = cond()
+        if c is None:
+            t = then()
+            return t if t is not None and t == other() else None
+        return then() if c else other()
+
+    def branches(then_from: float, other_from: float) -> float:
+        return min(
+            max(cn.true_from, then_from),
+            max(cn.false_from, other_from),
+            max(then_from, other_from),
+        )
+
+    return _Node(
+        ite,
+        _union(tn.values, on.values),
+        cn.safe and tn.safe and on.safe,
+        None,
+        branches(tn.true_from, on.true_from),
+        branches(tn.false_from, on.false_from),
     )
+
+
+def _application(head: str, sym: Symbol, args: list[_Node], fits: dict) -> _Node:
+    """The node of `head` applied to compiled `args`: unchecked when
+    every key the arguments can form is a cell of `sym`, else checked.
+    `fits` memoizes that test by symbol and argument values."""
+    get = sym.table.get
+    fns = []
+    cells = []
+    values = []
+    definite_from = sym.rank
+    for a in args:
+        fns.append(a.fn)
+        cells.append(a.cell)
+        values.append(a.values if a.safe else None)
+        definite_from = max(definite_from, a.definite_from)
+    fns = tuple(fns)
+    key = (head, *values)
+    safe = fits.get(key)
+    if safe is None:
+        safe = fits[key] = None not in values and _fits(sym.cells, values)
     if not safe:
         partial = f"partial application of '{head}'"
         table, cellset = sym.table, sym.cells
@@ -656,10 +681,18 @@ def _application(head: str, sym: Symbol, args: list[_Node]) -> _Node:
 _first = operator.itemgetter(0)
 
 
-def _quantifier(forall: bool, values: tuple, cell: list, body: Callable[[], object]):
+def _fits(cells: frozenset, values: list[frozenset]) -> bool:
+    """Whether every key formed from `values` is one of `cells`."""
+    if math.prod(map(len, values)) > _MAX_CHECKED_KEYS:
+        return False
+    return all(k in cells for k in itertools.product(*values))
+
+
+def _quantifier(forall: bool, values: tuple, cell: list, body_node: _Node) -> _Node:
+    body = body_node.fn
     if forall:
 
-        def forall_():
+        def fn():
             unknown = False
             for v in values:
                 cell[0] = v
@@ -671,20 +704,20 @@ def _quantifier(forall: bool, values: tuple, cell: list, body: Callable[[], obje
                         return False
             return None if unknown else True
 
-        return forall_
+    else:
 
-    def exists():
-        unknown = False
-        for v in values:
-            cell[0] = v
-            r = body()
-            if r:
-                return True
-            if r is None:
-                unknown = True
-        return None if unknown else False
+        def fn():
+            unknown = False
+            for v in values:
+                cell[0] = v
+                r = body()
+                if r:
+                    return True
+                if r is None:
+                    unknown = True
+            return None if unknown else False
 
-    return exists
+    return _Node(fn, BOOLS, body_node.safe, None, body_node.true_from, body_node.false_from)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from normlog.models import (
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
-from normlog.syntax import And, Not, uncurry
+from normlog.syntax import And, ClassT, Exists, Forall, Not, uncurry
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -136,29 +136,24 @@ def test_compiled_closure_reads_the_tables_at_call_time():
         g()
 
 
+_S = ClassT("S")
+
+
 def test_shared_subterms_compile_once():
     compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
     shared = parse_expr("p y && not p (f y)")
-    a = parse_expr("forall y: S. p c")
-    b = parse_expr("exists y: S. p c")
-    a = type(a)(a.var, a.var_type, shared)
-    b = type(b)(b.var, b.var_type, shared)
-    compiler.compile(a)
+    compiler.compile(Forall("y", _S, shared))
     size = len(compiler._memo)
-    compiler.compile(b)
+    compiler.compile(Exists("y", _S, shared))
     # only the new binder is compiled: same variable, type and depth
     assert len(compiler._memo) == size + 1
 
 
 def test_a_shared_subterm_under_other_binders_reads_their_cells():
-    # `p y` under one binder at depth 0 and under another at depth 1.
+    # `p y` under a binder at depth 0 and under another at depth 1
     p_y = parse_expr("p y")
-    one = parse_expr("forall y: S. p c")
-    one = type(one)(one.var, one.var_type, p_y)
-    two = parse_expr("exists x: S. exists y: S. not p c && p x")
-    inner = two.body
-    inner = type(inner)(inner.var, inner.var_type, And(Not(p_y), inner.body.right))
-    two = type(two)(two.var, two.var_type, inner)
+    one = Forall("y", _S, p_y)
+    two = Exists("x", _S, Exists("y", _S, And(Not(p_y), parse_expr("p x"))))
     compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
     for e in (one, two, one):
         assert compiler.compile(e).fn() == eval_expr(e, _TABLES, _CARRIERS, ())
