@@ -14,12 +14,12 @@ in declaration order, each symbol's cells in order, values in codomain
 order, so models come out in the order of whole tables.  Every formula
 is compiled once per search into three-valued closures
 (`FormulaCompiler`), which read unset cells as unknown.  After each
-cell every formula mentioning its symbol is evaluated, and the search
-backtracks as soon as one is false; a formula is also staged at the
-last symbol it mentions, where it is evaluated in full.  A formula
-that may raise a ModelError takes part only at its stage, so errors
-are raised where a whole-table search raises them.  The budget counts
-cell assignments.
+cell every formula mentioning its symbol that can already be false is
+evaluated, and the search backtracks as soon as one is false; a
+formula is also staged at the last symbol it mentions, where it is
+evaluated in full.  A formula that may raise a ModelError takes part
+only at its stage, so errors are raised where a whole-table search
+raises them.  The budget counts cell assignments.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
