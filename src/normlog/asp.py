@@ -19,9 +19,10 @@ Legal models are checked directly against the defining conditions (see
 `axiom_violations`); they are deliberately NOT minimized, because
 non-minimal legal models are part of the semantics.  The conditions
 force the legal atoms once the valid rules are chosen, so
-`legal_models` enumerates validity sets.  The answer set encoding
-(`emit_asp`) computes a subset of them; `verify_lemma4` holds the two
-against each other.
+`legal_models` searches the validity bits depth first, cutting a
+branch as soon as a condition is false in three-valued logic.  The
+answer set encoding (`emit_asp`) computes a subset of them;
+`verify_lemma4` holds the two against each other.
 
 The stable-model search grounds schematic clauses semi-naively against
 the least model of the negation-free relaxation (every stable model is
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .syntax import NormlogError
@@ -115,7 +117,9 @@ class Config:
     modifiers: tuple = ()
     inconsistent: tuple = ()  # tuple of tuples of atoms
 
+    @cached_property
     def rule_map(self) -> dict:
+        """The rules by id, built once per configuration."""
         return {r.id: r for r in self.rules}
 
     def validate(self) -> None:
@@ -138,6 +142,10 @@ class Config:
                 )
 
     def is_ground(self) -> bool:
+        return self._ground
+
+    @cached_property
+    def _ground(self) -> bool:
         return not any(_term_vars(x) for x in self._all_atoms())
 
     def _all_atoms(self) -> Iterable[Atom]:
@@ -198,9 +206,9 @@ class _CfgParser:
                 toks.append(("ident", text[i:j], line, col))
                 col += j - i
                 i = j
-            elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+            elif c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 toks.append(("int", text[i:j], line, col))
                 col += j - i
@@ -462,7 +470,7 @@ def axiom_violations(cfg: Config, model: LegalModel) -> list[str]:
         raise ConfigError("legal models are only defined for ground configurations")
     legal = model.is_legal
     valid = model.legally_valid
-    rmap = cfg.rule_map()
+    rmap = cfg.rule_map
     out: list[str] = []
 
     for i, c in valid:
@@ -557,28 +565,187 @@ def _exclusion_justified(cfg: Config, legal, valid, r: DefRule, rmap: dict) -> b
     return False
 
 
+class _ValiditySearch:
+    """The validity bits of a ground configuration, partly assigned, and
+    the defining conditions of legal models as constraints over them.
+
+    Rule k (by position in ``cfg.rules``) has a bit: True, False, or
+    None while undecided.  An atom is legal (True) when it is a fact or
+    a rule decided valid concludes it, not legal (False) when it is no
+    fact and every rule concluding it is decided invalid, and unknown
+    (None) otherwise.  Both kinds of value live in `val`: rule k at
+    slot k, the atoms after the rules.
+
+    A constraint is a disjunction of terms, each term a conjunction of
+    literals ``(slot, wanted value)``.  In Kleene's three-valued logic
+    it is false when every term holds a literal decided against its
+    wanted value.  Deciding more bits never turns a false constraint
+    back, so a false one rules out every completion.  The constraints
+    are valid-rule-support, the three modifier exclusions (a
+    subject_to one per inconsistent set holding both conclusions) and
+    exclusion-justification; fact-legality and legality-support hold
+    by the way atoms get their values.  Once every bit is decided, no
+    constraint is false exactly when `axiom_violations` finds nothing.
+    """
+
+    def __init__(self, cfg: Config):
+        rules = cfg.rules
+        n = len(rules)
+        index = {r.id: k for k, r in enumerate(rules)}
+        slot: dict[Atom, int] = {}
+        for a in cfg._all_atoms():
+            slot.setdefault(a, n + len(slot))
+        self.head = [slot[r.head] for r in rules]
+        # per atom slot: the valid rules concluding it, plus one for a
+        # fact, and the undecided rules concluding it
+        self.backing = backing = [0] * (n + len(slot))
+        self.pending = pending = [0] * (n + len(slot))
+        for a in cfg.facts:
+            backing[slot[a]] = 1
+        for h in self.head:
+            pending[h] += 1
+        self.val: list = [None] * n + [
+            True if backing[h] else None if pending[h] else False for h in slot.values()
+        ]
+
+        # a rule's precondition holds: all its body literals as one term
+        holds = [tuple((slot[l.atom], l.positive) for l in r.body) for r in rules]
+
+        def fails(k: int) -> tuple:
+            """A rule's precondition fails: one term per body literal."""
+            return tuple(((i, not want),) for i, want in holds[k])
+
+        inconsistent_by_atom: dict[Atom, list] = {}
+        for k in cfg.inconsistent:
+            for a in dict.fromkeys(k):
+                inconsistent_by_atom.setdefault(a, []).append(k)
+
+        def clashes(dom: int, sub: int) -> list:
+            """For each inconsistent set holding both conclusions, the
+            slots of its members other than the subordinate conclusion:
+            when all are legal, the two rules clash."""
+            cd, cs = rules[dom].head, rules[sub].head
+            if cd == cs:
+                return []
+            return [
+                tuple(slot[a] for a in dict.fromkeys(k) if a != cs)
+                for k in inconsistent_by_atom.get(cd, ())
+                if cs in k
+            ]
+
+        # valid-rule-support
+        constraints = [(((k, False),), holds[k]) for k in range(n)]
+        excuses: list[list] = [[] for _ in rules]
+        for m in cfg.modifiers:
+            if m.kind == DESPITE:
+                sub, dom = index[m.first], index[m.second]
+                constraints.append((((sub, False),), *fails(dom)))
+                excuses[sub].append(holds[dom])
+            elif m.kind == STRONG_SUBJECT_TO:
+                dom, sub = index[m.first], index[m.second]
+                constraints.append((((dom, False),), ((sub, False),)))
+                excuses[sub].append(((dom, True),))
+            elif m.kind == SUBJECT_TO:
+                dom, sub = index[m.first], index[m.second]
+                for others in clashes(dom, sub):
+                    constraints.append(
+                        (((dom, False),), ((sub, False),), *(((a, False),) for a in others))
+                    )
+                    excuses[sub].append(((dom, True), *((a, True) for a in others)))
+        # exclusion-justification
+        for k in range(n):
+            constraints.append((*fails(k), ((k, True),), *excuses[k]))
+        self.constraints = constraints
+
+        watch: list[list] = [[] for _ in self.val]
+        for c in constraints:
+            for i in {i for term in c for i, _ in term}:
+                watch[i].append(c)
+        # deciding rule k settles its bit and perhaps its conclusion
+        self.watch = [
+            list({id(c): c for c in watch[k] + watch[self.head[k]]}.values())
+            for k in range(n)
+        ]
+
+    def _settle(self, h: int) -> None:
+        self.val[h] = True if self.backing[h] else None if self.pending[h] else False
+
+    def assign(self, k: int, value: bool) -> None:
+        h = self.head[k]
+        self.val[k] = value
+        self.pending[h] -= 1
+        self.backing[h] += value
+        self._settle(h)
+
+    def unassign(self, k: int) -> None:
+        h = self.head[k]
+        self.backing[h] -= self.val[k]
+        self.pending[h] += 1
+        self.val[k] = None
+        self._settle(h)
+
+    def falsified(self, constraint: tuple) -> bool:
+        val = self.val
+        for term in constraint:
+            for i, want in term:
+                v = val[i]
+                if v is not None and v is not want:
+                    break
+            else:
+                return False
+        return True
+
+    def refuted(self, k: int) -> bool:
+        """Whether a constraint that rule k's decision touches is false."""
+        return any(map(self.falsified, self.watch[k]))
+
+
 def legal_models(cfg: Config, cap_bits: int = 20) -> list[LegalModel]:
     """All legal models.  Fact-legality, valid-rule-support and
     legality-support force ``is_legal`` to be the facts plus the
-    conclusions of the valid rules, so the candidates are the validity
-    sets, 2^rules of them, each with the legal atoms it forces; every
-    candidate is checked against all the conditions by
-    `axiom_violations`.  `cap_bits` bounds the number of rules."""
+    conclusions of the valid rules, so a model is a set of valid rules.
+    The validity bits are decided depth first in rule order, False
+    before True, with chronological backtracking; after each decision
+    the constraints it touches are evaluated three-valued
+    (`_ValiditySearch`) and the branch is cut as soon as one is false.
+    Every complete assignment is checked against all the conditions by
+    `axiom_violations`.  `cap_bits` bounds the search nodes (bits
+    assigned, cut ones included) at 2^cap_bits."""
     if not cfg.is_ground():
         raise ConfigError("legal models are only defined for ground configurations")
-    pairs = [(r.id, r.head) for r in cfg.rules]
-    if len(pairs) > cap_bits:
-        raise ResourceCapError(
-            f"legal model search needs 2^{len(pairs)} candidates, cap is 2^{cap_bits}"
-        )
-
+    rules = cfg.rules
+    n = len(rules)
+    # the search has fewer than 2^(n+1) nodes
+    limit = 1 << min(cap_bits, n + 1)
+    search = _ValiditySearch(cfg)
     facts = frozenset(cfg.facts)
     out = []
-    for mask in range(1 << len(pairs)):
-        valid = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        model = LegalModel(facts.union(c for _, c in valid), valid)
-        if not axiom_violations(cfg, model):
-            out.append(model)
+    nodes = 0
+    tried = [0] * n  # values tried for each rule's bit so far
+    k = 0
+    while k >= 0:
+        if k == n:
+            valid = frozenset((r.id, r.head) for r, v in zip(rules, search.val) if v)
+            model = LegalModel(facts.union(c for _, c in valid), valid)
+            if not axiom_violations(cfg, model):
+                out.append(model)
+            k -= 1
+            continue
+        if search.val[k] is not None:
+            search.unassign(k)
+        if tried[k] == 2:
+            tried[k] = 0
+            k -= 1
+            continue
+        nodes += 1
+        if nodes > limit:
+            raise ResourceCapError(
+                f"legal model search exceeded 2^{cap_bits} nodes with {k} of {n} rules decided"
+            )
+        search.assign(k, tried[k] == 1)
+        tried[k] += 1
+        if not search.refuted(k):
+            k += 1
     out.sort(key=LegalModel.key)
     return out
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .syntax import ClassT, IntT, BoolT, NormlogError, RuleModule, atom_parts, uncurry
+from .syntax import ClassT, IntT, BoolT, NormlogError, RuleModule, uncurry
 from .typecheck import Env, elaborate, typecheck_module
 from .transform import (
     RULENAME_CLASS_PREFIX,

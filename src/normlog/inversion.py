@@ -18,10 +18,9 @@ at the bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .syntax import (
-    BOOL,
     TRUE,
     And,
     App,
@@ -46,7 +45,6 @@ from .syntax import (
     atom_parts,
     conj,
     fresh_name,
-    free_vars,
     substitute,
     uncurry,
 )

@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
-    BOOL,
     ROOT_CLASS,
     TRUE,
     VALID,
@@ -53,7 +52,6 @@ from .syntax import (
     Expr,
     FieldAccess,
     FloatLit,
-    FloatT,
     Forall,
     FunDecl,
     FunT,
@@ -69,7 +67,6 @@ from .syntax import (
     Rule,
     RuleModule,
     StringLit,
-    StrT,
     TupleT,
     Var,
     atom_parts,

@@ -161,15 +161,15 @@ def tokenize(text: str) -> list[Token]:
             kind = "kw" if word in KEYWORDS else "ident"
             toks.append(Token(kind, word, loc))
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1 if c == "-" else i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             is_float = False
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+            if j + 1 < n and text[j] == "." and text[j + 1].isdecimal():
                 is_float = True
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             word = text[i:j]
             advance(j - i)

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .syntax import (
     BOOL,
     ROOT_CLASS,
-    TRUE,
     And,
     App,
     ClassDecl,

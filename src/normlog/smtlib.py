@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .syntax import (
     VALID,
@@ -44,7 +44,6 @@ from .syntax import (
     FloatLit,
     FloatT,
     Forall,
-    FunT,
     IfThenElse,
     Implies,
     IntLit,

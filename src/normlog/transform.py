@@ -24,11 +24,10 @@ their model classes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .syntax import (
-    BOOL,
     ROOT_CLASS,
     TRUE,
     And,
@@ -68,7 +67,6 @@ from .syntax import (
     conjuncts,
     free_vars,
     fresh_name,
-    print_expr,
     substitute,
     uncurry,
 )

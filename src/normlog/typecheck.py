@@ -32,7 +32,6 @@ from .syntax import (
     ROOT_CLASS,
     And,
     App,
-    Assertion,
     BoolLit,
     BoolT,
     ClassDecl,

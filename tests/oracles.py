@@ -265,6 +265,23 @@ def sweep_legal_models(cfg):
     return sorted(found, key=LegalModel.key)
 
 
+def validity_sweep_legal_models(cfg):
+    """Every legal model of a ground configuration by the validity-set
+    sweep: each of the 2^rules sets of valid rules, with the facts and
+    their conclusions as the legal atoms, kept when `axiom_violations`
+    finds nothing.  Sorted as `legal_models` sorts."""
+    pairs = [(r.id, r.head) for r in cfg.rules]
+    assert len(pairs) <= 16, "oracle is exponential in the rules"
+    facts = frozenset(cfg.facts)
+    found = []
+    for valid_bits in product((False, True), repeat=len(pairs)):
+        valid = frozenset(p for p, b in zip(pairs, valid_bits) if b)
+        model = LegalModel(facts.union(c for _, c in valid), valid)
+        if not axiom_violations(cfg, model):
+            found.append(model)
+    return sorted(found, key=LegalModel.key)
+
+
 def _vars(t):
     if isinstance(t, TVar):
         return {t.name}

@@ -1,10 +1,13 @@
 """Defeasible rule configurations: parsing, grounding, and the legal
 models checked directly against their defining conditions."""
 
+import itertools
 import pathlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from normlog.asp import (
     Atom,
@@ -15,6 +18,7 @@ from normlog.asp import (
     Literal,
     Modifier,
     TVar,
+    _ValiditySearch,
     axiom_violations,
     config_constants,
     emit_asp,
@@ -28,7 +32,7 @@ from normlog.parser import MAX_NESTING
 from normlog.randgen import random_config
 
 from conftest import CASES
-from oracles import sweep_legal_models
+from oracles import sweep_legal_models, validity_sweep_legal_models
 
 
 def cfg_file(name: str) -> Config:
@@ -417,11 +421,12 @@ def test_self_despite_leaves_the_empty_model():
 
 
 def test_legal_models_cap():
-    # One candidate per validity set: the cap counts rules.
-    cfg = parse_config("\n".join(f"rule {i}: a{i}." for i in range(25)))
+    # Self-supporting rules: every validity set is a legal model, so the
+    # search branches at each rule and the cap counts its nodes.
+    cfg = parse_config("\n".join(f"rule {i}: c{i} <- c{i}." for i in range(25)))
     with pytest.raises(ResourceCapError) as exc:
         legal_models(cfg, cap_bits=10)
-    assert str(exc.value) == "legal model search needs 2^25 candidates, cap is 2^10"
+    assert str(exc.value) == "legal model search exceeded 2^10 nodes with 22 of 25 rules decided"
 
 
 def test_facts_cost_no_candidates():
@@ -433,18 +438,76 @@ def test_facts_cost_no_candidates():
 def test_legal_models_match_the_full_sweep_on_random_configs():
     rng = random.Random(1986)
     found = 0
-    for _ in range(250):
+    for i in range(3000):
         cfg = random_config(rng)
         models = legal_models(cfg)
-        assert models == sweep_legal_models(cfg), cfg
-        found += len(models)
+        assert models == validity_sweep_legal_models(cfg), cfg
+        if i < 250:
+            assert models == sweep_legal_models(cfg), cfg
+            found += len(models)
     assert found > 100
 
 
 @pytest.mark.parametrize("path", sorted(CASES.glob("*.cfg")), ids=lambda p: p.stem)
 def test_legal_models_match_the_full_sweep_on_cases(path):
     cfg = parse_config(path.read_text())
-    assert legal_models(cfg) == sweep_legal_models(cfg)
+    assert legal_models(cfg) == validity_sweep_legal_models(cfg) == sweep_legal_models(cfg)
+
+
+def test_constraints_are_the_axioms_on_complete_assignments():
+    # Once every validity bit is decided, some constraint is false
+    # exactly when the validity set breaks a defining condition.
+    rng = random.Random(1995)
+    for _ in range(300):
+        cfg = random_config(rng)
+        search = _ValiditySearch(cfg)
+        facts = frozenset(cfg.facts)
+        for bits in itertools.product((False, True), repeat=len(cfg.rules)):
+            for k, b in enumerate(bits):
+                search.assign(k, b)
+            valid = frozenset((r.id, r.head) for r, b in zip(cfg.rules, bits) if b)
+            model = LegalModel(facts.union(c for _, c in valid), valid)
+            refuted = any(search.falsified(c) for c in search.constraints)
+            assert refuted == bool(axiom_violations(cfg, model)), (cfg, bits)
+            for k in range(len(cfg.rules)):
+                search.unassign(k)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_no_constraint_is_false_on_the_way_to_a_legal_model(seed, data):
+    # Pruning is sound: a partial assignment that some legal model
+    # extends leaves every constraint true or unknown.
+    cfg = random_config(random.Random(seed))
+    models = legal_models(cfg)
+    assume(models)
+    model = data.draw(st.sampled_from(models))
+    decided = data.draw(st.sets(st.sampled_from(range(len(cfg.rules)))))
+    search = _ValiditySearch(cfg)
+    for k in sorted(decided):
+        r = cfg.rules[k]
+        search.assign(k, (r.id, r.head) in model.legally_valid)
+    assert not any(search.falsified(c) for c in search.constraints)
+
+
+def pairwise_chain(n):
+    """Rules c_i <- a; rule 2k-1 prevails over rule 2k, whose
+    conclusions clash.  The one legal model holds the odd-numbered
+    rules valid."""
+    lines = ["fact: a."]
+    lines += [f"rule {i}: c{i} <- a." for i in range(1, n + 1)]
+    for i in range(1, n, 2):
+        lines.append(f"modifier: subject_to({i}, {i + 1}).")
+        lines.append(f"inconsistent: {{c{i}, c{i + 1}}}.")
+    return parse_config("\n".join(lines))
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_pairwise_chain_under_the_default_cap(n):
+    (m,) = legal_models(pairwise_chain(n))
+    odd = range(1, n + 1, 2)
+    assert m.legally_valid == {(i, A(f"c{i}")) for i in odd}
+    assert m.is_legal == {A("a"), *(A(f"c{i}") for i in odd)}
 
 
 def test_legal_models_deterministic():

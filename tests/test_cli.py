@@ -92,6 +92,42 @@ def test_non_utf8_configuration_is_bad_input(tmp_path):
     assert err.startswith(f"error: {bad}: not valid UTF-8:")
 
 
+_DIGIT_RULE = "class S\ndecl P : S -> Boolean\nrule <r> for x: S if P x && 3 > {} then P x\n"
+
+
+def test_superscript_digit_in_a_module_is_bad_input(tmp_path):
+    # '\u00b2' is a digit to str.isdigit but not to int().
+    bad = tmp_path / "sup.l4"
+    bad.write_text(_DIGIT_RULE.format("\u00b2"), encoding="utf-8")
+    rc, out, err = run_cli("parse", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == "error: 3:33: unexpected character '\u00b2'\n"
+
+
+def test_decimal_digits_of_other_scripts_stay_integers(tmp_path):
+    good = tmp_path / "arabic.l4"
+    good.write_text(_DIGIT_RULE.format("\u0663"), encoding="utf-8")
+    rc, out, err = run_cli("parse", str(good))
+    assert rc == 0, err
+    assert "if P x && 3 > 3\n" in out
+
+
+def test_superscript_digit_in_a_configuration_is_bad_input(tmp_path):
+    bad = tmp_path / "sup.cfg"
+    bad.write_text("rule \u00b2: a.\n", encoding="utf-8")
+    rc, out, err = run_cli("legal-models", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == "error: 1:6: unexpected character '\u00b2'\n"
+
+
+def test_decimal_digits_of_other_scripts_number_rules(tmp_path):
+    good = tmp_path / "arabic.cfg"
+    good.write_text("rule \u0663: a.\n", encoding="utf-8")
+    rc, out, err = run_cli("legal-models", str(good))
+    assert rc == 0, err
+    assert out == "1 legal model(s)\nmodel 1: is_legal {a} legally_valid {(3, a)}\n"
+
+
 _NESTED = """class S
 decl p : S -> Boolean
 decl q : S -> Boolean
@@ -516,7 +552,7 @@ def test_legal_models_json():
 def test_legal_models_cap_is_exit_3():
     rc, out, err = run_cli("legal-models", "cases/bob.cfg", "--cap-bits", "3")
     assert rc == 3
-    assert err == "resource cap: legal model search needs 2^4 candidates, cap is 2^3\n"
+    assert err == "resource cap: legal model search exceeded 2^3 nodes with 1 of 4 rules decided\n"
 
 
 def test_legal_models_rejects_negative_cap_bits():

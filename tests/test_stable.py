@@ -30,7 +30,12 @@ from normlog.models import ResourceCapError
 from normlog.randgen import random_config
 
 from conftest import CASES
-from oracles import brute_stable_models, reference_ground_program
+from oracles import (
+    brute_stable_models,
+    reference_ground_program,
+    sweep_legal_models,
+    validity_sweep_legal_models,
+)
 from test_asp import cfg_file
 
 
@@ -150,6 +155,23 @@ def test_grounding_matches_naive_on_grounded_schematic_configs():
             continue
         prog = emit_asp(cfg)
         assert _ground_program(prog) == reference_ground_program(prog)
+        tried += 1
+    assert tried >= 200
+
+
+def test_legal_models_match_the_sweeps_on_grounded_schematic_configs():
+    rng = random.Random(1978)
+    tried = 0
+    for _ in range(300):
+        try:
+            cfg = random_schematic_config(rng)
+        except ConfigError:  # an inconsistent set of one atom
+            continue
+        models = legal_models(cfg)
+        assert models == validity_sweep_legal_models(cfg), cfg
+        atoms = set(cfg.facts) | {r.head for r in cfg.rules}
+        if len(atoms) + len(cfg.rules) <= 10:
+            assert models == sweep_legal_models(cfg), cfg
         tried += 1
     assert tried >= 200
 
