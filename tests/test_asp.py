@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from normlog import asp
 from normlog.asp import (
     Atom,
     Config,
@@ -471,6 +472,23 @@ def test_constraints_are_the_axioms_on_complete_assignments():
             assert refuted == bool(axiom_violations(cfg, model)), (cfg, bits)
             for k in range(len(cfg.rules)):
                 search.unassign(k)
+
+
+def test_every_complete_assignment_reached_is_a_legal_model(monkeypatch):
+    # The watch lists miss no constraint: the search never reaches a
+    # complete assignment that the final check then throws away.
+    checked = []
+
+    def recording(cfg, model):
+        out = axiom_violations(cfg, model)
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(asp, "axiom_violations", recording)
+    rng = random.Random(2002)
+    for _ in range(500):
+        legal_models(random_config(rng))
+    assert checked and not any(checked)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
