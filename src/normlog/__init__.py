@@ -38,6 +38,7 @@ from .models import (
     FormulaSet,
     Interpretation,
     ModelError,
+    ModelProblem,
     ResourceCapError,
     check_assertion,
     enumerate_models,

@@ -122,6 +122,31 @@ class Config:
         """The rules by id, built once per configuration."""
         return {r.id: r for r in self.rules}
 
+    @cached_property
+    def fact_set(self) -> frozenset:
+        """The facts as a set, built once per configuration."""
+        return frozenset(self.facts)
+
+    @cached_property
+    def excluders(self) -> dict:
+        """The modifiers that can exclude a rule, by its id, in
+        configuration order: despite by its first rule, the two
+        subjections by their second."""
+        out: dict = {}
+        for m in self.modifiers:
+            out.setdefault(m.first if m.kind == DESPITE else m.second, []).append(m)
+        return out
+
+    @cached_property
+    def inconsistent_by_atom(self) -> dict:
+        """The inconsistent sets holding an atom, by atom, in
+        configuration order."""
+        out: dict = {}
+        for k in self.inconsistent:
+            for a in dict.fromkeys(k):
+                out.setdefault(a, []).append(k)
+        return out
+
     def validate(self) -> None:
         seen = set()
         for r in self.rules:
@@ -496,8 +521,9 @@ def axiom_violations(cfg: Config, model: LegalModel) -> list[str]:
 
     # every legal atom is a fact or the conclusion of a valid rule
     concluded = {c for _, c in valid}
+    facts = cfg.fact_set
     for a in legal:
-        if a not in cfg.facts and a not in concluded:
+        if a not in facts and a not in concluded:
             out.append(f"legality-support: {a} is legal but unsupported")
 
     # modifier exclusions
@@ -541,22 +567,22 @@ def _conflict_applies(cfg: Config, legal: frozenset, dom: int, sub: int, rmap: d
     cd, cs = rmap[dom].head, rmap[sub].head
     if cd == cs:
         return False
-    for k in cfg.inconsistent:
-        if cd in k and cs in k and all(a in legal for a in k if a != cs):
+    for k in cfg.inconsistent_by_atom.get(cd, ()):
+        if cs in k and all(a in legal for a in k if a != cs):
             return True
     return False
 
 
 def _exclusion_justified(cfg: Config, legal, valid, r: DefRule, rmap: dict) -> bool:
-    for m in cfg.modifiers:
-        if m.kind == DESPITE and m.first == r.id:
+    for m in cfg.excluders.get(r.id, ()):
+        if m.kind == DESPITE:
             if _precond_satisfied(rmap[m.second], legal):
                 return True
-        elif m.kind == STRONG_SUBJECT_TO and m.second == r.id:
+        elif m.kind == STRONG_SUBJECT_TO:
             dom = m.first
             if (dom, rmap[dom].head) in valid:
                 return True
-        elif m.kind == SUBJECT_TO and m.second == r.id:
+        elif m.kind == SUBJECT_TO:
             dom = m.first
             if (dom, rmap[dom].head) in valid and _conflict_applies(
                 cfg, legal, dom, r.id, rmap
@@ -718,7 +744,7 @@ def legal_models(cfg: Config, cap_bits: int = 20) -> list[LegalModel]:
     # the search has fewer than 2^(n+1) nodes
     limit = 1 << min(cap_bits, n + 1)
     search = _ValiditySearch(cfg)
-    facts = frozenset(cfg.facts)
+    facts = cfg.fact_set
     out = []
     nodes = 0
     tried = [0] * n  # values tried for each rule's bit so far

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .syntax import ClassT, IntT, BoolT, NormlogError, RuleModule, uncurry
+from .syntax import ClassT, IntT, BoolT, RuleModule, uncurry
 from .typecheck import Env, elaborate, typecheck_module
 from .transform import (
     RULENAME_CLASS_PREFIX,
@@ -34,18 +34,15 @@ from .transform import (
 from .inversion import NormalizedRule, normalize_rule, rules_concluding
 from .models import (
     Compiled,
+    CorrespondenceError,
     FormulaCompiler,
     FormulaSet,
     Interpretation,
     ModelError,
-    Symbol,
+    ModelProblem,
     enumerate_models,
     rules_to_formulas,
 )
-
-
-class CorrespondenceError(NormlogError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -139,44 +136,26 @@ def _base_domain(t, carriers: dict[str, tuple[str, ...]], ints: Sequence[int]):
     raise ModelError(f"unsupported argument type '{t}' in transfer")
 
 
-class _Reader:
-    """Expressions evaluated on a run of interpretations with the same
-    carriers and tables' cells, as the models of one search have: each
-    is compiled once, against tables that `load` refills in place."""
-
-    def __init__(self) -> None:
-        self.tables: dict[str, dict[tuple, object]] = {}
-        self.compiler: Optional[FormulaCompiler] = None
-        self.compiled: dict[object, Compiled] = {}
-
-    def load(self, interp: Interpretation) -> None:
-        if self.compiler is None:
-            self.tables = {name: {} for name in interp.tables}
-            symbols = {
-                name: Symbol(self.tables[name], frozenset(t), None)
-                for name, t in interp.tables.items()
-            }
-            self.compiler = FormulaCompiler(symbols, interp.carriers, interp.ints)
-        for name, table in self.tables.items():
-            table.clear()
-            table.update(interp.tables[name])
-
-    def get(self, key: object, e, params: Sequence[str] = ()) -> Compiled:
-        c = self.compiled.get(key)
-        if c is None:
-            c = self.compiled[key] = self.compiler.compile(e, params)
-        return c
+def final_preconditions(pair: CorrespondencePair, compiler: FormulaCompiler) -> dict[str, Compiled]:
+    """The final precondition of every rule concluding a lifted
+    predicate, by rule name, compiled once by `compiler` (that of the
+    precondition-route problem) over the rule's leading parameters."""
+    out: dict[str, Compiled] = {}
+    for cls, _, arg_types in pair.lifted.values():
+        for rn in pair.constants[cls]:
+            nr = pair.normalized[rn]
+            params = [p[0] for p in nr.params[: len(arg_types)]]
+            out[rn] = compiler.compile(nr.precond, params)
+    return out
 
 
 def to_deriv(
-    pair: CorrespondencePair, mp: Interpretation, reader: Optional[_Reader] = None
+    pair: CorrespondencePair, mp: Interpretation, preconds: dict[str, Compiled]
 ) -> Interpretation:
     """Image of a precondition-route model on the derivability side.
-    A `reader` kept over the models of one search compiles each final
-    precondition once."""
-    if reader is None:
-        reader = _Reader()
-    reader.load(mp)
+    `preconds` come from `final_preconditions` and are evaluated against
+    the tables of their problem, which must hold `mp`: its search is
+    suspended at `mp`."""
     carriers = dict(mp.carriers)
     for cls, consts in pair.constants.items():
         carriers[cls] = consts
@@ -200,11 +179,8 @@ def to_deriv(
             ]
             table: dict[tuple, object] = {}
             for cell in itertools.product(*doms):
-                rn, args = cell[0], cell[1:]
-                nr = pair.normalized[rn]
-                params = [p[0] for p in nr.params[: len(args)]]
-                precond = reader.get(rn, nr.precond, params)
-                for param, v in zip(precond.params, args):
+                precond = preconds[cell[0]]
+                for param, v in zip(precond.params, cell[1:]):
                     param[0] = v
                 table[cell] = bool(precond.fn())
             tables[d.name] = table
@@ -241,23 +217,6 @@ def to_precond(pair: CorrespondencePair, md: Interpretation) -> Interpretation:
     return Interpretation(carriers=carriers, ints=md.ints, tables=tables)
 
 
-def _check_against(
-    fs: FormulaSet,
-    interp: Interpretation,
-    direction: str,
-    out: list[Violation],
-    cap: int,
-    reader: Optional[_Reader] = None,
-) -> None:
-    if reader is None:
-        reader = _Reader()
-    reader.load(interp)
-    for i, (name, expr) in enumerate(fs.formulas):
-        if not reader.get(i, expr).fn():
-            if len(out) < cap:
-                out.append(Violation(direction, name, interp.to_json()))
-
-
 def check_model_correspondence(
     m: RuleModule,
     sizes: dict[str, int],
@@ -266,24 +225,29 @@ def check_model_correspondence(
     violation_cap: int = 20,
 ) -> CorrespondenceReport:
     """Enumerate all models of both compiled forms and verify each
-    transfers to a model of the other side."""
+    transfers to a model of the other side.  Each route is compiled
+    once, and that one problem serves its search, the transfer out of
+    its models and the check of the other route's images; the images of
+    one route are checked while no search of the other is suspended."""
     pair = build_correspondence(m)
+    precond = ModelProblem(pair.fs_precond, sizes, ints)
+    deriv = ModelProblem(pair.fs_deriv, sizes, ints)
+    preconds = final_preconditions(pair, precond.compiler)
     violations: list[Violation] = []
 
+    def check(problem: ModelProblem, image: Interpretation, direction: str) -> None:
+        for name in problem.false_formulas(image):
+            if len(violations) < violation_cap:
+                violations.append(Violation(direction, name, image.to_json()))
+
     checked_p = 0
-    precond_models, deriv_images = _Reader(), _Reader()
-    for mp in enumerate_models(pair.fs_precond, sizes, ints, node_budget):
+    for mp in enumerate_models(precond, node_budget=node_budget):
         checked_p += 1
-        md = to_deriv(pair, mp, precond_models)
-        _check_against(pair.fs_deriv, md, "precond->deriv", violations, violation_cap, deriv_images)
+        check(deriv, to_deriv(pair, mp, preconds), "precond->deriv")
 
     checked_d = 0
-    precond_images = _Reader()
-    for md in enumerate_models(pair.fs_deriv, sizes, ints, node_budget):
+    for md in enumerate_models(deriv, node_budget=node_budget):
         checked_d += 1
-        mp = to_precond(pair, md)
-        _check_against(
-            pair.fs_precond, mp, "deriv->precond", violations, violation_cap, precond_images
-        )
+        check(precond, to_precond(pair, md), "deriv->precond")
 
     return CorrespondenceReport(checked_p, checked_d, tuple(violations))

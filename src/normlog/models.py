@@ -34,6 +34,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
@@ -721,153 +722,233 @@ def _quantifier(forall: bool, values: tuple, cell: list, body_node: _Node) -> _N
 # enumeration
 
 
+class CorrespondenceError(NormlogError):
+    """An interpretation does not fit the problem it is checked against,
+    or the two compiled forms of a module do not line up."""
+
+
+class ModelProblem:
+    """One formula set compiled for fixed carriers and integer values.
+
+    It owns the carriers, a table per symbol (pinned tables filled, free
+    ones filled by the search or by `false_formulas`) and the formulas,
+    compiled against those tables once, by the first search or check,
+    and staged for the search.  Only one thing uses the tables at a
+    time: a search, while it runs or is suspended at a model, or a
+    check; `compiler` compiles more against the same tables.  Sorts
+    take their size from `sizes` (or their fixed carrier); Integer
+    ranges over `ints` exactly.  Bad sizes raise at construction."""
+
+    def __init__(self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = ()) -> None:
+        fixed = fs.fixed_map()
+        carriers: dict[str, tuple[str, ...]] = {}
+        for s in fs.sorts:
+            if s in fixed:
+                carriers[s] = fixed[s]
+                continue
+            if s not in sizes:
+                raise ModelError(f"no carrier size given for sort '{s}'")
+            n = sizes[s]
+            if n < 1:
+                raise ModelError(f"carrier size for sort '{s}' must be at least 1")
+            carriers[s] = tuple(f"{s.lower()}{i}" for i in range(n))
+
+        int_values = tuple(dict.fromkeys(ints))
+
+        def domain(t: LType) -> tuple:
+            if isinstance(t, ClassT):
+                if t.name in carriers:
+                    return carriers[t.name]
+                raise ModelError(f"type '{t.name}' has no carrier")
+            if isinstance(t, BoolT):
+                return (False, True)
+            if isinstance(t, IntT):
+                if not int_values:
+                    raise ModelError(f"Integer symbol but no integer values were given")
+                return int_values
+            raise ModelError(f"the enumerator does not support type '{t}'")
+
+        symbols: dict[str, Symbol] = {}
+        pinned: list[str] = []
+        free: list[tuple[str, tuple[tuple, ...], tuple]] = []
+        for d in fs.decls:
+            args, cod = uncurry(d.type)
+            if d.name in fs.char_true:
+                table = {(v,): True for v in domain(args[0])}
+            elif (
+                not args
+                and isinstance(cod, ClassT)
+                and cod.name in fixed
+                and d.name in fixed[cod.name]
+            ):
+                table = {(): d.name}
+            else:
+                arg_domains = [domain(a) for a in args]
+                cells = tuple(itertools.product(*arg_domains))
+                values = domain(cod)
+                symbols[d.name] = Symbol({}, frozenset(cells), frozenset(values), len(free))
+                free.append((d.name, cells, values))
+                continue
+            pinned.append(d.name)
+            symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()))
+
+        self.carriers = carriers
+        self.ints = int_values
+        self.symbols = symbols
+        self.compiler = FormulaCompiler(symbols, carriers, int_values)
+        self._fs = fs
+        self._names = pinned + [name for name, _, _ in free]
+        self._free = free
+
+    @cached_property
+    def _stages(self) -> tuple[list, list, list]:
+        """The formulas compiled and staged, on first use: each
+        formula's name and closure in formula order, the closures of
+        the formulas that mention no free symbol, and the search's list
+        of (table, cell, values, closures evaluated once it is set)."""
+        # A formula is staged at the last free symbol it mentions: it is
+        # evaluated once that symbol's last cell is set, in formula order.
+        # A safe formula is also evaluated after each cell of every free
+        # symbol it mentions, and prunes as soon as it is false; it is left
+        # out where it cannot be false yet (`false_from`).  A formula that
+        # may raise is evaluated at its stage only, and no formula after it
+        # in stage order prunes before that stage is complete, so an error
+        # is raised at the same assignment as by a search of whole tables.
+        index = {name: k for k, (name, _, _) in enumerate(self._free)}
+        names_memo: dict = {}
+        staged: list[tuple[int, set[int], Compiled]] = []
+        for _, expr in self._fs.formulas:
+            refs = {index[n] for n in free_vars(expr, names_memo) if n in index}
+            staged.append((max(refs, default=-1), refs, self.compiler.compile(expr)))
+        prune_after: list[int] = [0] * len(staged)
+        last_unsafe = -2
+        for i in sorted(range(len(staged)), key=lambda i: staged[i][0]):
+            prune_after[i] = last_unsafe
+            if not staged[i][2].safe:
+                last_unsafe = staged[i][0]
+
+        flat: list[tuple[dict, tuple, tuple, list]] = []
+        for k, (name, cells, values) in enumerate(self._free):
+            early = [
+                (stage, c.fn)
+                for (stage, refs, c), after in zip(staged, prune_after)
+                if c.safe and k in refs and after < k and c.false_from <= k
+            ]
+            complete = [
+                c.fn for stage, _, c in staged if stage == k and (not c.safe or c.false_from <= k)
+            ] + [fn for stage, fn in early if stage != k]
+            early_fns = [fn for _, fn in early]
+            table = self.symbols[name].table
+            for i, cell in enumerate(cells):
+                flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
+
+        formulas = [(name, c.fn) for (name, _), (_, _, c) in zip(self._fs.formulas, staged)]
+        initial = [c.fn for stage, _, c in staged if stage == -1]
+        return formulas, initial, flat
+
+    def _model(self) -> Interpretation:
+        return Interpretation(
+            carriers=dict(self.carriers),
+            ints=self.ints,
+            tables={n: dict(self.symbols[n].table) for n in self._names},
+        )
+
+    def models(self, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Interpretation]:
+        """All models, in a deterministic order.  While suspended at a
+        model the tables hold it.  Raises ResourceCapError when the
+        number of cell assignments exceeds the budget."""
+        _, initial, flat = self._stages
+        for name, _, _ in self._free:
+            self.symbols[name].table.clear()
+        for fn in initial:
+            if not fn():
+                return
+        if not flat:
+            yield self._model()
+            return
+
+        # Depth-first over the cells in order, values in codomain order, so
+        # the models come out in the order itertools.product gives whole
+        # tables.  Cells are inserted in order and deleted on backtracking,
+        # so every table keeps its cells in order.
+        budget = node_budget
+        last = len(flat) - 1
+        tried = [0] * len(flat)
+        d = 0
+        while True:
+            table, cell, values, checks = flat[d]
+            i = tried[d]
+            if i == len(values):
+                del table[cell]
+                tried[d] = 0
+                if d == 0:
+                    return
+                d -= 1
+                continue
+            tried[d] = i + 1
+            budget -= 1
+            if budget < 0:
+                raise ResourceCapError(f"model search exceeded {node_budget} cell assignments")
+            table[cell] = values[i]
+            for check in checks:
+                r = check()
+                if not r and r is not None:
+                    break
+            else:
+                if d == last:
+                    yield self._model()
+                else:
+                    d += 1
+
+    def false_formulas(self, interp: Interpretation) -> list[str]:
+        """Load the complete interpretation `interp` into the tables and
+        return the names of the formulas it makes false, in formula
+        order.  Raises CorrespondenceError, before loading, if `interp`
+        does not fit the problem: other carriers or integer values,
+        other symbols, other cells of a free symbol, another pinned
+        table, or a value outside a symbol's range."""
+        misfit = self._misfit(interp)
+        if misfit is not None:
+            raise CorrespondenceError(misfit)
+        formulas, _, _ = self._stages
+        for name, _, _ in self._free:
+            table = self.symbols[name].table
+            table.clear()
+            table.update(interp.tables[name])
+        return [name for name, fn in formulas if not fn()]
+
+    def _misfit(self, interp: Interpretation) -> Optional[str]:
+        if interp.carriers != self.carriers:
+            return f"carriers {interp.carriers} differ from the problem's {self.carriers}"
+        if interp.ints != self.ints:
+            return f"integer values {interp.ints} differ from the problem's {self.ints}"
+        if interp.tables.keys() != self.symbols.keys():
+            return f"symbols {sorted(interp.tables)} differ from the problem's {sorted(self.symbols)}"
+        for name, sym in self.symbols.items():
+            table = interp.tables[name]
+            if sym.rank < 0:
+                if table != sym.table:
+                    return f"table of '{name}' differs from the problem's fixed table"
+            elif table.keys() != sym.cells:
+                return f"cells of '{name}' differ from the problem's"
+            elif not sym.values.issuperset(table.values()):
+                return f"table of '{name}' holds a value outside its range"
+        return None
+
+
 def enumerate_models(
-    fs: FormulaSet,
-    sizes: dict[str, int],
+    fs: FormulaSet | ModelProblem,
+    sizes: Optional[dict[str, int]] = None,
     ints: Sequence[int] = (),
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Interpretation]:
-    """All interpretations of the formula set, in a deterministic
-    order.  Sorts take their size from `sizes` (or their fixed carrier);
-    Integer ranges over `ints` exactly.  Raises ResourceCapError when
-    the number of cell assignments exceeds the budget."""
-    fixed = fs.fixed_map()
-    carriers: dict[str, tuple[str, ...]] = {}
-    for s in fs.sorts:
-        if s in fixed:
-            carriers[s] = fixed[s]
-            continue
-        if s not in sizes:
-            raise ModelError(f"no carrier size given for sort '{s}'")
-        n = sizes[s]
-        if n < 1:
-            raise ModelError(f"carrier size for sort '{s}' must be at least 1")
-        carriers[s] = tuple(f"{s.lower()}{i}" for i in range(n))
-
-    int_values = tuple(dict.fromkeys(ints))
-
-    def domain(t: LType) -> tuple:
-        if isinstance(t, ClassT):
-            if t.name in carriers:
-                return carriers[t.name]
-            raise ModelError(f"type '{t.name}' has no carrier")
-        if isinstance(t, BoolT):
-            return (False, True)
-        if isinstance(t, IntT):
-            if not int_values:
-                raise ModelError(f"Integer symbol but no integer values were given")
-            return int_values
-        raise ModelError(f"the enumerator does not support type '{t}'")
-
-    symbols: dict[str, Symbol] = {}
-    pinned: list[str] = []
-    free: list[tuple[str, tuple[tuple, ...], tuple]] = []
-    for d in fs.decls:
-        args, cod = uncurry(d.type)
-        if d.name in fs.char_true:
-            table = {(v,): True for v in domain(args[0])}
-        elif (
-            not args
-            and isinstance(cod, ClassT)
-            and cod.name in fixed
-            and d.name in fixed[cod.name]
-        ):
-            table = {(): d.name}
-        else:
-            arg_domains = [domain(a) for a in args]
-            cells = tuple(itertools.product(*arg_domains))
-            values = domain(cod)
-            symbols[d.name] = Symbol({}, frozenset(cells), frozenset(values), len(free))
-            free.append((d.name, cells, values))
-            continue
-        pinned.append(d.name)
-        symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()))
-
-    # A formula is staged at the last free symbol it mentions: it is
-    # evaluated once that symbol's last cell is set, in formula order.
-    # A safe formula is also evaluated after each cell of every free
-    # symbol it mentions, and prunes as soon as it is false; it is left
-    # out where it cannot be false yet (`false_from`).  A formula that
-    # may raise is evaluated at its stage only, and no formula after it
-    # in stage order prunes before that stage is complete, so an error
-    # is raised at the same assignment as by a search of whole tables.
-    compiler = FormulaCompiler(symbols, carriers, int_values)
-    index = {name: k for k, (name, _, _) in enumerate(free)}
-    names_memo: dict = {}
-    staged: list[tuple[int, set[int], Compiled]] = []
-    for _, expr in fs.formulas:
-        refs = {index[n] for n in free_vars(expr, names_memo) if n in index}
-        staged.append((max(refs, default=-1), refs, compiler.compile(expr)))
-    prune_after: list[int] = [0] * len(staged)
-    last_unsafe = -2
-    for i in sorted(range(len(staged)), key=lambda i: staged[i][0]):
-        prune_after[i] = last_unsafe
-        if not staged[i][2].safe:
-            last_unsafe = staged[i][0]
-
-    flat: list[tuple[dict, tuple, tuple, list]] = []
-    for k, (name, cells, values) in enumerate(free):
-        early = [
-            (stage, c.fn)
-            for (stage, refs, c), after in zip(staged, prune_after)
-            if c.safe and k in refs and after < k and c.false_from <= k
-        ]
-        complete = [
-            c.fn for stage, _, c in staged if stage == k and (not c.safe or c.false_from <= k)
-        ] + [fn for stage, fn in early if stage != k]
-        early_fns = [fn for _, fn in early]
-        table = symbols[name].table
-        for i, cell in enumerate(cells):
-            flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
-
-    names = pinned + [name for name, _, _ in free]
-
-    def model() -> Interpretation:
-        return Interpretation(
-            carriers=dict(carriers),
-            ints=int_values,
-            tables={n: dict(symbols[n].table) for n in names},
-        )
-
-    for stage, _, c in staged:
-        if stage == -1 and not c.fn():
-            return
-    if not flat:
-        yield model()
-        return
-
-    # Depth-first over the cells in order, values in codomain order, so
-    # the models come out in the order itertools.product gives whole
-    # tables.  Cells are inserted in order and deleted on backtracking,
-    # so every table keeps its cells in order.
-    budget = node_budget
-    last = len(flat) - 1
-    tried = [0] * len(flat)
-    d = 0
-    while True:
-        table, cell, values, checks = flat[d]
-        i = tried[d]
-        if i == len(values):
-            del table[cell]
-            tried[d] = 0
-            if d == 0:
-                return
-            d -= 1
-            continue
-        tried[d] = i + 1
-        budget -= 1
-        if budget < 0:
-            raise ResourceCapError(f"model search exceeded {node_budget} cell assignments")
-        table[cell] = values[i]
-        for check in checks:
-            r = check()
-            if not r and r is not None:
-                break
-        else:
-            if d == last:
-                yield model()
-            else:
-                d += 1
+    """All interpretations of the formula set over `sizes` and `ints`,
+    or of a problem already compiled (see `ModelProblem.models`).  The
+    correspondence check runs its searches through here as well, so a
+    wrapper of this one function (as in bench/tracing.py) sees every
+    search."""
+    problem = fs if isinstance(fs, ModelProblem) else ModelProblem(fs, sizes or {}, ints)
+    yield from problem.models(node_budget)
 
 
 # ---------------------------------------------------------------------------

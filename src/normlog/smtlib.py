@@ -349,48 +349,63 @@ def read_script(text: str) -> ScriptInfo:
         if not isinstance(s, str) or (s not in _BUILTIN_SORTS and s not in sorts):
             raise SmtError(f"unknown sort {s!r}")
 
-    def check_term(e: Sexp, bound: frozenset) -> None:
-        if isinstance(e, (int, float)):
-            return
-        if isinstance(e, tuple):  # string literal
-            return
-        if isinstance(e, str):
-            if e in ("true", "false") or e in bound:
-                return
-            if e in symbols:
-                if symbols[e] != 0:
-                    raise SmtError(f"symbol '{e}' of arity {symbols[e]} used without arguments")
-                return
-            raise SmtError(f"unknown symbol '{e}'")
-        if not isinstance(e, list) or not e:
-            raise SmtError(f"ill-formed term {e!r}")
-        head = e[0]
-        if head in ("forall", "exists"):
-            if len(e) != 3 or not isinstance(e[1], list):
-                raise SmtError(f"ill-formed {head}")
-            names = []
-            for b in e[1]:
-                if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
-                    raise SmtError(f"ill-formed binder in {head}")
-                check_sort(b[1])
-                names.append(b[0])
-            check_term(e[2], bound | frozenset(names))
-            return
-        if isinstance(head, str) and head in _BUILTIN_OPS:
-            for a in e[1:]:
-                check_term(a, bound)
-            return
-        if isinstance(head, str):
-            if head not in symbols:
-                raise SmtError(f"unknown symbol '{head}'")
-            if symbols[head] != len(e) - 1:
-                raise SmtError(
-                    f"symbol '{head}' declared with arity {symbols[head]}, applied to {len(e) - 1}"
-                )
-            for a in e[1:]:
-                check_term(a, bound)
-            return
-        raise SmtError(f"ill-formed application {e!r}")
+    def check_term(term: Sexp) -> None:
+        """Check `term` depth first, left to right, with an explicit
+        stack of iterators over argument lists.  A binder counts its
+        names in `bound` while its body's frame is on the stack."""
+        bound: dict[str, int] = {}
+        stack = [iter((term,))]
+        scopes: list[list[str]] = [[]]
+        while stack:
+            for e in stack[-1]:
+                kind = type(e)
+                if kind is str:
+                    if e in bound or e == "true" or e == "false":
+                        continue
+                    if e not in symbols:
+                        raise SmtError(f"unknown symbol '{e}'")
+                    if symbols[e] != 0:
+                        raise SmtError(f"symbol '{e}' of arity {symbols[e]} used without arguments")
+                    continue
+                if kind is not list or not e:
+                    if kind is int or kind is float or kind is tuple:  # tuple: a string literal
+                        continue
+                    raise SmtError(f"ill-formed term {e!r}")
+                head = e[0]
+                if head == "forall" or head == "exists":
+                    if len(e) != 3 or not isinstance(e[1], list):
+                        raise SmtError(f"ill-formed {head}")
+                    names = []
+                    for b in e[1]:
+                        if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                            raise SmtError(f"ill-formed binder in {head}")
+                        check_sort(b[1])
+                        names.append(b[0])
+                    for name in names:
+                        bound[name] = bound.get(name, 0) + 1
+                    stack.append(iter((e[2],)))
+                    scopes.append(names)
+                    break
+                if not isinstance(head, str):
+                    raise SmtError(f"ill-formed application {e!r}")
+                if head not in _BUILTIN_OPS:
+                    if head not in symbols:
+                        raise SmtError(f"unknown symbol '{head}'")
+                    if symbols[head] != len(e) - 1:
+                        raise SmtError(
+                            f"symbol '{head}' declared with arity {symbols[head]}, applied to {len(e) - 1}"
+                        )
+                args = iter(e)
+                next(args)
+                stack.append(args)
+                scopes.append([])
+                break
+            else:
+                stack.pop()
+                for name in scopes.pop():
+                    bound[name] -= 1
+                    if not bound[name]:
+                        del bound[name]
 
     for form in forms:
         if not isinstance(form, list) or not form or not isinstance(form[0], str):
@@ -417,7 +432,7 @@ def read_script(text: str) -> ScriptInfo:
         elif cmd == "assert":
             if len(form) != 2:
                 raise SmtError("ill-formed assert")
-            check_term(form[1], frozenset())
+            check_term(form[1])
             assert_count += 1
         elif cmd == "check-sat":
             has_check_sat = True

@@ -282,6 +282,88 @@ def validity_sweep_legal_models(cfg):
     return sorted(found, key=LegalModel.key)
 
 
+def scan_axiom_violations(cfg, model):
+    """`axiom_violations` as it was first written: for each rule every
+    modifier is scanned, and for each subjection every inconsistent
+    set, so one check is quadratic in the configuration.  The same
+    messages in the same order."""
+    if not cfg.is_ground():
+        raise ConfigError("legal models are only defined for ground configurations")
+    legal, valid = model.is_legal, model.legally_valid
+    rmap = {r.id: r for r in cfg.rules}
+
+    def holds(r):
+        return all((lit.atom in legal) == lit.positive for lit in r.body)
+
+    def conflict(dom, sub):
+        cd, cs = rmap[dom].head, rmap[sub].head
+        return cd != cs and any(
+            cd in k and cs in k and all(a in legal for a in k if a != cs)
+            for k in cfg.inconsistent
+        )
+
+    def is_valid(i):
+        return (i, rmap[i].head) in valid
+
+    out = []
+    for i, c in valid:
+        if i not in rmap:
+            out.append(f"validity of unknown rule {i}")
+        elif rmap[i].head != c:
+            out.append(f"rule {i} held valid for {c}, but concludes {rmap[i].head}")
+    for a in cfg.facts:
+        if a not in legal:
+            out.append(f"fact-legality: fact {a} is not legal")
+    for i, c in valid:
+        if i not in rmap:
+            continue
+        if not holds(rmap[i]):
+            out.append(f"valid-rule-support: rule {i} is valid but its precondition fails")
+        if c not in legal:
+            out.append(f"valid-rule-support: rule {i} is valid but {c} is not legal")
+    concluded = {c for _, c in valid}
+    for a in legal:
+        if a not in cfg.facts and a not in concluded:
+            out.append(f"legality-support: {a} is legal but unsupported")
+    for m in cfg.modifiers:
+        if m.kind == "despite":
+            if holds(rmap[m.second]) and is_valid(m.first):
+                out.append(
+                    f"despite-exclusion: rule {m.second} applies, so rule {m.first} must not be valid"
+                )
+        elif m.kind == "strong_subject_to":
+            if is_valid(m.first) and is_valid(m.second):
+                out.append(
+                    f"strong-exclusion: rule {m.first} is valid, so rule {m.second} must not be valid"
+                )
+        elif m.kind == "subject_to":
+            if is_valid(m.first) and conflict(m.first, m.second) and is_valid(m.second):
+                out.append(
+                    f"conflict-exclusion: rule {m.first} is valid and prevails, so "
+                    f"rule {m.second} must not be valid"
+                )
+    for r in cfg.rules:
+        if not holds(r) or (r.id, r.head) in valid:
+            continue
+        excused = any(
+            (m.kind == "despite" and m.first == r.id and holds(rmap[m.second]))
+            or (m.kind == "strong_subject_to" and m.second == r.id and is_valid(m.first))
+            or (
+                m.kind == "subject_to"
+                and m.second == r.id
+                and is_valid(m.first)
+                and conflict(m.first, r.id)
+            )
+            for m in cfg.modifiers
+        )
+        if not excused:
+            out.append(
+                f"exclusion-justification: rule {r.id} applies and is not valid, "
+                f"but nothing excludes it"
+            )
+    return out
+
+
 def _vars(t):
     if isinstance(t, TVar):
         return {t.name}

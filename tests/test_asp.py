@@ -33,7 +33,7 @@ from normlog.parser import MAX_NESTING
 from normlog.randgen import random_config
 
 from conftest import CASES
-from oracles import sweep_legal_models, validity_sweep_legal_models
+from oracles import scan_axiom_violations, sweep_legal_models, validity_sweep_legal_models
 
 
 def cfg_file(name: str) -> Config:
@@ -520,12 +520,60 @@ def pairwise_chain(n):
     return parse_config("\n".join(lines))
 
 
-@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("n", [20, 200, 4000])
 def test_pairwise_chain_under_the_default_cap(n):
     (m,) = legal_models(pairwise_chain(n))
     odd = range(1, n + 1, 2)
     assert m.legally_valid == {(i, A(f"c{i}")) for i in odd}
     assert m.is_legal == {A("a"), *(A(f"c{i}") for i in odd)}
+
+
+def _dense_config(rng):
+    """A ground configuration with more modifiers and inconsistent sets
+    per rule than `random_config` draws, some sets repeating an atom."""
+    atoms = [A(n) for n in "abcdef"]
+    rules = []
+    for i in range(1, rng.randrange(3, 9)):
+        body = tuple(Literal(rng.choice(atoms), rng.random() < 0.7) for _ in range(rng.randrange(3)))
+        rules.append(DefRule(i, rng.choice(atoms), body))
+    ids = [r.id for r in rules]
+    modifiers = tuple(
+        Modifier(rng.choice(asp.MODIFIER_KINDS), *rng.sample(ids, 2)) for _ in range(rng.randrange(8))
+    )
+    inconsistent = []
+    for _ in range(rng.randrange(5)):
+        k = rng.sample(atoms, rng.randrange(2, 4))
+        inconsistent.append(tuple(k + [k[0]] if rng.random() < 0.2 else k))
+    facts = tuple(rng.sample(atoms, rng.randrange(3)))
+    return Config(tuple(rules), facts, modifiers, tuple(inconsistent))
+
+
+def _tampered_models(cfg, rng, n):
+    """Candidates that break the conditions in every way: random legal
+    atoms, random validity pairs, some with a wrong conclusion or an
+    unknown rule."""
+    atoms = list(dict.fromkeys([*cfg.facts, *(r.head for r in cfg.rules), A("z")]))
+    pairs = [(r.id, r.head) for r in cfg.rules] + [(99, A("a")), (cfg.rules[0].id, A("z"))]
+    for _ in range(n):
+        legal = frozenset(a for a in atoms if rng.random() < 0.5)
+        valid = frozenset(p for p in pairs if rng.random() < 0.4)
+        yield LegalModel(legal, valid)
+
+
+def test_axiom_violations_match_the_scanning_checker():
+    rng = random.Random(2026)
+    for i in range(600):
+        cfg = random_config(rng) if i % 2 else _dense_config(rng)
+        for model in [*legal_models(cfg), *_tampered_models(cfg, rng, 20)]:
+            assert axiom_violations(cfg, model) == scan_axiom_violations(cfg, model), (cfg, model)
+
+
+def test_axiom_violations_match_the_scanning_checker_on_a_chain():
+    cfg = pairwise_chain(40)
+    rng = random.Random(7)
+    (model,) = legal_models(cfg)
+    for m in [model, *_tampered_models(cfg, rng, 50)]:
+        assert axiom_violations(cfg, m) == scan_axiom_violations(cfg, m)
 
 
 def test_legal_models_deterministic():

@@ -1,25 +1,29 @@
 """Transfer of finite models between the two restriction semantics."""
 
 import random
+import re
+from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import load_case
+from normlog import correspond, models
 from normlog.correspond import (
-    _Reader,
-    _check_against,
     build_correspondence,
     check_model_correspondence,
+    final_preconditions,
     to_deriv,
     to_precond,
 )
-from normlog.models import enumerate_models
+from normlog.models import CorrespondenceError, Interpretation, ModelProblem, enumerate_models
 from normlog.parser import parse_module
 from normlog.randgen import random_annotated_module
 from normlog.syntax import ClassT, IntT
 from normlog.typecheck import elaborate, typecheck_module
+from oracles import eval_expr
 
 _SIZES = {"Vehicle": 1, "Day": 1, "Road": 1}
 _INTS = (90, 130, 320)
@@ -59,10 +63,18 @@ def test_speed_limit_correspondence_holds():
     }
 
 
+def _precond_models_and_images(pair):
+    """Each precondition-route model with its derivability-route image,
+    transferred while the search is suspended at the model."""
+    problem = ModelProblem(pair.fs_precond, _SIZES, _INTS)
+    preconds = final_preconditions(pair, problem.compiler)
+    for mp in problem.models():
+        yield mp, to_deriv(pair, mp, preconds)
+
+
 def test_mapping_deriv_then_precond_restores_the_base_table():
     pair = build_correspondence(load_case("speedlimit_repaired.l4"))
-    for mp in enumerate_models(pair.fs_precond, _SIZES, _INTS):
-        md = to_deriv(pair, mp)
+    for mp, md in _precond_models_and_images(pair):
         assert set(md.tables) >= {"maxSp+"}
         assert "maxSp" not in md.tables
         back = to_precond(pair, md)
@@ -71,10 +83,21 @@ def test_mapping_deriv_then_precond_restores_the_base_table():
 
 def test_derived_table_is_keyed_by_rule_name_constants():
     pair = build_correspondence(load_case("speedlimit_repaired.l4"))
-    mp = next(iter(enumerate_models(pair.fs_precond, _SIZES, _INTS)))
-    md = to_deriv(pair, mp)
+    _, md = next(_precond_models_and_images(pair))
     rule_names = {k[0] for k in md.tables["maxSp+"]}
     assert rule_names == {"maxSpCarWorkday", "maxSpCarHighway", "maxSpSportsCar"}
+
+
+def _false_by_reference(fs, interp):
+    return [
+        name
+        for name, f in fs.formulas
+        if not eval_expr(f, interp.tables, interp.carriers, interp.ints)
+    ]
+
+
+def _without_inversions(fs):
+    return replace(fs, formulas=tuple(f for f in fs.formulas if not f[0].startswith("inversion")))
 
 
 def test_tampered_formula_set_produces_violations():
@@ -82,21 +105,134 @@ def test_tampered_formula_set_produces_violations():
     models that no longer transfer: something is derived by a rule
     whose precondition never held."""
     pair = build_correspondence(load_case("speedlimit_repaired.l4"))
-    weakened = replace(
-        pair.fs_deriv,
-        formulas=tuple(
-            f for f in pair.fs_deriv.formulas if not f[0].startswith("inversion")
-        ),
-    )
-    violations = []
-    reader = _Reader()  # compiles the formulas once for all the models
+    weakened = _without_inversions(pair.fs_deriv)
+    precond = ModelProblem(pair.fs_precond, _SIZES, _INTS)  # compiled once for all images
+    violated = []
     for md in enumerate_models(weakened, _SIZES, _INTS):
         mp = to_precond(pair, md)
-        _check_against(pair.fs_precond, mp, "deriv->precond", violations, cap=5, reader=reader)
-    assert violations
-    assert len(violations) <= 5
-    assert all(v.direction == "deriv->precond" for v in violations)
-    assert any(v.formula == "inversion maxSp" for v in violations)
+        false = precond.false_formulas(mp)
+        assert false == _false_by_reference(pair.fs_precond, mp)
+        violated += false
+    assert "inversion maxSp" in violated
+
+
+def test_tampered_pair_reports_capped_violations(monkeypatch):
+    pair = build_correspondence(load_case("speedlimit_repaired.l4"))
+    weakened = _without_inversions(pair.fs_deriv)
+    monkeypatch.setattr(correspond, "build_correspondence", lambda m: replace(pair, fs_deriv=weakened))
+    rep = check_model_correspondence(None, _SIZES, _INTS, violation_cap=5)
+    assert (rep.checked_precond, rep.checked_deriv) == (12, 4928)
+    assert len(rep.violations) == 5
+    assert {(v.direction, v.formula) for v in rep.violations} == {
+        ("deriv->precond", "inversion maxSp")
+    }
+
+
+def test_each_formula_compiles_once_per_query(monkeypatch):
+    # One problem per route serves its search, the transfer out of its
+    # models and the check of the other route's images.
+    calls = []
+    compile_ = models.FormulaCompiler.compile
+
+    def counting(self, e, params=()):
+        calls.append((self, e))
+        return compile_(self, e, params)
+
+    monkeypatch.setattr(models.FormulaCompiler, "compile", counting)
+    m = load_case("speedlimit_repaired.l4")
+    rep = check_model_correspondence(m, _SIZES, _INTS)
+    assert rep.ok and rep.checked_precond == rep.checked_deriv == 12
+
+    pair = build_correspondence(m)
+    by_compiler = {}
+    for compiler, e in calls:
+        by_compiler.setdefault(compiler, []).append(e)
+    assert len(by_compiler) == 2
+    precond, deriv = by_compiler.values()
+    preconds = [pair.normalized[rn].precond for rn in pair.constants["Rulename_maxSp"]]
+    assert Counter(precond) == Counter([f for _, f in pair.fs_precond.formulas] + preconds)
+    assert Counter(deriv) == Counter(f for _, f in pair.fs_deriv.formulas)
+
+
+def _image_and_problem():
+    pair = build_correspondence(load_case("speedlimit_repaired.l4"))
+    deriv = ModelProblem(pair.fs_deriv, _SIZES, _INTS)
+    _, md = next(_precond_models_and_images(pair))
+    return deriv, md
+
+
+def _with_table(interp, name, table):
+    return Interpretation(interp.carriers, interp.ints, {**interp.tables, name: table})
+
+
+def test_a_fitting_image_is_checked():
+    deriv, md = _image_and_problem()
+    assert deriv.false_formulas(md) == []
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda t: dict(list(t.items())[1:]), "cells of 'maxSp+' differ"),
+        (lambda t: {**t, ("maxSpNone", "vehicle0", "day0", "road0", 90): False}, "cells of 'maxSp+' differ"),
+        (lambda t: {k: 7 if i == 0 else v for i, (k, v) in enumerate(t.items())}, "outside its range"),
+    ],
+    ids=["missing-cell", "extra-cell", "out-of-range"],
+)
+def test_an_image_that_does_not_fit_is_rejected(tamper, message):
+    deriv, md = _image_and_problem()
+    bad = _with_table(md, "maxSp+", tamper(md.tables["maxSp+"]))
+    with pytest.raises(CorrespondenceError, match=re.escape(message)):
+        deriv.false_formulas(bad)
+
+
+def test_an_image_over_other_carriers_or_symbols_is_rejected():
+    deriv, md = _image_and_problem()
+    wider = Interpretation({**md.carriers, "Day": ("day0", "day1")}, md.ints, md.tables)
+    fewer = Interpretation(md.carriers, md.ints, {k: v for k, v in md.tables.items() if k != "maxSp+"})
+    other_ints = Interpretation(md.carriers, (90, 130), md.tables)
+    for bad, message in ((wider, "carriers"), (fewer, "symbols"), (other_ints, "integer values")):
+        with pytest.raises(CorrespondenceError, match=message):
+            deriv.false_formulas(bad)
+    pinned = next(n for n, t in md.tables.items() if t == {(): n})
+    with pytest.raises(CorrespondenceError, match=f"table of '{pinned}'"):
+        deriv.false_formulas(_with_table(md, pinned, {(): "maxSpNone"}))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_checks_agree_with_the_reference_evaluator(seed):
+    # Every image the transfer builds, and a corrupted copy of it, is
+    # judged by the compiled check exactly as by the tree walker.
+    sample = random_annotated_module(random.Random(seed))
+    m = elaborate(sample.module)
+    typecheck_module(m)
+    pair = build_correspondence(m)
+    precond = ModelProblem(pair.fs_precond, sample.sizes, sample.ints)
+    deriv = ModelProblem(pair.fs_deriv, sample.sizes, sample.ints)
+    preconds = final_preconditions(pair, precond.compiler)
+    rng = random.Random(seed)
+    checks = [(deriv, pair.fs_deriv, to_deriv(pair, mp, preconds)) for mp in precond.models()]
+    checks += [(precond, pair.fs_precond, to_precond(pair, md)) for md in deriv.models()]
+    assert checks
+    for problem, fs, image in checks:
+        for interp in (image, _flipped(image, problem, rng)):
+            assert problem.false_formulas(interp) == _false_by_reference(fs, interp)
+
+
+def _flipped(interp, problem, rng):
+    """`interp` with one Boolean cell of a free symbol negated."""
+    free = [
+        (name, cell)
+        for name, table in interp.tables.items()
+        if problem.symbols[name].rank >= 0
+        for cell, v in table.items()
+        if isinstance(v, bool)
+    ]
+    if not free:
+        return interp
+    name, cell = rng.choice(free)
+    return _with_table(interp, name, {**interp.tables[name], cell: not interp.tables[name][cell]})
 
 
 def test_correspondence_with_predicate_dependencies():

@@ -1,18 +1,25 @@
-"""Every name a module of the package imports at top level is used.
+"""Every name a module of the package imports at top level is used,
+and every function or class it defines at top level is named somewhere.
 
-No linter is part of the toolchain, so the check reads each module's
-syntax tree itself: a name bound by a top-level ``import`` or ``from
-... import`` must occur as a name somewhere in the module, or be listed
-in its ``__all__``.  ``__init__.py`` re-exports by design and is left
-out."""
+No linter is part of the toolchain, so the checks read syntax trees
+themselves.  A name bound by a top-level ``import`` or ``from ...
+import`` must occur as a name somewhere in the module, or be listed in
+its ``__all__``; ``__init__.py`` re-exports by design and is left out
+of that check.  A top-level ``def`` or ``class`` must be named outside
+its own definition by some file of ``src/``, ``tests/``, ``scripts/``
+or ``bench/``: as a name, an attribute, an imported name or a string
+(the benchmark's tracer looks functions up by name)."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "normlog"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "normlog"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +49,58 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _named(node: ast.AST) -> set[str]:
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def unnamed_definitions(defining: str, named_elsewhere: set[str]) -> list[str]:
+    """The top-level functions and classes of the module `defining`
+    named neither in the rest of it nor in `named_elsewhere`."""
+    tree = ast.parse(defining)
+    per_statement = [(top, _named(top)) for top in tree.body]
+    out = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if top.name in named_elsewhere:
+            continue
+        if not any(top.name in names for other, names in per_statement if other is not top):
+            out.append(f"line {top.lineno}: {top.name}")
+    return out
+
+
+@functools.cache
+def _named_in(path: pathlib.Path) -> frozenset[str]:
+    return frozenset(_named(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_the_scan_finds_an_unnamed_definition():
+    module = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Lonely:\n    pass\n\n"
+        "def called_elsewhere():\n    pass\n\n"
+        "x = used()\n"
+    )
+    assert unnamed_definitions(module, _named(ast.parse("called_elsewhere()\n"))) == [
+        "line 4: recursive",
+        "line 7: Lonely",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_definition_is_named(path):
+    named_elsewhere = set().union(*(_named_in(p) for p in SOURCES if p != path))
+    assert unnamed_definitions(path.read_text(encoding="utf-8"), named_elsewhere) == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import load_case
+from conftest import load_case, subject_to_chain
 from normlog import smtlib
 from normlog.models import rules_to_formulas
 from normlog.parser import parse_expr, parse_module
@@ -144,6 +144,47 @@ def test_reader_scopes_binders():
     bad = "(declare-sort S 0)(assert (= x x))"
     with pytest.raises(SmtError):
         read_script(bad)
+
+
+def test_reader_unbinds_after_the_body():
+    head = "(declare-sort S 0)(declare-fun p (S) Bool)"
+    good = "(assert (and (forall ((x S)) (forall ((x S)) (p x))) (exists ((y S)) (p y))))"
+    assert read_script(head + good).assert_count == 1
+    for leaked in ("(assert (and (forall ((x S)) (forall ((x S)) (p x))) (p x)))",
+                   "(assert (and (forall ((x S) (y S)) (p y)) (p y)))"):
+        with pytest.raises(SmtError, match="^unknown symbol '[xy]'$"):
+            read_script(head + leaked)
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("(and (q x) (p))", "unknown symbol 'q'"),
+        ("(and (p x) (p))", "unknown symbol 'x'"),
+        ("(and (forall ((x T)) (q x)) (q x))", "unknown sort 'T'"),
+        ("(and (forall ((x S)) (p)) (q x))", "symbol 'p' declared with arity 1, applied to 0"),
+        ("(or p (q))", "symbol 'p' of arity 1 used without arguments"),
+        ("(or (forall (x) true) p)", "ill-formed binder in forall"),
+        ("(or ((p) x) q)", "ill-formed application [['p'], 'x']"),
+        ("(or () q)", "ill-formed term []"),
+    ],
+)
+def test_reader_reports_the_first_fault_in_term_order(term, message):
+    script = f"(declare-sort S 0)(declare-fun p (S) Bool)(assert {term})"
+    with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
+        read_script(script)
+
+
+def test_reader_reads_the_script_of_a_long_subject_to_chain():
+    # Each subjectTo link nests the precondition two levels deeper, and
+    # the script writes every precondition out in full (4.5 MB here);
+    # the reader checks terms with a stack of its own, not recursion.
+    m = elaborate(parse_module(subject_to_chain(500)))
+    typecheck_module(m)
+    fs = rules_to_formulas(transform_module(m, Variant.PRECOND).module)
+    info = read_script(emit_smtlib(fs))
+    assert info.assert_count == len(fs.formulas) + 1  # the isS axiom besides
+    assert info.symbols == {"p": 1, "q": 1, "isS": 1}
 
 
 @settings(max_examples=40, deadline=None)
