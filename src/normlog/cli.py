@@ -219,10 +219,9 @@ def cmd_emit_smt(args) -> int:
         a = byname[args.assertion]
         adjusted = adjusted_rules(res.module, a)
         fs = _rtf(adjusted, include_inversions=not args.no_inversions)
-        from .models import guard_quantifiers, rewrite_fields
+        from .models import translate
 
-        env = Env.from_module(adjusted)
-        goal = (a.name, a.mode, guard_quantifiers(rewrite_fields(a.formula), env))
+        goal = (a.name, a.mode, translate(a.formula, Env.from_module(adjusted)))
     _write_or_print(emit_smtlib(fs, goal), args.output)
     return 0
 

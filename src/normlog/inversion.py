@@ -43,6 +43,7 @@ from .syntax import (
     Var,
     apply,
     atom_parts,
+    children,
     conj,
     fresh_name,
     substitute,
@@ -229,25 +230,9 @@ def check_syntactic_monotonicity(rules: Sequence[Rule], pred: str) -> Monotonici
             for a in parts[1]:
                 walk_neutral(a, rule)
             return
-        for sub in _children(e):
+        for sub in children(e):
             walk_neutral(sub, rule)
 
     for r in rules_concluding(rules, pred):
         walk(r.precond, 0, r.name)
     return MonotonicityReport(not offenders, tuple(offenders))
-
-
-def _children(e: Expr) -> list[Expr]:
-    if isinstance(e, Not):
-        return [e.arg]
-    if isinstance(e, (And, Or, Implies, Eq, Cmp)):
-        return [e.left, e.right]
-    if isinstance(e, App):
-        return [e.fn, e.arg]
-    if isinstance(e, (Lambda, Forall, Exists)):
-        return [e.body]
-    if isinstance(e, IfThenElse):
-        return [e.cond, e.then, e.other]
-    if isinstance(e, FieldAccess):
-        return [e.obj]
-    return []

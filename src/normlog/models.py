@@ -60,7 +60,6 @@ from .syntax import (
     Implies,
     IntLit,
     IntT,
-    Lambda,
     LType,
     Not,
     NormlogError,
@@ -72,7 +71,9 @@ from .syntax import (
     Var,
     atom_parts,
     char_pred_name,
+    fold,
     free_vars,
+    rebuild,
     uncurry,
 )
 from .typecheck import Env, is_sort, sort_of
@@ -111,53 +112,9 @@ class FormulaSet:
         return dict(self.fixed)
 
 
-def _rebuild(e: Expr, post: Callable[[Expr], Expr], memo: dict) -> Expr:
-    """Rebuild `e` bottom-up, applying `post` to each inner node once
-    its children are rebuilt; leaves are returned as they are.
-
-    Each distinct node is visited once: `memo` maps `id(node)` to
-    `(node, result)`, keeping the node alive so that its id is not
-    reused, and may be shared by calls over formulas with common
-    subterms.  A node none of whose children changed is passed to
-    `post` itself, so the sharing of the input survives into the
-    output.  The recursion spends one frame per tree level."""
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Not):
-        arg = _rebuild(e.arg, post, memo)
-        out = e if arg is e.arg else replace(e, arg=arg)
-    elif isinstance(e, (And, Or, Implies, Eq, Cmp)):
-        left = _rebuild(e.left, post, memo)
-        right = _rebuild(e.right, post, memo)
-        out = e if left is e.left and right is e.right else replace(e, left=left, right=right)
-    elif isinstance(e, App):
-        fn = _rebuild(e.fn, post, memo)
-        arg = _rebuild(e.arg, post, memo)
-        out = e if fn is e.fn and arg is e.arg else replace(e, fn=fn, arg=arg)
-    elif isinstance(e, (Lambda, Forall, Exists)):
-        body = _rebuild(e.body, post, memo)
-        out = e if body is e.body else replace(e, body=body)
-    elif isinstance(e, IfThenElse):
-        cond = _rebuild(e.cond, post, memo)
-        then = _rebuild(e.then, post, memo)
-        other = _rebuild(e.other, post, memo)
-        if cond is e.cond and then is e.then and other is e.other:
-            out = e
-        else:
-            out = replace(e, cond=cond, then=then, other=other)
-    elif isinstance(e, FieldAccess):
-        obj = _rebuild(e.obj, post, memo)
-        out = e if obj is e.obj else replace(e, obj=obj)
-    else:
-        return e
-    out = post(out)
-    memo[id(e)] = (e, out)
-    return out
-
-
-def _field_to_app(e: Expr) -> Expr:
-    if isinstance(e, FieldAccess):
+def _field_to_app(e: Expr, kids: list[Expr]) -> Expr:
+    e = rebuild(e, kids)
+    if type(e) is FieldAccess:
         return App(Var(e.fieldname), e.obj)
     return e
 
@@ -165,31 +122,47 @@ def _field_to_app(e: Expr) -> Expr:
 def rewrite_fields(e: Expr, memo: Optional[dict] = None) -> Expr:
     """Attribute access as application of the generated accessor.
 
-    Visits each distinct node once and returns unchanged nodes
-    themselves; `memo` may be shared between calls (see `_rebuild`)."""
-    return _rebuild(e, _field_to_app, {} if memo is None else memo)
+    A memoized `fold`: visits each distinct node once and returns
+    unchanged nodes themselves; `memo` may be shared between calls."""
+    return fold(e, _field_to_app, {} if memo is None else memo)
 
 
-def guard_quantifiers(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
-    """Quantification over a proper subclass becomes quantification
-    over its sort, guarded by the characteristic predicate.
-
-    Visits each distinct node once and returns unchanged nodes
-    themselves; `memo` may be shared between calls (see `_rebuild`)."""
-
-    def guard(e: Expr) -> Expr:
-        if not isinstance(e, (Forall, Exists)):
+def _guard(env: Env) -> Callable[[Expr, list[Expr]], Expr]:
+    def guard(e: Expr, kids: list[Expr]) -> Expr:
+        e = rebuild(e, kids)
+        kind = type(e)
+        if kind is not Forall and kind is not Exists:
             return e
         t = e.var_type
         if not isinstance(t, ClassT) or t.name == ROOT_CLASS or is_sort(t.name, env.classes):
             return e
         sort = sort_of(t.name, env.classes)
         test = App(Var(char_pred_name(t.name)), Var(e.var))
-        if isinstance(e, Forall):
+        if kind is Forall:
             return Forall(e.var, ClassT(sort), Implies(test, e.body))
         return Exists(e.var, ClassT(sort), And(test, e.body))
 
-    return _rebuild(e, guard, {} if memo is None else memo)
+    return guard
+
+
+def guard_quantifiers(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
+    """Quantification over a proper subclass becomes quantification
+    over its sort, guarded by the characteristic predicate.
+
+    A memoized `fold`: visits each distinct node once and returns
+    unchanged nodes themselves; `memo` may be shared between calls."""
+    return fold(e, _guard(env), {} if memo is None else memo)
+
+
+def translate(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
+    """`guard_quantifiers(rewrite_fields(e), env)` in one memoized
+    `fold`; `memo` may be shared between calls over one module."""
+    guard = _guard(env)
+
+    def combine(x: Expr, kids: list[Expr]) -> Expr:
+        return _field_to_app(x, kids) if type(x) is FieldAccess else guard(x, kids)
+
+    return fold(e, combine, {} if memo is None else memo)
 
 
 def normalize_type(t: LType, env: Env) -> LType:
@@ -235,20 +208,15 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
         for d in m.all_decls()
     )
 
-    # One memo per pass for the whole module: the transformed
-    # preconditions share subterms across rules, and each distinct
-    # node is then rewritten once.
-    fields_memo: dict = {}
-    guard_memo: dict = {}
-
-    def translate(f: Expr) -> Expr:
-        return guard_quantifiers(rewrite_fields(f, fields_memo), env, guard_memo)
+    # One memo for the whole module: the transformed preconditions share
+    # subterms across rules, and each distinct node is translated once.
+    memo: dict = {}
 
     formulas: list[tuple[str, Expr]] = []
     for r in m.rules:
         if r.is_bodyless():
             continue
-        formulas.append((f"rule {r.name}", translate(closed_rule_formula(r))))
+        formulas.append((f"rule {r.name}", translate(closed_rule_formula(r), env, memo)))
     for g in m.globals:
         if isinstance(g.type, ClassT) and g.type.name != ROOT_CLASS:
             if not is_sort(g.type.name, env.classes):
@@ -262,7 +230,7 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
         body_rules = [r for r in m.rules if not r.is_bodyless()]
         for p in inversion_targets(m):
             f = inversion_formula(body_rules, p, env)
-            formulas.append((f"inversion {p}", translate(f)))
+            formulas.append((f"inversion {p}", translate(f, env, memo)))
 
     return FormulaSet(sorts, tuple(fixed), char_true, decls, tuple(formulas))
 
@@ -1006,7 +974,7 @@ def check_assertion(
     adjusted = adjusted_rules(m, a)
     fs = rules_to_formulas(adjusted, include_inversions)
     env = Env.from_module(adjusted)
-    goal = guard_quantifiers(rewrite_fields(a.formula), env)
+    goal = translate(a.formula, env)
 
     if a.mode == VALID:
         probe = fs.formulas + ((f"assertion {name} (negated)", Not(goal)),)

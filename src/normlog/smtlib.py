@@ -55,6 +55,7 @@ from .syntax import (
     StrT,
     Var,
     atom_parts,
+    spine,
     uncurry,
 )
 from .models import FormulaSet
@@ -103,21 +104,6 @@ def _implies_spine(e: Expr) -> list[Expr]:
     return out
 
 
-def _spine(e: Expr, kind: type) -> list[Expr]:
-    """The operands of a chain of `kind` (And or Or), left to right,
-    however the chain is bracketed."""
-    out: list[Expr] = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, kind):
-            stack.append(x.right)
-            stack.append(x.left)
-        else:
-            out.append(x)
-    return out
-
-
 def smt_decimal(v: float) -> str:
     """An SMT-LIB decimal with the digits of the float's shortest repr,
     never in exponent notation, which SMT-LIB does not have."""
@@ -157,7 +143,7 @@ def expr_to_sexp(e: Expr, memo: Optional[dict[int, str]] = None) -> str:
     elif isinstance(e, Not):
         s = f"(not {expr_to_sexp(e.arg, memo)})"
     elif isinstance(e, (And, Or, Implies)):
-        operands = _implies_spine(e) if isinstance(e, Implies) else _spine(e, type(e))
+        operands = _implies_spine(e) if isinstance(e, Implies) else spine(e, type(e))
         parts = []
         for x in operands:
             parts.append(expr_to_sexp(x, memo))

@@ -22,9 +22,9 @@ have different layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 ROOT_CLASS = "Class"
 
@@ -303,6 +303,114 @@ for _cls in Expr.__subclasses__():
     _hash_once(_cls)
 
 
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+_BINDERS = (Lambda, Forall, Exists)
+
+# The Expr-typed fields of each node class, in field order: its children.
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type in ("Expr", Expr))
+    for cls in Expr.__subclasses__()
+}
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[Expr], tuple[Expr, ...]]:
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda e: (get(e),)
+    return attrgetter(*names) if names else lambda e: ()
+
+
+_CHILDREN = {cls: _getter(names) for cls, names in _CHILD_FIELDS.items()}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The subexpressions of `e`, in field order."""
+    return _CHILDREN[type(e)](e)
+
+
+def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """`e` with its children replaced by `kids`, given in `children`
+    order; every other field, `loc` included, is kept.  Returns `e`
+    itself when each kid is the child it replaces."""
+    if kids:
+        for new, old in zip(kids, _CHILDREN[type(e)](e)):
+            if new is not old:
+                return replace(e, **dict(zip(_CHILD_FIELDS[type(e)], kids)))
+    return e
+
+
+# A fold recurses this many levels, then goes on with an explicit stack.
+_FOLD_DEPTH = 100
+
+
+def fold(
+    e: Expr,
+    combine: Callable[[Expr, list], object],
+    memo: dict,
+    kids: Callable[[Expr], Sequence[Expr]] = children,
+) -> object:
+    """The value of `e` bottom-up: `combine(node, values)` gets the
+    values of the node's `kids` (its children unless the caller says
+    otherwise), left to right, and nodes are combined in post-order.
+
+    Each distinct node with kids is combined once: `memo` maps
+    `id(node)` to `(node, value)`, keeping the node alive so that its
+    id is not reused, and may be shared by calls over expressions with
+    common subterms.  A node without kids is combined where it occurs
+    and not memoized.  The depth of the expression does not bound the
+    walk: it recurses `_FOLD_DEPTH` levels and keeps its own stack below."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    return _fold(e, kids(e), combine, memo, kids, _FOLD_DEPTH)
+
+
+def _fold(e: Expr, ks, combine, memo: dict, kids, depth: int) -> object:
+    values = []
+    for k in ks:
+        hit = memo.get(id(k))
+        if hit is not None:
+            values.append(hit[1])
+            continue
+        below = kids(k)
+        if not below:
+            values.append(combine(k, []))
+        elif depth:
+            values.append(_fold(k, below, combine, memo, kids, depth - 1))
+        else:
+            values.append(_fold_stack(k, below, combine, memo, kids))
+    out = combine(e, values)
+    if ks:
+        memo[id(e)] = (e, out)
+    return out
+
+
+def _fold_stack(e: Expr, ks, combine, memo: dict, kids) -> object:
+    """`_fold` with a stack of (node, kids, values so far) for frames."""
+    get = memo.get
+    stack = [(e, ks, [])]
+    while True:
+        node, ks, values = stack[-1]
+        while len(values) < len(ks):
+            hit = get(id(ks[len(values)]))
+            if hit is None:
+                k = ks[len(values)]
+                stack.append((k, kids(k), []))
+                break
+            values.append(hit[1])
+        else:
+            stack.pop()
+            out = combine(node, values)
+            if ks:
+                memo[id(node)] = (node, out)
+            if not stack:
+                return out
+            stack[-1][2].append(out)
+
+
 TRUE = BoolLit(True)
 
 
@@ -339,11 +447,19 @@ def atom_parts(e: Expr) -> Optional[tuple[str, tuple[Expr, ...]]]:
     return None
 
 
-def conjuncts(e: Expr) -> list[Expr]:
-    """Flatten a left-nested conjunction into its conjunct list."""
-    if isinstance(e, And):
-        return conjuncts(e.left) + conjuncts(e.right)
-    return [e]
+def spine(e: Expr, kind: type) -> list[Expr]:
+    """The operands of a chain of `kind` (And or Or), left to right,
+    however the chain is bracketed."""
+    out: list[Expr] = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is kind:
+            stack.append(x.right)
+            stack.append(x.left)
+        else:
+            out.append(x)
+    return out
 
 
 def free_vars(e: Expr, memo: Optional[dict] = None) -> frozenset[str]:
@@ -352,95 +468,66 @@ def free_vars(e: Expr, memo: Optional[dict] = None) -> frozenset[str]:
     Declared function symbols are names too, so callers that only want
     genuine rule variables must subtract the declared vocabulary.
 
-    Each distinct node is visited once: `memo` maps `id(node)` to
-    `(node, names)`, keeping the node alive so that its id is not
-    reused, and may be shared by calls over formulas with common
-    subterms.  The recursion spends one frame per tree level."""
-    return _free_names(e, {} if memo is None else memo)
+    A memoized `fold`: `memo` may be shared by calls over formulas with
+    common subterms.  A unary atom on a variable, the commonest node,
+    is a leaf of the fold and stays out of the memo."""
+    return fold(e, _free_names, {} if memo is None else memo, _names_below)
 
 
-_NO_NAMES: frozenset[str] = frozenset()
+def _names_below(e: Expr) -> tuple[Expr, ...]:
+    """`children`, except that a unary atom on a variable has none."""
+    if type(e) is App and type(e.fn) is Var and type(e.arg) is Var:
+        return ()
+    return _CHILDREN[type(e)](e)
 
 
-def _free_names(e: Expr, memo: dict) -> frozenset[str]:
+def _free_names(e: Expr, names: list[frozenset[str]]) -> frozenset[str]:
     kind = type(e)
     if kind is Var:
         return frozenset((e.name,))
-    if kind is App:
-        # a unary atom on a variable, the commonest node, skips the memo
-        fn, arg = e.fn, e.arg
-        if type(fn) is Var and type(arg) is Var:
-            return frozenset((fn.name, arg.name))
-    elif kind in (BoolLit, IntLit, FloatLit, StringLit):
-        return _NO_NAMES
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if kind is App:
-        out = _free_names(e.fn, memo) | _free_names(e.arg, memo)
-    elif kind in (And, Or, Implies, Eq, Cmp):
-        out = _free_names(e.left, memo) | _free_names(e.right, memo)
-    elif kind is Not:
-        out = _free_names(e.arg, memo)
-    elif kind in (Forall, Exists, Lambda):
-        out = _free_names(e.body, memo) - {e.var}
-    elif kind is IfThenElse:
-        out = (
-            _free_names(e.cond, memo)
-            | _free_names(e.then, memo)
-            | _free_names(e.other, memo)
-        )
-    elif kind is FieldAccess:
-        out = _free_names(e.obj, memo)
-    else:
-        raise TypeError(f"unknown expression node {kind.__name__}")
-    memo[id(e)] = (e, out)
+    if not names:
+        return frozenset((e.fn.name, e.arg.name)) if kind is App else frozenset()
+    if kind in _BINDERS:
+        return names[0] - {e.var}
+    out = names[0]
+    for more in names[1:]:
+        out = out | more
     return out
 
 
 def substitute(e: Expr, subst: dict[str, Expr]) -> Expr:
-    """Simultaneous capture-avoiding substitution of variables."""
+    """Simultaneous capture-avoiding substitution of variables.
+
+    A `fold` that stops at binders: each distinct node is visited once
+    and a node nothing changes in is returned itself."""
     if not subst:
         return e
-    if isinstance(e, Var):
-        return subst.get(e.name, e)
-    if isinstance(e, (BoolLit, IntLit, FloatLit, StringLit)):
+
+    def combine(x: Expr, kids: list[Expr]) -> Expr:
+        kind = type(x)
+        if kind is Var:
+            return subst.get(x.name, x)
+        if kind in _BINDERS:
+            return _substitute_binder(x, subst)
+        return rebuild(x, kids)
+
+    return fold(e, combine, {}, lambda x: () if type(x) in _BINDERS else _CHILDREN[type(x)](x))
+
+
+def _substitute_binder(e: Expr, subst: dict[str, Expr]) -> Expr:
+    inner = {k: v for k, v in subst.items() if k != e.var}
+    if not inner:
         return e
-    if isinstance(e, Not):
-        return Not(substitute(e.arg, subst))
-    if isinstance(e, And):
-        return And(substitute(e.left, subst), substitute(e.right, subst))
-    if isinstance(e, Or):
-        return Or(substitute(e.left, subst), substitute(e.right, subst))
-    if isinstance(e, Implies):
-        return Implies(substitute(e.left, subst), substitute(e.right, subst))
-    if isinstance(e, Eq):
-        return Eq(substitute(e.left, subst), substitute(e.right, subst))
-    if isinstance(e, Cmp):
-        return Cmp(e.op, substitute(e.left, subst), substitute(e.right, subst))
-    if isinstance(e, App):
-        return App(substitute(e.fn, subst), substitute(e.arg, subst))
-    if isinstance(e, IfThenElse):
-        return IfThenElse(
-            substitute(e.cond, subst), substitute(e.then, subst), substitute(e.other, subst)
-        )
-    if isinstance(e, FieldAccess):
-        return FieldAccess(substitute(e.obj, subst), e.fieldname)
-    if isinstance(e, (Lambda, Forall, Exists)):
-        inner = {k: v for k, v in subst.items() if k != e.var}
-        if not inner:
-            return e
-        # Rename the binder when a substituted expression would capture it.
-        captured = any(e.var in free_vars(v) for v in inner.values())
-        var = e.var
-        body = e.body
-        if captured:
-            taken = free_vars(body) | {n for v in inner.values() for n in free_vars(v)}
-            var = fresh_name(e.var, taken)
-            body = substitute(body, {e.var: Var(var)})
-        body = substitute(body, inner)
-        return type(e)(var, e.var_type, body)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    # Rename the binder when a substituted expression would capture it.
+    captured = any(e.var in free_vars(v) for v in inner.values())
+    var = e.var
+    body = e.body
+    if captured:
+        taken = free_vars(body) | {n for v in inner.values() for n in free_vars(v)}
+        var = fresh_name(e.var, taken)
+        body = substitute(body, {e.var: Var(var)})
+    body = substitute(body, inner)
+    return rebuild(e, (body,)) if var == e.var else replace(e, var=var, body=body)
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -622,73 +709,68 @@ _LVL_APP = 6
 _LVL_ATOM = 7
 
 
-def print_expr(e: Expr) -> str:
-    return _pe(e, _LVL_LOW)
+def print_expr(e: Expr, memo: Optional[dict] = None) -> str:
+    """Concrete syntax of an expression.  A `fold` over (text,
+    precedence level) pairs: `memo` may be shared by calls over
+    expressions with common subterms, whose text is then built once."""
+    return fold(e, _print_node, {} if memo is None else memo)[0]
 
 
-def _parens(s: str, need: bool) -> str:
-    return f"({s})" if need else s
+def _at(kid: tuple[str, int], ctx: int) -> str:
+    """A subterm's text in a context of precedence `ctx`."""
+    text, level = kid
+    return text if level >= ctx else "(" + text + ")"
 
 
-def _pe(e: Expr, ctx: int) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, FloatLit):
-        return repr(e.value)
-    if isinstance(e, StringLit):
-        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(e, Not):
-        return _parens("not " + _pe(e.arg, _LVL_NOT), ctx > _LVL_NOT)
-    if isinstance(e, And):
-        s = _pe(e.left, _LVL_AND) + " && " + _pe(e.right, _LVL_AND + 1)
-        return _parens(s, ctx > _LVL_AND)
-    if isinstance(e, Or):
-        s = _pe(e.left, _LVL_OR) + " || " + _pe(e.right, _LVL_OR + 1)
-        return _parens(s, ctx > _LVL_OR)
-    if isinstance(e, Implies):
-        s = _pe(e.left, _LVL_IMPLIES + 1) + " --> " + _pe(e.right, _LVL_IMPLIES)
-        return _parens(s, ctx > _LVL_IMPLIES)
-    if isinstance(e, Eq):
-        s = _pe(e.left, _LVL_CMP + 1) + " == " + _pe(e.right, _LVL_CMP + 1)
-        return _parens(s, ctx > _LVL_CMP)
-    if isinstance(e, Cmp):
-        s = _pe(e.left, _LVL_CMP + 1) + f" {e.op} " + _pe(e.right, _LVL_CMP + 1)
-        return _parens(s, ctx > _LVL_CMP)
-    if isinstance(e, App):
-        s = _pe(e.fn, _LVL_APP) + " " + _pe(e.arg, _LVL_ATOM)
-        return _parens(s, ctx > _LVL_APP)
-    if isinstance(e, Lambda):
+# Binary operators: (infix text, own level, context of the left operand,
+# context of the right operand).
+_INFIX = {
+    And: (" && ", _LVL_AND, _LVL_AND, _LVL_AND + 1),
+    Or: (" || ", _LVL_OR, _LVL_OR, _LVL_OR + 1),
+    Implies: (" --> ", _LVL_IMPLIES, _LVL_IMPLIES + 1, _LVL_IMPLIES),
+    Eq: (" == ", _LVL_CMP, _LVL_CMP + 1, _LVL_CMP + 1),
+}
+
+
+def _print_node(e: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    kind = type(e)
+    if kind is Var:
+        return e.name, _LVL_ATOM
+    if kind is App:
+        return _at(kids[0], _LVL_APP) + " " + _at(kids[1], _LVL_ATOM), _LVL_APP
+    infix = _INFIX.get(kind)
+    if infix is not None:
+        op, level, left, right = infix
+        return _at(kids[0], left) + op + _at(kids[1], right), level
+    if kind is Not:
+        return "not " + _at(kids[0], _LVL_NOT), _LVL_NOT
+    if kind is Cmp:
+        return _at(kids[0], _LVL_CMP + 1) + f" {e.op} " + _at(kids[1], _LVL_CMP + 1), _LVL_CMP
+    if kind is BoolLit:
+        return ("true" if e.value else "false"), _LVL_ATOM
+    if kind is IntLit:
+        return str(e.value), _LVL_ATOM
+    if kind is FloatLit:
+        return repr(e.value), _LVL_ATOM
+    if kind is StringLit:
+        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"', _LVL_ATOM
+    if kind is Forall or kind is Exists:
+        quantifier = "forall" if kind is Forall else "exists"
+        return f"{quantifier} {e.var}: {e.var_type}. " + kids[0][0], _LVL_LOW
+    if kind is Lambda:
         ann = str(e.var_type)
         if isinstance(e.var_type, FunT):
             ann = f"({ann})"
-        s = f"\\{e.var} : {ann} -> " + _pe(e.body, _LVL_LOW)
-        return _parens(s, ctx > _LVL_LOW)
-    if isinstance(e, IfThenElse):
-        s = (
-            "if "
-            + _pe(e.cond, _LVL_LOW)
-            + " then "
-            + _pe(e.then, _LVL_LOW)
-            + " else "
-            + _pe(e.other, _LVL_LOW)
-        )
-        return _parens(s, ctx > _LVL_LOW)
-    if isinstance(e, Forall):
-        s = f"forall {e.var}: {e.var_type}. " + _pe(e.body, _LVL_LOW)
-        return _parens(s, ctx > _LVL_LOW)
-    if isinstance(e, Exists):
-        s = f"exists {e.var}: {e.var_type}. " + _pe(e.body, _LVL_LOW)
-        return _parens(s, ctx > _LVL_LOW)
-    if isinstance(e, FieldAccess):
-        obj = _pe(e.obj, _LVL_ATOM)
-        if not isinstance(e.obj, (Var, FieldAccess)):
+        return f"\\{e.var} : {ann} -> " + kids[0][0], _LVL_LOW
+    if kind is IfThenElse:
+        cond, then, other = (text for text, _ in kids)
+        return f"if {cond} then {then} else {other}", _LVL_LOW
+    if kind is FieldAccess:
+        obj = _at(kids[0], _LVL_ATOM)
+        if type(e.obj) is not Var and type(e.obj) is not FieldAccess:
             obj = f"({obj})"
-        return obj + "." + e.fieldname
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+        return obj + "." + e.fieldname, _LVL_ATOM
+    raise TypeError(f"unknown expression node {kind.__name__}")
 
 
 def print_annotation(a: RuleAnnotation) -> str:
@@ -706,7 +788,7 @@ def print_annotation(a: RuleAnnotation) -> str:
     raise TypeError(f"unknown annotation {type(a).__name__}")
 
 
-def print_rule(r: Rule) -> str:
+def print_rule(r: Rule, memo: Optional[dict] = None) -> str:
     lines = [f"rule <{r.name}>"]
     if r.annotation is not None:
         lines.append("  " + print_annotation(r.annotation))
@@ -714,8 +796,8 @@ def print_rule(r: Rule) -> str:
         if r.params:
             lines.append("  for " + ", ".join(f"{n}: {t}" for n, t in r.params))
         if r.precond != TRUE:
-            lines.append("  if " + print_expr(r.precond))
-        lines.append("  then " + print_expr(r.postcond))
+            lines.append("  if " + print_expr(r.precond, memo))
+        lines.append("  then " + print_expr(r.postcond, memo))
     return "\n".join(lines)
 
 
@@ -729,7 +811,7 @@ def print_class(c: ClassDecl) -> str:
     return s
 
 
-def print_assertion(a: Assertion) -> str:
+def print_assertion(a: Assertion, memo: Optional[dict] = None) -> str:
     ann_parts = [f"SMT: {{{a.mode}}}"]
     if a.add_rules or a.del_rules:
         rp = []
@@ -738,7 +820,7 @@ def print_assertion(a: Assertion) -> str:
         if a.del_rules:
             rp.append("del: " + ", ".join(a.del_rules))
         ann_parts.append("rules: {" + ", ".join(rp) + "}")
-    return f"assert <{a.name}> {{{', '.join(ann_parts)}}}\n  " + print_expr(a.formula)
+    return f"assert <{a.name}> {{{', '.join(ann_parts)}}}\n  " + print_expr(a.formula, memo)
 
 
 def print_module(m: RuleModule, include_system: bool = False) -> str:
@@ -746,8 +828,10 @@ def print_module(m: RuleModule, include_system: bool = False) -> str:
 
     System-generated declarations and rules are omitted by default:
     elaboration regenerates them, so the printed text stays close to
-    what a user would write.
+    what a user would write.  The text of a subterm shared between
+    rules is built once.
     """
+    memo: dict = {}
     blocks: list[str] = []
     for c in m.classes:
         if c.system and not include_system:
@@ -764,9 +848,9 @@ def print_module(m: RuleModule, include_system: bool = False) -> str:
     for r in m.rules:
         if r.system and not include_system:
             continue
-        blocks.append(print_rule(r))
+        blocks.append(print_rule(r, memo))
     for a in m.assertions:
-        blocks.append(print_assertion(a))
+        blocks.append(print_assertion(a, memo))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
@@ -911,21 +995,10 @@ def check_well_formed(m: RuleModule) -> list[Diagnostic]:
 
 
 def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    """Depth-first iteration over an expression and its subterms."""
-    yield e
-    if isinstance(e, Not):
-        yield from iter_subexprs(e.arg)
-    elif isinstance(e, (And, Or, Implies, Eq, Cmp)):
-        yield from iter_subexprs(e.left)
-        yield from iter_subexprs(e.right)
-    elif isinstance(e, App):
-        yield from iter_subexprs(e.fn)
-        yield from iter_subexprs(e.arg)
-    elif isinstance(e, (Lambda, Forall, Exists)):
-        yield from iter_subexprs(e.body)
-    elif isinstance(e, IfThenElse):
-        yield from iter_subexprs(e.cond)
-        yield from iter_subexprs(e.then)
-        yield from iter_subexprs(e.other)
-    elif isinstance(e, FieldAccess):
-        yield from iter_subexprs(e.obj)
+    """Depth-first iteration over an expression and its subterms, one
+    item per occurrence."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(_CHILDREN[type(x)](x)))

@@ -31,7 +31,6 @@ from .syntax import (
     ROOT_CLASS,
     TRUE,
     And,
-    App,
     Assertion,
     BoolLit,
     ClassDecl,
@@ -41,7 +40,6 @@ from .syntax import (
     Eq,
     Exists,
     Expr,
-    FieldAccess,
     Forall,
     FunDecl,
     FunT,
@@ -63,10 +61,12 @@ from .syntax import (
     apply,
     atom_parts,
     char_pred_name,
+    children,
     conj,
-    conjuncts,
     free_vars,
     fresh_name,
+    rebuild,
+    spine,
     substitute,
     uncurry,
 )
@@ -451,7 +451,7 @@ def lift_predicates(m: RuleModule) -> RuleModule:
                 rn = fresh_rn()
                 extra.append((rn, ClassT(rulename_class(head))))
                 return apply(Var(lifted[head]), Var(rn), *[rewrite(a) for a in args])
-            return _map_subexprs(e, rewrite)
+            return rebuild(e, [rewrite(k) for k in children(e)])
 
         pre = rewrite(r.precond)
         parts = atom_parts(r.postcond)
@@ -480,7 +480,7 @@ def lift_predicates(m: RuleModule) -> RuleModule:
                 taken.add(rn)
                 atom = apply(Var(lifted[head]), Var(rn), *[rewrite(x) for x in args])
                 return Exists(rn, ClassT(rulename_class(head)), atom)
-            return _map_subexprs(e, rewrite)
+            return rebuild(e, [rewrite(k) for k in children(e)])
 
         return replace(a, formula=rewrite(a.formula))
 
@@ -502,22 +502,6 @@ def fun_type_over(args: Sequence[LType], cod: LType) -> LType:
     for a in reversed(args):
         t = FunT(a, t)
     return t
-
-
-def _map_subexprs(e: Expr, f) -> Expr:
-    if isinstance(e, Not):
-        return replace(e, arg=f(e.arg))
-    if isinstance(e, (And, Or, Implies, Eq, Cmp)):
-        return replace(e, left=f(e.left), right=f(e.right))
-    if isinstance(e, App):
-        return replace(e, fn=f(e.fn), arg=f(e.arg))
-    if isinstance(e, (Lambda, Forall, Exists)):
-        return replace(e, body=f(e.body))
-    if isinstance(e, IfThenElse):
-        return replace(e, cond=f(e.cond), then=f(e.then), other=f(e.other))
-    if isinstance(e, FieldAccess):
-        return replace(e, obj=f(e.obj))
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +650,7 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
         if e in ctx:
             return BoolLit(ctx[e])
         if isinstance(e, And):
-            parts = list(conjuncts(e))
+            parts = spine(e, And)
             done: list[Expr] = []
             for i, p in enumerate(parts):
                 local = dict(ctx)
@@ -680,7 +664,7 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             keep = [p for p in done if p != TRUE]
             return conj(keep)
         if isinstance(e, Or):
-            parts = _disjuncts(e)
+            parts = spine(e, Or)
             done = []
             for i, p in enumerate(parts):
                 local = dict(ctx)
@@ -760,9 +744,3 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             break
         prev, cur = cur, go(cur, {})
     return cur
-
-
-def _disjuncts(e: Expr) -> list[Expr]:
-    if isinstance(e, Or):
-        return _disjuncts(e.left) + _disjuncts(e.right)
-    return [e]

@@ -151,6 +151,9 @@ def comparable(t1: LType, t2: LType, classes: dict[str, ClassDecl]) -> bool:
     return is_subtype(t1, t2, classes) or is_subtype(t2, t1, classes)
 
 
+_CONNECTIVES = {And: "&&", Or: "||", Implies: "-->"}
+
+
 def type_of(env: Env, e: Expr, vars: Optional[dict[str, LType]] = None) -> LType:
     """Type of an expression, or an LTypeError describing the mismatch."""
     vs = vars or {}
@@ -174,9 +177,15 @@ def type_of(env: Env, e: Expr, vars: Optional[dict[str, LType]] = None) -> LType
             expect_bool(e.arg, vs, "operand of 'not'")
             return BOOL
         if isinstance(e, (And, Or, Implies)):
-            op = {"And": "&&", "Or": "||", "Implies": "-->"}[type(e).__name__]
-            expect_bool(e.left, vs, f"left operand of '{op}'")
-            expect_bool(e.right, vs, f"right operand of '{op}'")
+            # The left spine in a loop, not a frame per connective: its
+            # first operand, then the right operands from the inside out.
+            chain = []
+            while type(e) in _CONNECTIVES:
+                chain.append(e)
+                e = e.left
+            expect_bool(e, vs, f"left operand of '{_CONNECTIVES[type(chain[-1])]}'")
+            for c in reversed(chain):
+                expect_bool(c.right, vs, f"right operand of '{_CONNECTIVES[type(c)]}'")
             return BOOL
         if isinstance(e, Eq):
             t1 = go(e.left, vs)

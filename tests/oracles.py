@@ -31,6 +31,7 @@ from normlog.syntax import (
     FieldAccess,
     FloatLit,
     Forall,
+    FunT,
     IfThenElse,
     Implies,
     IntLit,
@@ -749,6 +750,78 @@ def tree_expr_to_sexp(e, memo=None):
             f"{tree_expr_to_sexp(e.other)})"
         )
     raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
+
+
+# Precedence levels of the printer, loosest first.
+_LOW, _IMPLIES, _OR, _AND, _CMP, _NOT, _APP, _ATOM = range(8)
+
+
+def _parens(s, need):
+    return f"({s})" if need else s
+
+
+def tree_print_expr(e, ctx=_LOW):
+    """Concrete syntax of an expression by recursion over the tree, in
+    a context of precedence `ctx`: every occurrence of a shared subterm
+    is printed again."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, FloatLit):
+        return repr(e.value)
+    if isinstance(e, StringLit):
+        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(e, Not):
+        return _parens("not " + tree_print_expr(e.arg, _NOT), ctx > _NOT)
+    if isinstance(e, And):
+        s = tree_print_expr(e.left, _AND) + " && " + tree_print_expr(e.right, _AND + 1)
+        return _parens(s, ctx > _AND)
+    if isinstance(e, Or):
+        s = tree_print_expr(e.left, _OR) + " || " + tree_print_expr(e.right, _OR + 1)
+        return _parens(s, ctx > _OR)
+    if isinstance(e, Implies):
+        s = tree_print_expr(e.left, _IMPLIES + 1) + " --> " + tree_print_expr(e.right, _IMPLIES)
+        return _parens(s, ctx > _IMPLIES)
+    if isinstance(e, Eq):
+        s = tree_print_expr(e.left, _CMP + 1) + " == " + tree_print_expr(e.right, _CMP + 1)
+        return _parens(s, ctx > _CMP)
+    if isinstance(e, Cmp):
+        s = tree_print_expr(e.left, _CMP + 1) + f" {e.op} " + tree_print_expr(e.right, _CMP + 1)
+        return _parens(s, ctx > _CMP)
+    if isinstance(e, App):
+        s = tree_print_expr(e.fn, _APP) + " " + tree_print_expr(e.arg, _ATOM)
+        return _parens(s, ctx > _APP)
+    if isinstance(e, Lambda):
+        ann = str(e.var_type)
+        if isinstance(e.var_type, FunT):
+            ann = f"({ann})"
+        s = f"\\{e.var} : {ann} -> " + tree_print_expr(e.body, _LOW)
+        return _parens(s, ctx > _LOW)
+    if isinstance(e, IfThenElse):
+        s = (
+            "if "
+            + tree_print_expr(e.cond, _LOW)
+            + " then "
+            + tree_print_expr(e.then, _LOW)
+            + " else "
+            + tree_print_expr(e.other, _LOW)
+        )
+        return _parens(s, ctx > _LOW)
+    if isinstance(e, Forall):
+        s = f"forall {e.var}: {e.var_type}. " + tree_print_expr(e.body, _LOW)
+        return _parens(s, ctx > _LOW)
+    if isinstance(e, Exists):
+        s = f"exists {e.var}: {e.var_type}. " + tree_print_expr(e.body, _LOW)
+        return _parens(s, ctx > _LOW)
+    if isinstance(e, FieldAccess):
+        obj = tree_print_expr(e.obj, _ATOM)
+        if not isinstance(e.obj, (Var, FieldAccess)):
+            obj = f"({obj})"
+        return obj + "." + e.fieldname
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 def char_tokenize(text):

@@ -16,6 +16,8 @@ import pathlib
 
 import pytest
 
+from normlog.syntax import Expr
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "normlog"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -104,3 +106,76 @@ def test_the_scan_finds_an_unnamed_definition():
 def test_every_top_level_definition_is_named(path):
     named_elsewhere = set().union(*(_named_in(p) for p in SOURCES if p != path))
     assert unnamed_definitions(path.read_text(encoding="utf-8"), named_elsewhere) == []
+
+
+# A function that names this many expression classes dispatches on the
+# node kind.  Only the per-kind algebras may; a structural walk goes
+# through syntax.children, rebuild and fold.
+KIND_DISPATCH = 6
+PER_KIND_ALGEBRAS = {
+    "syntax.py:_print_node",
+    "typecheck.py:type_of.go",
+    "transform.py:simplify.go",
+    "inversion.py:check_syntactic_monotonicity.walk",
+    "smtlib.py:expr_to_sexp",
+    "models.py:FormulaCompiler._comp",
+    "models.py:_guard.guard",
+}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _own_names(fn: ast.AST) -> set[str]:
+    """The names in a function's body, not counting nested definitions."""
+    out = set()
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif not isinstance(n, _SCOPES):
+            stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def kind_dispatchers(source: str, classes: set[str]) -> list[str]:
+    """The functions of `source`, by dotted path, whose own body names
+    at least KIND_DISPATCH of `classes`."""
+    out = []
+
+    def visit(node: ast.AST, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, _SCOPES):
+                visit(child, path)
+                continue
+            inner = f"{path}.{child.name}" if path else child.name
+            if not isinstance(child, ast.ClassDef) and len(_own_names(child) & classes) >= KIND_DISPATCH:
+                out.append(inner)
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_the_scan_finds_a_kind_dispatcher():
+    module = (
+        "def walk(e):\n"
+        "    def inner(e):\n"
+        "        return isinstance(e, (A, B, C, D, E, F))\n"
+        "    return isinstance(e, (A, B))\n"
+        "class K:\n"
+        "    def method(self, e):\n"
+        "        return type(e) in (A, B, C, D, E, F, G)\n"
+    )
+    assert kind_dispatchers(module, set("ABCDEFG")) == ["walk.inner", "K.method"]
+
+
+def test_no_structural_walker_dispatches_on_node_kinds():
+    classes = {cls.__name__ for cls in Expr.__subclasses__()}
+    found = {
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in kind_dispatchers(path.read_text(encoding="utf-8"), classes)
+    }
+    assert found <= PER_KIND_ALGEBRAS, sorted(found - PER_KIND_ALGEBRAS)

@@ -42,8 +42,13 @@ MODES = [(v, simp) for v in Variant for simp in (False, True)]
 def _with_tree_walkers(run):
     """run() with the module's walkers replaced by the references."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "rewrite_fields", oracles.tree_rewrite_fields)
-        mp.setattr(models, "guard_quantifiers", oracles.tree_guard_quantifiers)
+        mp.setattr(
+            models,
+            "translate",
+            lambda e, env, memo=None: oracles.tree_guard_quantifiers(
+                oracles.tree_rewrite_fields(e), env
+            ),
+        )
         mp.setattr(smtlib, "expr_to_sexp", oracles.tree_expr_to_sexp)
         return run()
 

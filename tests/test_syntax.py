@@ -1,12 +1,20 @@
-"""AST helpers, the pretty printer, and module well-formedness checks."""
+"""AST helpers, the traversal core, the pretty printer, and module
+well-formedness checks."""
 
 import pickle
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
+
+import pytest
 
 import hypothesis.strategies as st
 from hypothesis import given
 
+import oracles
+from conftest import CASES, load_case
+from normlog import syntax
 from normlog.parser import parse_expr, parse_module
+from normlog.randgen import random_annotated_module
 from normlog.syntax import (
     BOOL,
     INT,
@@ -18,13 +26,16 @@ from normlog.syntax import (
     Cmp,
     Eq,
     Exists,
+    Expr,
     FieldAccess,
+    FloatLit,
     Forall,
     FunT,
     IfThenElse,
     Implies,
     IntLit,
     Lambda,
+    Loc,
     Not,
     Or,
     StringLit,
@@ -33,15 +44,21 @@ from normlog.syntax import (
     apply,
     atom_parts,
     check_well_formed,
+    children,
     conj,
-    conjuncts,
     free_vars,
+    fold,
     fresh_name,
     fun_type,
     print_expr,
+    print_module,
+    rebuild,
+    spine,
     substitute,
     uncurry,
 )
+from normlog.transform import CycleError, Variant, transform_module
+from normlog.typecheck import elaborate
 
 
 def test_conj_left_nested():
@@ -54,8 +71,18 @@ def test_conj_left_nested():
 def test_conjuncts_flattens_nesting():
     a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
     e = And(And(a, And(b, c)), d)
-    assert conjuncts(e) == [a, b, c, d]
-    assert conjuncts(a) == [a]
+    assert spine(e, And) == [a, b, c, d]
+    assert spine(a, And) == [a]
+    assert spine(Or(a, Or(And(b, c), d)), Or) == [a, And(b, c), d]
+
+
+def test_spine_flattens_a_long_chain():
+    atoms = [App(Var("p"), Var(f"x{i}")) for i in range(5000)]
+    assert spine(conj(atoms), And) == atoms
+    right = atoms[-1]
+    for x in reversed(atoms[:-1]):
+        right = And(x, right)
+    assert spine(right, And) == atoms
 
 
 def test_apply_builds_curried_applications():
@@ -176,6 +203,124 @@ def test_print_precedence_samples():
 def test_tuple_type_str():
     assert str(TupleT((INT, BOOL))) == "(Integer, Boolean)"
     assert str(FunT(FunT(INT, INT), BOOL)) == "(Integer -> Integer) -> Boolean"
+
+
+def test_fold_printer_matches_the_tree_printer():
+    modules = [load_case(p.name) for p in sorted(CASES.glob("*.l4"))]
+    modules += [elaborate(random_annotated_module(random.Random(s)).module) for s in range(60)]
+    for m in modules:
+        for variant in Variant:
+            for simp in (False, True):
+                try:
+                    out = transform_module(m, variant, simplify_preconds=simp).module
+                except CycleError:
+                    out = m
+                exprs = [e for r in out.rules for e in (r.precond, r.postcond)]
+                exprs += [a.formula for a in out.assertions]
+                for e in exprs:
+                    assert print_expr(e) == oracles.tree_print_expr(e)
+                # print_module shares one memo between rules
+                text = print_module(out, include_system=True)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(syntax, "print_expr", lambda e, memo=None: oracles.tree_print_expr(e))
+                    assert text == print_module(out, include_system=True)
+
+
+# ---------------------------------------------------------------------------
+# the traversal core
+
+_L = Loc(3, 4)
+_NODES = [
+    Var("v", _L),
+    BoolLit(True, _L),
+    IntLit(7, _L),
+    FloatLit(1.5, _L),
+    StringLit("s", _L),
+    Not(Var("a"), _L),
+    And(Var("a"), Var("b"), _L),
+    Or(Var("a"), Var("b"), _L),
+    Implies(Var("a"), Var("b"), _L),
+    Eq(Var("a"), IntLit(1), _L),
+    Cmp("<", Var("a"), IntLit(1), _L),
+    App(Var("f"), Var("a"), _L),
+    Lambda("x", BOOL, Var("x"), _L),
+    IfThenElse(Var("c"), Var("a"), Var("b"), _L),
+    Forall("x", ClassT("Car"), Var("x"), _L),
+    Exists("x", INT, Var("x"), _L),
+    FieldAccess(Var("o"), "speed", _L),
+]
+
+
+def test_children_are_the_expr_fields_and_rebuild_keeps_the_rest():
+    assert {type(e) for e in _NODES} == set(Expr.__subclasses__())
+    for e in _NODES:
+        kids = children(e)
+        assert kids == tuple(
+            getattr(e, f.name) for f in fields(e) if isinstance(getattr(e, f.name), Expr)
+        )
+        assert rebuild(e, kids) is e and rebuild(e, list(kids)) is e
+        new = [Var(f"k{i}") for i in range(len(kids))]
+        if new:
+            r = rebuild(e, new)
+            assert type(r) is type(e) and list(children(r)) == new and r.loc == _L
+            assert [getattr(r, f.name) for f in fields(e) if f.name != "loc" and not isinstance(getattr(e, f.name), Expr)] == [
+                getattr(e, f.name) for f in fields(e) if f.name != "loc" and not isinstance(getattr(e, f.name), Expr)
+            ]
+
+
+def test_fold_printer_matches_the_tree_printer_at_every_child_position():
+    for outer in _NODES:
+        for inner in _NODES:
+            for middle in _NODES:
+                e = rebuild(outer, [rebuild(middle, [inner] * len(children(middle)))] * len(children(outer)))
+                assert print_expr(e) == oracles.tree_print_expr(e)
+
+
+def test_substitute_keeps_locations():
+    e = And(App(Var("p", _L), Var("x", _L), _L), Forall("y", INT, Eq(Var("y"), Var("x")), _L), _L)
+    out = substitute(e, {"x": Var("z")})
+    assert out == And(App(Var("p"), Var("z")), Forall("y", INT, Eq(Var("y"), Var("z"))))
+    assert out.loc == out.left.loc == out.right.loc == _L
+    # a renamed binder keeps its location too
+    renamed = substitute(Forall("y", INT, Eq(Var("y"), Var("x")), _L), {"x": Var("y")})
+    assert renamed == Forall("y1", INT, Eq(Var("y1"), Var("y"))) and renamed.loc == _L
+    assert substitute(e, {"q": Var("z")}) is e
+
+
+def test_fold_combines_each_distinct_inner_node_once_in_post_order():
+    shared = And(Var("a"), Var("b"))
+    e = Or(Not(shared), shared)
+    seen = []
+
+    def combine(x, values):
+        seen.append(x)
+        return 1 + sum(values)
+
+    memo = {}
+    assert fold(e, combine, memo) == 8  # the tree has eight nodes
+    assert seen == [Var("a"), Var("b"), shared, Not(shared), e]
+    assert set(memo) == {id(shared), id(e.left), id(e)} and memo[id(e)] == (e, 8)
+    assert fold(e.left, combine, memo) == 4 and len(seen) == 5
+
+
+def _deep(levels):
+    e = Var("p")
+    for i in range(levels):
+        e = Not(e) if i % 2 else And(e, Var(f"x{i % 7}"))
+    return e
+
+
+def test_fold_does_not_recurse_per_level():
+    deep = _deep(100_000)
+    assert fold(deep, lambda x, values: 1 + sum(values), {}) == 150_001
+    assert free_vars(deep) == {"p"} | {f"x{i}" for i in range(7)}
+    assert sum(1 for _ in syntax.iter_subexprs(deep)) == 150_001
+    # The printer keeps the text of every node in its memo, so its
+    # input is kept smaller.
+    text = "p"
+    for i in range(3000):
+        text = f"not ({text})" if i % 2 else f"{text} && x{i % 7}"
+    assert print_expr(_deep(3000)) == text
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,22 @@ def test_type_of_comparison_and_equality():
         type_of(env, parse_expr("instCar == 3"))
 
 
+def test_type_of_a_long_chain_reports_the_first_bad_operand():
+    # The chain is checked in a loop, in the order and with the messages
+    # of a short one: each conjunct "maxSp instCar 90 && " is 20
+    # characters, and a field access is located at its dot.
+    env = _env()
+    atoms = ["maxSp instCar 90"] * 500
+    atoms[400] = atoms[450] = "instCar.weight"
+    with pytest.raises(LTypeError) as err:
+        type_of(env, parse_expr(" && ".join(atoms)))
+    assert str(err.value) == "1:8009: right operand of '&&' must be Boolean, got 'Integer'"
+    atoms[0] = "instCar.weight"
+    with pytest.raises(LTypeError) as err:
+        type_of(env, parse_expr(" || ".join(atoms[:300]) + " && true"))
+    assert str(err.value) == "1:9: left operand of '||' must be Boolean, got 'Integer'"
+
+
 def test_type_of_quantifier_and_lambda():
     env = _env()
     assert type_of(env, parse_expr("forall v: Car. maxSp v 90")) == BOOL
