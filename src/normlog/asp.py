@@ -641,11 +641,6 @@ class _ValiditySearch:
             """A rule's precondition fails: one term per body literal."""
             return tuple(((i, not want),) for i, want in holds[k])
 
-        inconsistent_by_atom: dict[Atom, list] = {}
-        for k in cfg.inconsistent:
-            for a in dict.fromkeys(k):
-                inconsistent_by_atom.setdefault(a, []).append(k)
-
         def clashes(dom: int, sub: int) -> list:
             """For each inconsistent set holding both conclusions, the
             slots of its members other than the subordinate conclusion:
@@ -655,7 +650,7 @@ class _ValiditySearch:
                 return []
             return [
                 tuple(slot[a] for a in dict.fromkeys(k) if a != cs)
-                for k in inconsistent_by_atom.get(cd, ())
+                for k in cfg.inconsistent_by_atom.get(cd, ())
                 if cs in k
             ]
 

@@ -23,7 +23,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .syntax import NormlogError, print_expr, print_module
+from .syntax import NormlogError, check_well_formed, print_expr, print_module
 from .parser import LParseError, parse_module
 from .typecheck import Env, LTypeError, elaborate, typecheck_module
 from .transform import TransformError, Variant, transform_module
@@ -37,6 +37,7 @@ from .models import (
     Interpretation,
     ModelError,
     ResourceCapError,
+    assertion_problem,
     check_assertion,
     rules_to_formulas,
 )
@@ -115,8 +116,6 @@ def _parse_ints(text: Optional[str]) -> tuple[int, ...]:
 
 def _load_module(path: str):
     m = parse_module(_read(path))
-    from .syntax import check_well_formed
-
     diags = check_well_formed(m)
     errors = [d for d in diags if d.severity == "error"]
     if errors:
@@ -207,21 +206,11 @@ def cmd_invert(args) -> int:
 def cmd_emit_smt(args) -> int:
     m = _load_module(args.file)
     res = transform_module(m, Variant(args.variant), simplify_preconds=args.simplify)
-    fs = rules_to_formulas(res.module, include_inversions=not args.no_inversions)
-    goal = None
+    inversions = not args.no_inversions
     if args.assertion:
-        from .models import adjusted_rules
-        from .models import rules_to_formulas as _rtf
-
-        byname = {a.name: a for a in res.module.assertions}
-        if args.assertion not in byname:
-            raise ModelError(f"no assertion named '{args.assertion}'")
-        a = byname[args.assertion]
-        adjusted = adjusted_rules(res.module, a)
-        fs = _rtf(adjusted, include_inversions=not args.no_inversions)
-        from .models import translate
-
-        goal = (a.name, a.mode, translate(a.formula, Env.from_module(adjusted)))
+        fs, goal = assertion_problem(res.module, args.assertion, inversions)
+    else:
+        fs, goal = rules_to_formulas(res.module, inversions), None
     _write_or_print(emit_smtlib(fs, goal), args.output)
     return 0
 
@@ -248,7 +237,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    m = parse_module(_read(args.file))
+    m = _load_module(args.file)
     report = check_model_correspondence(
         m,
         _parse_sizes(args.sizes),

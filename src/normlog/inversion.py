@@ -23,17 +23,13 @@ from typing import Sequence
 from .syntax import (
     TRUE,
     And,
-    App,
     BoolT,
-    Cmp,
     Eq,
     Exists,
     Expr,
-    FieldAccess,
     Forall,
     IfThenElse,
     Implies,
-    Lambda,
     LType,
     Not,
     NormlogError,
@@ -183,56 +179,36 @@ class MonotonicityReport:
     offenders: tuple[tuple[str, str], ...]
 
 
+# The negations each child of a node kind adds, or None where polarity
+# is undefined: at every child of a kind not listed, and below.
+_POLARITY = {
+    Not: (1,), Implies: (1, 0), And: (0, 0), Or: (0, 0),
+    Forall: (0,), Exists: (0,), IfThenElse: (None, 0, 0),
+}
+
+
 def check_syntactic_monotonicity(rules: Sequence[Rule], pred: str) -> MonotonicityReport:
     """Flag occurrences of the predicate that sit under an odd number of
     negations (counting implication antecedents) in the preconditions
     of the rules concluding it, plus positions whose polarity is not
-    defined (equation arguments, if-conditions, lambda bodies)."""
+    defined (equation arguments, if-conditions, lambda bodies), in
+    pre-order, from an explicit stack of (subterm, negations or None)."""
     offenders: list[tuple[str, str]] = []
-
-    def walk(e: Expr, negs: int, rule: str) -> None:
-        parts = atom_parts(e)
-        if parts is not None and parts[0] == pred:
-            if negs % 2 == 1:
-                offenders.append((rule, f"'{pred}' occurs under {negs} negation(s)"))
-            for a in parts[1]:
-                walk_neutral(a, rule)
-            return
-        if isinstance(e, Not):
-            walk(e.arg, negs + 1, rule)
-        elif isinstance(e, Implies):
-            walk(e.left, negs + 1, rule)
-            walk(e.right, negs, rule)
-        elif isinstance(e, (And, Or)):
-            walk(e.left, negs, rule)
-            walk(e.right, negs, rule)
-        elif isinstance(e, (Forall, Exists)):
-            walk(e.body, negs, rule)
-        elif isinstance(e, (Eq, Cmp)):
-            walk_neutral(e.left, rule)
-            walk_neutral(e.right, rule)
-        elif isinstance(e, IfThenElse):
-            walk_neutral(e.cond, rule)
-            walk(e.then, negs, rule)
-            walk(e.other, negs, rule)
-        elif isinstance(e, Lambda):
-            walk_neutral(e.body, rule)
-        elif isinstance(e, App):
-            walk_neutral(e, rule)
-        elif isinstance(e, FieldAccess):
-            walk_neutral(e.obj, rule)
-
-    def walk_neutral(e: Expr, rule: str) -> None:
-        """Positions with no defined polarity: any occurrence is flagged."""
-        parts = atom_parts(e)
-        if parts is not None and parts[0] == pred:
-            offenders.append((rule, f"'{pred}' occurs in a position of mixed polarity"))
-            for a in parts[1]:
-                walk_neutral(a, rule)
-            return
-        for sub in children(e):
-            walk_neutral(sub, rule)
-
     for r in rules_concluding(rules, pred):
-        walk(r.precond, 0, r.name)
+        stack: list = [(r.precond, 0)]
+        while stack:
+            e, negs = stack.pop()
+            parts = atom_parts(e)
+            if parts is not None and parts[0] == pred:
+                if negs is None:
+                    offenders.append((r.name, f"'{pred}' occurs in a position of mixed polarity"))
+                elif negs % 2 == 1:
+                    offenders.append((r.name, f"'{pred}' occurs under {negs} negation(s)"))
+                stack.extend((a, None) for a in reversed(parts[1]))
+                continue
+            kids = children(e)
+            adds = None if negs is None else _POLARITY.get(type(e))
+            for i in reversed(range(len(kids))):
+                add = None if adds is None else adds[i]
+                stack.append((kids[i], None if add is None else negs + add))
     return MonotonicityReport(not offenders, tuple(offenders))

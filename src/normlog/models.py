@@ -74,6 +74,7 @@ from .syntax import (
     fold,
     free_vars,
     rebuild,
+    spine,
     uncurry,
 )
 from .typecheck import Env, is_sort, sort_of
@@ -370,7 +371,8 @@ class FormulaCompiler:
     numbered as contexts), and a binder's cell is keyed by its variable
     and depth, so a subterm shared between rules compiles once.  The
     compilation spends one frame per tree level, and so does a call of
-    its closure."""
+    its closure, except that a chain of && or || of any length takes as
+    many frames as a balanced tree of its operands."""
 
     def __init__(
         self,
@@ -471,7 +473,19 @@ class FormulaCompiler:
         if kind is Not:
             out = _negation(comp(e.arg, scope, context))
         elif kind in _BINARY:
-            out = _binary(e, comp(e.left, scope, context), comp(e.right, scope, context))
+            left, right = e.left, e.right
+            if (kind is And or kind is Or) and (type(left) is kind or type(right) is kind):
+                # A chain of three or more operands, however bracketed,
+                # compiles as a balanced tree: Kleene && and || are
+                # associative and evaluate operands left to right under
+                # any bracketing.
+                nodes = [comp(x, scope, context) for x in spine(e, kind)]
+                while len(nodes) > 1:
+                    paired = [_binary(e, nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
+                    nodes = paired + nodes[len(paired) * 2:]
+                out = nodes[0]
+            else:
+                out = _binary(e, comp(left, scope, context), comp(right, scope, context))
         elif kind is App:
             parts = atom_parts(e)
             if parts is None:
@@ -953,6 +967,20 @@ def adjusted_rules(m: RuleModule, a: Assertion) -> RuleModule:
     return replace(m, rules=tuple(r for r in m.rules if r.name not in dropped))
 
 
+def assertion_problem(
+    m: RuleModule, name: str, include_inversions: bool = True
+) -> tuple[FormulaSet, tuple[str, str, Expr]]:
+    """The formulas of the rules an assertion is checked against (see
+    `adjusted_rules`) and its goal: (name, mode, translated formula)."""
+    byname = {a.name: a for a in m.assertions}
+    if name not in byname:
+        raise ModelError(f"no assertion named '{name}'")
+    a = byname[name]
+    adjusted = adjusted_rules(m, a)
+    fs = rules_to_formulas(adjusted, include_inversions)
+    return fs, (name, a.mode, translate(a.formula, Env.from_module(adjusted)))
+
+
 def check_assertion(
     m: RuleModule,
     name: str,
@@ -967,28 +995,16 @@ def check_assertion(
     negated assertion (a countermodel); satisfiability by searching for
     a model of the rules plus the assertion itself.  Either way the
     first model found is returned."""
-    byname = {a.name: a for a in m.assertions}
-    if name not in byname:
-        raise ModelError(f"no assertion named '{name}'")
-    a = byname[name]
-    adjusted = adjusted_rules(m, a)
-    fs = rules_to_formulas(adjusted, include_inversions)
-    env = Env.from_module(adjusted)
-    goal = translate(a.formula, env)
-
-    if a.mode == VALID:
+    fs, (_, mode, goal) = assertion_problem(m, name, include_inversions)
+    if mode == VALID:
         probe = fs.formulas + ((f"assertion {name} (negated)", Not(goal)),)
     else:
         probe = fs.formulas + ((f"assertion {name}", goal),)
     probe_fs = replace(fs, formulas=probe)
 
-    found: Optional[Interpretation] = None
-    for model in enumerate_models(probe_fs, sizes, ints, node_budget):
-        found = model
-        break
-
-    if a.mode == VALID:
+    found = next(enumerate_models(probe_fs, sizes, ints, node_budget), None)
+    if mode == VALID:
         status = "counter_model" if found is not None else "valid"
     else:
         status = "satisfiable" if found is not None else "unsatisfiable"
-    return CheckOutcome(name, a.mode, status, found)
+    return CheckOutcome(name, mode, status, found)

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .syntax import (
     VALID,
@@ -55,6 +55,8 @@ from .syntax import (
     StrT,
     Var,
     atom_parts,
+    children,
+    fold,
     spine,
     uncurry,
 )
@@ -81,17 +83,14 @@ def smt_symbol(name: str) -> str:
     return f"|{name}|"
 
 
+_SORTS = {BoolT: "Bool", IntT: "Int", FloatT: "Real", StrT: "String"}
+
+
 def smt_sort(t) -> str:
-    if isinstance(t, BoolT):
-        return "Bool"
-    if isinstance(t, IntT):
-        return "Int"
-    if isinstance(t, FloatT):
-        return "Real"
-    if isinstance(t, StrT):
-        return "String"
     if isinstance(t, ClassT):
         return smt_symbol(t.name)
+    if type(t) in _SORTS:
+        return _SORTS[type(t)]
     raise SmtError(f"type '{t}' has no SMT-LIB sort")
 
 
@@ -116,68 +115,77 @@ def smt_decimal(v: float) -> str:
 
 
 _CONNECTIVES = {And: "and", Or: "or", Implies: "=>"}
+_QUANTIFIERS = {Forall: "forall", Exists: "exists"}
+_PLAIN = (Not, Eq, Cmp, IfThenElse)  # written with their children
 
 
-def expr_to_sexp(e: Expr, memo: Optional[dict[int, str]] = None) -> str:
-    """The SMT-LIB term of an expression.
+def _binders(e: Expr) -> tuple[list[str], Expr]:
+    """The sorted variables of a run of quantifiers of `e`'s kind, and
+    the body under them."""
+    binders = []
+    body = e
+    while type(body) is type(e):
+        binders.append(f"({smt_symbol(body.var)} {smt_sort(body.var_type)})")
+        body = body.body
+    return binders, body
 
-    Each distinct node is rendered once: `memo` maps `id(node)` to its
-    text, so a subterm shared by several formulas is rendered once and
-    its text reused.  A memo is only valid while the nodes it has seen
-    are alive; `emit_smtlib` uses one per script."""
-    if memo is None:
-        memo = {}
-    s = memo.get(id(e))
-    if s is not None:
-        return s
-    if isinstance(e, Var):
-        s = smt_symbol(e.name)
-    elif isinstance(e, BoolLit):
-        s = "true" if e.value else "false"
-    elif isinstance(e, IntLit):
-        s = str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    elif isinstance(e, FloatLit):
-        s = smt_decimal(e.value)
-    elif isinstance(e, StringLit):
-        s = '"' + e.value.replace('"', '""') + '"'
-    elif isinstance(e, Not):
-        s = f"(not {expr_to_sexp(e.arg, memo)})"
-    elif isinstance(e, (And, Or, Implies)):
-        operands = _implies_spine(e) if isinstance(e, Implies) else spine(e, type(e))
-        parts = []
-        for x in operands:
-            parts.append(expr_to_sexp(x, memo))
-        s = f"({_CONNECTIVES[type(e)]} " + " ".join(parts) + ")"
-    elif isinstance(e, Eq):
-        s = f"(= {expr_to_sexp(e.left, memo)} {expr_to_sexp(e.right, memo)})"
-    elif isinstance(e, Cmp):
-        s = f"({e.op} {expr_to_sexp(e.left, memo)} {expr_to_sexp(e.right, memo)})"
-    elif isinstance(e, App):
-        head_args = atom_parts(e)
-        if head_args is None:
+
+def _operands(e: Expr) -> Sequence[Expr]:
+    """The subterms `e` is written with: a chain of one connective is one
+    term, an atom lists its arguments and a run of one quantifier binds
+    all its variables.  A node that cannot be written raises here or has
+    no operands, so the first fault in pre-order is the one reported."""
+    kind = type(e)
+    if kind is App:
+        parts = atom_parts(e)
+        if parts is None:
             raise SmtError("cannot emit application of a non-symbol")
-        head, args = head_args
-        parts = []
-        for a in args:
-            parts.append(expr_to_sexp(a, memo))
-        s = f"({smt_symbol(head)} " + " ".join(parts) + ")"
-    elif isinstance(e, (Forall, Exists)):
-        kind = "forall" if isinstance(e, Forall) else "exists"
-        binders = []
-        body = e
-        while isinstance(body, type(e)):
-            binders.append(f"({smt_symbol(body.var)} {smt_sort(body.var_type)})")
-            body = body.body
-        s = f"({kind} (" + " ".join(binders) + f") {expr_to_sexp(body, memo)})"
-    elif isinstance(e, IfThenElse):
-        s = (
-            f"(ite {expr_to_sexp(e.cond, memo)} {expr_to_sexp(e.then, memo)} "
-            f"{expr_to_sexp(e.other, memo)})"
-        )
-    else:
-        raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
-    memo[id(e)] = s
-    return s
+        return parts[1]
+    if kind in _CONNECTIVES:
+        return _implies_spine(e) if kind is Implies else spine(e, kind)
+    if kind in _QUANTIFIERS:
+        return (_binders(e)[1],)
+    return children(e) if kind in _PLAIN else ()
+
+
+def _sexp_node(e: Expr, parts: list[str]) -> str:
+    kind = type(e)
+    if kind is Var:
+        return smt_symbol(e.name)
+    if kind is App:
+        while type(e) is App:
+            e = e.fn
+        return f"({smt_symbol(e.name)} " + " ".join(parts) + ")"
+    if kind in _CONNECTIVES:
+        return f"({_CONNECTIVES[kind]} " + " ".join(parts) + ")"
+    if kind in _QUANTIFIERS:
+        return f"({_QUANTIFIERS[kind]} (" + " ".join(_binders(e)[0]) + f") {parts[0]})"
+    if kind is Not:
+        return f"(not {parts[0]})"
+    if kind is BoolLit:
+        return "true" if e.value else "false"
+    if kind is IntLit:
+        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
+    if kind is FloatLit:
+        return smt_decimal(e.value)
+    if kind is StringLit:
+        return '"' + e.value.replace('"', '""') + '"'
+    if kind is Eq:
+        return f"(= {parts[0]} {parts[1]})"
+    if kind is Cmp:
+        return f"({e.op} {parts[0]} {parts[1]})"
+    if kind is IfThenElse:
+        return f"(ite {parts[0]} {parts[1]} {parts[2]})"
+    raise SmtError(f"cannot emit {kind.__name__} nodes to SMT-LIB")
+
+
+def expr_to_sexp(e: Expr, memo: Optional[dict] = None) -> str:
+    """The SMT-LIB term of an expression: a `fold` over the operands
+    each node is written with.  Each distinct node is rendered once, and
+    `memo` may be shared by calls over formulas with common subterms; it
+    is only valid while the nodes it has seen are alive, and
+    `emit_smtlib` uses one per script."""
+    return fold(e, _sexp_node, {} if memo is None else memo, _operands)
 
 
 def emit_smtlib(

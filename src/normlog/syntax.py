@@ -281,22 +281,46 @@ class FieldAccess(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
+# A fold, or a node's hash, recurses this many levels, then keeps a stack.
+_FOLD_DEPTH = 100
+
+
 def _hash_once(cls: type) -> None:
     """Replace a node class's field hash by one computed on first use.
     The value is the dataclass's own, the hash of the tuple of compared
-    fields, so sets and dicts of nodes behave exactly as before."""
+    fields, so sets and dicts of nodes behave exactly as before.  The
+    unhashed nodes below are hashed first: `_FOLD_DEPTH` levels down by
+    recursion, and below that from an explicit stack."""
     names = [f.name for f in fields(cls) if f.compare]
     get = attrgetter(*names)
     single = len(names) == 1
 
-    def __hash__(self) -> int:
+    def __hash__(self, depth: int = _FOLD_DEPTH) -> int:
         h = self._hash
         if h is None:
+            for k in children(self):
+                if k._hash is None and depth:
+                    type(k).__hash__(k, depth - 1)
+                elif k._hash is None:
+                    _hash_below(k)
             h = hash((get(self),) if single else get(self))
             object.__setattr__(self, "_hash", h)
         return h
 
     cls.__hash__ = __hash__
+
+
+def _hash_below(e: Expr) -> None:
+    """Hash the unhashed descendants of `e` bottom-up, from a stack."""
+    below, seen, stack = [], set(), list(children(e))
+    while stack:
+        x = stack.pop()
+        if x._hash is None and id(x) not in seen:
+            seen.add(id(x))
+            below.append(x)
+            stack.extend(children(x))
+    for x in reversed(below):
+        hash(x)
 
 
 for _cls in Expr.__subclasses__():
@@ -340,10 +364,6 @@ def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
             if new is not old:
                 return replace(e, **dict(zip(_CHILD_FIELDS[type(e)], kids)))
     return e
-
-
-# A fold recurses this many levels, then goes on with an explicit stack.
-_FOLD_DEPTH = 100
 
 
 def fold(
@@ -966,7 +986,7 @@ def check_well_formed(m: RuleModule) -> list[Diagnostic]:
         ann = r.annotation
         if isinstance(ann, Restrict):
             for ref in ann.subject_to + ann.despite:
-                if ref not in {x.name for x in m.rules}:
+                if ref not in rule_names:
                     err(r.loc, f"rule '{r.name}' refers to unknown rule '{ref}'")
                 elif ref == r.name:
                     err(r.loc, f"rule '{r.name}' refers to itself in its annotation")
@@ -975,7 +995,7 @@ def check_well_formed(m: RuleModule) -> list[Diagnostic]:
             if isinstance(ann.apply, RestrictSubjectTo):
                 refs += list(ann.apply.overriders)
             for ref in refs:
-                if ref not in {x.name for x in m.rules}:
+                if ref not in rule_names:
                     err(r.loc, f"rule '{r.name}' refers to unknown rule '{ref}'")
 
     assertion_names = set()

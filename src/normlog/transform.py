@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .syntax import (
     ROOT_CLASS,
@@ -42,7 +43,6 @@ from .syntax import (
     Expr,
     Forall,
     FunDecl,
-    FunT,
     IfThenElse,
     Implies,
     IntLit,
@@ -62,15 +62,15 @@ from .syntax import (
     atom_parts,
     char_pred_name,
     children,
-    conj,
     free_vars,
     fresh_name,
+    fun_type,
     rebuild,
     spine,
     substitute,
     uncurry,
 )
-from .typecheck import Env, LTypeError, is_subtype, type_of
+from .typecheck import Env, LTypeError, inclusion_map, is_subtype, type_of
 
 SOURCE_SUFFIX = "'Orig"
 LIFT_SUFFIX = "+"
@@ -428,7 +428,7 @@ def lift_predicates(m: RuleModule) -> RuleModule:
             return d
         args, cod = uncurry(d.type)
         cls = rulename_class(d.name)
-        new_type = fun_type_over([ClassT(cls)] + list(args), cod)
+        new_type = fun_type(ClassT(cls), *args, cod)
         return FunDecl(lifted[d.name], new_type, system=d.system, loc=d.loc)
 
     const_names = {c.name for c in new_consts}
@@ -439,21 +439,11 @@ def lift_predicates(m: RuleModule) -> RuleModule:
         taken = set(n for n, _ in r.params) | set(decl_types) | set(lifted.values()) | const_names
         extra: list[tuple[str, LType]] = []
 
-        def fresh_rn() -> str:
-            name = fresh_name("rn", taken)
-            taken.add(name)
-            return name
+        def lift(head: str, args: tuple[Expr, ...], rn: str):
+            extra.append((rn, ClassT(rulename_class(head))))
+            return lambda new_args: apply(Var(lifted[head]), Var(rn), *new_args)
 
-        def rewrite(e: Expr) -> Expr:
-            parts = atom_parts(e)
-            if parts is not None and parts[0] in lifted:
-                head, args = parts
-                rn = fresh_rn()
-                extra.append((rn, ClassT(rulename_class(head))))
-                return apply(Var(lifted[head]), Var(rn), *[rewrite(a) for a in args])
-            return rebuild(e, [rewrite(k) for k in children(e)])
-
-        pre = rewrite(r.precond)
+        pre = _lift_atoms(r.precond, lifted, taken, lift)
         parts = atom_parts(r.postcond)
         if parts is not None and parts[0] in lifted:
             head, args = parts
@@ -467,22 +457,15 @@ def lift_predicates(m: RuleModule) -> RuleModule:
     def lift_assertion(a: Assertion) -> Assertion:
         taken = set(decl_types) | set(lifted.values()) | const_names | free_vars(a.formula)
 
-        def rewrite(e: Expr) -> Expr:
-            parts = atom_parts(e)
-            if parts is not None and parts[0] in lifted:
-                head, args = parts
-                if len(args) != arity[head]:
-                    raise TransformError(
-                        f"assertion '{a.name}': lifted predicate '{head}' "
-                        f"must be fully applied"
-                    )
-                rn = fresh_name("rn", taken)
-                taken.add(rn)
-                atom = apply(Var(lifted[head]), Var(rn), *[rewrite(x) for x in args])
-                return Exists(rn, ClassT(rulename_class(head)), atom)
-            return rebuild(e, [rewrite(k) for k in children(e)])
+        def lift(head: str, args: tuple[Expr, ...], rn: str):
+            if len(args) != arity[head]:
+                raise TransformError(
+                    f"assertion '{a.name}': lifted predicate '{head}' must be fully applied"
+                )
+            cls = ClassT(rulename_class(head))
+            return lambda new_args: Exists(rn, cls, apply(Var(lifted[head]), Var(rn), *new_args))
 
-        return replace(a, formula=rewrite(a.formula))
+        return replace(a, formula=_lift_atoms(a.formula, lifted, taken, lift))
 
     decls = tuple(lift_decl(d) for d in m.decls)
     globals_ = tuple(lift_decl(d) for d in m.globals) + tuple(new_consts)
@@ -497,11 +480,31 @@ def lift_predicates(m: RuleModule) -> RuleModule:
     )
 
 
-def fun_type_over(args: Sequence[LType], cod: LType) -> LType:
-    t = cod
-    for a in reversed(args):
-        t = FunT(a, t)
-    return t
+def _lift_atoms(e: Expr, lifted: dict[str, str], taken: set[str], lift: Callable) -> Expr:
+    """`e` with each occurrence of an atom of a `lifted` predicate
+    replaced, entering nodes in pre-order from an explicit stack: such an
+    atom takes a fresh name `rn` not in `taken`, and `lift(head, args,
+    rn)` returns the builder of its replacement from the rewritten
+    arguments; any other node is rebuilt from its rewritten children."""
+
+    def enter(x: Expr) -> tuple:
+        parts = atom_parts(x)
+        if parts is None or parts[0] not in lifted:
+            return children(x), partial(rebuild, x), []
+        rn = fresh_name("rn", taken)
+        taken.add(rn)
+        return parts[1], lift(*parts, rn), []
+
+    stack = [enter(e)]
+    while True:
+        kids, build, done = stack[-1]
+        if len(done) < len(kids):
+            stack.append(enter(kids[len(done)]))
+            continue
+        stack.pop()
+        if not stack:
+            return build(done)
+        stack[-1][2].append(build(done))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +592,6 @@ def transform_module(
             trace.append(f"resolve: {name}")
 
     if simplify_preconds:
-        from .typecheck import inclusion_map
-
         inc = inclusion_map(env.classes)
         resolved = tuple(
             replace(r, precond=simplify(r.precond, inc)) if not r.is_bodyless() else r
@@ -621,27 +622,31 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             entailed_by.setdefault(sup, set()).add(sub)
 
     def assume(ctx: dict[Expr, bool], e: Expr, val: bool) -> None:
-        if isinstance(e, BoolLit):
-            return
-        if isinstance(e, Not):
-            assume(ctx, e.arg, not val)
-            return
-        ctx[e] = val
-        if val and isinstance(e, And):
-            assume(ctx, e.left, True)
-            assume(ctx, e.right, True)
-        if not val and isinstance(e, Or):
-            assume(ctx, e.left, False)
-            assume(ctx, e.right, False)
-        parts = atom_parts(e)
-        if parts is not None:
-            head, args = parts
-            if val:
-                for sup in entails.get(head, ()):
-                    ctx[apply(Var(sup), *args) if args else Var(sup)] = True
-            else:
-                for sub in entailed_by.get(head, ()):
-                    ctx[apply(Var(sub), *args) if args else Var(sub)] = False
+        """Record that `e` has value `val`, and so do the operands of a
+        conjunction that holds or a disjunction that fails, in pre-order."""
+        stack = [(e, val)]
+        while stack:
+            e, val = stack.pop()
+            kind = type(e)
+            if kind is BoolLit:
+                continue
+            if kind is Not:
+                stack.append((e.arg, not val))
+                continue
+            ctx[e] = val
+            if kind is (And if val else Or):
+                stack.append((e.right, val))
+                stack.append((e.left, val))
+                continue
+            parts = atom_parts(e)
+            if parts is not None:
+                head, args = parts
+                if val:
+                    for sup in entails.get(head, ()):
+                        ctx[apply(Var(sup), *args) if args else Var(sup)] = True
+                else:
+                    for sub in entailed_by.get(head, ()):
+                        ctx[apply(Var(sub), *args) if args else Var(sub)] = False
 
     def purge(ctx: dict[Expr, bool], var: str) -> dict[Expr, bool]:
         return {k: v for k, v in ctx.items() if var not in free_vars(k)}
@@ -649,38 +654,28 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
     def go(e: Expr, ctx: dict[Expr, bool]) -> Expr:
         if e in ctx:
             return BoolLit(ctx[e])
-        if isinstance(e, And):
-            parts = spine(e, And)
+        kind = type(e)
+        if kind is And or kind is Or:
+            # Each operand is simplified assuming that its siblings hold
+            # (&&) or fail (||); `unit` is the value an operand can drop.
+            unit = kind is And
+            parts = spine(e, kind)
             done: list[Expr] = []
             for i, p in enumerate(parts):
                 local = dict(ctx)
                 for j in range(len(parts)):
                     if j != i:
-                        assume(local, done[j] if j < i else parts[j], True)
+                        assume(local, done[j] if j < i else parts[j], unit)
                 sp = go(p, local)
-                if sp == BoolLit(False):
-                    return BoolLit(False)
+                if sp == BoolLit(not unit):
+                    return BoolLit(not unit)
                 done.append(sp)
-            keep = [p for p in done if p != TRUE]
-            return conj(keep)
-        if isinstance(e, Or):
-            parts = spine(e, Or)
-            done = []
-            for i, p in enumerate(parts):
-                local = dict(ctx)
-                for j in range(len(parts)):
-                    if j != i:
-                        assume(local, done[j] if j < i else parts[j], False)
-                sp = go(p, local)
-                if sp == TRUE:
-                    return TRUE
-                done.append(sp)
-            keep = [p for p in done if p != BoolLit(False)]
+            keep = [p for p in done if p != BoolLit(unit)]
             if not keep:
-                return BoolLit(False)
+                return BoolLit(unit)
             out = keep[0]
             for p in keep[1:]:
-                out = Or(out, p)
+                out = kind(out, p)
             return out
         if isinstance(e, Not):
             inner = go(e.arg, ctx)

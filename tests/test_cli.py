@@ -74,6 +74,14 @@ def test_parse_rejects_bad_module(tmp_path):
     bad.write_text("rule <r> if p then\n")
     rc, out, err = run_cli("parse", str(bad))
     assert rc == 2 and err.startswith("error:")
+    # Every .l4 command checks names before it compiles anything.
+    bad.write_text(
+        "class S\ndecl p : S -> Boolean\ndecl q : S -> Boolean\n"
+        "rule <r> for x: S if p x then q x\nrule <r> for x: S if q x then p x\n"
+    )
+    for args in (("transform",), ("check", "--assert", "a"), ("correspond", "--sizes", "S=1")):
+        rc, out, err = run_cli(args[0], str(bad), *args[1:])
+        assert (rc, out, err) == (2, "", "error: 5:1: duplicate rule name 'r'\n"), args
 
 
 def test_non_utf8_module_is_bad_input(tmp_path):
@@ -212,27 +220,44 @@ def test_configuration_just_under_the_nesting_limit_is_decided(tmp_path):
     )
 
 
-# The walkers that still recurse per level overflow on trees the
-# parser's nesting limit does not count; that is an internal error
-# (exit 4), never a verdict (exit 1).
+# Trees the parser's nesting limit does not count: a pass that recursed
+# per level would overflow on them, an internal error (exit 4), never a
+# verdict (exit 1).  The passes walk flat chains in loops or on their own
+# stacks; `simplify` still recurses through the two levels per link of a
+# subjectTo chain.
 
 
-def test_long_conjunction_is_an_internal_error(tmp_path):
-    # No longer one: typecheck walks the chain in a loop, and the
-    # printer, the translation and the free-variable fold keep their own
-    # stacks.  Under the deriv variant and --simplify it still is (see
-    # CHANGES.md).
+def test_long_conjunction_passes_every_subcommand(tmp_path):
     path = _nested_module(tmp_path, " && ".join(["p x"] * 500))
-    for command in ("parse", "transform"):
-        rc, out, err = run_cli(command, path)
-        assert (rc, err) == (0, "") and out.count("p x && ") == 499, command
+    for args in (("parse",), ("transform",), ("transform", "--variant", "deriv")):
+        rc, out, err = run_cli(*args, path)
+        assert (rc, err) == (0, "") and out.count("p x && ") == 499, args
+    # Each conjunct is simplified assuming its siblings; `Expr.__hash__`
+    # hashes the chain from its own stack.
+    rc, out, err = run_cli("transform", "--simplify", path)
+    assert (rc, err) == (0, "") and "  if p x\n  then q x\n" in out
     rc, out, err = run_cli("emit-smt", path)
     assert (rc, err) == (0, "") and "(and" + " (p x)" * 500 + ")" in out
-    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=1")
-    assert (rc, err) == (0, "") and out.startswith("assertion a (valid): valid\n")
+    rc, out, err = run_cli("emit-smt", "--simplify", path)
+    assert (rc, err) == (0, "") and "(assert (forall ((x S)) (=> (p x) (q x))))\n" in out
+    # The compiled && chain is a balanced tree of closures, and the
+    # monotonicity check keeps its own stack.
+    for n in (500, 1000):
+        path = _nested_module(tmp_path, " && ".join(["p x"] * n))
+        for variant in ("precond", "deriv"):
+            rc, out, err = run_cli("check", path, "--variant", variant, "--assert", "a", "--sizes", "S=1")
+            assert (rc, out, err) == (0, "assertion a (valid): valid\n", ""), (n, variant)
+        rc, out, err = run_cli("invert", path)
+        assert (rc, err) == (0, "") and out.count("p x && ") == n - 1
+    # The deriv lift names each occurrence of a lifted atom in pre-order.
+    path = _nested_module(tmp_path, " && ".join(["q x"] * 500))
+    rc, out, err = run_cli("transform", "--variant", "deriv", path)
+    assert (rc, err) == (0, "")
+    assert "for x: S, rn: Rulename_q, rn1: Rulename_q, rn2:" in out
+    assert "  if q+ rn x && q+ rn1 x && " in out and " && q+ rn499 x\n" in out
 
 
-def test_long_subject_to_chain_is_an_internal_error(tmp_path):
+def test_long_subject_to_chain_compiles_and_simplify_overflows(tmp_path):
     path = tmp_path / "chain.l4"
     path.write_text(subject_to_chain(500))
     # The printer folds over each shared precondition once.

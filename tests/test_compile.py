@@ -107,6 +107,13 @@ _EXPRESSIONS = [
     "forall y: S. p y --> r y y",
     "p c && (forall k: Integer. k < 5)",
     "p c && (forall y: Nope. p y)",
+    # chains of one connective, whatever their bracketing, evaluate their
+    # operands left to right up to the first deciding one
+    "p (f c) && p (f c) && r c c && nosuch c",
+    "p (f c) && (p (f c) && nosuch c) && r c c",
+    "p c || p c || (p c || r c c) || p (f c)",
+    "p (f c) || r c c || p c || nosuch c",
+    "p c && missing && r c c && p (f c) && nosuch c",
 ]
 
 
@@ -325,6 +332,8 @@ _RANKED_FORMULAS = [
     "not (if p c then true else q c)",
     "(exists x: S. q x) --> (forall x: S. p x)",
     "p c == q c",
+    "p c && q c && (p (c) && not q c) && p c",
+    "p c || (q c || not p c) || q (c) || not q c",
 ]
 
 

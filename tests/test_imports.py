@@ -116,8 +116,7 @@ PER_KIND_ALGEBRAS = {
     "syntax.py:_print_node",
     "typecheck.py:type_of.go",
     "transform.py:simplify.go",
-    "inversion.py:check_syntactic_monotonicity.walk",
-    "smtlib.py:expr_to_sexp",
+    "smtlib.py:_sexp_node",
     "models.py:FormulaCompiler._comp",
     "models.py:_guard.guard",
 }

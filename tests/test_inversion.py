@@ -149,6 +149,24 @@ rule <fine>
     assert ("anteced", "'p' occurs under 1 negation(s)") in rep.offenders
     assert all(name != "fine" for name, _ in rep.offenders)
 
+    # An if-condition and the arguments of an occurrence have no
+    # polarity; occurrences are reported in pre-order.
+    m = _module(
+        """
+class Thing
+decl p : Boolean -> Boolean
+decl q : Thing -> Boolean
+
+rule <nested>
+  for b : Boolean, x : Thing
+  if (if p b then q x else not q x) && not p (p b)
+  then p b
+"""
+    )
+    mixed = ("nested", "'p' occurs in a position of mixed polarity")
+    negated = ("nested", "'p' occurs under 1 negation(s)")
+    assert check_syntactic_monotonicity(list(m.rules), "p").offenders == (mixed, negated, mixed)
+
 
 def test_monotonicity_only_inspects_rules_concluding_the_predicate():
     m = _module(

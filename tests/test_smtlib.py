@@ -47,6 +47,20 @@ def test_expr_to_sexp_misc_forms():
     assert expr_to_sexp(parse_expr('"hi"')) == '"hi"'
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("forall y: S -> S. (\\z: S -> p z) y", "type 'S -> S' has no SMT-LIB sort"),
+        ("(\\y: S -> p y) c && (forall y: S -> S. true)", "cannot emit application of a non-symbol"),
+        ("p (\\y: S -> y) && (forall y: S -> S. true)", "cannot emit Lambda nodes to SMT-LIB"),
+        ("if (\\y: S -> p y) c then true else x.f", "cannot emit application of a non-symbol"),
+    ],
+)
+def test_expr_to_sexp_reports_the_first_fault_in_pre_order(text, message):
+    with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
+        expr_to_sexp(parse_expr(text))
+
+
 def test_emit_layout_for_the_plain_module():
     fs = rules_to_formulas(load_case("speedlimit_plain.l4"))
     text = emit_smtlib(fs)

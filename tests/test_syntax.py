@@ -412,3 +412,8 @@ def test_cached_hash_is_the_dataclass_hash():
     e = Cmp("<", IntLit(1), Var("y"))
     assert hash(e) == hash(("<", IntLit(1), Var("y")))
     assert hash(Var("y")) == hash(("y",))
+    # A chain deeper than the recursion limit hashes its nodes bottom-up
+    # from a stack, to the same value.
+    deep = conj([App(Var("p"), Var("x"))] * 5000)
+    assert hash(deep) == hash((deep.left, deep.right))
+    assert hash(deep) == hash(conj([App(Var("p"), Var("x"))] * 5000))

@@ -383,6 +383,28 @@ rule <r2> {restrict: {subjectTo: r1}}
     res = transform_module(m, Variant.DERIV)
     assert str(_user_rule(res, "r2").precond) == "isThing x && not p+ r1 x"
 
+    # Occurrences are named in pre-order: an atom before the atoms in its
+    # arguments, in rules and in assertions alike.
+    m = _module(
+        """
+class Thing
+decl p : Thing -> Boolean
+decl g : Boolean -> Boolean
+rule <r1> for x : Thing if isThing x then p x
+rule <r2> for b : Boolean if b then g b
+rule <r3> for x : Thing if g (p x) && p x then p x
+assert <a> {SMT: {valid}} forall x: Thing. g (p x) --> p x
+"""
+    )
+    lifted = lift_predicates(m)
+    r3 = lifted.rule_map()["r3"]
+    assert [n for n, _ in r3.params] == ["x", "rn", "rn1", "rn2"]
+    assert str(r3.precond) == "g+ rn (p+ rn1 x) && p+ rn2 x"
+    assert str(lifted.assertions[0].formula) == (
+        "forall x: Thing. (exists rn: Rulename_g. g+ rn (exists rn1: Rulename_p. p+ rn1 x))"
+        " --> (exists rn2: Rulename_p. p+ rn2 x)"
+    )
+
 
 def test_lift_collisions_are_rejected():
     base = """
