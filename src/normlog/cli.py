@@ -23,7 +23,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .syntax import NormlogError, check_well_formed, print_expr, print_module
+from .syntax import NormlogError, check_well_formed, module_pieces, print_expr, print_module
 from .parser import LParseError, parse_module
 from .typecheck import Env, LTypeError, elaborate, typecheck_module
 from .transform import TransformError, Variant, transform_module
@@ -144,11 +144,11 @@ def _render_model(interp: Interpretation) -> list[str]:
 
 def cmd_parse(args) -> int:
     m = _load_module(args.file)
-    text = print_module(m)
     if args.json:
-        _emit_json({"command": "parse", "module": text})
+        _emit_json({"command": "parse", "module": print_module(m)})
     else:
-        print(text, end="")
+        for piece in module_pieces(m):
+            sys.stdout.write(piece)
     return 0
 
 
@@ -156,7 +156,6 @@ def cmd_transform(args) -> int:
     m = _load_module(args.file)
     variant = Variant(args.variant)
     res = transform_module(m, variant, simplify_preconds=args.simplify)
-    text = print_module(res.module)
     if args.json:
         _emit_json(
             {
@@ -167,11 +166,12 @@ def cmd_transform(args) -> int:
                     "sequence": list(res.order.sequence),
                 },
                 "trace": list(res.trace),
-                "module": text,
+                "module": print_module(res.module),
             }
         )
     else:
-        print(text, end="")
+        for piece in module_pieces(res.module):
+            sys.stdout.write(piece)
     return 0
 
 

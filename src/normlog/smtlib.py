@@ -8,15 +8,24 @@ characteristic predicates, one assert per formula, and optionally a
 goal.  A validity goal is asserted negated, so `sat` answers from a
 solver mean "countermodel found" and `unsat` means "valid".
 
-The emitter renders each distinct expression node once per script, so
-preconditions shared between rules cost their size once, not once per
-occurrence.
+The emitter renders each distinct expression node once per script.
+A Bool-valued subterm written from two or more places (by node
+identity) is named once, as `(define-fun share!k ((x S) ...) Bool
+body)`, when that line plus a reference at each place is shorter than
+its text at each place; each place then writes `share!k` or
+`(share!k x ...)`.  The parameters are the subterm's free bound
+variables, sorted by name.  Definitions come before the first assert,
+in the order their rendering finishes, and a body may use earlier
+ones.  A subterm whose places bind one of its variables with different
+sorts is written in full.  Expanding the definitions gives back the
+script with every occurrence written in full, and no script is longer
+than that.
 
 The reader is not a solver and does not try to be one.  It splits the
 text into tokens with one regular expression, parses s-expressions,
-tracks declarations and binders, and checks every applied symbol is
-known with a consistent arity.  Numerals and decimals follow the
-SMT-LIB grammar (`0`, `[1-9][0-9]*`, optionally `.[0-9]+`); every
+tracks declarations, definitions and binders, and checks every applied
+symbol is known with a consistent arity.  Numerals and decimals follow
+the SMT-LIB grammar (`0`, `[1-9][0-9]*`, optionally `.[0-9]+`); every
 other token, `inf` or `nan` included, is a symbol and must be
 declared.  That is enough to catch emitter regressions without an
 external dependency.
@@ -28,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .syntax import (
@@ -70,6 +80,7 @@ class SmtError(NormlogError):
 _SIMPLE_EXTRA = set("~!@$%^&*_-+=<>.?/")
 
 
+@lru_cache(maxsize=1 << 12)
 def smt_symbol(name: str) -> str:
     """Quote a symbol with |...| when it is not a simple symbol (our
     generated names with apostrophes need this)."""
@@ -119,13 +130,13 @@ _QUANTIFIERS = {Forall: "forall", Exists: "exists"}
 _PLAIN = (Not, Eq, Cmp, IfThenElse)  # written with their children
 
 
-def _binders(e: Expr) -> tuple[list[str], Expr]:
-    """The sorted variables of a run of quantifiers of `e`'s kind, and
-    the body under them."""
+def _binders(e: Expr) -> tuple[list[tuple[str, str]], Expr]:
+    """The (variable, SMT-LIB sort) pairs of a run of quantifiers of
+    `e`'s kind, outermost first, and the body under them."""
     binders = []
     body = e
     while type(body) is type(e):
-        binders.append(f"({smt_symbol(body.var)} {smt_sort(body.var_type)})")
+        binders.append((body.var, smt_sort(body.var_type)))
         body = body.body
     return binders, body
 
@@ -159,7 +170,8 @@ def _sexp_node(e: Expr, parts: list[str]) -> str:
     if kind in _CONNECTIVES:
         return f"({_CONNECTIVES[kind]} " + " ".join(parts) + ")"
     if kind in _QUANTIFIERS:
-        return f"({_QUANTIFIERS[kind]} (" + " ".join(_binders(e)[0]) + f") {parts[0]})"
+        binders = " ".join(f"({smt_symbol(v)} {sort})" for v, sort in _binders(e)[0])
+        return f"({_QUANTIFIERS[kind]} ({binders}) {parts[0]})"
     if kind is Not:
         return f"(not {parts[0]})"
     if kind is BoolLit:
@@ -188,11 +200,163 @@ def expr_to_sexp(e: Expr, memo: Optional[dict] = None) -> str:
     return fold(e, _sexp_node, {} if memo is None else memo, _operands)
 
 
+# Kinds whose terms are Bool-valued whatever their operands.
+_BOOL_KINDS = frozenset({And, Or, Implies, Not, Eq, Cmp, Forall, Exists})
+_NO_NAMES: frozenset = frozenset()
+
+# A shared subterm is defined as `share!k`: `!` is in no .l4 identifier,
+# and SMT-LIB reserves only names that start with `@` or `.`.
+_SHARE_PREFIX = "share!"
+
+
+class _Term:
+    """A distinct node of a script's formula DAG as the emitter writes
+    it: its operand terms, its free names, the places it is written
+    from, the binder sorts `_scope` tracks for it and its text, a
+    reference once named."""
+
+    __slots__ = ("expr", "kids", "free", "places", "scope", "text", "binders")
+
+    def __init__(self, expr: Expr, kids: list, free: frozenset, text: str = "") -> None:
+        self.expr = expr
+        self.kids = kids
+        self.free = free
+        self.places = 0
+        self.scope: Optional[dict] = None
+        self.text = text
+        self.binders: Optional[dict] = None  # a quantifier's, name -> sort
+
+
+def _terms(roots: list[Expr]) -> tuple[list[_Term], list[_Term]]:
+    """The terms of `roots` and, in post-order, their distinct inner
+    terms: one memoized `fold` over the operands each node is written
+    with, counting the places each term is written from."""
+    order: list[_Term] = []
+    leaves: dict[int, _Term] = {}
+
+    def combine(e: Expr, kids: list) -> _Term:
+        if not kids:
+            hit = leaves.get(id(e))
+            if hit is None:  # render here, so the first fault in pre-order is reported
+                free = frozenset((e.name,)) if type(e) is Var else _NO_NAMES
+                hit = leaves[id(e)] = _Term(e, kids, free, _sexp_node(e, []))
+            return hit
+        free = kids[0].free
+        for k in kids:
+            k.places += 1
+            if k.free is not free and not k.free <= free:
+                free = free | k.free
+        t = _Term(e, kids, free)
+        if type(e) in _QUANTIFIERS:
+            t.binders = dict(_binders(e)[0])  # the innermost binder of a name wins
+            t.free = free - t.binders.keys()
+        order.append(t)
+        return t
+
+    memo: dict = {}
+    tops = [fold(e, combine, memo, _operands) for e in roots]
+    for t in tops:
+        t.places += 1
+    return tops, order
+
+
+def _scope(tops: list[_Term], order: list[_Term]) -> dict[str, Optional[str]]:
+    """The sort of each bound name, where all its binders agree and no
+    formula has it free; None for the other bound names, which get a
+    sort per term instead: `scope` maps each of them that is free in the
+    term to its binder's sort, "" where no binder binds it and None
+    where two places disagree.  Parents come before children in reverse
+    post-order, so a term's scope is complete when it is passed down."""
+    sorts: dict[str, Optional[str]] = {}
+    for t in order:
+        if t.binders is not None:
+            for v, sort in t.binders.items():
+                sorts[v] = sort if sorts.get(v, sort) == sort else None
+    free_at_top = set().union(*(t.free for t in tops))
+    tracked = {v for v, sort in sorts.items() if sort is None or v in free_at_top}
+    if not tracked:
+        return sorts
+
+    def merge(t: _Term, want: dict) -> None:
+        have = t.scope
+        if have is None:
+            t.scope = want
+        elif have != want:
+            t.scope = {v: sort if want[v] == sort else None for v, sort in have.items()}
+
+    for v in tracked:
+        sorts[v] = None
+    for t in tops:
+        if t.kids:
+            merge(t, dict.fromkeys(t.free & tracked, ""))
+    for t in reversed(order):
+        scope = t.scope
+        if t.binders is not None:
+            scope = {**scope, **{v: sort for v, sort in t.binders.items() if v in tracked}}
+        for k in t.kids:
+            if k.kids:
+                merge(k, {v: scope[v] for v in k.free & tracked})
+    return sorts
+
+
+def _params(t: _Term, sorts: dict[str, Optional[str]]) -> Optional[list[tuple[str, str]]]:
+    """The bound names free in `t`, sorted, with their sorts; None when
+    two places of `t` bind one of them with different sorts or leave it
+    free."""
+    out = []
+    for v in sorted(t.free):
+        sort = sorts.get(v, "")
+        if sort is None:
+            sort = t.scope[v]
+            if sort is None:
+                return None
+        if sort:
+            out.append((v, sort))
+    return out
+
+
+def _is_bool(t: _Term, bool_symbols: set[str]) -> bool:
+    while type(t.expr) is IfThenElse:
+        t = t.kids[1]
+    e = t.expr
+    if type(e) is App:
+        while type(e) is App:
+            e = e.fn
+        return e.name in bool_symbols
+    return type(e) in _BOOL_KINDS
+
+
+def _render(order: list[_Term], sorts: dict, bool_symbols: set[str]) -> list[str]:
+    """Write each inner term in post-order, and name a shared Bool-valued
+    one when its definition and references are shorter than its text at
+    each place.  Returns the definitions, in the order they finish."""
+    defs: list[str] = []
+    for t in order:
+        text = _sexp_node(t.expr, [k.text for k in t.kids])
+        t.text = text
+        n = t.places
+        if n < 2 or not _is_bool(t, bool_symbols):
+            continue
+        params = _params(t, sorts)
+        if params is None:
+            continue
+        name = f"{_SHARE_PREFIX}{len(defs)}"
+        ref = "(" + " ".join([name, *(smt_symbol(v) for v, _ in params)]) + ")" if params else name
+        sig = " ".join(f"({smt_symbol(v)} {sort})" for v, sort in params)
+        line = f"(define-fun {name} ({sig}) Bool {text})"
+        if len(line) + n * len(ref) < n * len(text):
+            defs.append(line)
+            t.text = ref
+    return defs
+
+
 def emit_smtlib(
     fs: FormulaSet, goal: Optional[tuple[str, str, Expr]] = None
 ) -> str:
     """Render a formula set as one SMT-LIB script.  `goal` is
-    (assertion name, mode, formula); a validity goal is negated."""
+    (assertion name, mode, formula); a validity goal is negated.  Each
+    shared Bool-valued subterm that is shorter written once is a
+    `define-fun` before the first assert (see `_render`)."""
     lines: list[str] = ["(set-logic ALL)"]
 
     if fs.sorts:
@@ -202,15 +366,19 @@ def emit_smtlib(
 
     lines.append("; symbols")
     char_sorts: dict[str, str] = {}
+    bool_symbols: set[str] = set()
     for d in fs.decls:
         args, cod = uncurry(d.type)
         if d.name in fs.char_true and args:
             char_sorts[d.name] = smt_sort(args[0])
+        if type(cod) is BoolT:
+            bool_symbols.add(d.name)
         if args:
             doms = " ".join(smt_sort(a) for a in args)
             lines.append(f"(declare-fun {smt_symbol(d.name)} ({doms}) {smt_sort(cod)})")
         else:
             lines.append(f"(declare-const {smt_symbol(d.name)} {smt_sort(cod)})")
+    declared = len(lines)
 
     for sort, consts in fs.fixed:
         lines.append(f"; carrier of {sort}")
@@ -228,19 +396,25 @@ def emit_smtlib(
         lines.append(f"; {p} holds on all of {sort}")
         lines.append(f"(assert (forall ((x {sort})) ({smt_symbol(p)} x)))")
 
-    memo: dict[int, str] = {}
-    for name, expr in fs.formulas:
+    roots = [expr for _, expr in fs.formulas]
+    if goal is not None:
+        roots.append(goal[2])
+    tops, order = _terms(roots)
+    lines[declared:declared] = _render(order, _scope(tops, order), bool_symbols)
+    texts = [t.text for t in tops]
+
+    for (name, _), text in zip(fs.formulas, texts):
         lines.append(f"; {name}")
-        lines.append(f"(assert {expr_to_sexp(expr, memo)})")
+        lines.append(f"(assert {text})")
 
     if goal is not None:
-        gname, mode, gexpr = goal
+        gname, mode, _ = goal
         if mode == VALID:
             lines.append(f"; goal {gname} (validity: negated, sat = countermodel)")
-            lines.append(f"(assert (not {expr_to_sexp(gexpr, memo)}))")
+            lines.append(f"(assert (not {texts[-1]}))")
         else:
             lines.append(f"; goal {gname} (satisfiability)")
-            lines.append(f"(assert {expr_to_sexp(gexpr, memo)})")
+            lines.append(f"(assert {texts[-1]})")
 
     lines.append("(check-sat)")
     lines.append("(get-model)")
@@ -323,7 +497,8 @@ _BUILTIN_OPS = {"and", "or", "not", "=>", "=", "distinct", "ite", "<", "<=", ">"
 @dataclass(frozen=True)
 class ScriptInfo:
     sorts: tuple[str, ...]
-    symbols: dict[str, int]  # name -> arity
+    symbols: dict[str, int]  # declared name -> arity
+    definitions: dict[str, int]  # defined name -> arity
     assert_count: int
     has_check_sat: bool
     has_get_model: bool
@@ -331,10 +506,15 @@ class ScriptInfo:
 
 def read_script(text: str) -> ScriptInfo:
     """Parse an SMT-LIB script and check that every sort and symbol is
-    declared before use and applied at its declared arity."""
+    declared or defined before use and applied at its arity.  A
+    `define-fun` has known sorts and a body that uses its parameters and
+    earlier names only, and it takes a name not declared, defined or
+    builtin before."""
     forms = _parse_sexps(_tokenize(text))
     sorts: list[str] = []
     symbols: dict[str, int] = {}
+    definitions: dict[str, int] = {}
+    arity: dict[str, int] = {}  # declared and defined
     assert_count = 0
     has_check_sat = False
     has_get_model = False
@@ -343,11 +523,18 @@ def read_script(text: str) -> ScriptInfo:
         if not isinstance(s, str) or (s not in _BUILTIN_SORTS and s not in sorts):
             raise SmtError(f"unknown sort {s!r}")
 
-    def check_term(term: Sexp) -> None:
+    def not_defined(name: str) -> None:
+        if name in definitions:
+            raise SmtError(f"symbol '{name}' is already defined")
+
+    def check_term(term: Sexp, params: Sequence[str] = ()) -> None:
         """Check `term` depth first, left to right, with an explicit
-        stack of iterators over argument lists.  A binder counts its
-        names in `bound` while its body's frame is on the stack."""
+        stack of iterators over argument lists, `params` bound.  A
+        binder counts its names in `bound` while its body's frame is on
+        the stack."""
         bound: dict[str, int] = {}
+        for name in params:
+            bound[name] = bound.get(name, 0) + 1
         stack = [iter((term,))]
         scopes: list[list[str]] = [[]]
         while stack:
@@ -356,10 +543,10 @@ def read_script(text: str) -> ScriptInfo:
                 if kind is str:
                     if e in bound or e == "true" or e == "false":
                         continue
-                    if e not in symbols:
+                    if e not in arity:
                         raise SmtError(f"unknown symbol '{e}'")
-                    if symbols[e] != 0:
-                        raise SmtError(f"symbol '{e}' of arity {symbols[e]} used without arguments")
+                    if arity[e] != 0:
+                        raise SmtError(f"symbol '{e}' of arity {arity[e]} used without arguments")
                     continue
                 if kind is not list or not e:
                     if kind is int or kind is float or kind is tuple:  # tuple: a string literal
@@ -383,11 +570,12 @@ def read_script(text: str) -> ScriptInfo:
                 if not isinstance(head, str):
                     raise SmtError(f"ill-formed application {e!r}")
                 if head not in _BUILTIN_OPS:
-                    if head not in symbols:
+                    if head not in arity:
                         raise SmtError(f"unknown symbol '{head}'")
-                    if symbols[head] != len(e) - 1:
+                    if arity[head] != len(e) - 1:
+                        how = "defined" if head in definitions else "declared"
                         raise SmtError(
-                            f"symbol '{head}' declared with arity {symbols[head]}, applied to {len(e) - 1}"
+                            f"symbol '{head}' {how} with arity {arity[head]}, applied to {len(e) - 1}"
                         )
                 args = iter(e)
                 next(args)
@@ -414,15 +602,35 @@ def read_script(text: str) -> ScriptInfo:
         elif cmd == "declare-fun":
             if len(form) != 4 or not isinstance(form[1], str) or not isinstance(form[2], list):
                 raise SmtError("ill-formed declare-fun")
+            not_defined(form[1])
             for a in form[2]:
                 check_sort(a)
             check_sort(form[3])
-            symbols[form[1]] = len(form[2])
+            symbols[form[1]] = arity[form[1]] = len(form[2])
         elif cmd == "declare-const":
             if len(form) != 3 or not isinstance(form[1], str):
                 raise SmtError("ill-formed declare-const")
+            not_defined(form[1])
             check_sort(form[2])
-            symbols[form[1]] = 0
+            symbols[form[1]] = arity[form[1]] = 0
+        elif cmd == "define-fun":
+            if len(form) != 5 or not isinstance(form[1], str) or not isinstance(form[2], list):
+                raise SmtError("ill-formed define-fun")
+            name = form[1]
+            not_defined(name)
+            if name in symbols:
+                raise SmtError(f"symbol '{name}' is already declared")
+            if name in _BUILTIN_OPS or name == "true" or name == "false":
+                raise SmtError(f"symbol '{name}' is builtin")
+            params = []
+            for b in form[2]:
+                if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                    raise SmtError("ill-formed parameter in define-fun")
+                check_sort(b[1])
+                params.append(b[0])
+            check_sort(form[3])
+            check_term(form[4], params)
+            definitions[name] = arity[name] = len(params)
         elif cmd == "assert":
             if len(form) != 2:
                 raise SmtError("ill-formed assert")
@@ -435,4 +643,4 @@ def read_script(text: str) -> ScriptInfo:
         else:
             raise SmtError(f"unsupported command '{cmd}'")
 
-    return ScriptInfo(tuple(sorts), symbols, assert_count, has_check_sat, has_get_model)
+    return ScriptInfo(tuple(sorts), symbols, definitions, assert_count, has_check_sat, has_get_model)

@@ -22,6 +22,7 @@ have different layout.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -729,17 +730,85 @@ _LVL_APP = 6
 _LVL_ATOM = 7
 
 
-def print_expr(e: Expr, memo: Optional[dict] = None) -> str:
-    """Concrete syntax of an expression.  A `fold` over (text,
-    precedence level) pairs: `memo` may be shared by calls over
+# The text of a subterm longer than this is kept as a rope: a tuple of
+# parts, each a str or a rope.  A shared node's rope is referred to, not
+# copied, so the printer's memo stays linear in the distinct nodes
+# however long the text of a chain of them gets.
+_ROPE_FROM = 256
+
+# Characters of joined ropes that a `_Joiner` keeps for reuse.
+_KEEP = 1 << 20
+
+
+class _Rope(tuple):
+    __slots__ = ()
+
+
+def _cat(*parts: Union[str, _Rope]) -> Union[str, _Rope]:
+    """Short text joined now, longer text as a rope."""
+    size = 0
+    for p in parts:
+        if type(p) is _Rope:
+            return _Rope(parts)
+        size += len(p)
+    return _Rope(parts) if size > _ROPE_FROM else "".join(parts)
+
+
+class _Joiner:
+    """Joins ropes into text.  Each rope is joined from its parts, walked
+    from an explicit stack, and the most recently joined ones are kept
+    up to `_KEEP` characters, so that a rope shared by the next lines is
+    joined once without keeping the text of every rope."""
+
+    def __init__(self) -> None:
+        self.kept: OrderedDict[int, tuple[_Rope, str]] = OrderedDict()
+        self.size = 0
+
+    def __call__(self, text: Union[str, _Rope]) -> str:
+        if type(text) is str:
+            return text
+        kept = self.kept
+        stack = [(text, iter(text), [])]
+        while True:
+            rope, parts, buf = stack[-1]
+            for p in parts:
+                if type(p) is str:
+                    buf.append(p)
+                    continue
+                hit = kept.get(id(p))
+                if hit is None:
+                    stack.append((p, iter(p), []))
+                    break
+                kept.move_to_end(id(p))
+                buf.append(hit[1])
+            else:
+                stack.pop()
+                joined = "".join(buf)
+                if not stack:
+                    return joined
+                stack[-1][2].append(joined)
+                kept[id(rope)] = (rope, joined)  # the rope is kept alive with its id
+                self.size += len(joined)
+                while self.size > _KEEP:
+                    self.size -= len(kept.popitem(last=False)[1][1])
+
+
+def _expr_text(e: Expr, memo: dict) -> Union[str, _Rope]:
+    """The concrete syntax of `e`, as a str or a rope: a `fold` over
+    (text, precedence level) pairs.  `memo` may be shared by calls over
     expressions with common subterms, whose text is then built once."""
-    return fold(e, _print_node, {} if memo is None else memo)[0]
+    return fold(e, _print_node, memo)[0]
 
 
-def _at(kid: tuple[str, int], ctx: int) -> str:
+def print_expr(e: Expr, memo: Optional[dict] = None) -> str:
+    """Concrete syntax of an expression (see `_expr_text`)."""
+    return _Joiner()(_expr_text(e, {} if memo is None else memo))
+
+
+def _at(kid: tuple, ctx: int) -> Union[str, _Rope]:
     """A subterm's text in a context of precedence `ctx`."""
     text, level = kid
-    return text if level >= ctx else "(" + text + ")"
+    return text if level >= ctx else _cat("(", text, ")")
 
 
 # Binary operators: (infix text, own level, context of the left operand,
@@ -752,20 +821,20 @@ _INFIX = {
 }
 
 
-def _print_node(e: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
+def _print_node(e: Expr, kids: list[tuple]) -> tuple:
     kind = type(e)
     if kind is Var:
         return e.name, _LVL_ATOM
     if kind is App:
-        return _at(kids[0], _LVL_APP) + " " + _at(kids[1], _LVL_ATOM), _LVL_APP
+        return _cat(_at(kids[0], _LVL_APP), " ", _at(kids[1], _LVL_ATOM)), _LVL_APP
     infix = _INFIX.get(kind)
     if infix is not None:
         op, level, left, right = infix
-        return _at(kids[0], left) + op + _at(kids[1], right), level
+        return _cat(_at(kids[0], left), op, _at(kids[1], right)), level
     if kind is Not:
-        return "not " + _at(kids[0], _LVL_NOT), _LVL_NOT
+        return _cat("not ", _at(kids[0], _LVL_NOT)), _LVL_NOT
     if kind is Cmp:
-        return _at(kids[0], _LVL_CMP + 1) + f" {e.op} " + _at(kids[1], _LVL_CMP + 1), _LVL_CMP
+        return _cat(_at(kids[0], _LVL_CMP + 1), f" {e.op} ", _at(kids[1], _LVL_CMP + 1)), _LVL_CMP
     if kind is BoolLit:
         return ("true" if e.value else "false"), _LVL_ATOM
     if kind is IntLit:
@@ -776,20 +845,20 @@ def _print_node(e: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
         return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"', _LVL_ATOM
     if kind is Forall or kind is Exists:
         quantifier = "forall" if kind is Forall else "exists"
-        return f"{quantifier} {e.var}: {e.var_type}. " + kids[0][0], _LVL_LOW
+        return _cat(f"{quantifier} {e.var}: {e.var_type}. ", kids[0][0]), _LVL_LOW
     if kind is Lambda:
         ann = str(e.var_type)
         if isinstance(e.var_type, FunT):
             ann = f"({ann})"
-        return f"\\{e.var} : {ann} -> " + kids[0][0], _LVL_LOW
+        return _cat(f"\\{e.var} : {ann} -> ", kids[0][0]), _LVL_LOW
     if kind is IfThenElse:
         cond, then, other = (text for text, _ in kids)
-        return f"if {cond} then {then} else {other}", _LVL_LOW
+        return _cat("if ", cond, " then ", then, " else ", other), _LVL_LOW
     if kind is FieldAccess:
         obj = _at(kids[0], _LVL_ATOM)
         if type(e.obj) is not Var and type(e.obj) is not FieldAccess:
-            obj = f"({obj})"
-        return obj + "." + e.fieldname, _LVL_ATOM
+            obj = _cat("(", obj, ")")
+        return _cat(obj, "." + e.fieldname), _LVL_ATOM
     raise TypeError(f"unknown expression node {kind.__name__}")
 
 
@@ -808,17 +877,21 @@ def print_annotation(a: RuleAnnotation) -> str:
     raise TypeError(f"unknown annotation {type(a).__name__}")
 
 
-def print_rule(r: Rule, memo: Optional[dict] = None) -> str:
-    lines = [f"rule <{r.name}>"]
+def _rule_text(r: Rule, memo: dict) -> _Rope:
+    parts: list = [f"rule <{r.name}>"]
     if r.annotation is not None:
-        lines.append("  " + print_annotation(r.annotation))
+        parts.append("\n  " + print_annotation(r.annotation))
     if not r.is_bodyless():
         if r.params:
-            lines.append("  for " + ", ".join(f"{n}: {t}" for n, t in r.params))
+            parts.append("\n  for " + ", ".join(f"{n}: {t}" for n, t in r.params))
         if r.precond != TRUE:
-            lines.append("  if " + print_expr(r.precond, memo))
-        lines.append("  then " + print_expr(r.postcond, memo))
-    return "\n".join(lines)
+            parts += ["\n  if ", _expr_text(r.precond, memo)]
+        parts += ["\n  then ", _expr_text(r.postcond, memo)]
+    return _Rope(parts)
+
+
+def print_rule(r: Rule) -> str:
+    return _Joiner()(_rule_text(r, {}))
 
 
 def print_class(c: ClassDecl) -> str:
@@ -831,7 +904,7 @@ def print_class(c: ClassDecl) -> str:
     return s
 
 
-def print_assertion(a: Assertion, memo: Optional[dict] = None) -> str:
+def _assertion_text(a: Assertion, memo: dict) -> _Rope:
     ann_parts = [f"SMT: {{{a.mode}}}"]
     if a.add_rules or a.del_rules:
         rp = []
@@ -840,7 +913,7 @@ def print_assertion(a: Assertion, memo: Optional[dict] = None) -> str:
         if a.del_rules:
             rp.append("del: " + ", ".join(a.del_rules))
         ann_parts.append("rules: {" + ", ".join(rp) + "}")
-    return f"assert <{a.name}> {{{', '.join(ann_parts)}}}\n  " + print_expr(a.formula, memo)
+    return _Rope((f"assert <{a.name}> {{{', '.join(ann_parts)}}}\n  ", _expr_text(a.formula, memo)))
 
 
 def print_module(m: RuleModule, include_system: bool = False) -> str:
@@ -849,10 +922,19 @@ def print_module(m: RuleModule, include_system: bool = False) -> str:
     System-generated declarations and rules are omitted by default:
     elaboration regenerates them, so the printed text stays close to
     what a user would write.  The text of a subterm shared between
-    rules is built once.
+    rules is built once, and the module's text is joined once from the
+    pieces of `module_pieces`.
     """
+    return "".join(module_pieces(m, include_system))
+
+
+def module_pieces(m: RuleModule, include_system: bool = False) -> Iterator[str]:
+    """The text of `print_module` in pieces, one per block or separator,
+    each joined when it is reached, so that a caller writing them out
+    never holds the text of the whole module."""
     memo: dict = {}
-    blocks: list[str] = []
+    join = _Joiner()
+    blocks: list[Union[str, _Rope]] = []
     for c in m.classes:
         if c.system and not include_system:
             continue
@@ -868,10 +950,15 @@ def print_module(m: RuleModule, include_system: bool = False) -> str:
     for r in m.rules:
         if r.system and not include_system:
             continue
-        blocks.append(print_rule(r, memo))
+        blocks.append(_rule_text(r, memo))
     for a in m.assertions:
-        blocks.append(print_assertion(a, memo))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+        blocks.append(_assertion_text(a, memo))
+    for i, b in enumerate(blocks):
+        if i:
+            yield "\n\n"
+        yield join(b)
+    if blocks:
+        yield "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1012,13 +1099,3 @@ def check_well_formed(m: RuleModule) -> list[Diagnostic]:
 
     out.sort(key=_sort_key)
     return out
-
-
-def iter_subexprs(e: Expr) -> Iterator[Expr]:
-    """Depth-first iteration over an expression and its subterms, one
-    item per occurrence."""
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        yield x
-        stack.extend(reversed(_CHILDREN[type(x)](x)))

@@ -5,6 +5,7 @@ possibly work, independently of the code under test, so that a bug
 would have to be made twice (and identically) to slip through.
 """
 
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -17,7 +18,7 @@ from normlog.asp import (
     axiom_violations,
 )
 from normlog.models import Interpretation, ModelError, ResourceCapError
-from normlog.smtlib import SmtError, smt_decimal, smt_sort, smt_symbol
+from normlog.smtlib import SmtError, emit_smtlib, smt_decimal, smt_sort, smt_symbol
 from normlog.syntax import (
     ROOT_CLASS,
     And,
@@ -43,6 +44,7 @@ from normlog.syntax import (
     Var,
     atom_parts,
     char_pred_name,
+    children,
     free_vars,
     print_expr,
     uncurry,
@@ -750,6 +752,109 @@ def tree_expr_to_sexp(e, memo=None):
             f"{tree_expr_to_sexp(e.other)})"
         )
     raise SmtError(f"cannot emit {type(e).__name__} nodes to SMT-LIB")
+
+
+def tree_emit_smtlib(fs, goal=None):
+    """The script of `emit_smtlib` with every formula written in full
+    by `tree_expr_to_sexp`.  Sorts, symbols and axioms come from the
+    emitter itself, run on the formula set without its formulas."""
+    lines = emit_smtlib(replace(fs, formulas=()), None).splitlines()[:-2]
+    for name, e in fs.formulas:
+        lines += [f"; {name}", f"(assert {tree_expr_to_sexp(e)})"]
+    if goal is not None:
+        gname, mode, e = goal
+        if mode == "valid":
+            lines += [f"; goal {gname} (validity: negated, sat = countermodel)",
+                      f"(assert (not {tree_expr_to_sexp(e)}))"]
+        else:
+            lines += [f"; goal {gname} (satisfiability)", f"(assert {tree_expr_to_sexp(e)})"]
+    return "\n".join(lines + ["(check-sat)", "(get-model)"]) + "\n"
+
+
+# An SMT-LIB token as written: a parenthesis, a |symbol|, a "string"
+# with "" escapes, or a simple symbol or numeral.
+_RAW_TOKEN = re.compile(r'[()]|\|[^|]*\||"(?:[^"]|"")*"|[^\s()|";]+')
+
+
+def _raw_sexp(line):
+    """The one s-expression of a line, as nested lists of tokens."""
+    stack = [[]]
+    for tok in _RAW_TOKEN.findall(line):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    (form,) = stack[0]
+    return form
+
+
+def _print_sexp(t):
+    return t if isinstance(t, str) else "(" + " ".join(_print_sexp(x) for x in t) + ")"
+
+
+def _names(t):
+    return {t} if isinstance(t, str) else set().union(*map(_names, t))
+
+
+def _subst_sexp(t, sub):
+    """`t` with the free occurrences of each name in `sub` replaced."""
+    if isinstance(t, str):
+        return sub.get(t, t)
+    if len(t) == 3 and t[0] in ("forall", "exists"):
+        bound = {b[0] for b in t[1]}
+        inner = {v: a for v, a in sub.items() if v not in bound}
+        for a in inner.values():
+            assert not bound & _names(a), "the expansion would capture a variable"
+        return [t[0], t[1], _subst_sexp(t[2], inner)]
+    return [_subst_sexp(x, sub) for x in t]
+
+
+def _expand(t, defs):
+    if isinstance(t, str):
+        if t in defs:
+            params, body = defs[t]
+            assert not params, f"{t} used without its arguments"
+            return body
+        return t
+    if t and isinstance(t[0], str) and t[0] in defs:
+        params, body = defs[t[0]]
+        args = [_expand(x, defs) for x in t[1:]]
+        assert len(args) == len(params), f"{t[0]} applied to {len(args)} arguments"
+        return _subst_sexp(body, dict(zip(params, args)))
+    return [_expand(x, defs) for x in t]
+
+
+def expand_definitions(script):
+    """`script` with each `define-fun` line dropped and each use of the
+    defined name replaced by the definition's body, its parameters
+    substituted.  Every other line is printed again from its
+    s-expression, so a script without definitions comes back as is."""
+    defs = {}
+    out = []
+    for line in script.splitlines():
+        if not line.startswith("("):
+            out.append(line)
+            continue
+        form = _raw_sexp(line)
+        if form[0] == "define-fun":
+            _, name, params, _sort, body = form
+            defs[name] = ([p[0] for p in params], _expand(body, defs))
+        else:
+            out.append(_print_sexp(_expand(form, defs)))
+    return "\n".join(out) + "\n"
+
+
+def iter_subexprs(e):
+    """Depth-first iteration over an expression and its subterms, one
+    item per occurrence."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(children(x)))
 
 
 # Precedence levels of the printer, loosest first.

@@ -5,6 +5,7 @@ text, and the promise that output is deterministic byte-for-byte.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -271,6 +272,29 @@ def test_long_subject_to_chain_compiles_and_simplify_overflows(tmp_path):
     # `check` gets through the same chain.
     rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=1")
     assert (rc, out, err) == (0, "assertion a (valid): valid\n", "")
+
+
+def test_transform_writes_a_long_chain_in_linear_memory(tmp_path):
+    # The 2000-link chain prints 26 MB: the text of each rule's
+    # precondition holds the one before it.  The printer keeps ropes of
+    # the shared preconditions and writes the module block by block.
+    # The child reads its peak from VmHWM: on Linux its ru_maxrss also
+    # counts the memory of the test process it was started from.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    path = tmp_path / "chain.l4"
+    path.write_text(subject_to_chain(2000))
+    script = (
+        "import os, re, sys\n"
+        "from normlog import cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"rc = cli.main(['transform', {str(path)!r}])\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
+        "sys.stderr.write(f'{rc} {peak}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT)
+    rc, peak_kb = proc.stderr.split()
+    assert rc == "0" and int(peak_kb) < 80 * 1024
 
 
 def test_subject_to_chain_below_the_limit_compiles(tmp_path):

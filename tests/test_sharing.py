@@ -4,8 +4,10 @@ The precondition transform shares subterms between rules, so the
 translated formulas form a DAG.  `rewrite_fields`, `guard_quantifiers`,
 `expr_to_sexp` and `free_vars` memoize by node identity and `_tokenize`
 reads a script with one regular expression; the tree-walking versions
-in tests/oracles.py are the reference.  Formula sets, SMT-LIB text and
-token lists must be exactly the reference's.
+in tests/oracles.py are the reference.  Formula sets and token lists
+must be exactly the reference's.  An SMT-LIB script names its shared
+subterms with `define-fun`: expanding the definitions must give the
+reference's script byte for byte, and the script is never longer.
 """
 
 import random
@@ -16,22 +18,33 @@ import hypothesis.strategies as st
 
 import oracles
 from conftest import CASES, load_case, subject_to_chain
-from normlog import models, smtlib
-from normlog.models import guard_quantifiers, rewrite_fields, rules_to_formulas
+from normlog import models
+from normlog.models import (
+    FormulaSet,
+    assertion_problem,
+    guard_quantifiers,
+    rewrite_fields,
+    rules_to_formulas,
+)
 from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
-from normlog.smtlib import SmtError, _tokenize, emit_smtlib, expr_to_sexp
+from normlog.smtlib import SmtError, _tokenize, emit_smtlib, expr_to_sexp, read_script
 from normlog.syntax import (
     And,
     App,
     BoolLit,
+    BoolT,
+    ClassT,
     FloatLit,
+    Forall,
+    FunDecl,
     IntLit,
+    Not,
     Or,
     StringLit,
     Var,
     free_vars,
-    iter_subexprs,
+    fun_type,
 )
 from normlog.transform import CycleError, Variant, transform_module
 from normlog.typecheck import Env, elaborate, typecheck_module
@@ -40,7 +53,7 @@ MODES = [(v, simp) for v in Variant for simp in (False, True)]
 
 
 def _with_tree_walkers(run):
-    """run() with the module's walkers replaced by the references."""
+    """run() with the translation replaced by the reference."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             models,
@@ -49,7 +62,6 @@ def _with_tree_walkers(run):
                 oracles.tree_rewrite_fields(e), env
             ),
         )
-        mp.setattr(smtlib, "expr_to_sexp", oracles.tree_expr_to_sexp)
         return run()
 
 
@@ -60,11 +72,15 @@ def _same_as_reference(m):
         except CycleError:
             continue
         fs = rules_to_formulas(res.module)
-        text = emit_smtlib(fs)
-        want_fs = _with_tree_walkers(lambda: rules_to_formulas(res.module))
-        assert fs == want_fs
-        assert text == _with_tree_walkers(lambda: emit_smtlib(want_fs))
-        assert _tokenize(text) == oracles.char_tokenize(text)
+        assert fs == _with_tree_walkers(lambda: rules_to_formulas(res.module))
+        problems = [(fs, None)] + [assertion_problem(res.module, a.name) for a in res.module.assertions]
+        for fs, goal in problems:
+            text = emit_smtlib(fs, goal)
+            want = oracles.tree_emit_smtlib(fs, goal)
+            assert oracles.expand_definitions(text) == want
+            assert len(text) <= len(want)
+            assert _tokenize(text) == oracles.char_tokenize(text)
+            read_script(text)
 
 
 @pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("*.l4")))
@@ -77,6 +93,57 @@ def test_random_modules_match_the_tree_walkers():
         m = elaborate(random_annotated_module(random.Random(seed)).module)
         typecheck_module(m)
         _same_as_reference(m)
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_the_precondition_script_of_a_chain_is_at_most_twice_the_derivability_one(n):
+    m = elaborate(parse_module(subject_to_chain(n)))
+    size = {v: len(emit_smtlib(rules_to_formulas(transform_module(m, v).module))) for v in Variant}
+    assert size[Variant.PRECOND] <= 2 * size[Variant.DERIV]
+
+
+def _formula_set(formulas):
+    decls = (FunDecl("p", fun_type(ClassT("A"), BoolT())), FunDecl("q", fun_type(ClassT("A"), BoolT())))
+    return FormulaSet(("A", "B"), (), (), decls, tuple(formulas))
+
+
+def test_a_subterm_bound_with_one_sort_is_defined_once():
+    shared = parse_expr("p x && q x && not (p x && q x)")
+    body = Or(shared, Or(shared, shared))
+    text = emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body)), ("g", shared)]))
+    # Bound in f, free (a constant) in g: written in full.
+    assert "define-fun" not in text
+    text = emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body)), ("g", Forall("x", ClassT("A"), shared))]))
+    assert "(define-fun share!0 ((x A)) Bool (and (p x) (q x) (not (and (p x) (q x)))))" in text
+    assert "(assert (forall ((x A)) (or (share!0 x) (share!0 x) (share!0 x))))" in text
+    assert emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body))])) != text
+    # The same node under a binder of another sort is written in full.
+    text = emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body)), ("g", Forall("x", ClassT("B"), shared))]))
+    assert "define-fun" not in text
+    read_script(text)
+
+
+def test_a_definition_may_use_an_earlier_one():
+    inner = parse_expr("p x && q x && p x && q x && p x && q x")
+    outer = Or(inner, Or(Not(inner), Not(inner)))
+    formulas = [(f"f{i}", Forall("x", ClassT("A"), outer)) for i in range(3)]
+    text = emit_smtlib(_formula_set(formulas))
+    assert "(define-fun share!0 ((x A)) Bool (and (p x) (q x) (p x) (q x) (p x) (q x)))" in text
+    assert "(define-fun share!1 ((x A)) Bool (or (share!0 x) (not (share!0 x)) (not (share!0 x))))" in text
+    assert text.count("(assert (forall ((x A)) (share!1 x)))") == 3
+    assert read_script(text).definitions == {"share!0": 1, "share!1": 1}
+    assert oracles.expand_definitions(text) == oracles.tree_emit_smtlib(_formula_set(formulas))
+
+
+def test_a_subterm_is_named_only_where_that_is_shorter():
+    # The inner chain has three parents: its definition line and three
+    # references would take 67 + 3 * 12 characters, against 3 * 33 for
+    # writing it in full, so only the outer disjunction is named.
+    inner = parse_expr("p x && q x && p x && q x")
+    outer = Or(inner, Or(Not(inner), Not(inner)))
+    text = emit_smtlib(_formula_set([(f"f{i}", Forall("x", ClassT("A"), outer)) for i in range(3)]))
+    assert "(define-fun share!0 ((x A)) Bool (or (and (p x) (q x) (p x) (q x)) (not" in text
+    assert "share!1" not in text
 
 
 # Attribute access and subclass quantifiers at every child position.
@@ -122,7 +189,7 @@ def test_hand_written_dags_match_the_tree_walkers():
 
 
 def _distinct(roots) -> set:
-    return {id(x) for e in roots for x in iter_subexprs(e)}
+    return {id(x) for e in roots for x in oracles.iter_subexprs(e)}
 
 
 def test_translation_keeps_the_sharing_of_the_transform():
@@ -130,7 +197,7 @@ def test_translation_keeps_the_sharing_of_the_transform():
     out = transform_module(m, Variant.PRECOND).module
     rules = [r for r in out.rules if not r.is_bodyless()]
     bodies = [x for r in rules for x in (r.precond, r.postcond)]
-    tree_size = sum(1 for e in bodies for _ in iter_subexprs(e))
+    tree_size = sum(1 for e in bodies for _ in oracles.iter_subexprs(e))
     assert len(_distinct(bodies)) * 5 < tree_size  # the transform shares
     fs = rules_to_formulas(out, include_inversions=False)
     # Each rule adds an implication and one binder per parameter.
@@ -149,7 +216,7 @@ def test_free_vars_visits_each_distinct_node_once():
     inner = {
         id(x)
         for _, e in fs.formulas
-        for x in iter_subexprs(e)
+        for x in oracles.iter_subexprs(e)
         if not isinstance(x, leaves)
         and not (isinstance(x, App) and isinstance(x.fn, Var) and isinstance(x.arg, Var))
     }

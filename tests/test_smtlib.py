@@ -132,6 +132,7 @@ def test_reader_tracks_sorts_and_symbols():
     )
     assert info.sorts == ("S",)
     assert info.symbols == {"p": 1, "c": 0}
+    assert info.definitions == {}
     assert info.assert_count == 1
     assert info.has_check_sat and not info.has_get_model
 
@@ -190,15 +191,58 @@ def test_reader_reports_the_first_fault_in_term_order(term, message):
 
 
 def test_reader_reads_the_script_of_a_long_subject_to_chain():
-    # Each subjectTo link nests the precondition two levels deeper, and
-    # the script writes every precondition out in full (4.5 MB here);
-    # the reader checks terms with a stack of its own, not recursion.
+    # Each subjectTo link nests the precondition two levels deeper.  The
+    # script defines each shared precondition once (68 KB here, where
+    # writing each in full took 4.5 MB); the reader checks terms with a
+    # stack of its own, not recursion.
     m = elaborate(parse_module(subject_to_chain(500)))
     typecheck_module(m)
     fs = rules_to_formulas(transform_module(m, Variant.PRECOND).module)
-    info = read_script(emit_smtlib(fs))
+    text = emit_smtlib(fs)
+    assert len(text) < 100_000
+    info = read_script(text)
     assert info.assert_count == len(fs.formulas) + 1  # the isS axiom besides
     assert info.symbols == {"p": 1, "q": 1, "isS": 1}
+    assert len(info.definitions) > 200 and set(info.definitions.values()) == {1}
+
+
+_DEFINE_HEAD = "(declare-sort S 0)(declare-fun p (S) Bool)(declare-const c S)"
+
+
+def test_reader_accepts_definitions():
+    script = _DEFINE_HEAD + (
+        "(define-fun d ((x S) (y S)) Bool (and (p x) (p y)))"
+        "(define-fun e () Bool (forall ((x S)) (d x c)))"
+        "(assert (and e (d c c) (exists ((x S)) (d x x))))"
+    )
+    info = read_script(script)
+    assert info.symbols == {"p": 1, "c": 0}
+    assert info.definitions == {"d": 2, "e": 0}
+    assert info.assert_count == 1
+
+
+@pytest.mark.parametrize(
+    "commands, message",
+    [
+        ("(define-fun d ((x S)) Bool (p x))(assert (d c c))", "symbol 'd' defined with arity 1, applied to 2"),
+        ("(define-fun d ((x S)) Bool (p x))(assert d)", "symbol 'd' of arity 1 used without arguments"),
+        ("(assert (d c))(define-fun d ((x S)) Bool (p x))", "unknown symbol 'd'"),
+        ("(define-fun d ((x S)) Bool (d x))", "unknown symbol 'd'"),
+        ("(define-fun p ((x S)) Bool true)", "symbol 'p' is already declared"),
+        ("(define-fun d () Bool true)(define-fun d () Bool false)", "symbol 'd' is already defined"),
+        ("(define-fun d () Bool true)(declare-const d Bool)", "symbol 'd' is already defined"),
+        ("(define-fun and () Bool true)", "symbol 'and' is builtin"),
+        ("(define-fun d ((x T)) Bool true)", "unknown sort 'T'"),
+        ("(define-fun d ((x S)) T true)", "unknown sort 'T'"),
+        ("(define-fun d ((x S)) Bool (p y))", "unknown symbol 'y'"),
+        ("(define-fun d ((x S)) Bool (p x))(assert (p x))", "unknown symbol 'x'"),
+        ("(define-fun d (x) Bool true)", "ill-formed parameter in define-fun"),
+        ("(define-fun d ((x S)) Bool)", "ill-formed define-fun"),
+    ],
+)
+def test_reader_rejects_malformed_definitions(commands, message):
+    with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
+        read_script(_DEFINE_HEAD + commands)
 
 
 @settings(max_examples=40, deadline=None)

@@ -219,10 +219,11 @@ def test_fold_printer_matches_the_tree_printer():
                 exprs += [a.formula for a in out.assertions]
                 for e in exprs:
                     assert print_expr(e) == oracles.tree_print_expr(e)
-                # print_module shares one memo between rules
+                # print_module shares one memo between rules and joins
+                # the module's ropes once
                 text = print_module(out, include_system=True)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(syntax, "print_expr", lambda e, memo=None: oracles.tree_print_expr(e))
+                    mp.setattr(syntax, "_expr_text", lambda e, memo: oracles.tree_print_expr(e))
                     assert text == print_module(out, include_system=True)
 
 
@@ -313,12 +314,10 @@ def test_fold_does_not_recurse_per_level():
     deep = _deep(100_000)
     assert fold(deep, lambda x, values: 1 + sum(values), {}) == 150_001
     assert free_vars(deep) == {"p"} | {f"x{i}" for i in range(7)}
-    assert sum(1 for _ in syntax.iter_subexprs(deep)) == 150_001
-    # The printer keeps the text of every node in its memo, so its
-    # input is kept smaller.
-    text = "p"
-    for i in range(3000):
-        text = f"not ({text})" if i % 2 else f"{text} && x{i % 7}"
+    assert sum(1 for _ in oracles.iter_subexprs(deep)) == 150_001
+    # The printer joins the rope of each level from its own stack; each
+    # join copies the text below it, so its input is kept smaller.
+    text = "not (" * 1500 + "p" + "".join(")" if i % 2 else f" && x{i % 7}" for i in range(3000))
     assert print_expr(_deep(3000)) == text
 
 
