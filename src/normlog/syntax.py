@@ -736,7 +736,11 @@ _LVL_ATOM = 7
 # however long the text of a chain of them gets.
 _ROPE_FROM = 256
 
-# Characters of joined ropes that a `_Joiner` keeps for reuse.
+# Characters of joined ropes that a `_Joiner` keeps for reuse.  In a
+# `subjectTo` chain each rule's text holds the one before it, which is
+# then joined once rather than once per later rule: without the cache
+# `transform` of the 2000-link chain takes 4.1 s instead of 0.56 s (on
+# a 2-vCPU VM).
 _KEEP = 1 << 20
 
 
@@ -800,9 +804,9 @@ def _expr_text(e: Expr, memo: dict) -> Union[str, _Rope]:
     return fold(e, _print_node, memo)[0]
 
 
-def print_expr(e: Expr, memo: Optional[dict] = None) -> str:
+def print_expr(e: Expr) -> str:
     """Concrete syntax of an expression (see `_expr_text`)."""
-    return _Joiner()(_expr_text(e, {} if memo is None else memo))
+    return _Joiner()(_expr_text(e, {}))
 
 
 def _at(kid: tuple, ctx: int) -> Union[str, _Rope]:

@@ -812,26 +812,38 @@ def _subst_sexp(t, sub):
     return [_subst_sexp(x, sub) for x in t]
 
 
-def _expand(t, defs):
+def _expand(t, defs, sorts):
+    """`t` with each use of a name in `defs` replaced by its body, the
+    arguments substituted.  `sorts` maps each name bound around `t` to
+    its binder's sort: each argument must be a name bound with the sort
+    of the parameter it is passed for."""
     if isinstance(t, str):
         if t in defs:
             params, body = defs[t]
             assert not params, f"{t} used without its arguments"
             return body
         return t
+    if len(t) == 3 and t[0] in ("forall", "exists"):
+        inner = {**sorts, **{v: sort for v, sort in t[1]}}
+        return [t[0], t[1], _expand(t[2], defs, inner)]
     if t and isinstance(t[0], str) and t[0] in defs:
         params, body = defs[t[0]]
-        args = [_expand(x, defs) for x in t[1:]]
-        assert len(args) == len(params), f"{t[0]} applied to {len(args)} arguments"
-        return _subst_sexp(body, dict(zip(params, args)))
-    return [_expand(x, defs) for x in t]
+        assert len(t) - 1 == len(params), f"{t[0]} applied to {len(t) - 1} arguments"
+        for (v, sort), a in zip(params, t[1:]):
+            bound = sorts.get(a) if isinstance(a, str) else None
+            assert bound == sort, f"{t[0]} takes {v} of sort {sort}, passed {_print_sexp(a)} of sort {bound}"
+        args = [_expand(x, defs, sorts) for x in t[1:]]
+        return _subst_sexp(body, {v: a for (v, _), a in zip(params, args)})
+    return [_expand(x, defs, sorts) for x in t]
 
 
 def expand_definitions(script):
     """`script` with each `define-fun` line dropped and each use of the
     defined name replaced by the definition's body, its parameters
-    substituted.  Every other line is printed again from its
-    s-expression, so a script without definitions comes back as is."""
+    substituted.  Each argument must be a variable bound where it is
+    passed with the sort the definition gives its parameter.  Every
+    other line is printed again from its s-expression, so a script
+    without definitions comes back as is."""
     defs = {}
     out = []
     for line in script.splitlines():
@@ -841,9 +853,10 @@ def expand_definitions(script):
         form = _raw_sexp(line)
         if form[0] == "define-fun":
             _, name, params, _sort, body = form
-            defs[name] = ([p[0] for p in params], _expand(body, defs))
+            params = [(v, sort) for v, sort in params]
+            defs[name] = (params, _expand(body, defs, dict(params)))
         else:
-            out.append(_print_sexp(_expand(form, defs)))
+            out.append(_print_sexp(_expand(form, defs, {})))
     return "\n".join(out) + "\n"
 
 

@@ -2,7 +2,7 @@
 
 The precondition transform shares subterms between rules, so the
 translated formulas form a DAG.  `rewrite_fields`, `guard_quantifiers`,
-`expr_to_sexp` and `free_vars` memoize by node identity and `_tokenize`
+`emit_smtlib` and `free_vars` memoize by node identity and `_tokenize`
 reads a script with one regular expression; the tree-walking versions
 in tests/oracles.py are the reference.  Formula sets and token lists
 must be exactly the reference's.  An SMT-LIB script names its shared
@@ -11,6 +11,7 @@ reference's script byte for byte, and the script is never longer.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,13 +29,14 @@ from normlog.models import (
 )
 from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
-from normlog.smtlib import SmtError, _tokenize, emit_smtlib, expr_to_sexp, read_script
+from normlog.smtlib import SmtError, _tokenize, emit_smtlib, read_script
 from normlog.syntax import (
     And,
     App,
     BoolLit,
     BoolT,
     ClassT,
+    Exists,
     FloatLit,
     Forall,
     FunDecl,
@@ -116,11 +118,78 @@ def test_a_subterm_bound_with_one_sort_is_defined_once():
     text = emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body)), ("g", Forall("x", ClassT("A"), shared))]))
     assert "(define-fun share!0 ((x A)) Bool (and (p x) (q x) (not (and (p x) (q x)))))" in text
     assert "(assert (forall ((x A)) (or (share!0 x) (share!0 x) (share!0 x))))" in text
+    assert oracles.expand_definitions(text) == oracles.tree_emit_smtlib(
+        _formula_set([("f", Forall("x", ClassT("A"), body)), ("g", Forall("x", ClassT("A"), shared))])
+    )
     assert emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body))])) != text
     # The same node under a binder of another sort is written in full.
     text = emit_smtlib(_formula_set([("f", Forall("x", ClassT("A"), body)), ("g", Forall("x", ClassT("B"), shared))]))
     assert "define-fun" not in text
     read_script(text)
+
+
+def _random_dag(rng):
+    """Formulas over one pool of nodes, each node built on earlier ones,
+    mostly recent ones, so that the formulas share subterms by
+    identity.  The variables x and y are bound with the sorts A and B
+    at random, a binder of one name directly over another included, and
+    may be left free."""
+    pool = [App(Var(p), Var(v)) for p in "pq" for v in "xyc"]
+    for _ in range(rng.randint(4, 30)):
+        a = pool[-rng.randint(1, min(len(pool), 8))]
+        b = pool[-rng.randint(1, min(len(pool), 8))] if rng.random() < 0.5 else rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.35:
+            pool.append(And(a, b))
+        elif roll < 0.7:
+            pool.append(Or(a, b))
+        elif roll < 0.8:
+            pool.append(Not(a))
+        else:
+            quantifier = Forall if roll < 0.9 else Exists
+            v = a.var if type(a) is quantifier and rng.random() < 0.5 else rng.choice("xy")
+            pool.append(quantifier(v, ClassT(rng.choice("AB")), a))
+    return [
+        (f"f{i}", Forall(rng.choice("xy"), ClassT(rng.choice("AB")), rng.choice(pool[6:])))
+        for i in range(rng.randint(2, 5))
+    ]
+
+
+def test_random_dags_define_subterms_with_the_sorts_of_their_binders():
+    # The expansion checks each argument's binder sort against the
+    # parameter's; the modules of the sweeps above seldom name a
+    # subterm with a variable that is bound with two sorts.
+    named = with_params = 0
+    for seed in range(1000):
+        fs = _formula_set(_random_dag(random.Random(seed)))
+        text = emit_smtlib(fs)
+        want = oracles.tree_emit_smtlib(fs)
+        assert oracles.expand_definitions(text) == want
+        assert len(text) <= len(want)
+        named += text.count("(define-fun ")
+        with_params += text.count("(define-fun ") - text.count(" () Bool ")
+    assert named > 250 and with_params > 50
+
+
+@pytest.mark.parametrize(
+    "use, message",
+    [
+        ("(forall ((x B)) (share!0 x))", "share!0 takes x of sort A, passed x of sort B"),
+        ("(forall ((x A)) (forall ((x B)) (share!0 x)))", "share!0 takes x of sort A, passed x of sort B"),
+        ("(share!0 c)", "share!0 takes x of sort A, passed c of sort None"),
+    ],
+)
+def test_the_expansion_checks_the_sorts_of_the_arguments(use, message):
+    # The reader does not check the sorts of terms, so only the
+    # expansion catches a parameter given the sort of another binder.
+    script = (
+        "(set-logic ALL)\n(declare-sort A 0)\n(declare-sort B 0)\n"
+        "(declare-fun p (A) Bool)\n(declare-const c A)\n"
+        f"(define-fun share!0 ((x A)) Bool (p x))\n(assert {use})\n"
+    )
+    read_script(script)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        oracles.expand_definitions(script)
 
 
 def test_a_definition_may_use_an_earlier_one():
@@ -175,14 +244,20 @@ def test_hand_written_dags_match_the_tree_walkers():
     parts = [parse_expr(t) for t in _EXPRS]
     # Every part appears in several formulas, as object-shared subterms.
     formulas = parts + [And(a, Or(b, a)) for a, b in zip(parts, parts[1:] + parts[:1])]
-    fields_memo, guard_memo, text_memo = {}, {}, {}
-    for e in formulas:
+    fields_memo, guard_memo = {}, {}
+    written = []
+    for i, e in enumerate(formulas):
         got = guard_quantifiers(rewrite_fields(e, fields_memo), env, guard_memo)
         want = oracles.tree_guard_quantifiers(oracles.tree_rewrite_fields(e), env)
         assert got == want
-        assert _text(lambda: expr_to_sexp(got, text_memo)) == _text(
-            lambda: oracles.tree_expr_to_sexp(want)
-        )
+        fs = _formula_set([(f"f{i}", got)])
+        text = _text(lambda: oracles.expand_definitions(emit_smtlib(fs)))
+        assert text == _text(lambda: oracles.tree_emit_smtlib(fs))
+        if not text.startswith("error: "):
+            written.append((f"f{i}", got))
+    # Written together, the shared parts may be defined once.
+    fs = _formula_set(written)
+    assert oracles.expand_definitions(emit_smtlib(fs)) == oracles.tree_emit_smtlib(fs)
     # A formula with nothing to rewrite comes back as the same object.
     plain = parts[-1]
     assert rewrite_fields(plain) is plain and guard_quantifiers(plain, env) is plain

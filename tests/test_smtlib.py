@@ -9,10 +9,10 @@ import hypothesis.strategies as st
 
 from conftest import load_case, subject_to_chain
 from normlog import smtlib
-from normlog.models import rules_to_formulas
+from normlog.models import FormulaSet, rules_to_formulas
 from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
-from normlog.smtlib import SmtError, emit_smtlib, expr_to_sexp, read_script, smt_symbol
+from normlog.smtlib import SmtError, emit_smtlib, read_script, smt_symbol
 from normlog.syntax import FloatLit
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
@@ -25,26 +25,34 @@ def test_smt_symbol_quoting():
     assert smt_symbol("incl'Car'Vehicle") == "|incl'Car'Vehicle|"
 
 
+def term(e):
+    """The s-expression `emit_smtlib` asserts for `e`, the one formula
+    of a set with no sorts or symbols: the expression's SMT-LIB term."""
+    text = emit_smtlib(FormulaSet((), (), (), (), (("f", e),)))
+    (line,) = (x for x in text.splitlines() if x.startswith("(assert "))
+    return line[len("(assert ") : -1]
+
+
 def test_expr_to_sexp_flattens_chains():
-    assert expr_to_sexp(parse_expr("a && b && c")) == "(and a b c)"
-    assert expr_to_sexp(parse_expr("a || b || c")) == "(or a b c)"
-    assert expr_to_sexp(parse_expr("a --> b --> c")) == "(=> a b c)"
-    assert expr_to_sexp(parse_expr("a && (b || c)")) == "(and a (or b c))"
+    assert term(parse_expr("a && b && c")) == "(and a b c)"
+    assert term(parse_expr("a || b || c")) == "(or a b c)"
+    assert term(parse_expr("a --> b --> c")) == "(=> a b c)"
+    assert term(parse_expr("a && (b || c)")) == "(and a (or b c))"
 
 
 def test_expr_to_sexp_merges_consecutive_binders():
     e = parse_expr("forall v: Vehicle. forall d: Day. p v d")
-    assert expr_to_sexp(e) == "(forall ((v Vehicle) (d Day)) (p v d))"
+    assert term(e) == "(forall ((v Vehicle) (d Day)) (p v d))"
     e2 = parse_expr("forall v: Vehicle. exists d: Day. p v d")
-    assert expr_to_sexp(e2) == "(forall ((v Vehicle)) (exists ((d Day)) (p v d)))"
+    assert term(e2) == "(forall ((v Vehicle)) (exists ((d Day)) (p v d)))"
 
 
 def test_expr_to_sexp_misc_forms():
-    assert expr_to_sexp(parse_expr("-7 < 4")) == "(< (- 7) 4)"
-    assert expr_to_sexp(parse_expr("if a then 1 else 2")) == "(ite a 1 2)"
-    assert expr_to_sexp(parse_expr("not a")) == "(not a)"
-    assert expr_to_sexp(parse_expr("x == y")) == "(= x y)"
-    assert expr_to_sexp(parse_expr('"hi"')) == '"hi"'
+    assert term(parse_expr("-7 < 4")) == "(< (- 7) 4)"
+    assert term(parse_expr("if a then 1 else 2")) == "(ite a 1 2)"
+    assert term(parse_expr("not a")) == "(not a)"
+    assert term(parse_expr("x == y")) == "(= x y)"
+    assert term(parse_expr('"hi"')) == '"hi"'
 
 
 @pytest.mark.parametrize(
@@ -58,7 +66,7 @@ def test_expr_to_sexp_misc_forms():
 )
 def test_expr_to_sexp_reports_the_first_fault_in_pre_order(text, message):
     with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
-        expr_to_sexp(parse_expr(text))
+        term(parse_expr(text))
 
 
 def test_emit_layout_for_the_plain_module():
@@ -315,7 +323,7 @@ def test_reader_reports_unterminated_tokens(script, message):
     ],
 )
 def test_floats_emit_as_smtlib_decimals(value, text):
-    assert expr_to_sexp(FloatLit(value)) == text
+    assert term(FloatLit(value)) == text
     if value >= 0:
         assert smtlib._atom(text) == value
 
@@ -336,4 +344,4 @@ def test_emitted_large_float_reads_back():
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_floats_are_not_emitted(value):
     with pytest.raises(SmtError, match="no SMT-LIB decimal"):
-        expr_to_sexp(FloatLit(value))
+        term(FloatLit(value))
