@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Optional, Sequence
 
-from .syntax import NormlogError, check_well_formed, module_pieces, print_expr, print_module
+from .syntax import NormlogError, check_well_formed, module_pieces, print_expr
 from .parser import LParseError, parse_module
 from .typecheck import Env, LTypeError, elaborate, typecheck_module
 from .transform import TransformError, Variant, transform_module
@@ -75,8 +76,20 @@ def _write_or_print(text: str, output: Optional[str]) -> None:
         print(text, end="")
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
+def _emit_json(payload: dict, module: Optional[Iterable[str]] = None) -> None:
+    """Print the payload as `json.dumps(..., indent=2)` does.  Given the
+    pieces of a module's text, add them as a last key "module", escaped
+    and written one piece at a time, so that neither the whole text nor
+    its JSON string is ever held."""
+    text = json.dumps({"schema": SCHEMA, **payload}, indent=2)
+    if module is None:
+        print(text)
+        return
+    write = sys.stdout.write
+    write(text[: -len("\n}")] + ',\n  "module": "')
+    for piece in module:
+        write(encode_basestring_ascii(piece)[1:-1])
+    write('"\n}\n')
 
 
 def _parse_sizes(text: Optional[str]) -> dict[str, int]:
@@ -145,7 +158,7 @@ def _render_model(interp: Interpretation) -> list[str]:
 def cmd_parse(args) -> int:
     m = _load_module(args.file)
     if args.json:
-        _emit_json({"command": "parse", "module": print_module(m)})
+        _emit_json({"command": "parse"}, module_pieces(m))
     else:
         for piece in module_pieces(m):
             sys.stdout.write(piece)
@@ -166,8 +179,8 @@ def cmd_transform(args) -> int:
                     "sequence": list(res.order.sequence),
                 },
                 "trace": list(res.trace),
-                "module": print_module(res.module),
-            }
+            },
+            module_pieces(res.module),
         )
     else:
         for piece in module_pieces(res.module):

@@ -10,13 +10,24 @@ Operator precedence, loosest to tightest:
     application by juxtaposition
 
 Quantifiers, lambdas and if/then/else extend as far right as possible.
-Line comments start with ``#``.  Identifiers may contain apostrophes
-(``maxSpCarWorkday'Orig``) and may end in a single ``+``, which is how
-generated lifted predicates are spelled.
+
+Lexical rules.  An identifier is a Unicode letter or ``_``, then any
+letters, digits and other numeric characters (``x²``), ``_`` and
+apostrophes (``maxSpCarWorkday'Orig``), and at most one trailing ``+``,
+which is how generated lifted predicates are spelled.  Keywords are the
+identifiers in `KEYWORDS`.  A numeral is an optional ``-`` and decimal
+digits of any script (``٣`` is 3), with ``d.d`` making it a decimal
+(``-1.5``); ``-`` before anything but a digit is part of a symbol
+(``->``, ``-->``).  A string is written ``"..."``, where ``\\`` makes
+the next character literal.  ``#`` starts a comment that runs to the
+end of the line.  Whitespace is only space, tab, CR and LF; any other
+character outside a string or comment, such as a no-break space, is an
+error.  Columns in source locations count characters, a tab as one.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,7 +126,7 @@ _SYMBOLS = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # ident kw int float string sym eof
     text: str
@@ -123,84 +134,65 @@ class Token:
     value: object = None
 
 
+# One match is one token and the whitespace and comments before it.  An
+# identifier starts with a character that `\w` matches and that is no
+# decimal digit; `tokenize` rejects the ones that are not letters or
+# `_` either, such as `²`.  A match without a token ends the input, or
+# stops at a character that starts no token.  The pattern matches the
+# empty string, so `finditer` goes through the text without a gap.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    (?:(?P<word>[^\W\d][\w']*\+?)
+      |(?P<float>-?\d+\.\d+)
+      |(?P<int>-?\d+)
+      |(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+      |(?P<sym>"""
+    + "|".join(map(re.escape, _SYMBOLS))
+    + """)
+    )?""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        loc = Loc(line, col)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            if j < n and text[j] == "+":
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, loc))
-            continue
-        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1 if c == "-" else i
-            while j < n and text[j].isdecimal():
-                j += 1
-            is_float = False
-            if j + 1 < n and text[j] == "." and text[j + 1].isdecimal():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-            word = text[i:j]
-            advance(j - i)
-            if is_float:
-                toks.append(Token("float", word, loc, float(word)))
-            else:
-                toks.append(Token("int", word, loc, int(word)))
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise LParseError(loc, "unterminated string literal")
-            advance(j + 1 - i)
-            toks.append(Token("string", text[i : j + 1], loc, "".join(out)))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                advance(len(sym))
-                toks.append(Token("sym", sym, loc))
-                break
+    append = toks.append
+    count = text.count
+    # Each token's line is counted from the newlines since the previous
+    # token's start, which only whitespace, comments and strings hold.
+    line, line_start, prev = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        i = m.start(kind) if kind else m.end()
+        if newlines := count("\n", prev, i):
+            line += newlines
+            line_start = text.rfind("\n", prev, i) + 1
+        prev = i
+        loc = Loc(line, i - line_start + 1)
+        if kind is None:
+            break
+        word = m[kind]
+        if kind == "sym":
+            append(Token(kind, word, loc))
+        elif kind == "word":
+            c = word[0]
+            if not (c.isalpha() or c == "_"):
+                raise LParseError(loc, f"unexpected character {c!r}")
+            append(Token("kw" if word in KEYWORDS else "ident", word, loc))
+        elif kind == "int":
+            append(Token(kind, word, loc, int(word)))
+        elif kind == "float":
+            append(Token(kind, word, loc, float(word)))
         else:
-            raise LParseError(loc, f"unexpected character {c!r}")
-    toks.append(Token("eof", "", Loc(line, col)))
+            body = word[1:-1]
+            append(Token(kind, word, loc, _ESCAPE.sub(r"\1", body) if "\\" in body else body))
+    if i < len(text):
+        c = text[i]
+        if c == '"':
+            raise LParseError(loc, "unterminated string literal")
+        raise LParseError(loc, f"unexpected character {c!r}")
+    append(Token("eof", "", loc))
     return toks
 
 
@@ -223,7 +215,13 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
+    # `next` never moves past the final `eof` token, so `self.pos`
+    # always indexes a token; only a lookahead needs a clamp.
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def lookahead(self, offset: int) -> Token:
         return self.toks[min(self.pos + offset, len(self.toks) - 1)]
 
     def next(self) -> Token:
@@ -233,7 +231,7 @@ class _Parser:
         return t
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -435,7 +433,7 @@ class _Parser:
         enclosing annotation block."""
         names = [self.ident("rule name").text]
         while self.at("sym", ","):
-            if self.peek(1).kind == "ident" and self.peek(2).text == ":":
+            if self.lookahead(1).kind == "ident" and self.lookahead(2).text == ":":
                 break
             self.next()
             names.append(self.ident("rule name").text)

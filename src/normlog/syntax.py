@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 ROOT_CLASS = "Class"
 
@@ -36,8 +36,7 @@ class NormlogError(Exception):
     """Base class for user-facing errors raised by this package."""
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 

@@ -18,6 +18,7 @@ from normlog.asp import (
     axiom_violations,
 )
 from normlog.models import Interpretation, ModelError, ResourceCapError
+from normlog.parser import KEYWORDS, LParseError, Token
 from normlog.smtlib import SmtError, emit_smtlib, smt_decimal, smt_sort, smt_symbol
 from normlog.syntax import (
     ROOT_CLASS,
@@ -38,6 +39,7 @@ from normlog.syntax import (
     IntLit,
     IntT,
     Lambda,
+    Loc,
     Not,
     Or,
     StringLit,
@@ -986,4 +988,86 @@ def char_tokenize(text):
                 j += 1
             toks.append(text[i:j])
             i = j
+    return toks
+
+
+def l4_char_tokenize(text):
+    """Rule-language tokens by a loop that moves one character at a
+    time and counts lines and columns as it goes."""
+    symbols = ["-->", "->", "&&", "||", "==", "<=", ">=", ":=",
+               "{", "}", "(", ")", "[", "]", "<", ">", ",", ":", ".", "\\"]
+    toks = []
+    i, n = 0, len(text)
+    line, col = 1, 1
+
+    def advance(k):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            advance(1)
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        loc = Loc(line, col)
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            if j < n and text[j] == "+":
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            toks.append(Token("kw" if word in KEYWORDS else "ident", word, loc))
+            continue
+        if c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
+            j = i + 1 if c == "-" else i
+            while j < n and text[j].isdecimal():
+                j += 1
+            is_float = False
+            if j + 1 < n and text[j] == "." and text[j + 1].isdecimal():
+                is_float = True
+                j += 1
+                while j < n and text[j].isdecimal():
+                    j += 1
+            word = text[i:j]
+            advance(j - i)
+            if is_float:
+                toks.append(Token("float", word, loc, float(word)))
+            else:
+                toks.append(Token("int", word, loc, int(word)))
+            continue
+        if c == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    out.append(text[j + 1])
+                    j += 2
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise LParseError(loc, "unterminated string literal")
+            toks.append(Token("string", text[i : j + 1], loc, "".join(out)))
+            advance(j + 1 - i)
+            continue
+        for sym in symbols:
+            if text.startswith(sym, i):
+                advance(len(sym))
+                toks.append(Token("sym", sym, loc))
+                break
+        else:
+            raise LParseError(loc, f"unexpected character {c!r}")
+    toks.append(Token("eof", "", Loc(line, col)))
     return toks

@@ -5,6 +5,7 @@ text, and the promise that output is deterministic byte-for-byte.
 """
 
 import json
+import random
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 from conftest import CASES, ROOT, run_cli, subject_to_chain
+from normlog import cli
 from normlog.parser import MAX_NESTING
 from test_asp import nested_atom
 
@@ -62,6 +64,39 @@ def test_parse_json_wraps_the_text():
     payload = jout("parse", "cases/selfref.l4", "--json")
     assert payload["command"] == "parse"
     assert payload["module"].startswith("decl P : Boolean")
+
+
+def _main_out(capsys, *args):
+    rc = cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("*.l4")))
+def test_module_json_is_written_as_json_dumps_writes_it(capsys, case):
+    path = CASES / case
+    commands = [("parse", path)] + [
+        ("transform", path, "--variant", v, *simp) for v in ("precond", "deriv") for simp in ((), ("--simplify",))
+    ]
+    if case == "speedlimit_original.l4":  # its rule order is cyclic
+        commands = commands[:1]
+    for args in commands:
+        out = _main_out(capsys, *args, "--json")
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert payload["module"] == _main_out(capsys, *args)
+
+
+def test_module_json_escapes_text_outside_ascii(capsys, tmp_path):
+    path = tmp_path / "m.l4"
+    path.write_text("decl pé : Boolean\ndecl 𝒜² : Boolean\nrule <r>\n  if 𝒜²\n  then pé\n", encoding="utf-8")
+    for command in ("parse", "transform"):
+        out = _main_out(capsys, command, path, "--json")
+        assert out.isascii() and "\\u00e9" in out and "\\ud835\\udc9c\\u00b2" in out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert payload["module"] == _main_out(capsys, command, path)
 
 
 def test_parse_rejects_missing_file():
@@ -277,24 +312,26 @@ def test_long_subject_to_chain_compiles_and_simplify_overflows(tmp_path):
 def test_transform_writes_a_long_chain_in_linear_memory(tmp_path):
     # The 2000-link chain prints 26 MB: the text of each rule's
     # precondition holds the one before it.  The printer keeps ropes of
-    # the shared preconditions and writes the module block by block.
+    # the shared preconditions and writes the module block by block;
+    # --json escapes it block by block.
     # The child reads its peak from VmHWM: on Linux its ru_maxrss also
     # counts the memory of the test process it was started from.
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status")
     path = tmp_path / "chain.l4"
     path.write_text(subject_to_chain(2000))
-    script = (
-        "import os, re, sys\n"
-        "from normlog import cli\n"
-        "sys.stdout = open(os.devnull, 'w')\n"
-        f"rc = cli.main(['transform', {str(path)!r}])\n"
-        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
-        "sys.stderr.write(f'{rc} {peak}')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT)
-    rc, peak_kb = proc.stderr.split()
-    assert rc == "0" and int(peak_kb) < 80 * 1024
+    for flags in ([], ["--json"]):
+        script = (
+            "import os, re, sys\n"
+            "from normlog import cli\n"
+            "sys.stdout = open(os.devnull, 'w')\n"
+            f"rc = cli.main(['transform', {str(path)!r}, *{flags!r}])\n"
+            "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1)\n"
+            "sys.stderr.write(f'{rc} {peak}')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT)
+        rc, peak_kb = proc.stderr.split()
+        assert rc == "0" and int(peak_kb) < 80 * 1024, flags
 
 
 def test_subject_to_chain_below_the_limit_compiles(tmp_path):
@@ -725,3 +762,64 @@ def test_output_is_byte_identical_across_runs(args):
     second = run_cli(*args)
     assert first == second
     assert first[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# robustness: every input gets an exit code of the contract
+
+_L4_COMMANDS = [
+    ["parse"],
+    ["parse", "--json"],
+    ["transform", "--variant", "deriv", "--simplify"],
+    ["invert"],
+    ["emit-smt", "--assert", "maxSpFunctional"],
+    ["check", "--assert", "maxSpFunctional", "--sizes", SIZES, "--ints", INTS, "--budget", "2000"],
+    ["correspond", "--sizes", SIZES, "--ints", INTS, "--budget", "2000"],
+]
+_CFG_COMMANDS = [
+    ["emit-asp"],
+    ["legal-models", "--cap-bits", "8"],
+    ["answer-sets", "--cap-bits", "8"],
+    ["verify-lemma4", "--cap-bits", "8"],
+    ["ground"],
+]
+_SPLICES = ["-->", "forall ", "<-"]
+
+
+def _mutant(text, rng):
+    """`text` after one to three random edits: a character deleted,
+    inserted or swapped with the next, or a piece of syntax spliced in."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + text[i + 1 :]
+        elif edit == 1:
+            text = text[:i] + rng.choice(text) + text[i:]
+        elif edit == 2:
+            text = text[:i] + text[i + 1 : i + 2] + text[i] + text[i + 2 :]
+        else:
+            text = text[:i] + rng.choice(_SPLICES) + text[i:]
+    return text
+
+
+def test_mutated_inputs_exit_with_a_contract_code(tmp_path, capsys):
+    # Mutated cases and random bytes through every subcommand that reads
+    # a file.  The exit code is 0 holds, 1 property failed, 2 bad input
+    # or 3 cap hit; never 4, an internal error.
+    rng = random.Random(12)
+    path = tmp_path / "mutant"
+    codes = set()
+    for case in sorted(CASES.iterdir()):
+        commands = _L4_COMMANDS if case.suffix == ".l4" else _CFG_COMMANDS
+        text = case.read_text(encoding="utf-8")
+        inputs = [_mutant(text, rng).encode() for _ in range(12)]
+        inputs.append(rng.randbytes(len(text)))
+        for data in inputs:
+            path.write_bytes(data)
+            for command in commands:
+                rc = cli.main([command[0], str(path), *command[1:]])
+                _, err = capsys.readouterr()
+                assert rc in (0, 1, 2, 3), (case.name, data, command, err)
+                codes.add(rc)
+    assert codes >= {0, 1, 2}

@@ -1,12 +1,17 @@
 """Surface syntax: tokens, declarations, rules, annotations, errors."""
 
+import importlib
 import random
+import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from normlog.parser import MAX_NESTING, LParseError, parse_expr, parse_module, parse_type
+import oracles
+from conftest import CASES, ROOT
+from normlog.parser import MAX_NESTING, LParseError, parse_expr, parse_module, parse_type, tokenize
 from normlog.randgen import random_annotated_module
 from normlog.syntax import (
     BOOL,
@@ -199,3 +204,97 @@ def test_nesting_is_limited_before_the_interpreter_stack_is():
     for deep in ("(" * 3000 + "Boolean" + ")" * 3000, "Boolean -> " * 3000 + "Boolean"):
         with pytest.raises(LParseError, match=f"nested more than {MAX_NESTING} levels deep"):
             parse_type(deep)
+
+
+# ---------------------------------------------------------------------------
+# the lexer against the character loop
+
+
+def _tokens(toks):
+    return [(t.kind, t.text, t.loc, t.value) for t in toks]
+
+
+def _lexes_like_the_character_loop(text):
+    try:
+        want = oracles.l4_char_tokenize(text)
+    except LParseError as e:
+        with pytest.raises(LParseError) as exc:
+            tokenize(text)
+        assert (str(exc.value), exc.value.loc) == (str(e), e.loc)
+    else:
+        assert _tokens(tokenize(text)) == _tokens(want)
+
+
+# Characters that start, end or continue a token, the four whitespace
+# characters, and characters that are whitespace or digits elsewhere:
+# vertical tab, form feed, non-ASCII letters, digits and numerics, and a
+# no-break space.
+_LEX_CHARS = st.sampled_from(list("#\"\\'+-.><=&|:,0123456789\n\t\r \x0b\x0cé²½٣\xa0abxT_"))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(_LEX_CHARS, max_size=40).map("".join))
+@example('p "ab\ncd\n  q')
+@example("f -1.5 2.x 3. ٣.٣ -٣ 1.٣")
+@example("x'Orig+ y'+z")
+@example("a-->b->c -1 -->-1 ->->")
+@example("p x # a comment at the end")
+@example('"a\\"b\\\\" "c\\\nd" x')
+def test_tokenize_matches_the_character_loop(text):
+    _lexes_like_the_character_loop(text)
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("*.l4")))
+def test_tokenize_matches_the_character_loop_on_cases(case):
+    _lexes_like_the_character_loop((CASES / case).read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, imported from bench/.  Its
+    `gen` and `oracles` shadow the test modules of those names only
+    while the test runs: each name is first set, so that tearing down
+    restores or removes it, then deleted."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    for name in ("workloads", "gen", "oracles"):
+        monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.delitem(sys.modules, name)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tokenize_matches_the_character_loop_on_compile_sources(bench_workloads, seed):
+    rng = random.Random(seed)
+    for groups, length, fan_in in bench_workloads.COMPILE_SPECS:
+        _lexes_like_the_character_loop(bench_workloads.gen.compile_module(rng, groups, length, fan_in))
+
+
+def test_pattern_classes_are_the_str_predicates():
+    # The lexer's pattern finds identifiers with `\w` and numerals with
+    # `\d`; the character loop asked `str.isalnum` and `str.isdecimal`.
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(re.findall(r"\w", chars)) == "".join(c for c in chars if c.isalnum() or c == "_")
+    assert "".join(re.findall(r"\d", chars)) == "".join(c for c in chars if c.isdecimal())
+
+
+def test_locations_count_characters_and_lines():
+    toks = tokenize('é\t"a\nb" # c\r\n\n  x²½ ٣')
+    assert _tokens(toks) == [
+        ("ident", "é", (1, 1), None),
+        ("string", '"a\nb"', (1, 3), "a\nb"),
+        ("ident", "x²½", (4, 3), None),
+        ("int", "٣", (4, 7), 3),
+        ("eof", "", (4, 8), None),
+    ]
+    for text, message in [
+        ("p\n  ²", "2:3: unexpected character '²'"),
+        ("p\xa0q", "1:2: unexpected character '\\xa0'"),
+        ('p "q\n', '1:3: unterminated string literal'),
+    ]:
+        with pytest.raises(LParseError, match=f"^{re.escape(message)}$"):
+            tokenize(text)
+
+
+def test_error_quotes_a_string_token_as_written():
+    with pytest.raises(LParseError, match=r"""^1:3: expected a top-level item, found '"a\\\\"b"'$"""):
+        parse_module('  "a\\"b" rule')

@@ -24,6 +24,7 @@ from normlog.syntax import (
     BoolLit,
     ClassT,
     Cmp,
+    Diagnostic,
     Eq,
     Exists,
     Expr,
@@ -140,9 +141,29 @@ def test_fresh_name():
 
 
 def test_loc_is_ignored_by_equality():
-    from normlog.syntax import Loc
-
     assert Var("a", loc=Loc(1, 1)) == Var("a", loc=Loc(9, 9)) == Var("a")
+    assert Var("a", loc=Loc(1, 1)) == Var("a")
+
+
+def test_loc_is_a_small_immutable_value():
+    loc = Loc(3, 14)
+    assert (loc.line, loc.col, str(loc), f"{loc}: x") == (3, 14, "3:14", "3:14: x")
+    assert loc == Loc(3, 14) and hash(loc) == hash(Loc(3, 14)) and loc != Loc(14, 3)
+    for name in ("line", "col"):
+        with pytest.raises(AttributeError):
+            setattr(loc, name, 1)
+    # Diagnostic.__str__ drops the position only when there is none:
+    # every Loc is true, even one at 0:0.
+    assert Loc(0, 0)
+    assert str(Diagnostic("error", Loc(0, 0), "m")) == "0:0: error: m"
+    assert str(Diagnostic("error", None, "m")) == "error: m"
+
+
+def test_parsed_module_pickles_with_its_locations():
+    m = parse_module((CASES / "speedlimit_repaired.l4").read_text())
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m
+    assert [r.loc for r in copy.rules] == [r.loc for r in m.rules] and m.rules[0].loc.line > 0
 
 
 # ---------------------------------------------------------------------------
