@@ -24,9 +24,10 @@ branch as soon as a condition is false in three-valued logic.  The
 answer set encoding (`emit_asp`) computes a subset of them;
 `verify_lemma4` holds the two against each other.
 
-The stable-model search grounds schematic clauses semi-naively against
-the least model of the negation-free relaxation (every stable model is
-contained in it).  The well-founded model then decides most negated
+The stable-model search grounds the program against the least model
+of the negation-free relaxation (every stable model is contained in
+it): ground clauses by counting their missing atoms, schematic ones
+semi-naively.  The well-founded model then decides most negated
 atoms, and candidate assignments are tried only for the negated atoms
 it leaves undecided.
 """
@@ -64,8 +65,25 @@ Term = Union[int, str, TVar, "Atom"]
 
 @dataclass(frozen=True)
 class Atom:
+    """An atom, or a compound term inside one.  It hashes structurally,
+    like any frozen dataclass, but computes its hash once and keeps it
+    in `_hash`, which is not a field: `==`, `repr` and
+    `dataclasses.replace` ignore it, and a pickled atom leaves it
+    behind, since string hashes differ between processes."""
+
     pred: str
     args: tuple = ()
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.pred, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __str__(self) -> str:
         if not self.args:
@@ -186,12 +204,14 @@ class Config:
 def _term_vars(t: Term) -> set:
     if isinstance(t, TVar):
         return {t.name}
+    out: set = set()
     if isinstance(t, Atom):
-        out: set = set()
         for a in t.args:
-            out |= _term_vars(a)
-        return out
-    return set()
+            if isinstance(a, TVar):
+                out.add(a.name)
+            elif isinstance(a, Atom):
+                out |= _term_vars(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +417,6 @@ def _subst_term(t: Term, b: dict) -> Term:
     return t
 
 
-def _subst_atom(a: Atom, b: dict) -> Atom:
-    return Atom(a.pred, tuple(_subst_term(x, b) for x in a.args))
-
-
 def ground(cfg: Config, constants: Optional[Sequence[str]] = None) -> Config:
     """Instantiate schematic rules over the given constants (default:
     every constant in the configuration).  Instance ids are
@@ -439,8 +455,8 @@ def ground(cfg: Config, constants: Optional[Sequence[str]] = None) -> Config:
             rules.append(
                 DefRule(
                     new_id,
-                    _subst_atom(r.head, b),
-                    tuple(Literal(_subst_atom(l.atom, b), l.positive) for l in r.body),
+                    _subst_term(r.head, b),
+                    tuple(Literal(_subst_term(l.atom, b), l.positive) for l in r.body),
                 )
             )
         instances[r.id] = ids
@@ -810,6 +826,49 @@ def _il(a: Atom) -> Atom:
     return Atom("is_legal", (a,))
 
 
+def _schematic_clauses() -> tuple:
+    """The clauses with variables, the same in every encoding."""
+    R, C, R1, C1, R2, C2, X, Y = map(TVar, ["R", "C", "R1", "C1", "R2", "C2", "X", "Y"])
+
+    def lit(pred: str, *args, positive: bool = True) -> Literal:
+        return Literal(Atom(pred, args), positive)
+
+    defeated = Atom("defeated", (R2, C2))
+    return (
+        AspRule(Atom("opposes", (X, Y)), (lit("opposes", Y, X),)),
+        AspRule(
+            defeated,
+            (lit(DESPITE, R2, R1), lit("according_to", R1, C1), lit("according_to", R2, C2)),
+        ),
+        AspRule(
+            defeated,
+            (
+                lit(STRONG_SUBJECT_TO, R1, R2),
+                lit("legally_valid", R1, C1),
+                lit("according_to", R2, C2),
+            ),
+        ),
+        AspRule(
+            defeated,
+            (
+                lit(SUBJECT_TO, R1, R2),
+                lit("legally_valid", R1, C1),
+                lit("opposes", C1, C2),
+                lit("according_to", R2, C2),
+            ),
+        ),
+        AspRule(Atom("not_legally_valid", (R,)), (lit("defeated", R, C),)),
+        AspRule(
+            Atom("legally_valid", (R, C)),
+            (lit("according_to", R, C), lit("not_legally_valid", R, positive=False)),
+        ),
+        AspRule(_il(C), (lit("legally_valid", R, C),)),
+    )
+
+
+_SCHEMATIC_CLAUSES = _schematic_clauses()
+
+
 def emit_asp(cfg: Config) -> AspProgram:
     """The answer set program of a ground configuration.  Its stable
     models, projected to is_legal/legally_valid, are legal models."""
@@ -832,64 +891,7 @@ def emit_asp(cfg: Config) -> AspProgram:
         for ai, aj in itertools.combinations(k, 2):
             rest = tuple(Literal(_il(a)) for a in k if a != ai and a != aj)
             out.append(AspRule(Atom("opposes", (ai, aj)), rest))
-    out.append(
-        AspRule(
-            Atom("opposes", (TVar("X"), TVar("Y"))),
-            (Literal(Atom("opposes", (TVar("Y"), TVar("X")))),),
-        )
-    )
-
-    R1, C1, R2, C2 = TVar("R1"), TVar("C1"), TVar("R2"), TVar("C2")
-    out.append(
-        AspRule(
-            Atom("defeated", (R2, C2)),
-            (
-                Literal(Atom(DESPITE, (R2, R1))),
-                Literal(Atom("according_to", (R1, C1))),
-                Literal(Atom("according_to", (R2, C2))),
-            ),
-        )
-    )
-    out.append(
-        AspRule(
-            Atom("defeated", (R2, C2)),
-            (
-                Literal(Atom(STRONG_SUBJECT_TO, (R1, R2))),
-                Literal(Atom("legally_valid", (R1, C1))),
-                Literal(Atom("according_to", (R2, C2))),
-            ),
-        )
-    )
-    out.append(
-        AspRule(
-            Atom("defeated", (R2, C2)),
-            (
-                Literal(Atom(SUBJECT_TO, (R1, R2))),
-                Literal(Atom("legally_valid", (R1, C1))),
-                Literal(Atom("opposes", (C1, C2))),
-                Literal(Atom("according_to", (R2, C2))),
-            ),
-        )
-    )
-
-    R, C = TVar("R"), TVar("C")
-    out.append(
-        AspRule(
-            Atom("not_legally_valid", (R,)),
-            (Literal(Atom("defeated", (R, C))),),
-        )
-    )
-    out.append(
-        AspRule(
-            Atom("legally_valid", (R, C)),
-            (
-                Literal(Atom("according_to", (R, C))),
-                Literal(Atom("not_legally_valid", (R,)), positive=False),
-            ),
-        )
-    )
-    out.append(AspRule(_il(C), (Literal(Atom("legally_valid", (R, C))),)))
-
+    out.extend(_SCHEMATIC_CLAUSES)
     return AspProgram(tuple(out))
 
 
@@ -926,24 +928,32 @@ class GroundRule:
 
 
 def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[GroundRule]:
-    """Instantiate schematic clauses against the least model of the
+    """Instantiate the clauses against the least model of the
     negation-free relaxation.  Every stable model is a subset of that
     least model, so instances pruned here cannot fire in any stable
     model.  Negative literals on atoms outside it are dropped as
     trivially true.
 
-    The least model is built semi-naively (Bancilhon & Ramakrishnan
-    1986).  Derived atoms are kept per predicate in derivation order.
-    The first round instantiates the clauses without positive literals;
-    after it, a clause is matched only where one of its positive
-    literals binds an atom derived in the round before.  An unsafe
-    clause raises `ConfigError` when its positive literals first match."""
+    The least model is built in rounds: the first fires the clauses
+    without positive literals, each later one, in clause order, the
+    clauses an atom of the round before can make fire.  A clause
+    without variables waits on a count of its missing positive atoms
+    and fires once, in the round after the count reaches zero (Dowling
+    & Gallier 1984).  Only clauses with variables are matched,
+    semi-naively (Bancilhon & Ramakrishnan 1986): against the derived
+    atoms, kept per predicate in derivation order, where a positive
+    literal binds an atom of the round before.  An unsafe clause
+    raises `ConfigError` when its positive literals first match."""
     derived: dict[str, list[Atom]] = {}
     possible: set[Atom] = set()
     instances: set[GroundRule] = set()
+    waiting: dict[Atom, list[int]] = {}  # ground clauses by a missing atom
+    missing: dict[int, int] = {}  # per ground clause, its missing atoms
+    ready: list[int] = []  # ground clauses whose last atom came this round
 
-    clauses = []
-    for r in p.rules:
+    clauses: list = []  # a ground clause as its one instance
+    schematic = []  # the clauses with variables and a positive literal
+    for k, r in enumerate(p.rules):
         pos = tuple(l.atom for l in r.body if l.positive)
         neg = tuple(l.atom for l in r.body if not l.positive)
         bound = set().union(*map(_term_vars, pos))
@@ -958,7 +968,16 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
             if _term_vars(r.head) - bound
             else None,
         )
-        clauses.append((r.head, pos, neg, unsafe))
+        if bound or unsafe:
+            clauses.append((r.head, pos, neg, unsafe))
+            if pos:
+                schematic.append(k)
+            continue
+        clauses.append(GroundRule(r.head, pos, neg))
+        body = set(pos)
+        missing[k] = len(body)
+        for a in body:
+            waiting.setdefault(a, []).append(k)
 
     def joins(pos, spans, b, matched):
         """Bindings extending `b` that match each pos[j] against the
@@ -973,27 +992,38 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
             if nb is not None:
                 yield from joins(pos, spans, nb, matched + (a,))
 
-    def add(head, gpos, neg, b):
-        g = GroundRule(_subst_atom(head, b), gpos, tuple(_subst_atom(a, b) for a in neg))
+    def add(g: GroundRule) -> None:
         n = len(instances)
         instances.add(g)
         if len(instances) == n:
             return
         if len(instances) > instance_cap:
             raise ResourceCapError(f"grounding exceeded {instance_cap} rule instances")
-        if g.head not in possible:
-            possible.add(g.head)
-            derived.setdefault(g.head.pred, []).append(g.head)
+        h = g.head
+        if h not in possible:
+            possible.add(h)
+            derived.setdefault(h.pred, []).append(h)
+            for k in waiting.pop(h, ()):
+                missing[k] -= 1
+                if not missing[k]:
+                    ready.append(k)
 
-    for head, pos, neg, unsafe in clauses:
-        if not pos:
-            if unsafe:
-                raise ConfigError(unsafe)
-            add(head, (), neg, {})
+    for c in clauses:
+        if type(c) is GroundRule:
+            if not c.pos:
+                add(c)
+        elif not c[1]:  # nothing binds its variables
+            raise ConfigError(c[3])
     before: dict[str, int] = {}  # atoms per predicate before the last round
     now = {q: len(atoms) for q, atoms in derived.items()}
     while now != before:
-        for head, pos, neg, unsafe in clauses:
+        due = sorted(ready + schematic)
+        ready.clear()
+        for k in due:
+            if type(clauses[k]) is GroundRule:
+                add(clauses[k])
+                continue
+            head, pos, neg, unsafe = clauses[k]
             for i, lit in enumerate(pos):
                 lo, hi = before.get(lit.pred, 0), now.get(lit.pred, 0)
                 if lo == hi:
@@ -1008,14 +1038,19 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
                 for b, matched in joins(pos, spans, {}, ()):
                     if unsafe:
                         raise ConfigError(unsafe)
-                    add(head, matched, neg, b)
+                    gneg = tuple(_subst_term(a, b) for a in neg)
+                    add(GroundRule(_subst_term(head, b), matched, gneg))
         before, now = now, {q: len(atoms) for q, atoms in derived.items()}
 
+    at = {a: str(a) for a in possible.union(*(g.neg for g in instances))}.__getitem__
+
     def key(g: GroundRule):
-        return (str(g.head), tuple(map(str, g.pos)), tuple(map(str, g.neg)))
+        return (at(g.head), tuple(map(at, g.pos)), tuple(map(at, g.neg)))
 
     return [
-        GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
+        g
+        if possible.issuperset(g.neg)
+        else GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
         for g in sorted(instances, key=key)
     ]
 
@@ -1104,9 +1139,7 @@ def answer_sets(
 
 def project_answer_set(s: frozenset) -> LegalModel:
     legal = frozenset(a.args[0] for a in s if a.pred == "is_legal")
-    valid = frozenset(
-        (a.args[0], a.args[1]) for a in s if a.pred == "legally_valid"
-    )
+    valid = frozenset((a.args[0], a.args[1]) for a in s if a.pred == "legally_valid")
     return LegalModel(legal, valid)
 
 
@@ -1130,9 +1163,7 @@ class EncodingReport:
             "answer_sets": self.answer_sets,
             "legal_models": self.legal_models,
             "sound": self.sound,
-            "unsound": [
-                {"model": m, "violations": list(v)} for m, v in self.unsound
-            ],
+            "unsound": [{"model": m, "violations": list(v)} for m, v in self.unsound],
             "uncovered": [m.to_json() for m in self.uncovered],
         }
 
@@ -1164,7 +1195,5 @@ def verify_lemma4(
         legal = legal_models(cfg, legal_cap_bits)
         legal_count = len(legal)
         covered = {(m.is_legal, m.legally_valid) for m in projections}
-        uncovered = [
-            m for m in legal if (m.is_legal, m.legally_valid) not in covered
-        ]
+        uncovered = [m for m in legal if (m.is_legal, m.legally_valid) not in covered]
     return EncodingReport(len(sets), legal_count, tuple(unsound), tuple(uncovered))

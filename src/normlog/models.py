@@ -38,6 +38,7 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
+    CMP_OPS,
     ROOT_CLASS,
     TRUE,
     VALID,
@@ -264,8 +265,6 @@ class Interpretation:
 BOOLS = frozenset((False, True))
 
 _MISSING = object()
-
-_CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 # An application whose argument values span more tuples than this is
 # not checked against the table's cells at compile time; it keeps its
@@ -569,7 +568,7 @@ def _binary(e: Expr, ln: _Node, rn: _Node) -> _Node:
         true_from = min(ln.false_from, rn.true_from)
         false_from = max(ln.true_from, rn.false_from)
     else:
-        op = operator.eq if kind is Eq else _CMP_OPS[e.op]
+        op = operator.eq if kind is Eq else CMP_OPS[e.op]
         if kind is Cmp:
             safe = safe and _orderable(ln.values, rn.values)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 ROOT_CLASS = "Class"
@@ -233,6 +233,10 @@ class Cmp(Expr):
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
+
+
+# The Python function of each comparison operator.
+CMP_OPS = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 @dataclass(frozen=True)

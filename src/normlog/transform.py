@@ -29,6 +29,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .syntax import (
+    CMP_OPS,
     ROOT_CLASS,
     TRUE,
     And,
@@ -723,10 +724,7 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             return e
         if isinstance(e, Cmp):
             if isinstance(e.left, IntLit) and isinstance(e.right, IntLit):
-                import operator
-
-                ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-                return BoolLit(ops[e.op](e.left.value, e.right.value))
+                return BoolLit(CMP_OPS[e.op](e.left.value, e.right.value))
             return e
         if isinstance(e, Lambda):
             return replace(e, body=go(e.body, purge(ctx, e.var)))

@@ -1,9 +1,14 @@
 """Defeasible rule configurations: parsing, grounding, and the legal
 models checked directly against their defining conditions."""
 
+import dataclasses
 import itertools
+import os
 import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,6 +146,66 @@ def test_nesting_limit_counts_levels_not_arguments():
     cfg = parse_config(f"fact: {atom}.\nrule 1: q <- {atom}, {atom}.\nfact: {atom}.")
     assert str(cfg.facts[0]) == atom
     assert [str(lit) for lit in cfg.rules[0].body] == [atom, atom]
+
+
+# ---------------------------------------------------------------------------
+# atoms hash once
+
+
+def test_equal_atoms_built_apart_hash_equal():
+    X = TVar("X")
+    pairs = [
+        (A("p"), A("p")),
+        (A("must_buy", "rolls", -3), A("must_buy", "rolls", -3)),
+        (A("is_legal", A("f", A("g", "a"), 1)), A("is_legal", A("f", A("g", "a"), 1))),
+        (A("p", X, A("f", X)), A("p", TVar("X"), A("f", TVar("X")))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        # the cached value is the plain frozen dataclass hash
+        assert hash(a) == hash((a.pred, a.args))
+    assert A("p", X) != A("p", TVar("Y")) and A("p", "a") != A("q", "a")
+
+
+def test_atom_hash_cache_is_no_field():
+    a = A("is_legal", A("f", TVar("X"), 2))
+    text = repr(a)
+    hash(a)
+    assert a._hash is not None and a.args[0]._hash is not None
+    assert repr(a) == text and "_hash" not in text
+    assert str(a) == "is_legal(f(X,2))"
+    assert [f.name for f in dataclasses.fields(Atom)] == ["pred", "args"]
+    assert a == A("is_legal", A("f", TVar("X"), 2))  # an unhashed twin
+    b = dataclasses.replace(a, pred="according_to")
+    assert b._hash is None and str(b) == "according_to(f(X,2))"
+    assert b == A("according_to", A("f", TVar("X"), 2)) != a
+    assert hash(b) == hash(A("according_to", A("f", TVar("X"), 2)))
+
+
+def test_pickled_atom_carries_no_hash():
+    # String hashes differ between processes, so a hash kept as a field
+    # would travel with the pickle and be stale where it is loaded.
+    a = A("is_legal", A("must_buy", "rolls", TVar("X")))
+    hash(a)
+    data = pickle.dumps(a)
+    assert b"_hash" not in data
+    copy = pickle.loads(data)
+    assert copy._hash is None and copy == a and hash(copy) == hash(a)
+    script = (
+        "import pickle, sys\n"
+        "from normlog.asp import Atom, TVar\n"
+        "a = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert a._hash is None and a.args[0]._hash is None\n"
+        "twin = Atom('is_legal', (Atom('must_buy', ('rolls', TVar('X'))),))\n"
+        "print(twin in {a}, a in {twin}, hash(a) == hash(twin), len({a, twin}))\n"
+    )
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=data, env=env, capture_output=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == b"True True True 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,87 @@ def test_grounding_matches_naive_on_random_schematic_programs():
     assert joined >= 30
 
 
+def random_mixed_program(rng):
+    """Ground clauses with bodies, in the shape of the encoding's
+    ``according_to(3,q) :- is_legal(p), not is_legal(r).``, among
+    schematic joins over nested terms; returns the program and the
+    instance cap to ground it under.  A program is plain, or has a
+    small cap and perhaps terms that grow without end, or has one or two
+    unsafe clauses.  When there are two, the first matches a fact and
+    the facts come first, so it raises first under naive and
+    semi-naive evaluation alike."""
+    R, C, X = TVar("R"), TVar("C"), TVar("X")
+    terms = [Atom(n) for n in "pqrs"] + [Atom("f", (Atom(n),)) for n in "pq"]
+
+    def il(t):
+        return Atom("is_legal", (t,))
+
+    facts = [AspRule(il(t)) for t in rng.sample(terms, rng.randrange(1, 4))]
+    rules = []
+    for rid in range(1, rng.randrange(3, 9)):
+        body = [Literal(il(t), rng.random() < 0.7) for t in rng.choices(terms, k=rng.randrange(3))]
+        head = Atom("according_to", (rid, rng.choice(terms)))
+        if rng.random() < 0.25:
+            head = Atom("defeated", (rng.randrange(1, 6),))
+        rules.append(AspRule(head, tuple(body)))
+    joins = [
+        AspRule(
+            Atom("legally_valid", (R, C)),
+            (Literal(Atom("according_to", (R, C))), Literal(Atom("defeated", (R,)), False)),
+        ),
+        AspRule(il(C), (Literal(Atom("legally_valid", (R, C))),)),
+        AspRule(
+            Atom("defeated", (R,)),
+            (Literal(Atom("according_to", (R, C))), Literal(il(Atom("f", (C,))))),
+        ),
+    ]
+    rules += rng.sample(joins, rng.randrange(1, len(joins) + 1))
+    mode = rng.choice(["plain", "cap", "unsafe"])
+    cap = 1_000_000
+    if mode == "cap":
+        cap = rng.randrange(5, 30)
+        if rng.random() < 0.5:
+            rules.append(AspRule(il(Atom("f", (C,))), (Literal(il(C)),)))
+    rng.shuffle(rules)
+    if mode != "unsafe":
+        i = rng.randrange(len(rules) + 1)
+        return AspProgram(tuple(rules[:i] + facts + rules[i:])), cap
+    first = AspRule(Atom("u", (X,)), (Literal(il(C)),))
+    second = rng.choice(
+        [
+            AspRule(
+                Atom("w", (C,)),
+                (Literal(Atom("legally_valid", (R, C))), Literal(Atom("v", (X,)), False)),
+            ),
+            AspRule(Atom("u", (R, X)), (Literal(Atom("according_to", (R, C))),)),
+            AspRule(Atom("u", (R, X)), (Literal(Atom("never", (R,))),)),
+        ]
+    )
+    unsafe = rng.choice([[first], [second], [first, second]])
+    i = rng.randrange(len(rules) + 1)
+    j = rng.randrange(i, len(rules) + 1)
+    rules = rules[:i] + unsafe[:1] + rules[i:j] + unsafe[1:] + rules[j:]
+    return AspProgram(tuple(facts + rules)), cap
+
+
+def test_grounding_matches_naive_on_ground_clauses_with_bodies():
+    rng = random.Random(1984)
+    kinds = set()
+    fired = two_unsafe = 0
+    for _ in range(500):
+        prog, cap = random_mixed_program(rng)
+        got = outcome(_ground_program, prog, instance_cap=cap)
+        assert got == outcome(reference_ground_program, prog, instance_cap=cap), prog
+        kinds.add(got[0] if isinstance(got, tuple) else "instances")
+        # a ground clause fired on a derived atom
+        fired += isinstance(got, list) and any(
+            g.head.pred == "according_to" and g.pos for g in got
+        )
+        two_unsafe += sum(r.head.pred in ("u", "w") for r in prog.rules) == 2
+    assert kinds == {"instances", "ConfigError", "ResourceCapError"}
+    assert fired >= 100 and two_unsafe >= 30
+
+
 # ---------------------------------------------------------------------------
 # the well-founded model brackets every stable model
 
