@@ -36,9 +36,7 @@ def main() -> int:
     gap_models = 0
     for i in range(args.n):
         cfg = random_config(rng)
-        rep = verify_lemma4(
-            cfg, guess_cap_bits=args.cap_bits, legal_cap_bits=args.cap_bits
-        )
+        rep = verify_lemma4(cfg, cap_bits=args.cap_bits)
         total_sets += rep.answer_sets
         total_models += rep.legal_models
         if not rep.sound:

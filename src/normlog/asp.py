@@ -1171,15 +1171,15 @@ class EncodingReport:
 def verify_lemma4(
     cfg: Config,
     check_converse: bool = True,
-    guess_cap_bits: int = 20,
-    legal_cap_bits: int = 20,
+    cap_bits: int = 20,
 ) -> EncodingReport:
     """Check that every answer set of the encoding projects to a legal
     model (a violation here is a bug), and optionally report legal
     models no answer set covers (expected for self-supporting models:
-    the encoding is sound, not complete)."""
+    the encoding is sound, not complete).  `cap_bits` caps both
+    searches."""
     cfg.validate()
-    sets = answer_sets(emit_asp(cfg), guess_cap_bits)
+    sets = answer_sets(emit_asp(cfg), cap_bits)
     unsound = []
     projections = []
     for s in sets:
@@ -1192,7 +1192,7 @@ def verify_lemma4(
     legal_count = None
     uncovered: list[LegalModel] = []
     if check_converse:
-        legal = legal_models(cfg, legal_cap_bits)
+        legal = legal_models(cfg, cap_bits)
         legal_count = len(legal)
         covered = {(m.is_legal, m.legally_valid) for m in projections}
         uncovered = [m for m in legal if (m.is_legal, m.legally_valid) not in covered]

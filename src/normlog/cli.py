@@ -26,10 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 from .syntax import NormlogError, check_well_formed, module_pieces, print_expr
 from .parser import LParseError, parse_module
-from .typecheck import Env, LTypeError, elaborate, typecheck_module
-from .transform import TransformError, Variant, transform_module
+from .typecheck import Env, elaborate, typecheck_module
+from .transform import Variant, transform_module
 from .inversion import (
-    InversionError,
     check_syntactic_monotonicity,
     inversion_formula,
     inversion_targets,
@@ -42,22 +41,11 @@ from .models import (
     check_assertion,
     rules_to_formulas,
 )
-from .smtlib import SmtError, emit_smtlib
-from .correspond import CorrespondenceError, check_model_correspondence
+from .smtlib import emit_smtlib
+from .correspond import check_model_correspondence
 from . import asp
 
 SCHEMA = "normlog/1"
-
-USAGE_ERRORS = (
-    LParseError,
-    LTypeError,
-    TransformError,
-    InversionError,
-    ModelError,
-    SmtError,
-    CorrespondenceError,
-    asp.ConfigError,
-)
 
 
 def _read(path: str) -> str:
@@ -341,12 +329,7 @@ def cmd_answer_sets(args) -> int:
 
 def cmd_verify_lemma4(args) -> int:
     cfg = asp.parse_config(_read(args.file))
-    report = asp.verify_lemma4(
-        cfg,
-        check_converse=not args.no_converse,
-        guess_cap_bits=args.cap_bits,
-        legal_cap_bits=args.cap_bits,
-    )
+    report = asp.verify_lemma4(cfg, check_converse=not args.no_converse, cap_bits=args.cap_bits)
     if args.json:
         _emit_json({"command": "verify-lemma4", **report.to_json()})
     else:
@@ -497,9 +480,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 3
-    except USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NormlogError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -500,7 +500,7 @@ class _Parser:
         if head.text == "remap":
             target = self.ident("rule name").text
             self.expect("sym", "[")
-            params = self._param_list("]")
+            params = () if self.at("sym", "]") else self._param_list()
             self.expect("sym", "]")
             self.expect("sym", "[")
             pairs = []
@@ -559,10 +559,8 @@ class _Parser:
 
     # -- declarations -------------------------------------------------------------
 
-    def _param_list(self, stop: str) -> tuple[tuple[str, LType], ...]:
+    def _param_list(self) -> tuple[tuple[str, LType], ...]:
         params = []
-        if self.at("sym", stop):
-            return ()
         while True:
             n = self.ident("parameter name")
             self.expect("sym", ":")
@@ -610,7 +608,7 @@ class _Parser:
         params: tuple[tuple[str, LType], ...] = ()
         if self.at("kw", "for"):
             self.next()
-            params = self._param_list_until_kw()
+            params = self._param_list()
         precond: Expr = TRUE
         has_if = False
         if self.at("kw", "if"):
@@ -626,16 +624,6 @@ class _Parser:
         t = self.peek()
         raise LParseError(t.loc, f"expected 'then' in rule '{name}', found {t.text!r}")
 
-    def _param_list_until_kw(self) -> tuple[tuple[str, LType], ...]:
-        params = []
-        while True:
-            n = self.ident("parameter name")
-            self.expect("sym", ":")
-            params.append((n.text, self.parse_type()))
-            if not self.accept("sym", ","):
-                break
-        return tuple(params)
-
     def parse_fact(self) -> Rule:
         kw = self.expect("kw", "fact")
         name = self._rule_name()
@@ -645,7 +633,7 @@ class _Parser:
         params: tuple[tuple[str, LType], ...] = ()
         if self.at("kw", "for"):
             self.next()
-            params = self._param_list_until_kw()
+            params = self._param_list()
         postcond = self.parse_expr()
         return Rule(name, params, TRUE, postcond, annotation, loc=kw.loc)
 

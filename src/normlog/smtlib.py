@@ -17,7 +17,9 @@ its text at each place; each place then writes `share!k` or
 variables, sorted by name.  Definitions come before the first assert,
 in the order their rendering finishes, and a body may use earlier
 ones.  A subterm whose places bind one of its variables with different
-sorts is written in full.  Expanding the definitions gives back the
+sorts is written in full.  An `if` is Bool-valued when its then-branch
+is, and a variable or literal there never counts as Bool: a bound
+variable may shadow a declared Boolean constant.  Expanding the definitions gives back the
 script with every occurrence written in full, and no script is longer
 than that.
 
@@ -108,15 +110,6 @@ def smt_sort(t) -> str:
     raise SmtError(f"type '{t}' has no SMT-LIB sort")
 
 
-def _implies_spine(e: Expr) -> list[Expr]:
-    out = []
-    while isinstance(e, Implies):
-        out.append(e.left)
-        e = e.right
-    out.append(e)
-    return out
-
-
 def smt_decimal(v: float) -> str:
     """An SMT-LIB decimal with the digits of the float's shortest repr,
     never in exponent notation, which SMT-LIB does not have."""
@@ -128,75 +121,59 @@ def smt_decimal(v: float) -> str:
     return body if v >= 0 else f"(- {body})"
 
 
-_CONNECTIVES = {And: "and", Or: "or", Implies: "=>"}
+_CONNECTIVES = {And: "and", Or: "or"}
 _QUANTIFIERS = {Forall: "forall", Exists: "exists"}
-_PLAIN = (Not, Eq, Cmp, IfThenElse)  # written with their children
+_Form = tuple[str, Sequence[Expr], Optional[bool], Optional[dict]]
 
 
-def _binders(e: Expr) -> tuple[list[tuple[str, str]], Expr]:
-    """The (variable, SMT-LIB sort) pairs of a run of quantifiers of
-    `e`'s kind, outermost first, and the body under them."""
-    binders = []
-    body = e
-    while type(body) is type(e):
-        binders.append((body.var, smt_sort(body.var_type)))
-        body = body.body
-    return binders, body
-
-
-def _operands(e: Expr) -> Sequence[Expr]:
-    """The subterms `e` is written with: a chain of one connective is one
-    term, an atom lists its arguments and a run of one quantifier binds
-    all its variables.  A node that cannot be written raises here or has
-    no operands, so the first fault in pre-order is the one reported."""
+def _form(e: Expr, bool_symbols: set[str]) -> _Form:
+    """How `e` is written, `(head operand ...)` or a leaf's head alone:
+    the head, the operands, whether it may be named as a Bool term (None
+    for an `if`: as its then-branch) and a quantifier run's binder sorts.
+    A chain of one connective is one term, an atom lists its arguments
+    and a run of one quantifier binds all its variables.  Raises on a
+    node that cannot be written; the fold asks in pre-order."""
     kind = type(e)
     if kind is App:
         parts = atom_parts(e)
         if parts is None:
             raise SmtError("cannot emit application of a non-symbol")
-        return parts[1]
-    if kind in _CONNECTIVES:
-        return _implies_spine(e) if kind is Implies else spine(e, kind)
-    if kind in _QUANTIFIERS:
-        return (_binders(e)[1],)
-    return children(e) if kind in _PLAIN else ()
-
-
-def _sexp_node(e: Expr, parts: list[str]) -> str:
-    kind = type(e)
+        return smt_symbol(parts[0]), parts[1], parts[0] in bool_symbols, None
     if kind is Var:
-        return smt_symbol(e.name)
-    if kind is App:
-        while type(e) is App:
-            e = e.fn
-        return f"({smt_symbol(e.name)} " + " ".join(parts) + ")"
+        return smt_symbol(e.name), (), False, None
     if kind in _CONNECTIVES:
-        return f"({_CONNECTIVES[kind]} " + " ".join(parts) + ")"
+        return _CONNECTIVES[kind], spine(e, kind), True, None
+    if kind is Implies:
+        ops = []
+        while type(e) is Implies:
+            ops.append(e.left)
+            e = e.right
+        ops.append(e)
+        return "=>", ops, True, None
     if kind in _QUANTIFIERS:
-        binders = " ".join(f"({smt_symbol(v)} {sort})" for v, sort in _binders(e)[0])
-        return f"({_QUANTIFIERS[kind]} ({binders}) {parts[0]})"
-    if kind is Not:
-        return f"(not {parts[0]})"
-    if kind is BoolLit:
-        return "true" if e.value else "false"
-    if kind is IntLit:
-        return str(e.value) if e.value >= 0 else f"(- {-e.value})"
-    if kind is FloatLit:
-        return smt_decimal(e.value)
-    if kind is StringLit:
-        return '"' + e.value.replace('"', '""') + '"'
-    if kind is Eq:
-        return f"(= {parts[0]} {parts[1]})"
+        binders: dict[str, str] = {}  # the innermost binder of a name wins
+        words = []
+        while type(e) is kind:
+            sort = binders[e.var] = smt_sort(e.var_type)
+            words.append(f"({smt_symbol(e.var)} {sort})")
+            e = e.body
+        return f"{_QUANTIFIERS[kind]} ({' '.join(words)})", (e,), True, binders
+    if kind is Not or kind is Eq:
+        return "not" if kind is Not else "=", children(e), True, None
     if kind is Cmp:
-        return f"({e.op} {parts[0]} {parts[1]})"
+        return e.op, children(e), True, None
     if kind is IfThenElse:
-        return f"(ite {parts[0]} {parts[1]} {parts[2]})"
+        return "ite", children(e), None, None
+    if kind is BoolLit:
+        return "true" if e.value else "false", (), False, None
+    if kind is IntLit:
+        return str(e.value) if e.value >= 0 else f"(- {-e.value})", (), False, None
+    if kind is FloatLit:
+        return smt_decimal(e.value), (), False, None
+    if kind is StringLit:
+        return '"' + e.value.replace('"', '""') + '"', (), False, None
     raise SmtError(f"cannot emit {kind.__name__} nodes to SMT-LIB")
 
-
-# Kinds whose terms are Bool-valued whatever their operands.
-_BOOL_KINDS = frozenset({And, Or, Implies, Not, Eq, Cmp, Forall, Exists})
-_NO_NAMES: frozenset = frozenset()
 
 # A shared subterm is defined as `share!k`: `!` is in no .l4 identifier,
 # and SMT-LIB reserves only names that start with `@` or `.`.
@@ -205,50 +182,59 @@ _SHARE_PREFIX = "share!"
 
 class _Term:
     """A distinct node of a script's formula DAG as the emitter writes
-    it: its operand terms, its free names, the places it is written
-    from, the binder sorts `_scope` tracks for it and its text, a
-    reference once named."""
+    it: its head and operand terms, its free names, whether it may be
+    named, the places it is written from, the binder sorts `_scope`
+    tracks for it and its text, a reference once named."""
 
-    __slots__ = ("expr", "kids", "free", "places", "scope", "text", "binders")
+    __slots__ = ("head", "kids", "free", "bool", "places", "scope", "text", "binders")
 
-    def __init__(self, expr: Expr, kids: list, free: frozenset, text: str = "") -> None:
-        self.expr = expr
+    def __init__(self, head: str, kids: list, free: frozenset, bool_: bool, binders=None) -> None:
+        self.head = head
         self.kids = kids
         self.free = free
+        self.bool = bool_
         self.places = 0
         self.scope: Optional[dict] = None
-        self.text = text
-        self.binders: Optional[dict] = None  # a quantifier's, name -> sort
+        self.text = head
+        self.binders: Optional[dict] = binders  # a quantifier's, name -> sort
 
 
-def _terms(roots: list[Expr]) -> tuple[list[_Term], list[_Term]]:
+def _terms(roots: list[Expr], bool_symbols: set[str]) -> tuple[list[_Term], list[_Term]]:
     """The terms of `roots` and, in post-order, their distinct inner
     terms: one memoized `fold` over the operands each node is written
-    with, counting the places each term is written from."""
+    with, counting the places each term is written from.  Each node's
+    form is taken once, when the fold asks for its operands, and kept
+    on a stack until the node is combined."""
     order: list[_Term] = []
     leaves: dict[int, _Term] = {}
+    forms: list[_Form] = []
+
+    def operands(e: Expr) -> Sequence[Expr]:
+        form = _form(e, bool_symbols)
+        forms.append(form)
+        return form[1]
 
     def combine(e: Expr, kids: list) -> _Term:
+        head, _, bool_, binders = forms.pop()
         if not kids:
             hit = leaves.get(id(e))
-            if hit is None:  # render here, so the first fault in pre-order is reported
-                free = frozenset((e.name,)) if type(e) is Var else _NO_NAMES
-                hit = leaves[id(e)] = _Term(e, kids, free, _sexp_node(e, []))
+            if hit is None:
+                free = frozenset((e.name,)) if type(e) is Var else frozenset()
+                hit = leaves[id(e)] = _Term(head, kids, free, bool_)
             return hit
         free = kids[0].free
         for k in kids:
             k.places += 1
             if k.free is not free and not k.free <= free:
                 free = free | k.free
-        t = _Term(e, kids, free)
-        if type(e) in _QUANTIFIERS:
-            t.binders = dict(_binders(e)[0])  # the innermost binder of a name wins
-            t.free = free - t.binders.keys()
+        if binders is not None:
+            free = free - binders.keys()
+        t = _Term(head, kids, free, kids[1].bool if bool_ is None else bool_, binders)
         order.append(t)
         return t
 
     memo: dict = {}
-    tops = [fold(e, combine, memo, _operands) for e in roots]
+    tops = [fold(e, combine, memo, operands) for e in roots]
     for t in tops:
         t.places += 1
     return tops, order
@@ -309,27 +295,16 @@ def _params(t: _Term, sorts: dict[str, Optional[str]]) -> Optional[list[tuple[st
     return out
 
 
-def _is_bool(t: _Term, bool_symbols: set[str]) -> bool:
-    while type(t.expr) is IfThenElse:
-        t = t.kids[1]
-    e = t.expr
-    if type(e) is App:
-        while type(e) is App:
-            e = e.fn
-        return e.name in bool_symbols
-    return type(e) in _BOOL_KINDS
-
-
-def _render(order: list[_Term], sorts: dict, bool_symbols: set[str]) -> list[str]:
+def _render(order: list[_Term], sorts: dict) -> list[str]:
     """Write each inner term in post-order, and name a shared Bool-valued
     one when its definition and references are shorter than its text at
     each place.  Returns the definitions, in the order they finish."""
     defs: list[str] = []
     for t in order:
-        text = _sexp_node(t.expr, [k.text for k in t.kids])
+        text = f"({t.head} " + " ".join([k.text for k in t.kids]) + ")"
         t.text = text
         n = t.places
-        if n < 2 or not _is_bool(t, bool_symbols):
+        if n < 2 or not t.bool:
             continue
         params = _params(t, sorts)
         if params is None:
@@ -393,8 +368,8 @@ def emit_smtlib(
     roots = [expr for _, expr in fs.formulas]
     if goal is not None:
         roots.append(goal[2])
-    tops, order = _terms(roots)
-    lines[declared:declared] = _render(order, _scope(tops, order), bool_symbols)
+    tops, order = _terms(roots, bool_symbols)
+    lines[declared:declared] = _render(order, _scope(tops, order))
     texts = [t.text for t in tops]
 
     for (name, _), text in zip(fs.formulas, texts):

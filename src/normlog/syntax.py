@@ -379,6 +379,10 @@ def fold(
     """The value of `e` bottom-up: `combine(node, values)` gets the
     values of the node's `kids` (its children unless the caller says
     otherwise), left to right, and nodes are combined in post-order.
+    `kids(node)` runs once per visit of a node not in `memo`, just
+    before the node's kids are folded and the node is combined: `kids`
+    sees nodes in pre-order, and a value it pushes on a stack is on top
+    when `combine` gets that node.
 
     Each distinct node with kids is combined once: `memo` maps
     `id(node)` to `(node, value)`, keeping the node alive so that its

@@ -517,11 +517,13 @@ class Variant(enum.Enum):
     DERIV = "deriv"
 
 
-def eval_derived(rules: Sequence[Rule], variant: Variant, env: Env) -> tuple[Rule, ...]:
-    """Resolve every derived rule, in an order compatible with the
-    precedence constraints, then drop the {source} copies.  The output
-    preserves the input's rule order."""
-    order = rule_order(rules)
+def eval_derived(
+    rules: Sequence[Rule], order: RuleOrder, variant: Variant, env: Env
+) -> tuple[Rule, ...]:
+    """Resolve every derived rule in the sequence of `order`, which is
+    `rule_order(rules)` and so compatible with the precedence
+    constraints, then drop the {source} copies.  The output preserves
+    the input's rule order."""
     current: dict[str, Rule] = {r.name: r for r in rules}
     for name in order.sequence:
         r = current[name]
@@ -586,7 +588,7 @@ def transform_module(
 
     user2 = [r for r in work.rules if not r.system]
     order = rule_order(user2)
-    resolved = eval_derived(user2, variant, env)
+    resolved = eval_derived(user2, order, variant, env)
     derived_names = {r.name for r in user2 if isinstance(r.annotation, Derived)}
     for name in order.sequence:
         if name in derived_names:

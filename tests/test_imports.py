@@ -116,7 +116,7 @@ PER_KIND_ALGEBRAS = {
     "syntax.py:_print_node",
     "typecheck.py:type_of.go",
     "transform.py:simplify.go",
-    "smtlib.py:_sexp_node",
+    "smtlib.py:_form",
     "models.py:FormulaCompiler._comp",
     "models.py:_guard.guard",
 }

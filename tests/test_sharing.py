@@ -40,6 +40,7 @@ from normlog.syntax import (
     FloatLit,
     Forall,
     FunDecl,
+    IfThenElse,
     IntLit,
     Not,
     Or,
@@ -213,6 +214,42 @@ def test_a_subterm_is_named_only_where_that_is_shorter():
     text = emit_smtlib(_formula_set([(f"f{i}", Forall("x", ClassT("A"), outer)) for i in range(3)]))
     assert "(define-fun share!0 ((x A)) Bool (or (and (p x) (q x) (p x) (q x)) (not" in text
     assert "share!1" not in text
+
+
+def _under_b_and_y(bodies):
+    """The formulas `forall b: S. forall y: S. body` of the four `bodies`,
+    over the predicates p, q and r on S and a declared Boolean constant
+    `b`."""
+    decls = tuple(FunDecl(n, fun_type(ClassT("S"), BoolT())) for n in "pqr") + (FunDecl("b", BoolT()),)
+    formulas = [(f"f{i}", Forall("b", ClassT("S"), Forall("y", ClassT("S"), body))) for i, body in enumerate(bodies)]
+    fs = FormulaSet(("S",), (), (), decls, tuple(formulas))
+    text = emit_smtlib(fs)
+    assert oracles.expand_definitions(text) == oracles.tree_emit_smtlib(fs)
+    read_script(text)
+    return text
+
+
+_COND = parse_expr("p b && q y && p y && q b && p b && q y")
+_COND_TEXT = "(and (p b) (q y) (p y) (q b) (p b) (q y))"
+
+
+def test_an_if_whose_then_branch_is_a_variable_is_written_in_full():
+    # The bound `b` shadows the Boolean constant `b`, so this `if` has
+    # sort S.  Naming it would be shorter, but deciding by the name of
+    # the variable would define it with a body of sort S as Bool.
+    shared = IfThenElse(_COND, Var("b"), Var("y"))
+    text = _under_b_and_y([App(Var("r"), shared) for _ in range(4)])
+    full = f"(ite {_COND_TEXT} b y)"
+    line = f"(define-fun share!0 ((b S) (y S)) Bool {full})"
+    assert len(line) + 4 * len("(share!0 b y)") < 4 * len(full)
+    assert "define-fun" not in text
+    assert text.count(f"(assert (forall ((b S) (y S)) (r {full})))") == 4
+
+
+def test_an_if_whose_then_branch_is_a_bool_term_is_named():
+    text = _under_b_and_y([IfThenElse(_COND, parse_expr("p b"), parse_expr("q y"))] * 4)
+    assert f"(define-fun share!0 ((b S) (y S)) Bool (ite {_COND_TEXT} (p b) (q y)))" in text
+    assert text.count("(assert (forall ((b S) (y S)) (share!0 b y)))") == 4
 
 
 # Attribute access and subclass quantifiers at every child position.
