@@ -13,7 +13,7 @@ from normlog.models import FormulaSet, rules_to_formulas
 from normlog.parser import parse_expr, parse_module
 from normlog.randgen import random_annotated_module
 from normlog.smtlib import SmtError, emit_smtlib, read_script, smt_symbol
-from normlog.syntax import FloatLit
+from normlog.syntax import And, App, ClassT, FloatLit, Forall, Lambda, Var
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -67,6 +67,18 @@ def test_expr_to_sexp_misc_forms():
 def test_expr_to_sexp_reports_the_first_fault_in_pre_order(text, message):
     with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
         term(parse_expr(text))
+
+
+@pytest.mark.parametrize(
+    "first",
+    [App(Var("a|b"), Var("x")), Forall("a|b", ClassT("S"), Var("x"))],
+    ids=["atom", "binder"],
+)
+def test_a_symbol_that_cannot_be_written_is_reported_in_pre_order(first):
+    # No .l4 identifier holds `|`, so only a built expression has one.
+    e = And(first, Lambda("y", ClassT("S"), Var("y")))
+    with pytest.raises(SmtError, match=r"^symbol 'a\|b' cannot be represented in SMT-LIB$"):
+        term(e)
 
 
 def test_emit_layout_for_the_plain_module():
