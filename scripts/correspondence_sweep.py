@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from normlog.correspond import check_model_correspondence
+from normlog.models import DEFAULT_NODE_BUDGET
 from normlog.randgen import random_annotated_module
 
 
@@ -26,7 +27,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=200, help="modules to sample")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=int, default=5_000_000, help="node budget per check")
+    ap.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="node budget per check")
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

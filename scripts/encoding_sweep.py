@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from normlog.asp import verify_lemma4
+from normlog.asp import DEFAULT_CAP_BITS, verify_lemma4
 from normlog.randgen import random_config
 
 
@@ -24,7 +24,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=500, help="configurations to sample")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cap-bits", type=int, default=20)
+    ap.add_argument("--cap-bits", type=int, default=DEFAULT_CAP_BITS)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)

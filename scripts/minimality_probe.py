@@ -28,19 +28,16 @@ from normlog.asp import (
 from normlog.randgen import random_config
 
 
-def probe(name, cfg):
+def probe(cfg):
+    """Counts of legal, minimal legal and projected stable models, and
+    of the legal models that some answer set projects to."""
     lm = legal_models(cfg)
-    mins = minimal_only(lm)
     proj = {
         (m.is_legal, m.legally_valid)
         for m in map(project_answer_set, answer_sets(emit_asp(cfg)))
     }
     covered = sum((m.is_legal, m.legally_valid) in proj for m in lm)
-    print(
-        f"{name:<28} legal={len(lm):<3} minimal={len(mins):<3} "
-        f"stable={len(proj):<3} covered={covered}/{len(lm)}"
-    )
-    return len(lm), len(mins), len(proj), covered
+    return len(lm), len(minimal_only(lm)), len(proj), covered
 
 
 def main() -> int:
@@ -51,27 +48,21 @@ def main() -> int:
 
     print("shipped configurations:")
     for path in sorted((ROOT / "cases").glob("*.cfg")):
-        probe(path.name, parse_config(path.read_text()))
+        legal, minimal, stable, covered = probe(parse_config(path.read_text()))
+        print(
+            f"{path.name:<28} legal={legal:<3} minimal={minimal:<3} "
+            f"stable={stable:<3} covered={covered}/{legal}"
+        )
 
     rng = random.Random(args.seed)
     nonminimal = 0
     gapped = 0
     exact = 0
     for _ in range(args.random):
-        cfg = random_config(rng)
-        lm = legal_models(cfg)
-        mins = minimal_only(lm)
-        proj = {
-            (m.is_legal, m.legally_valid)
-            for m in map(project_answer_set, answer_sets(emit_asp(cfg)))
-        }
-        covered = sum((m.is_legal, m.legally_valid) in proj for m in lm)
-        if len(mins) < len(lm):
-            nonminimal += 1
-        if covered < len(lm):
-            gapped += 1
-        if covered == len(lm) and len(proj) == len(lm):
-            exact += 1
+        legal, minimal, stable, covered = probe(random_config(rng))
+        nonminimal += minimal < legal
+        gapped += covered < legal
+        exact += covered == legal == stable
 
     print()
     print(f"random configurations:        {args.random}")
@@ -79,7 +70,6 @@ def main() -> int:
     print(f"  with uncovered models:      {gapped}")
     print(f"  semantics coincide exactly: {exact}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

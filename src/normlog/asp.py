@@ -48,6 +48,9 @@ class ConfigError(NormlogError):
     pass
 
 
+DEFAULT_CAP_BITS = 20
+
+
 # ---------------------------------------------------------------------------
 # terms, atoms, rules
 
@@ -737,7 +740,7 @@ class _ValiditySearch:
         return any(map(self.falsified, self.watch[k]))
 
 
-def legal_models(cfg: Config, cap_bits: int = 20) -> list[LegalModel]:
+def legal_models(cfg: Config, cap_bits: int = DEFAULT_CAP_BITS) -> list[LegalModel]:
     """All legal models.  Fact-legality, valid-rule-support and
     legality-support force ``is_legal`` to be the facts plus the
     conclusions of the valid rules, so a model is a set of valid rules.
@@ -1106,7 +1109,7 @@ def _well_founded(least_model) -> tuple[frozenset, frozenset]:
 
 
 def answer_sets(
-    p: AspProgram, guess_cap_bits: int = 20, instance_cap: int = 1_000_000
+    p: AspProgram, guess_cap_bits: int = DEFAULT_CAP_BITS, instance_cap: int = 1_000_000
 ) -> list[frozenset]:
     """All stable models.  The reduct, and hence stability, depends
     only on which negated atoms a candidate holds.  The well-founded
@@ -1169,16 +1172,13 @@ class EncodingReport:
 
 
 def verify_lemma4(
-    cfg: Config,
-    check_converse: bool = True,
-    cap_bits: int = 20,
+    cfg: Config, check_converse: bool = True, cap_bits: int = DEFAULT_CAP_BITS
 ) -> EncodingReport:
     """Check that every answer set of the encoding projects to a legal
     model (a violation here is a bug), and optionally report legal
     models no answer set covers (expected for self-supporting models:
     the encoding is sound, not complete).  `cap_bits` caps both
     searches."""
-    cfg.validate()
     sets = answer_sets(emit_asp(cfg), cap_bits)
     unsound = []
     projections = []

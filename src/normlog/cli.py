@@ -34,6 +34,7 @@ from .inversion import (
     inversion_targets,
 )
 from .models import (
+    DEFAULT_NODE_BUDGET,
     Interpretation,
     ModelError,
     ResourceCapError,
@@ -397,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="compile away defeasibility annotations")
     add_module_opts(p)
-    p.add_argument("--emit-l4", action="store_true", help="print the transformed module (default)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_transform)
 
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", help="carrier sizes, e.g. Vehicle=1,Day=1,Road=1")
     p.add_argument("--ints", help="integer values, e.g. 90,130,320")
     p.add_argument("--no-inversions", action="store_true")
-    p.add_argument("--budget", type=_non_negative, default=5_000_000)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--sizes")
     p.add_argument("--ints")
-    p.add_argument("--budget", type=_non_negative, default=5_000_000)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_correspond)
 
@@ -443,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("legal-models", help="enumerate legal models of a configuration")
     p.add_argument("file")
     p.add_argument("--minimal-only", action="store_true")
-    p.add_argument("--cap-bits", type=_non_negative, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=asp.DEFAULT_CAP_BITS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_legal_models)
 
     p = sub.add_parser("answer-sets", help="stable models of the answer set encoding")
     p.add_argument("file")
     p.add_argument("--project", action="store_true", help="project to is_legal/legally_valid")
-    p.add_argument("--cap-bits", type=_non_negative, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=asp.DEFAULT_CAP_BITS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_answer_sets)
 
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("file")
     p.add_argument("--no-converse", action="store_true", help="skip the legal model sweep")
-    p.add_argument("--cap-bits", type=_non_negative, default=20)
+    p.add_argument("--cap-bits", type=_non_negative, default=asp.DEFAULT_CAP_BITS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify_lemma4)
 

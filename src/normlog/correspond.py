@@ -20,11 +20,10 @@ model that triggered it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .syntax import ClassT, IntT, BoolT, RuleModule, uncurry
+from .syntax import RuleModule
 from .typecheck import Env, elaborate, typecheck_module
 from .transform import (
     RULENAME_CLASS_PREFIX,
@@ -33,12 +32,12 @@ from .transform import (
 )
 from .inversion import NormalizedRule, normalize_rule, rules_concluding
 from .models import (
+    DEFAULT_NODE_BUDGET,
     Compiled,
     CorrespondenceError,
     FormulaCompiler,
     FormulaSet,
     Interpretation,
-    ModelError,
     ModelProblem,
     enumerate_models,
     rules_to_formulas,
@@ -80,8 +79,8 @@ class CorrespondencePair:
 
     fs_precond: FormulaSet
     fs_deriv: FormulaSet
-    # original predicate -> (rule-name class, lifted name, arg types)
-    lifted: dict[str, tuple[str, str, tuple]]
+    # original predicate -> (rule-name class, lifted name)
+    lifted: dict[str, tuple[str, str]]
     # rule-name class -> constants, in declaration order
     constants: dict[str, tuple[str, ...]]
     # final rule name -> normalized final rule on the precondition route
@@ -96,21 +95,16 @@ def build_correspondence(m: RuleModule) -> CorrespondencePair:
     fs_p = rules_to_formulas(tp.module, include_inversions=True)
     fs_d = rules_to_formulas(td.module, include_inversions=True)
 
-    lifted: dict[str, tuple[str, str, tuple]] = {}
-    constants: dict[str, tuple[str, ...]] = {}
-    d_decl_types = {d.name: d.type for d in td.module.all_decls()}
-    for c in td.module.classes:
-        if c.rulename_for is None:
-            continue
-        orig = c.name[len(RULENAME_CLASS_PREFIX):]
-        args, _ = uncurry(d_decl_types[c.rulename_for])
-        lifted[orig] = (c.name, c.rulename_for, tuple(args[1:]))
-        consts = tuple(g.name for g in td.module.globals if g.type == ClassT(c.name))
-        constants[c.name] = consts
+    lifted = {
+        c.name[len(RULENAME_CLASS_PREFIX):]: (c.name, c.rulename_for)
+        for c in td.module.classes
+        if c.rulename_for is not None
+    }
+    constants = fs_d.fixed_map()
 
     env_p = Env.from_module(tp.module)
     normalized: dict[str, NormalizedRule] = {}
-    for orig, (cls, _, _) in lifted.items():
+    for orig, (cls, _) in lifted.items():
         rules = rules_concluding([r for r in tp.module.rules if not r.system], orig)
         names = {r.name for r in rules}
         if names != set(constants[cls]):
@@ -124,28 +118,16 @@ def build_correspondence(m: RuleModule) -> CorrespondencePair:
     return CorrespondencePair(fs_p, fs_d, lifted, constants, normalized)
 
 
-def _base_domain(t, carriers: dict[str, tuple[str, ...]], ints: Sequence[int]):
-    if isinstance(t, ClassT):
-        if t.name in carriers:
-            return carriers[t.name]
-        raise ModelError(f"no carrier for '{t.name}'")
-    if isinstance(t, BoolT):
-        return (False, True)
-    if isinstance(t, IntT):
-        return tuple(ints)
-    raise ModelError(f"unsupported argument type '{t}' in transfer")
-
-
 def final_preconditions(pair: CorrespondencePair, compiler: FormulaCompiler) -> dict[str, Compiled]:
     """The final precondition of every rule concluding a lifted
     predicate, by rule name, compiled once by `compiler` (that of the
-    precondition-route problem) over the rule's leading parameters."""
+    precondition-route problem) over the rule's parameters, one per
+    argument of the concluded predicate."""
     out: dict[str, Compiled] = {}
-    for cls, _, arg_types in pair.lifted.values():
+    for cls, _ in pair.lifted.values():
         for rn in pair.constants[cls]:
             nr = pair.normalized[rn]
-            params = [p[0] for p in nr.params[: len(arg_types)]]
-            out[rn] = compiler.compile(nr.precond, params)
+            out[rn] = compiler.compile(nr.precond, [p[0] for p in nr.params])
     return out
 
 
@@ -156,33 +138,27 @@ def to_deriv(
     `preconds` come from `final_preconditions` and are evaluated against
     the tables of their problem, which must hold `mp`: its search is
     suspended at `mp`."""
-    carriers = dict(mp.carriers)
-    for cls, consts in pair.constants.items():
-        carriers[cls] = consts
+    carriers = {**mp.carriers, **pair.constants}
     tables: dict[str, dict[tuple, object]] = {}
-    lifted_names = {plus: orig for orig, (_, plus, _) in pair.lifted.items()}
-    const_of: dict[str, str] = {}
-    for cls, consts in pair.constants.items():
-        for c in consts:
-            const_of[c] = cls
+    lifted_names = {plus: orig for orig, (_, plus) in pair.lifted.items()}
+    consts = {c for cs in pair.constants.values() for c in cs}
 
     for d in pair.fs_deriv.decls:
         if d.name in mp.tables:
             tables[d.name] = dict(mp.tables[d.name])
-        elif d.name in const_of:
+        elif d.name in consts:
             tables[d.name] = {(): d.name}
         elif d.name in lifted_names:
+            # One cell per rule-name constant and key of the original
+            # table, in the order the derivability search sets them.
             orig = lifted_names[d.name]
-            cls, _, arg_types = pair.lifted[orig]
-            doms = [pair.constants[cls]] + [
-                _base_domain(t, mp.carriers, mp.ints) for t in arg_types
-            ]
             table: dict[tuple, object] = {}
-            for cell in itertools.product(*doms):
-                precond = preconds[cell[0]]
-                for param, v in zip(precond.params, cell[1:]):
-                    param[0] = v
-                table[cell] = bool(precond.fn())
+            for rn in pair.constants[pair.lifted[orig][0]]:
+                precond = preconds[rn]
+                for key in mp.tables[orig]:
+                    for param, v in zip(precond.params, key):
+                        param[0] = v
+                    table[(rn,) + key] = bool(precond.fn())
             tables[d.name] = table
         else:
             raise CorrespondenceError(
@@ -193,20 +169,14 @@ def to_deriv(
 
 def to_precond(pair: CorrespondencePair, md: Interpretation) -> Interpretation:
     """Image of a derivability-route model on the precondition side."""
-    carriers = {
-        s: md.carriers[s] for s in pair.fs_precond.sorts if s in md.carriers
-    }
+    carriers = {s: md.carriers[s] for s in pair.fs_precond.sorts if s in md.carriers}
     tables: dict[str, dict[tuple, object]] = {}
     for d in pair.fs_precond.decls:
         if d.name in pair.lifted:
-            cls, plus, arg_types = pair.lifted[d.name]
-            src = md.tables[plus]
-            doms = [_base_domain(t, md.carriers, md.ints) for t in arg_types]
-            table = {}
-            for args in itertools.product(*doms):
-                table[args] = any(
-                    src[(rn,) + args] for rn in pair.constants[cls]
-                )
+            # Keys come out in the order of the first rule name's cells.
+            table: dict[tuple, object] = {}
+            for key, v in md.tables[pair.lifted[d.name][1]].items():
+                table[key[1:]] = table.get(key[1:], False) or v
             tables[d.name] = table
         elif d.name in md.tables:
             tables[d.name] = dict(md.tables[d.name])
@@ -221,7 +191,7 @@ def check_model_correspondence(
     m: RuleModule,
     sizes: dict[str, int],
     ints: Sequence[int] = (),
-    node_budget: int = 5_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     violation_cap: int = 20,
 ) -> CorrespondenceReport:
     """Enumerate all models of both compiled forms and verify each
