@@ -71,5 +71,6 @@ def main() -> int:
     print(f"  semantics coincide exactly: {exact}")
     return 0
 
+
 if __name__ == "__main__":
     sys.exit(main())
