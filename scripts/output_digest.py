@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Digest the output of `normlog check` and `normlog correspond`, one
+line per command line, so that two versions of the program can be
+compared with `diff`.
+
+Each line holds the exit code, the sha1 of stdout and the sha1 of
+stderr, then the command line.  The command lines are:
+
+* on every `cases/*.l4`, at carrier size 1 for every sort and the
+  integer literals of the module as `--ints`: `check` of each assertion
+  under both variants, and `correspond`, each plain and with `--json`,
+  at the default budget and at the small ones of CASE_BUDGETS (they put
+  the cap hits, exit 3, where the count of cell assignments puts them);
+* on `--n` seeded `randgen` modules, each given one random assertion:
+  the same commands at the module's sizes and integers, at `--budget`.
+
+The commands run in this process through `normlog.cli.main`.  Compare
+two checkouts by running the script from each and diffing the output:
+
+    python3 scripts/output_digest.py --n 1000 > a.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from normlog import cli
+from normlog.models import DEFAULT_NODE_BUDGET
+from normlog.parser import parse_module
+from normlog.randgen import random_annotated_module
+from normlog.syntax import ROOT_CLASS, IntLit, IntT, children, print_module, uncurry
+
+CASE_BUDGETS = (DEFAULT_NODE_BUDGET, 10, 100, 1000)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha1(text.encode("utf-8")).hexdigest()
+
+
+def run(argv: list[str], label: str) -> str:
+    """One digest line: `argv` runs with `label` shown for its file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    shown = " ".join(label if a == argv[1] else a for a in argv)
+    return f"{rc} {_digest(out.getvalue())} {_digest(err.getvalue())}  normlog {shown}"
+
+
+def commands(path: str, assertions: list[str], sizes: str, ints: str, budget: int) -> list[list[str]]:
+    common = ["--sizes", sizes, "--budget", str(budget)] + (["--ints", ints] if ints else [])
+    lines = []
+    for name in assertions:
+        for variant in ("precond", "deriv"):
+            lines.append(["check", path, "--assert", name, "--variant", variant, *common])
+    lines.append(["correspond", path, *common])
+    return [argv + flag for argv in lines for flag in ([], ["--json"])]
+
+
+def _int_literals(m) -> str:
+    stack = [r.precond for r in m.rules] + [r.postcond for r in m.rules]
+    stack += [a.formula for a in m.assertions]
+    values = set()
+    while stack:
+        e = stack.pop()
+        if type(e) is IntLit:
+            values.add(e.value)
+        stack.extend(children(e))
+    return ",".join(map(str, sorted(values)))
+
+
+def case_lines() -> list[str]:
+    out = []
+    for path in sorted((ROOT / "cases").glob("*.l4")):
+        label = f"cases/{path.name}"
+        m = parse_module(path.read_text(encoding="utf-8"))
+        sizes = ",".join(f"{c.name}=1" for c in m.classes if c.parent == ROOT_CLASS)
+        ints = _int_literals(m)
+        for budget in CASE_BUDGETS:
+            for argv in commands(str(path), [a.name for a in m.assertions], sizes, ints, budget):
+                out.append(run(argv, label))
+    return out
+
+
+def _assertion(m, rng: random.Random) -> str:
+    """One random assertion over the module's predicates, as text."""
+    atoms = ["isSpecial x"]
+    if any(c.name == "Extra" for c in m.classes):
+        atoms.append("isExtra x")
+    for d in m.decls:
+        args, _ = uncurry(d.type)
+        atoms += [f"{d.name} x {i}" for i in (1, 2)] if IntT() in args else [f"{d.name} x"]
+    a, b = rng.choice(atoms), rng.choice(atoms)
+    formula = rng.choice(
+        [
+            f"forall x: Thing. {a} --> {b}",
+            f"forall x: Thing. {a} --> not ({b})",
+            f"exists x: Thing. {a} && {b}",
+            f"exists x: Thing. not ({a}) || {b}",
+        ]
+    )
+    mode = rng.choice(["valid", "satisfiable"])
+    return f"\nassert <a> {{SMT: {{{mode}}}}}\n  {formula}\n"
+
+
+def randgen_lines(n: int, seed: int, budget: int) -> list[str]:
+    rng = random.Random(seed)
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "module.l4"
+        for i in range(n):
+            sample = random_annotated_module(rng)
+            path.write_text(print_module(sample.module) + _assertion(sample.module, rng), encoding="utf-8")
+            sizes = ",".join(f"{s}={k}" for s, k in sample.sizes.items())
+            ints = ",".join(map(str, sample.ints))
+            for argv in commands(str(path), ["a"], sizes, ints, budget):
+                out.append(run(argv, f"randgen:{seed}:{i}"))
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--n", type=int, default=100, help="randgen modules")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="budget of the randgen commands")
+    args = ap.parse_args()
+    for line in case_lines() + randgen_lines(args.n, args.seed, args.budget):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

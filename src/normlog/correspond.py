@@ -135,9 +135,9 @@ def to_deriv(
     pair: CorrespondencePair, mp: Interpretation, preconds: dict[str, Compiled]
 ) -> Interpretation:
     """Image of a precondition-route model on the derivability side.
-    `preconds` come from `final_preconditions` and are evaluated against
-    the tables of their problem, which must hold `mp`: its search is
-    suspended at `mp`."""
+    `preconds` come from `final_preconditions` and are asked whether
+    they are true against the tables of their problem, which must hold
+    `mp`: its search is suspended at `mp`, so the tables are complete."""
     carriers = {**mp.carriers, **pair.constants}
     tables: dict[str, dict[tuple, object]] = {}
     lifted_names = {plus: orig for orig, (_, plus) in pair.lifted.items()}
@@ -158,7 +158,7 @@ def to_deriv(
                 for key in mp.tables[orig]:
                     for param, v in zip(precond.params, key):
                         param[0] = v
-                    table[(rn,) + key] = bool(precond.fn())
+                    table[(rn,) + key] = precond.is_true()
             tables[d.name] = table
         else:
             raise CorrespondenceError(

@@ -12,14 +12,16 @@ distinct node once and keeps that sharing in the formulas it returns.
 The enumerator assigns one cell of one free symbol at a time: symbols
 in declaration order, each symbol's cells in order, values in codomain
 order, so models come out in the order of whole tables.  Every formula
-is compiled once per search into three-valued closures
-(`FormulaCompiler`), which read unset cells as unknown.  After each
+is compiled once per search (`FormulaCompiler`) into a closure that
+reads unset cells as unknown and says whether the formula is
+definitely false, false under every completion of the tables; each
+subterm is asked only the direction its parent acts on.  After each
 cell every formula mentioning its symbol that can already be false is
-evaluated, and the search backtracks as soon as one is false; a
-formula is also staged at the last symbol it mentions, where it is
-evaluated in full.  A formula that may raise a ModelError takes part
-only at its stage, so errors are raised where a whole-table search
-raises them.  The budget counts cell assignments.
+asked, and the search backtracks as soon as one is false; a formula is
+also staged at the last symbol it mentions, where its cells are all
+set.  A formula that may raise a ModelError takes part only at its
+stage, so errors are raised where a whole-table search raises them.
+The budget counts cell assignments.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
@@ -259,7 +261,7 @@ class Interpretation:
 
 
 # ---------------------------------------------------------------------------
-# compilation to three-valued closures
+# compilation to directional closures
 
 
 BOOLS = frozenset((False, True))
@@ -274,7 +276,10 @@ _MAX_CHECKED_KEYS = 4096
 NEVER = math.inf
 
 _LEAVES = (Var, BoolLit, IntLit, StringLit, FloatLit)
-_BINARY = (And, Or, Implies, Eq, Cmp)
+
+# What a parent asks of a compiled node: its three-valued value, or
+# whether it is False (True) under every completion of the tables.
+_VALUE, _IS_FALSE, _IS_TRUE = 0, 1, 2
 
 
 class Symbol(NamedTuple):
@@ -290,48 +295,73 @@ class Symbol(NamedTuple):
     rank: int = -1
 
 
-class Compiled(NamedTuple):
-    """A compiled formula or term.  `fn()` evaluates it against the
-    tables as they stand; `safe` says that it never raises, whichever
-    of its cells are set; `params` are the cells of the variables
-    passed to `FormulaCompiler.compile`, which the caller fills.
-    `false_from` is a rank k such that `fn()` cannot return False while
-    the symbols ranked above k have no cells set, or NEVER."""
-
-    fn: Callable[[], object]
-    safe: bool
-    params: tuple[list, ...]
-    false_from: float
-
-
-class _Node(NamedTuple):
-    """A compiled node: its closure, the values it may return (None if
-    not known), whether it is safe, its binder cell if it is a bound
-    variable, and the ranks from which it may return True and False (a
-    term: any definite value) while the symbols ranked above have no
+class _Node:
+    """A compiled node.  `closure(want)` returns its closure of no
+    arguments for `want`, made by `build(node, want)` from `parts` on
+    the first request and kept: for _VALUE the node's three-valued
+    value, for _IS_FALSE (_IS_TRUE) whether it is False (True) under
+    every completion of the tables.  Also: the values it may return
+    (None if not known), whether it is safe, its binder cell if it is a
+    bound variable, and the ranks from which it may be True and False
+    (a term: any definite value) while the symbols ranked above have no
     cells set."""
 
-    fn: Callable[[], object]
-    values: Optional[frozenset]
-    safe: bool
-    cell: Optional[list]
-    true_from: float
-    false_from: float
+    __slots__ = ("build", "parts", "values", "safe", "cell", "true_from", "false_from", "built")
+
+    def __init__(self, build, parts, values, safe, cell, true_from, false_from) -> None:
+        self.build = build
+        self.parts = parts
+        self.values: Optional[frozenset] = values
+        self.safe: bool = safe
+        self.cell: Optional[list] = cell
+        self.true_from: float = true_from
+        self.false_from: float = false_from
+        self.built: list = [None, None, None]
 
     @property
     def definite_from(self) -> float:
         return min(self.true_from, self.false_from)
 
+    def closure(self, want: int) -> Callable[[], object]:
+        fn = self.built[want]
+        if fn is None:
+            fn = self.built[want] = self.build(self, want)
+        return fn
 
-def _bound(cell: list, values: Optional[frozenset]) -> _Node:
-    return _Node(lambda: cell[0], values, True, cell, -1, -1)
 
+class Compiled(NamedTuple):
+    """A compiled formula or term.  `is_false()` says whether it is
+    False under every completion of the tables as they stand, and
+    `is_true()` whether it is True under every one; `value()` gives its
+    three-valued value.  Each closure is built when first looked up.
+    `safe` says that none of them raises, whichever of its cells are
+    set; `params` are the cells of the variables passed to
+    `FormulaCompiler.compile`, which the caller fills.  `false_from` is
+    a rank k such that `is_false()` is not True while the symbols ranked
+    above k have no cells set, or NEVER."""
 
-def _fail(message: str) -> _Node:
-    def fail():
-        raise ModelError(message)
+    node: _Node
+    params: tuple[list, ...]
 
-    return _Node(fail, None, False, None, -1, -1)
+    @property
+    def safe(self) -> bool:
+        return self.node.safe
+
+    @property
+    def false_from(self) -> float:
+        return self.node.false_from
+
+    @property
+    def is_false(self) -> Callable[[], bool]:
+        return self.node.closure(_IS_FALSE)
+
+    @property
+    def is_true(self) -> Callable[[], bool]:
+        return self.node.closure(_IS_TRUE)
+
+    @property
+    def value(self) -> Callable[[], object]:
+        return self.node.closure(_VALUE)
 
 
 def _union(a: Optional[frozenset], b: Optional[frozenset]) -> Optional[frozenset]:
@@ -350,28 +380,40 @@ class FormulaCompiler:
     """Compiles expressions over one vocabulary of symbols into closures
     of no arguments, for the fixed `carriers` and `ints`.
 
-    A closure is three-valued: it returns None while a cell it reads is
-    unset, and a definite value only if every completion of the tables
-    gives that value (Kleene's strong connectives; a quantifier is
-    definite once one instance decides it or all are definite).  When
-    every cell it reads is set it returns what the tree-walking
-    reference evaluator (tests/oracles.py) returns and raises the same
-    ModelError, under the same short-circuiting: every check is made
-    when its node is reached, so a branch never reached raises nothing.
+    A node is compiled into the closures its parents ask for, each built
+    on first request (`Compiled`, `_Node.closure`).  The search only
+    acts on False, so a formula is asked whether it is definitely False
+    (`is_false`), which is True only if every completion of the tables
+    makes it False; `is_true` is the dual.  A connective asks its
+    operands the directions that decide it: && is false once an operand
+    is false, left to right, and true when all are true; || is the dual;
+    `a --> b` is false when `a` is true and `b` false, and true when `a`
+    is false or `b` true; `not` hands over the other direction of its
+    operand and adds no closure; a quantifier stops at the first
+    instance that decides it.  A value is read, three-valued (None while
+    a cell it reads is unset, Kleene's strong connectives), only by `=`,
+    comparisons, the condition of `if` and application arguments.
 
-    Checks that cannot fail are left out, which is what makes a closure
+    When every cell it reads is set a closure agrees with the
+    tree-walking reference evaluator (tests/oracles.py), raises the same
+    ModelError and reaches the same operands as its two-valued
+    short-circuiting: every check is made when its node is reached, so a
+    branch never reached raises nothing.
+
+    Checks that cannot fail are left out, which is what makes a node
     `safe`: a symbol, arity and argument values that fit the symbol's
     cells, a quantifier domain, a supported node.  An application whose
     key may fall outside the cells keeps its check; an unset cell then
     reads as None and any other missing key raises.
 
-    One compiler serves one search.  A closure is memoized by the
-    identity of its node and the binders above it (variables and types,
+    One compiler serves one search.  A node is memoized by the identity
+    of its expression and the binders above it (variables and types,
     numbered as contexts), and a binder's cell is keyed by its variable
-    and depth, so a subterm shared between rules compiles once.  The
-    compilation spends one frame per tree level, and so does a call of
-    its closure, except that a chain of && or || of any length takes as
-    many frames as a balanced tree of its operands."""
+    and depth, so a subterm shared between rules compiles once.
+    Compiling spends one frame per tree level, and building a closure
+    two.  A call of `is_false` or `is_true` spends one frame per level
+    of the tree, none per `not`, and one per chain of && or || of any
+    length."""
 
     def __init__(
         self,
@@ -399,8 +441,7 @@ class FormulaCompiler:
         for name in params:
             context, scope[name], _ = self._binder(context, name, None)
         node = self._comp(e, scope, context)
-        cells = tuple(scope[name].cell for name in params)
-        return Compiled(node.fn, node.safe, cells, node.false_from)
+        return Compiled(node, tuple(scope[name].cell for name in params))
 
     def _binder(self, outer: int, var: str, t: Optional[LType]):
         """For a binder of `var` of type `t` in context `outer`: the
@@ -419,7 +460,8 @@ class FormulaCompiler:
             cell = self._cells.get((var, depth))
             if cell is None:
                 cell = self._cells[(var, depth)] = [None]
-            node = _bound(cell, None if t is None else frozenset(domain))
+            values = None if t is None else frozenset(domain)
+            node = _Node(_variable, None, values, True, cell, -1, -1)
             self._depth.append(depth + 1)
             hit = self._binders[key] = (len(self._depth) - 1, node, domain)
         return hit
@@ -444,13 +486,12 @@ class FormulaCompiler:
                 return _fail(f"no interpretation for symbol '{e.name}'")
             if () not in sym.cells:
                 return _fail(f"symbol '{e.name}' used without arguments")
-            get = sym.table.get
-            return _Node(lambda: get(()), sym.values, True, None, sym.rank, sym.rank)
+            return _Node(_constant_symbol, sym.table.get, sym.values, True, None, sym.rank, sym.rank)
         if isinstance(e, (BoolLit, IntLit)):
             value = e.value
             true_from = NEVER if value is False else -1
             false_from = NEVER if value is True else -1
-            return _Node(lambda: value, frozenset((value,)), True, None, true_from, false_from)
+            return _Node(_literal, value, frozenset((value,)), True, None, true_from, false_from)
         return _fail(f"{type(e).__name__} values are not supported by the enumerator")
 
     def _comp(self, e: Expr, scope: dict[str, _Node], context: int) -> _Node:
@@ -470,21 +511,35 @@ class FormulaCompiler:
             return hit[1]
         comp = self._comp
         if kind is Not:
-            out = _negation(comp(e.arg, scope, context))
-        elif kind in _BINARY:
+            arg = comp(e.arg, scope, context)
+            out = _Node(_negation, arg, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+        elif kind is And or kind is Or:
             left, right = e.left, e.right
-            if (kind is And or kind is Or) and (type(left) is kind or type(right) is kind):
-                # A chain of three or more operands, however bracketed,
-                # compiles as a balanced tree: Kleene && and || are
-                # associative and evaluate operands left to right under
-                # any bracketing.
-                nodes = [comp(x, scope, context) for x in spine(e, kind)]
-                while len(nodes) > 1:
-                    paired = [_binary(e, nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
-                    nodes = paired + nodes[len(paired) * 2:]
-                out = nodes[0]
+            # A chain of any length, however bracketed, is one node:
+            # && and || evaluate operands left to right under any
+            # bracketing.
+            if type(left) is kind or type(right) is kind:
+                operands = [comp(x, scope, context) for x in spine(e, kind)]
             else:
-                out = _binary(e, comp(left, scope, context), comp(right, scope, context))
+                operands = [comp(left, scope, context), comp(right, scope, context)]
+            out = _junction(kind is And, operands)
+        elif kind is Implies:
+            ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
+            out = _Node(
+                _implication,
+                (ln, rn),
+                _union(BOOLS, _union(ln.values, rn.values)),
+                ln.safe and rn.safe,
+                None,
+                min(ln.false_from, rn.true_from),
+                max(ln.true_from, rn.false_from),
+            )
+        elif kind is Eq or kind is Cmp:
+            ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
+            safe = ln.safe and rn.safe and (kind is Eq or _orderable(ln.values, rn.values))
+            op = operator.eq if kind is Eq else CMP_OPS[e.op]
+            definite_from = max(ln.definite_from, rn.definite_from)
+            out = _Node(_comparison, (op, ln, rn), BOOLS, safe, None, definite_from, definite_from)
         elif kind is App:
             parts = atom_parts(e)
             if parts is None:
@@ -505,7 +560,15 @@ class FormulaCompiler:
             else:
                 inner, var, values = binder
                 body = comp(e.body, {**scope, e.var: var}, inner)
-                out = _quantifier(kind is Forall, values, var.cell, body)
+                out = _Node(
+                    _quantifier,
+                    (kind is Forall, values, var.cell, body),
+                    BOOLS,
+                    body.safe,
+                    None,
+                    body.true_from,
+                    body.false_from,
+                )
         elif kind is IfThenElse:
             out = _conditional(
                 comp(e.cond, scope, context),
@@ -518,80 +581,147 @@ class FormulaCompiler:
         return out
 
 
-def _negation(arg: _Node) -> _Node:
-    a = arg.fn
-
-    def not_():
-        v = a()
-        return None if v is None else not v
-
-    return _Node(not_, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+# Closure builders: `build(node, want)` of each node kind.
 
 
-def _binary(e: Expr, ln: _Node, rn: _Node) -> _Node:
-    """And, Or, Implies, Eq or Cmp over compiled operands."""
-    left, right = ln.fn, rn.fn
-    safe = ln.safe and rn.safe
-    vals = _union(BOOLS, _union(ln.values, rn.values))
-    kind = type(e)
-    if kind is And:
+def _kleene(node: _Node) -> Callable[[], object]:
+    """The value of a Boolean connective, read from its two directions."""
+    false, true = node.closure(_IS_FALSE), node.closure(_IS_TRUE)
+    return lambda: False if false() else True if true() else None
 
-        def fn():
-            l = left()
-            if l is None:
-                r = right()
-                return None if r is None or r else r
-            return right() if l else l
 
-        true_from = max(ln.true_from, rn.true_from)
-        false_from = min(ln.false_from, rn.false_from)
-    elif kind is Or:
+def _decided(fn: Callable[[], object], want: int) -> Callable[[], object]:
+    """The closure for `want` of a node whose value closure is `fn`."""
+    if want == _VALUE:
+        return fn
+    expect = want == _IS_TRUE
+    return lambda: fn() is expect
 
-        def fn():
-            l = left()
-            if l is None:
-                r = right()
-                return r if r else None
-            return l if l else right()
 
-        true_from = min(ln.true_from, rn.true_from)
-        false_from = max(ln.false_from, rn.false_from)
-    elif kind is Implies:
+def _raise(node: _Node, want: int) -> Callable[[], object]:
+    message = node.parts
 
-        def fn():
-            l = left()
-            if l is None:
-                r = right()
-                return r if r else None
-            return right() if l else True
+    def fail():
+        raise ModelError(message)
 
-        true_from = min(ln.false_from, rn.true_from)
-        false_from = max(ln.true_from, rn.false_from)
-    else:
-        op = operator.eq if kind is Eq else CMP_OPS[e.op]
-        if kind is Cmp:
-            safe = safe and _orderable(ln.values, rn.values)
+    return fail
+
+
+def _fail(message: str) -> _Node:
+    return _Node(_raise, message, None, False, None, -1, -1)
+
+
+def _literal(node: _Node, want: int) -> Callable[[], object]:
+    value = node.parts if want == _VALUE else node.parts is (want == _IS_TRUE)
+    return lambda: value
+
+
+def _constant_symbol(node: _Node, want: int) -> Callable[[], object]:
+    get = node.parts
+    if want == _VALUE:
+        return lambda: get(())
+    expect = want == _IS_TRUE
+    return lambda: get(()) is expect
+
+
+def _variable(node: _Node, want: int) -> Callable[[], object]:
+    cell = node.cell
+    if want == _VALUE:
+        return lambda: cell[0]
+    expect = want == _IS_TRUE
+    return lambda: cell[0] is expect
+
+
+def _negation(node: _Node, want: int) -> Callable[[], object]:
+    if want == _VALUE:
+        return _kleene(node)
+    return node.parts.closure(_IS_TRUE if want == _IS_FALSE else _IS_FALSE)
+
+
+def _junction(conjunction: bool, operands: list[_Node]) -> _Node:
+    """The node of a chain of && (`conjunction`) or || over compiled
+    `operands`, left to right."""
+    values: Optional[frozenset] = BOOLS
+    for x in operands:
+        values = _union(values, x.values)
+    # && is true once all operands may be, false once one may be
+    true_at, false_at = (max, min) if conjunction else (min, max)
+    return _Node(
+        _junction_closure,
+        (conjunction, operands),
+        values,
+        all(x.safe for x in operands),
+        None,
+        true_at(x.true_from for x in operands),
+        false_at(x.false_from for x in operands),
+    )
+
+
+def _junction_closure(node: _Node, want: int) -> Callable[[], object]:
+    conjunction, operands = node.parts
+    if want == _VALUE:
+        return _kleene(node)
+    fns = [x.closure(want) for x in operands]
+    if (want == _IS_FALSE) == conjunction:
+        # && is false, || true, as soon as one operand is
+        if len(fns) == 2:
+            a, b = fns
+            return lambda: a() or b()
+
+        def some():
+            for f in fns:
+                if f():
+                    return True
+            return False
+
+        return some
+    if len(fns) == 2:
+        a, b = fns
+        return lambda: a() and b()
+
+    def every():
+        for f in fns:
+            if not f():
+                return False
+        return True
+
+    return every
+
+
+def _implication(node: _Node, want: int) -> Callable[[], object]:
+    left, right = node.parts
+    if want == _VALUE:
+        return _kleene(node)
+    if want == _IS_FALSE:
+        a, b = left.closure(_IS_TRUE), right.closure(_IS_FALSE)
+        return lambda: a() and b()
+    a, b = left.closure(_IS_FALSE), right.closure(_IS_TRUE)
+    return lambda: a() or b()
+
+
+def _comparison(node: _Node, want: int) -> Callable[[], object]:
+    """= or a comparison: both operands are read as values."""
+    op, ln, rn = node.parts
+    left, right = ln.closure(_VALUE), rn.closure(_VALUE)
+    if want == _VALUE:
 
         def fn():
             l = left()
             r = right()
             return None if l is None or r is None else op(l, r)
 
-        vals = BOOLS
-        true_from = false_from = max(ln.definite_from, rn.definite_from)
-    return _Node(fn, vals, safe, None, true_from, false_from)
+        return fn
+    expect = want == _IS_TRUE
+
+    def decided():
+        l = left()
+        r = right()
+        return l is not None and r is not None and op(l, r) is expect
+
+    return decided
 
 
 def _conditional(cn: _Node, tn: _Node, on: _Node) -> _Node:
-    cond, then, other = cn.fn, tn.fn, on.fn
-
-    def ite():
-        c = cond()
-        if c is None:
-            t = then()
-            return t if t is not None and t == other() else None
-        return then() if c else other()
-
     def branches(then_from: float, other_from: float) -> float:
         return min(
             max(cn.true_from, then_from),
@@ -600,7 +730,8 @@ def _conditional(cn: _Node, tn: _Node, on: _Node) -> _Node:
         )
 
     return _Node(
-        ite,
+        _conditional_closure,
+        (cn, tn, on),
         _union(tn.values, on.values),
         cn.safe and tn.safe and on.safe,
         None,
@@ -609,26 +740,53 @@ def _conditional(cn: _Node, tn: _Node, on: _Node) -> _Node:
     )
 
 
+def _conditional_closure(node: _Node, want: int) -> Callable[[], object]:
+    """`if`: the condition is read as a value, and the branches are
+    asked what the `if` is asked.  While the condition is unknown the
+    value is what both branches agree on."""
+    cn, tn, on = node.parts
+    cond, then, other = cn.closure(_VALUE), tn.closure(want), on.closure(want)
+    if want == _VALUE:
+
+        def ite():
+            c = cond()
+            if c is None:
+                t = then()
+                return t if t is not None and t == other() else None
+            return then() if c else other()
+
+        return ite
+
+    def decided():
+        c = cond()
+        if c is None:
+            return then() and other()
+        return then() if c else other()
+
+    return decided
+
+
 def _application(head: str, sym: Symbol, args: list[_Node], fits: dict) -> _Node:
     """The node of `head` applied to compiled `args`: unchecked when
     every key the arguments can form is a cell of `sym`, else checked.
     `fits` memoizes that test by symbol and argument values."""
-    get = sym.table.get
-    fns = []
-    cells = []
     values = []
     definite_from = sym.rank
     for a in args:
-        fns.append(a.fn)
-        cells.append(a.cell)
         values.append(a.values if a.safe else None)
         definite_from = max(definite_from, a.definite_from)
-    fns = tuple(fns)
     key = (head, *values)
     safe = fits.get(key)
     if safe is None:
         safe = fits[key] = None not in values and _fits(sym.cells, values)
-    if not safe:
+    return _Node(_application_closure, (head, sym, args), sym.values, safe, None, definite_from, definite_from)
+
+
+def _application_closure(node: _Node, want: int) -> Callable[[], object]:
+    head, sym, args = node.parts
+    get = sym.table.get
+    fns = tuple(a.closure(_VALUE) for a in args)
+    if not node.safe:
         partial = f"partial application of '{head}'"
         table, cellset = sym.table, sym.cells
 
@@ -641,20 +799,29 @@ def _application(head: str, sym: Symbol, args: list[_Node], fits: dict) -> _Node
                 raise ModelError(partial)
             return v
 
-        return _Node(checked, sym.values, False, None, definite_from, definite_from)
-    # An unset argument makes a key with None, which no table holds.
+        return _decided(checked, want)
+    # An unset argument makes a key with None, which no table holds.  A
+    # key of bound variables' cells, or of one argument, is read here.
+    cells = [a.cell for a in args]
+    expect = want == _IS_TRUE
     if len(args) == 1:
         (c,) = cells
         (a,) = fns
-        fn = (lambda: get((c[0],))) if c is not None else (lambda: get((a(),)))
-    elif len(args) == 2 and None not in cells:
+        if c is None:
+            if want == _VALUE:
+                return lambda: get((a(),))
+            return lambda: get((a(),)) is expect
+        if want == _VALUE:
+            return lambda: get((c[0],))
+        return lambda: get((c[0],)) is expect
+    if len(args) == 2 and None not in cells:
         c0, c1 = cells
-        fn = lambda: get((c0[0], c1[0]))
-    elif None not in cells:
-        fn = lambda: get(tuple(map(_first, cells)))
-    else:
-        fn = lambda: get(tuple([a() for a in fns]))
-    return _Node(fn, sym.values, True, None, definite_from, definite_from)
+        if want == _VALUE:
+            return lambda: get((c0[0], c1[0]))
+        return lambda: get((c0[0], c1[0])) is expect
+    if None not in cells:
+        return _decided(lambda: get(tuple(map(_first, cells))), want)
+    return _decided(lambda: get(tuple([a() for a in fns])), want)
 
 
 _first = operator.itemgetter(0)
@@ -667,36 +834,31 @@ def _fits(cells: frozenset, values: list[frozenset]) -> bool:
     return all(k in cells for k in itertools.product(*values))
 
 
-def _quantifier(forall: bool, values: tuple, cell: list, body_node: _Node) -> _Node:
-    body = body_node.fn
-    if forall:
+def _quantifier(node: _Node, want: int) -> Callable[[], object]:
+    forall, values, cell, body = node.parts
+    if want == _VALUE:
+        return _kleene(node)
+    fn = body.closure(want)
+    if (want == _IS_FALSE) == forall:
+        # forall is false, exists true, at the first instance that is
 
-        def fn():
-            unknown = False
+        def some():
             for v in values:
                 cell[0] = v
-                r = body()
-                if not r:
-                    if r is None:
-                        unknown = True
-                    else:
-                        return False
-            return None if unknown else True
-
-    else:
-
-        def fn():
-            unknown = False
-            for v in values:
-                cell[0] = v
-                r = body()
-                if r:
+                if fn():
                     return True
-                if r is None:
-                    unknown = True
-            return None if unknown else False
+            return False
 
-    return _Node(fn, BOOLS, body_node.safe, None, body_node.true_from, body_node.false_from)
+        return some
+
+    def every():
+        for v in values:
+            cell[0] = v
+            if not fn():
+                return False
+        return True
+
+    return every
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +946,10 @@ class ModelProblem:
     @cached_property
     def _stages(self) -> tuple[list, list, list]:
         """The formulas compiled and staged, on first use: each
-        formula's name and closure in formula order, the closures of
-        the formulas that mention no free symbol, and the search's list
-        of (table, cell, values, closures evaluated once it is set)."""
+        formula's name and `is_false` closure in formula order, the
+        closures of the formulas that mention no free symbol, and the
+        search's list of (table, cell, values, closures evaluated once
+        it is set)."""
         # A formula is staged at the last free symbol it mentions: it is
         # evaluated once that symbol's last cell is set, in formula order.
         # A safe formula is also evaluated after each cell of every free
@@ -801,6 +964,9 @@ class ModelProblem:
         for _, expr in self._fs.formulas:
             refs = {index[n] for n in free_vars(expr, names_memo) if n in index}
             staged.append((max(refs, default=-1), refs, self.compiler.compile(expr)))
+        # Built in formula order, each formula's closure finds those of
+        # the subterms it shares with earlier formulas built.
+        is_false = [c.is_false for _, _, c in staged]
         prune_after: list[int] = [0] * len(staged)
         last_unsafe = -2
         for i in sorted(range(len(staged)), key=lambda i: staged[i][0]):
@@ -811,20 +977,22 @@ class ModelProblem:
         flat: list[tuple[dict, tuple, tuple, list]] = []
         for k, (name, cells, values) in enumerate(self._free):
             early = [
-                (stage, c.fn)
-                for (stage, refs, c), after in zip(staged, prune_after)
+                (stage, fn)
+                for (stage, refs, c), after, fn in zip(staged, prune_after, is_false)
                 if c.safe and k in refs and after < k and c.false_from <= k
             ]
             complete = [
-                c.fn for stage, _, c in staged if stage == k and (not c.safe or c.false_from <= k)
+                fn
+                for (stage, _, c), fn in zip(staged, is_false)
+                if stage == k and (not c.safe or c.false_from <= k)
             ] + [fn for stage, fn in early if stage != k]
             early_fns = [fn for _, fn in early]
             table = self.symbols[name].table
             for i, cell in enumerate(cells):
                 flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
 
-        formulas = [(name, c.fn) for (name, _), (_, _, c) in zip(self._fs.formulas, staged)]
-        initial = [c.fn for stage, _, c in staged if stage == -1]
+        formulas = [(name, fn) for (name, _), fn in zip(self._fs.formulas, is_false)]
+        initial = [fn for (stage, _, _), fn in zip(staged, is_false) if stage == -1]
         return formulas, initial, flat
 
     def _model(self) -> Interpretation:
@@ -842,7 +1010,7 @@ class ModelProblem:
         for name, _, _ in self._free:
             self.symbols[name].table.clear()
         for fn in initial:
-            if not fn():
+            if fn():
                 return
         if not flat:
             yield self._model()
@@ -872,8 +1040,7 @@ class ModelProblem:
                 raise ResourceCapError(f"model search exceeded {node_budget} cell assignments")
             table[cell] = values[i]
             for check in checks:
-                r = check()
-                if not r and r is not None:
+                if check():
                     break
             else:
                 if d == last:
@@ -896,7 +1063,7 @@ class ModelProblem:
             table = self.symbols[name].table
             table.clear()
             table.update(interp.tables[name])
-        return [name for name, fn in formulas if not fn()]
+        return [name for name, fn in formulas if fn()]
 
     def _misfit(self, interp: Interpretation) -> Optional[str]:
         if interp.carriers != self.carriers:

@@ -260,7 +260,7 @@ def test_configuration_just_under_the_nesting_limit_is_decided(tmp_path):
 # per level would overflow on them, an internal error (exit 4), never a
 # verdict (exit 1).  The passes walk flat chains in loops or on their own
 # stacks; `simplify` still recurses through the two levels per link of a
-# subjectTo chain.
+# subjectTo chain, and the search's closures through one.
 
 
 def test_long_conjunction_passes_every_subcommand(tmp_path):
@@ -276,8 +276,8 @@ def test_long_conjunction_passes_every_subcommand(tmp_path):
     assert (rc, err) == (0, "") and "(and" + " (p x)" * 500 + ")" in out
     rc, out, err = run_cli("emit-smt", "--simplify", path)
     assert (rc, err) == (0, "") and "(assert (forall ((x S)) (=> (p x) (q x))))\n" in out
-    # The compiled && chain is a balanced tree of closures, and the
-    # monotonicity check keeps its own stack.
+    # The compiled && chain is one closure that loops over its operands,
+    # and the monotonicity check keeps its own stack.
     for n in (500, 1000):
         path = _nested_module(tmp_path, " && ".join(["p x"] * n))
         for variant in ("precond", "deriv"):
@@ -303,10 +303,31 @@ def test_long_subject_to_chain_compiles_and_simplify_overflows(tmp_path):
     rc, out, err = run_cli("emit-smt", "--simplify", path)
     assert (rc, out) == (4, "")
     assert err.startswith("internal error: RecursionError: ") and err.count("\n") == 1
-    # The search compiles and stages each shared precondition once, so
-    # `check` gets through the same chain.
-    rc, out, err = run_cli("check", path, "--assert", "a", "--sizes", "S=1")
-    assert (rc, out, err) == (0, "assertion a (valid): valid\n", "")
+    # The search compiles and stages each shared precondition once.  It
+    # asks each rule whether its link's precondition is definitely true,
+    # one closure frame per link, since `not` hands over the other
+    # direction of its operand.  So `check` gets through the same chain,
+    # with the inversions (where `p` is forced false and each link stops
+    # at its first operand) and without them.
+    for flags in ((), ("--no-inversions",)):
+        rc, out, err = run_cli("check", path, *flags, "--assert", "a", "--sizes", "S=1")
+        assert (rc, out, err) == (0, "assertion a (valid): valid\n", ""), flags
+
+
+def test_correspond_gets_through_a_subject_to_chain(tmp_path):
+    # The search asks each formula only whether it is definitely false,
+    # so --> asks nothing of its conclusion while its premise is
+    # unknown; computing the conclusion's value there, at every cell,
+    # took seconds on this chain.
+    path = tmp_path / "chain.l4"
+    path.write_text(subject_to_chain(300))
+    rc, out, err = run_cli("correspond", path, "--sizes", "S=1")
+    assert (rc, out, err) == (
+        0,
+        "checked 1 precondition-route and 1 derivability-route models\n"
+        "correspondence holds on every model\n",
+        "",
+    )
 
 
 def test_transform_writes_a_long_chain_in_linear_memory(tmp_path):

@@ -1,13 +1,16 @@
 """The compiled evaluator agrees with the tree-walking reference.
 
-enumerate_models decides formulas with three-valued closures from
-FormulaCompiler; eval_expr in tests/oracles.py is the reference.  On
-tables whose cells are all set both must return the same value, or
-raise a ModelError with the same message, wherever they are asked; on
-partial tables a safe closure never raises and never returns a value
-that some completion of the tables contradicts.  The search must yield
-the models the whole-table, eval_expr search of tests/oracles.py
-yields, in the same order.
+enumerate_models asks each formula compiled by FormulaCompiler whether
+it is definitely false (`is_false`); the transfer asks whether it is
+definitely true (`is_true`), and `value` gives the three-valued value.
+eval_expr in tests/oracles.py is the reference.  On tables whose cells
+are all set `value` must return what it returns, `is_false` and
+`is_true` whether that is False and True, or each raise a ModelError
+with the same message, wherever they are asked; on partial tables a
+safe closure never raises and never answers what some completion of
+the tables contradicts.  The search must yield the models the
+whole-table, eval_expr search of tests/oracles.py yields, in the same
+order.
 """
 
 import json
@@ -29,7 +32,7 @@ from normlog.models import (
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
-from normlog.syntax import And, ClassT, Exists, Forall, Not, uncurry
+from normlog.syntax import And, ClassT, Exists, Forall, Not, print_expr, uncurry
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -50,12 +53,17 @@ def _symbols(tables):
 
 
 def _compile(e, tables, carriers, ints):
-    return FormulaCompiler(_symbols(tables), carriers, ints).compile(e).fn
+    return FormulaCompiler(_symbols(tables), carriers, ints).compile(e)
 
 
 def _agree(e, tables, carriers, ints):
-    compiled = _compile(e, tables, carriers, ints)
-    assert _outcome(compiled) == _outcome(lambda: eval_expr(e, tables, carriers, ints))
+    # Each closure from a compiler of its own, so that none is built
+    # from the others.
+    want = _outcome(lambda: eval_expr(e, tables, carriers, ints))
+    assert _outcome(_compile(e, tables, carriers, ints).value) == want
+    for closure, expect in (("is_false", False), ("is_true", True)):
+        got = _outcome(getattr(_compile(e, tables, carriers, ints), closure))
+        assert got == (want if want[0] == "error" else (bool, want[1] is expect)), closure
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +137,7 @@ def test_compiled_closure_reads_the_tables_at_call_time():
     tables = {"p": {("s0",): True, ("s1",): True}, "c": {(): "s0"}}
     symbols = _symbols(tables)
     compiler = FormulaCompiler(symbols, _CARRIERS, ())
-    f = compiler.compile(parse_expr("p c")).fn
+    f = compiler.compile(parse_expr("p c")).value
     assert f() is True
     tables["p"][("s0",)] = False
     assert f() is False
@@ -137,7 +145,7 @@ def test_compiled_closure_reads_the_tables_at_call_time():
     assert f() is None
     tables["c"][()] = "s1"
     assert f() is True
-    g = compiler.compile(parse_expr("p d")).fn
+    g = compiler.compile(parse_expr("p d")).is_false
     tables["d"] = {(): "s0"}
     with pytest.raises(ModelError, match="no interpretation for symbol 'd'"):
         g()
@@ -163,7 +171,39 @@ def test_a_shared_subterm_under_other_binders_reads_their_cells():
     two = Exists("x", _S, Exists("y", _S, And(Not(p_y), parse_expr("p x"))))
     compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
     for e in (one, two, one):
-        assert compiler.compile(e).fn() == eval_expr(e, _TABLES, _CARRIERS, ())
+        want = eval_expr(e, _TABLES, _CARRIERS, ())
+        compiled = compiler.compile(e)
+        assert (compiled.value(), compiled.is_false(), compiled.is_true()) == (want, not want, want)
+
+
+def test_negation_hands_over_the_other_direction():
+    # `not` makes no closure of its own, so it adds no frame to a call.
+    compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
+    inner = parse_expr("p c && (forall y: S. p y)")
+    e, ne, nne = compiler.compile(inner), compiler.compile(Not(inner)), compiler.compile(Not(Not(inner)))
+    assert ne.is_false is e.is_true and ne.is_true is e.is_false
+    assert nne.is_false is e.is_false and nne.is_true is e.is_true
+
+
+def test_closures_are_built_only_in_the_directions_asked():
+    compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
+    compiled = compiler.compile(parse_expr("forall y: S. p y --> r y y || not p (f y)"))
+    assert compiled.is_false() is False
+    # which of (value, is_false, is_true) each node has built
+    built = {
+        print_expr(e): tuple(fn is not None for fn in node.built)
+        for e, node in compiler._memo.values()
+    }
+    assert built == {
+        "forall y: S. p y --> r y y || not p (f y)": (False, True, False),
+        "p y --> r y y || not p (f y)": (False, True, False),
+        "p y": (False, False, True),
+        "r y y || not p (f y)": (False, True, False),
+        "r y y": (False, True, False),
+        "not p (f y)": (False, True, False),
+        "p (f y)": (False, False, True),
+        "f y": (True, False, False),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +261,9 @@ def _complete(partial, shapes, rng):
     }
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    variant=st.sampled_from(list(Variant)),
-    table_seed=st.integers(0, 10_000),
-    unset=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-)
-def test_three_valued_closures_never_contradict_a_completion(seed, variant, table_seed, unset):
+def _partial_tables(seed, variant, table_seed, unset):
+    """The formulas of a random module, a compiler over tables with
+    about `unset` of their cells left out, and completions of them."""
     fs, sizes, ints = _formula_set(seed, variant)
     rng = random.Random(table_seed)
     carriers, domain = carriers_and_domain(fs, sizes, ints)
@@ -245,22 +280,65 @@ def test_three_valued_closures_never_contradict_a_completion(seed, variant, tabl
         name: Symbol(partial[name], frozenset(cells), frozenset(cod))
         for name, (cells, cod) in shapes.items()
     }
-    compiler = FormulaCompiler(symbols, carriers, ints)
     completions = [full] + [_complete(partial, shapes, rng) for _ in range(20)]
-    for _, e in fs.formulas:
+    return fs.formulas, FormulaCompiler(symbols, carriers, ints), (partial, carriers, ints), completions
+
+
+_PARTIAL_TABLES = dict(
+    seed=st.integers(0, 10_000),
+    variant=st.sampled_from(list(Variant)),
+    table_seed=st.integers(0, 10_000),
+    unset=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(**_PARTIAL_TABLES)
+def test_three_valued_closures_never_contradict_a_completion(seed, variant, table_seed, unset):
+    formulas, compiler, (partial, carriers, ints), completions = _partial_tables(
+        seed, variant, table_seed, unset
+    )
+    for _, e in formulas:
         compiled = compiler.compile(e)
         if unset == 0.0:
-            assert _outcome(compiled.fn) == _outcome(
+            assert _outcome(compiled.value) == _outcome(
                 lambda: eval_expr(e, partial, carriers, ints)
             )
         if not compiled.safe:
             continue
-        r = compiled.fn()
+        r = compiled.value()
         assert r in (None, False, True)
         if r is None:
             continue
         for tables in completions:
             assert bool(eval_expr(e, tables, carriers, ints)) is r
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(**_PARTIAL_TABLES)
+def test_directional_closures_never_contradict_a_completion(seed, variant, table_seed, unset):
+    # `is_false()` True means False under every completion, `is_true()`
+    # True means True under every one; on complete tables they are
+    # `eval_expr(...) is False` and `is True`, errors included.
+    formulas, compiler, (partial, carriers, ints), completions = _partial_tables(
+        seed, variant, table_seed, unset
+    )
+    for _, e in formulas:
+        compiled = compiler.compile(e)
+        if unset == 0.0:
+            want = _outcome(lambda: eval_expr(e, partial, carriers, ints))
+            for closure, expect in ((compiled.is_false, False), (compiled.is_true, True)):
+                got = _outcome(closure)
+                assert got == (want if want[0] == "error" else (bool, want[1] is expect))
+        if not compiled.safe:
+            continue
+        false, true = compiled.is_false(), compiled.is_true()
+        assert type(false) is bool and type(true) is bool and not (false and true)
+        # They decide exactly what the three-valued closure decides.
+        assert (false, true) == (compiled.value() is False, compiled.value() is True)
+        for tables in completions:
+            if false or true:
+                assert bool(eval_expr(e, tables, carriers, ints)) is true
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +395,8 @@ def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_
     for _, e in fs.formulas:
         compiled = compiler.compile(e)
         if compiled.safe and compiled.false_from > k:
-            assert compiled.fn() is not False
+            assert compiled.is_false() is False
+            assert compiled.value() is not False
 
 
 # Two ranked symbols over two elements and a constant, and formulas
@@ -366,11 +445,15 @@ def test_hand_picked_formulas_over_every_partial_table(text):
             n: Symbol(tables[n], frozenset(cells[n]), frozenset(cod[n]), rank)
             for rank, n in enumerate(_RANKED)
         }
-        compiled = FormulaCompiler(symbols, _CARRIERS, ()).compile(e)
+        # a compiler per closure, so that none is built from the others
+        compiled, for_false, for_true = (
+            FormulaCompiler(symbols, _CARRIERS, ()).compile(e) for _ in range(3)
+        )
         assert compiled.safe
-        r = compiled.fn()
+        r, false, true = compiled.value(), for_false.is_false(), for_true.is_true()
+        assert (false, true) == (r is False, r is True), (k, tables)
         if compiled.false_from > k:
-            assert r is not False, (k, tables)
+            assert r is not False and not false, (k, tables)
         if r is None:
             continue
         for combo in product(

@@ -43,3 +43,27 @@ def test_speed_limit_walkthrough_runs():
     assert "rejected: cyclic rule ordering" in out
     assert "restricted rules + closure: valid\n" in out
     assert "unrestricted rules: counter_model\n" in out
+
+
+def test_output_digest_runs():
+    rc, out, err = _script("output_digest.py", "--n", "2", "--seed", "3")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    # per budget (four) and file: check of each assertion under both
+    # variants and correspond, each plain and with --json (the original
+    # speed limit has no assertion); then six lines per random module
+    assert len(lines) == 4 * (6 + 2 + 6 + 6) + 2 * 6
+    empty = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+    assert lines[0].startswith("1 ") and lines[0].endswith(
+        f" {empty}  normlog check cases/selfref.l4 --assert anything --variant precond --sizes  --budget 5000000"
+    )
+    assert lines[-1].endswith(
+        "  normlog correspond randgen:3:1 --sizes Thing=2 --budget 5000000 --ints 1,2 --json"
+    )
+    for line in lines:
+        rc, stdout, stderr = line.split("  normlog ")[0].split(" ")
+        assert rc in "0123" and len(stdout) == len(stderr) == 40
+    # the cap of 10 cell assignments is hit on the speed limits
+    assert any(line.startswith("3 ") and "--budget 10 " in line for line in lines)
+    rc, again, err = _script("output_digest.py", "--n", "2", "--seed", "3")
+    assert again == out
