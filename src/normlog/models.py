@@ -15,13 +15,14 @@ order, so models come out in the order of whole tables.  Every formula
 is compiled once per search (`FormulaCompiler`) into a closure that
 reads unset cells as unknown and says whether the formula is
 definitely false, false under every completion of the tables; each
-subterm is asked only the direction its parent acts on.  After each
-cell every formula mentioning its symbol that can already be false is
-asked, and the search backtracks as soon as one is false; a formula is
-also staged at the last symbol it mentions, where its cells are all
-set.  A formula that may raise a ModelError takes part only at its
-stage, so errors are raised where a whole-table search raises them.
-The budget counts cell assignments.
+subterm is asked only the direction its parent acts on.  The same walk
+records the free symbols each node reads, which give a formula its
+watch set and stage.  After each cell every formula mentioning its
+symbol that can already be false is asked, and the search backtracks
+as soon as one is false; a formula is also staged at the last symbol it
+mentions, where its cells are all set.  A formula that may raise a
+ModelError takes part only at its stage, so errors are raised where a
+whole-table search raises them.  The budget counts cell assignments.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
@@ -294,6 +295,11 @@ class Symbol(NamedTuple):
     values: Optional[frozenset]
     rank: int = -1
 
+    @property
+    def bit(self) -> int:
+        """The symbol's bit in a `_Node.refs` mask, 0 for a complete table."""
+        return 1 << self.rank if self.rank >= 0 else 0
+
 
 class _Node:
     """A compiled node.  `closure(want)` returns its closure of no
@@ -304,11 +310,12 @@ class _Node:
     (None if not known), whether it is safe, its binder cell if it is a
     bound variable, and the ranks from which it may be True and False
     (a term: any definite value) while the symbols ranked above have no
-    cells set."""
+    cells set.  `refs` has bit k set if it reads the symbol ranked k; a
+    node that fails to compile reads its expression's free symbols."""
 
-    __slots__ = ("build", "parts", "values", "safe", "cell", "true_from", "false_from", "built")
+    __slots__ = ("build", "parts", "values", "safe", "cell", "true_from", "false_from", "refs", "built")
 
-    def __init__(self, build, parts, values, safe, cell, true_from, false_from) -> None:
+    def __init__(self, build, parts, values, safe, cell, true_from, false_from, refs) -> None:
         self.build = build
         self.parts = parts
         self.values: Optional[frozenset] = values
@@ -316,6 +323,7 @@ class _Node:
         self.cell: Optional[list] = cell
         self.true_from: float = true_from
         self.false_from: float = false_from
+        self.refs: int = refs
         self.built: list = [None, None, None]
 
     @property
@@ -409,7 +417,8 @@ class FormulaCompiler:
     One compiler serves one search.  A node is memoized by the identity
     of its expression and the binders above it (variables and types,
     numbered as contexts), and a binder's cell is keyed by its variable
-    and depth, so a subterm shared between rules compiles once.
+    and depth, so a subterm shared between rules compiles once.  Each
+    node records the ranked symbols it reads (`_Node.refs`) when built.
     Compiling spends one frame per tree level, and building a closure
     two.  A call of `is_false` or `is_true` spends one frame per level
     of the tree, none per `not`, and one per chain of && or || of any
@@ -461,7 +470,7 @@ class FormulaCompiler:
             if cell is None:
                 cell = self._cells[(var, depth)] = [None]
             values = None if t is None else frozenset(domain)
-            node = _Node(_variable, None, values, True, cell, -1, -1)
+            node = _Node(_variable, None, values, True, cell, -1, -1, 0)
             self._depth.append(depth + 1)
             hit = self._binders[key] = (len(self._depth) - 1, node, domain)
         return hit
@@ -485,13 +494,13 @@ class FormulaCompiler:
             if sym is None:
                 return _fail(f"no interpretation for symbol '{e.name}'")
             if () not in sym.cells:
-                return _fail(f"symbol '{e.name}' used without arguments")
-            return _Node(_constant_symbol, sym.table.get, sym.values, True, None, sym.rank, sym.rank)
+                return _fail(f"symbol '{e.name}' used without arguments", sym.bit)
+            return _Node(_constant_symbol, sym.table.get, sym.values, True, None, sym.rank, sym.rank, sym.bit)
         if isinstance(e, (BoolLit, IntLit)):
             value = e.value
             true_from = NEVER if value is False else -1
             false_from = NEVER if value is True else -1
-            return _Node(_literal, value, frozenset((value,)), True, None, true_from, false_from)
+            return _Node(_literal, value, frozenset((value,)), True, None, true_from, false_from, 0)
         return _fail(f"{type(e).__name__} values are not supported by the enumerator")
 
     def _comp(self, e: Expr, scope: dict[str, _Node], context: int) -> _Node:
@@ -512,7 +521,7 @@ class FormulaCompiler:
         comp = self._comp
         if kind is Not:
             arg = comp(e.arg, scope, context)
-            out = _Node(_negation, arg, BOOLS, arg.safe, None, arg.false_from, arg.true_from)
+            out = _Node(_negation, arg, BOOLS, arg.safe, None, arg.false_from, arg.true_from, arg.refs)
         elif kind is And or kind is Or:
             left, right = e.left, e.right
             # A chain of any length, however bracketed, is one node:
@@ -533,13 +542,15 @@ class FormulaCompiler:
                 None,
                 min(ln.false_from, rn.true_from),
                 max(ln.true_from, rn.false_from),
+                ln.refs | rn.refs,
             )
         elif kind is Eq or kind is Cmp:
             ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
             safe = ln.safe and rn.safe and (kind is Eq or _orderable(ln.values, rn.values))
             op = operator.eq if kind is Eq else CMP_OPS[e.op]
             definite_from = max(ln.definite_from, rn.definite_from)
-            out = _Node(_comparison, (op, ln, rn), BOOLS, safe, None, definite_from, definite_from)
+            refs = ln.refs | rn.refs
+            out = _Node(_comparison, (op, ln, rn), BOOLS, safe, None, definite_from, definite_from, refs)
         elif kind is App:
             parts = atom_parts(e)
             if parts is None:
@@ -568,6 +579,7 @@ class FormulaCompiler:
                     None,
                     body.true_from,
                     body.false_from,
+                    body.refs,
                 )
         elif kind is IfThenElse:
             out = _conditional(
@@ -577,6 +589,11 @@ class FormulaCompiler:
             )
         else:
             out = _fail(f"cannot evaluate {kind.__name__} nodes")
+        if out.build is _raise:
+            # it stands for every free symbol it names, so that a formula
+            # that may raise keeps the stage free_vars gives it
+            for n in free_vars(e).difference(scope):
+                out.refs |= self.symbols[n].bit if n in self.symbols else 0
         self._memo[memo_key] = (e, out)
         return out
 
@@ -607,8 +624,8 @@ def _raise(node: _Node, want: int) -> Callable[[], object]:
     return fail
 
 
-def _fail(message: str) -> _Node:
-    return _Node(_raise, message, None, False, None, -1, -1)
+def _fail(message: str, refs: int = 0) -> _Node:
+    return _Node(_raise, message, None, False, None, -1, -1, refs)
 
 
 def _literal(node: _Node, want: int) -> Callable[[], object]:
@@ -642,8 +659,10 @@ def _junction(conjunction: bool, operands: list[_Node]) -> _Node:
     """The node of a chain of && (`conjunction`) or || over compiled
     `operands`, left to right."""
     values: Optional[frozenset] = BOOLS
+    refs = 0
     for x in operands:
         values = _union(values, x.values)
+        refs |= x.refs
     # && is true once all operands may be, false once one may be
     true_at, false_at = (max, min) if conjunction else (min, max)
     return _Node(
@@ -654,6 +673,7 @@ def _junction(conjunction: bool, operands: list[_Node]) -> _Node:
         None,
         true_at(x.true_from for x in operands),
         false_at(x.false_from for x in operands),
+        refs,
     )
 
 
@@ -737,6 +757,7 @@ def _conditional(cn: _Node, tn: _Node, on: _Node) -> _Node:
         None,
         branches(tn.true_from, on.true_from),
         branches(tn.false_from, on.false_from),
+        cn.refs | tn.refs | on.refs,
     )
 
 
@@ -772,14 +793,16 @@ def _application(head: str, sym: Symbol, args: list[_Node], fits: dict) -> _Node
     `fits` memoizes that test by symbol and argument values."""
     values = []
     definite_from = sym.rank
+    refs = sym.bit
     for a in args:
         values.append(a.values if a.safe else None)
         definite_from = max(definite_from, a.definite_from)
+        refs |= a.refs
     key = (head, *values)
     safe = fits.get(key)
     if safe is None:
         safe = fits[key] = None not in values and _fits(sym.cells, values)
-    return _Node(_application_closure, (head, sym, args), sym.values, safe, None, definite_from, definite_from)
+    return _Node(_application_closure, (head, sym, args), sym.values, safe, None, definite_from, definite_from, refs)
 
 
 def _application_closure(node: _Node, want: int) -> Callable[[], object]:
@@ -876,11 +899,12 @@ class ModelProblem:
     It owns the carriers, a table per symbol (pinned tables filled, free
     ones filled by the search or by `false_formulas`) and the formulas,
     compiled against those tables once, by the first search or check,
-    and staged for the search.  Only one thing uses the tables at a
-    time: a search, while it runs or is suspended at a model, or a
-    check; `compiler` compiles more against the same tables.  Sorts
-    take their size from `sizes` (or their fixed carrier); Integer
-    ranges over `ints` exactly.  Bad sizes raise at construction."""
+    and staged for the search by the symbols the compile walk records.
+    Only one thing uses the tables at a time: a search, while it runs or
+    is suspended at a model, or a check; `compiler` compiles more
+    against the same tables.  Sorts take their size from `sizes` (or
+    their fixed carrier); Integer ranges over `ints` exactly.  Bad sizes
+    raise at construction."""
 
     def __init__(self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = ()) -> None:
         fixed = fs.fixed_map()
@@ -949,7 +973,8 @@ class ModelProblem:
         formula's name and `is_false` closure in formula order, the
         closures of the formulas that mention no free symbol, and the
         search's list of (table, cell, values, closures evaluated once
-        it is set)."""
+        it is set).  Stage and watch set come from the compiled node's
+        `refs`: its highest bit, and the ranks whose bit is set."""
         # A formula is staged at the last free symbol it mentions: it is
         # evaluated once that symbol's last cell is set, in formula order.
         # A safe formula is also evaluated after each cell of every free
@@ -958,12 +983,8 @@ class ModelProblem:
         # may raise is evaluated at its stage only, and no formula after it
         # in stage order prunes before that stage is complete, so an error
         # is raised at the same assignment as by a search of whole tables.
-        index = {name: k for k, (name, _, _) in enumerate(self._free)}
-        names_memo: dict = {}
-        staged: list[tuple[int, set[int], Compiled]] = []
-        for _, expr in self._fs.formulas:
-            refs = {index[n] for n in free_vars(expr, names_memo) if n in index}
-            staged.append((max(refs, default=-1), refs, self.compiler.compile(expr)))
+        compiled = [self.compiler.compile(expr) for _, expr in self._fs.formulas]
+        staged = [(c.node.refs.bit_length() - 1, c.node.refs, c) for c in compiled]
         # Built in formula order, each formula's closure finds those of
         # the subterms it shares with earlier formulas built.
         is_false = [c.is_false for _, _, c in staged]
@@ -979,7 +1000,7 @@ class ModelProblem:
             early = [
                 (stage, fn)
                 for (stage, refs, c), after, fn in zip(staged, prune_after, is_false)
-                if c.safe and k in refs and after < k and c.false_from <= k
+                if c.safe and after < k and c.false_from <= k and refs >> k & 1
             ]
             complete = [
                 fn

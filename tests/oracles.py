@@ -640,6 +640,46 @@ def reference_models(fs, sizes, ints=()):
     return found
 
 
+def reference_stages(problem):
+    """What `problem._stages` must be, staged from `free_vars`: a formula
+    watches the free symbols among its free names and is staged at the
+    last of them.  The closures are the problem's own, looked up in its
+    compiler's memo, so that the two can be compared by identity."""
+    index = {name: k for k, (name, _, _) in enumerate(problem._free)}
+    staged = []
+    for _, expr in problem._fs.formulas:
+        refs = {index[n] for n in free_vars(expr) if n in index}
+        staged.append((max(refs, default=-1), refs, problem.compiler.compile(expr)))
+    is_false = [c.is_false for _, _, c in staged]
+    prune_after = [0] * len(staged)
+    last_unsafe = -2
+    for i in sorted(range(len(staged)), key=lambda i: staged[i][0]):
+        prune_after[i] = last_unsafe
+        if not staged[i][2].safe:
+            last_unsafe = staged[i][0]
+
+    flat = []
+    for k, (name, cells, values) in enumerate(problem._free):
+        early = [
+            (stage, fn)
+            for (stage, refs, c), after, fn in zip(staged, prune_after, is_false)
+            if c.safe and k in refs and after < k and c.false_from <= k
+        ]
+        complete = [
+            fn
+            for (stage, _, c), fn in zip(staged, is_false)
+            if stage == k and (not c.safe or c.false_from <= k)
+        ] + [fn for stage, fn in early if stage != k]
+        early_fns = [fn for _, fn in early]
+        table = problem.symbols[name].table
+        for i, cell in enumerate(cells):
+            flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
+
+    formulas = [(name, fn) for (name, _), fn in zip(problem._fs.formulas, is_false)]
+    initial = [fn for (stage, _, _), fn in zip(staged, is_false) if stage == -1]
+    return formulas, initial, flat
+
+
 # ---------------------------------------------------------------------------
 # formula translation and SMT-LIB text by walking the tree
 

@@ -15,24 +15,40 @@ order.
 
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import load_case
-from oracles import carriers_and_domain, eval_expr, reference_models
+from conftest import CASES, load_case
+from oracles import carriers_and_domain, eval_expr, reference_models, reference_stages
 from normlog.models import (
     FormulaCompiler,
+    FormulaSet,
     ModelError,
+    ModelProblem,
     Symbol,
+    assertion_problem,
     enumerate_models,
     rules_to_formulas,
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
-from normlog.syntax import And, ClassT, Exists, Forall, Not, print_expr, uncurry
+from normlog.syntax import (
+    And,
+    BoolT,
+    ClassT,
+    Exists,
+    Forall,
+    FunDecl,
+    FunT,
+    Not,
+    free_vars,
+    print_expr,
+    uncurry,
+)
 from normlog.transform import Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
@@ -462,3 +478,78 @@ def test_hand_picked_formulas_over_every_partial_table(text):
             full = {n: dict(zip(cells[n], vs)) for n, vs in zip(_RANKED, combo)}
             if all(full[n][c] == v for n in _RANKED for c, v in tables[n].items()):
                 assert eval_expr(e, full, _CARRIERS, ()) == r, (k, tables, full)
+
+
+# ---------------------------------------------------------------------------
+# staging: the symbols a formula reads, recorded by the compile walk
+
+
+def _assert_staged_as_by_free_vars(problem):
+    # Each formula's stage and watch set, read from the mask its compiled
+    # node carries, against the free symbols among its free names; then
+    # the whole staging against the one built from free_vars.
+    ranks = {name: k for k, (name, _, _) in enumerate(problem._free)}
+    staging = problem._stages
+    for name, expr in problem._fs.formulas:
+        want = {ranks[n] for n in free_vars(expr) if n in ranks}
+        refs = problem.compiler.compile(expr).node.refs
+        watched = {k for k in ranks.values() if refs >> k & 1}
+        assert (refs.bit_length() - 1, watched) == (max(want, default=-1), want), name
+        assert refs >> len(ranks) == 0, name
+    assert staging == reference_stages(problem)
+
+
+# speedlimit_original.l4's rule order is cyclic, so it never reaches a
+# search.
+_SEARCHED_CASES = sorted(p.name for p in CASES.glob("*.l4") if p.name != "speedlimit_original.l4")
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("case", _SEARCHED_CASES)
+def test_cases_are_staged_as_by_free_vars(case, variant):
+    m = transform_module(load_case(case), variant).module
+    goals = [assertion_problem(m, a.name) for a in m.assertions]
+    for fs, (name, _, goal) in goals or [(rules_to_formulas(m), ("", "", None))]:
+        probe = fs if goal is None else replace(fs, formulas=fs.formulas + ((name, Not(goal)),))
+        sizes = {s: 2 for s in fs.sorts}
+        _assert_staged_as_by_free_vars(ModelProblem(probe, sizes, (90, 130, 320)))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_random_modules_are_staged_as_by_free_vars(variant):
+    for seed in range(300):
+        fs, sizes, ints = _formula_set(seed, variant)
+        _assert_staged_as_by_free_vars(ModelProblem(fs, sizes, ints))
+
+
+# Formulas that fail to compile, binders that shadow a symbol, and
+# symbols read in one operand only, over p, q : S -> Boolean, c : S and
+# b : Boolean, ranked in that order; T has no carrier.
+_FAILING_FORMULAS = [
+    "p c && nothing",  # unknown symbol
+    "forall x: S. p x --> nothing (q x) c",  # unknown symbol applied
+    "forall x: S. x (q c) && p x",  # bound variable applied
+    "forall p: S. nothing p (q c)",  # p is bound above the failing node
+    "(\\x: S -> p x) c || b",  # lambda applied
+    "(\\x: S -> q x) == (\\y: S -> p c)",  # lambda values
+    "p == q",  # symbols of arity one used without arguments
+    "b && (q == b)",
+    "forall y: T. q y && p c",  # binder without a carrier
+    "exists q: S. forall y: T. p q && q",  # ... under a binder shadowing q
+    "forall x: S. b --> p x",
+    "if b then p c else q c",
+    "c == c",
+]
+
+
+@pytest.mark.parametrize("text", _FAILING_FORMULAS)
+def test_hand_made_formulas_are_staged_by_their_free_names(text):
+    decls = (
+        FunDecl("p", FunT(ClassT("S"), BoolT()), loc=None),
+        FunDecl("q", FunT(ClassT("S"), BoolT()), loc=None),
+        FunDecl("c", ClassT("S"), loc=None),
+        FunDecl("b", BoolT(), loc=None),
+    )
+    formulas = (("first", parse_expr("exists x: S. q x")), ("f", parse_expr(text)))
+    fs = FormulaSet(("S",), (), (), decls, formulas)
+    _assert_staged_as_by_free_vars(ModelProblem(fs, {"S": 2}))
