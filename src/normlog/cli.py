@@ -24,9 +24,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional, Sequence
 
-from .syntax import NormlogError, check_well_formed, module_pieces, print_expr
+from .syntax import NormlogError, RuleModule, check_well_formed, module_pieces, print_expr
 from .parser import LParseError, parse_module
-from .typecheck import Env, elaborate, typecheck_module
+from .typecheck import Env, elaborate, is_sort, sort_of, typecheck_module
 from .transform import Variant, transform_module
 from .inversion import (
     check_syntactic_monotonicity,
@@ -81,18 +81,30 @@ def _emit_json(payload: dict, module: Optional[Iterable[str]] = None) -> None:
     write('"\n}\n')
 
 
-def _parse_sizes(text: Optional[str]) -> dict[str, int]:
+def _parse_sizes(text: Optional[str], m: RuleModule) -> dict[str, int]:
+    """The carrier sizes given by --sizes: each entry names a sort of the
+    module `m`, at most once."""
     out: dict[str, int] = {}
     if not text:
         return out
+    classes = Env.from_module(m).classes
     for part in text.split(","):
         if "=" not in part:
             raise ModelError(f"bad --sizes entry '{part}', expected Name=N")
         name, _, num = part.partition("=")
         try:
-            out[name.strip()] = int(num)
+            size = int(num)
         except ValueError:
             raise ModelError(f"bad carrier size '{num}' for '{name}'") from None
+        key = name.strip()
+        if key in out:
+            raise ModelError(f"--sizes entry '{part}': '{key}' is already given")
+        if key not in classes:
+            raise ModelError(f"--sizes entry '{part}': '{key}' is not a sort of the module")
+        if not is_sort(key, classes):
+            sort = sort_of(key, classes)
+            raise ModelError(f"--sizes entry '{part}': '{key}' is a subclass of sort '{sort}'")
+        out[key] = size
     return out
 
 
@@ -223,7 +235,7 @@ def cmd_check(args) -> int:
     outcome = check_assertion(
         res.module,
         args.assertion,
-        _parse_sizes(args.sizes),
+        _parse_sizes(args.sizes, m),
         _parse_ints(args.ints),
         include_inversions=not args.no_inversions,
         node_budget=args.budget,
@@ -242,7 +254,7 @@ def cmd_correspond(args) -> int:
     m = _load_module(args.file)
     report = check_model_correspondence(
         m,
-        _parse_sizes(args.sizes),
+        _parse_sizes(args.sizes, m),
         _parse_ints(args.ints),
         node_budget=args.budget,
     )

@@ -575,6 +575,23 @@ def test_check_integer_outside_the_pool_is_bad_input():
     assert (rc, out, err) == (2, "", "error: partial application of 'maxSp'\n")
 
 
+@pytest.mark.parametrize("command", [["check", "--assert", "maxSpFunctional"], ["correspond"]])
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (SIZES + ",Foo=2", "'Foo=2': 'Foo' is not a sort of the module"),
+        ("Vehicle=1,Vehicel=3,Day=1,Road=1", "'Vehicel=3': 'Vehicel' is not a sort of the module"),
+        ("Vehicle=1,Car=2,Day=1,Road=1", "'Car=2': 'Car' is a subclass of sort 'Vehicle'"),
+        ("Vehicle=1,Day=1,Road=1,SportsCar=1", "'SportsCar=1': 'SportsCar' is a subclass of sort 'Vehicle'"),
+        ("Vehicle=1,Day=1,Road=1,Vehicle=2", "'Vehicle=2': 'Vehicle' is already given"),
+    ],
+)
+def test_sizes_name_each_sort_at_most_once(command, sizes, message):
+    # An entry that names no sort, or a sort again, was once ignored.
+    rc, out, err = run_cli(command[0], REPAIRED, *command[1:], "--sizes", sizes, "--ints", INTS)
+    assert (rc, out, err) == (2, "", f"error: --sizes entry {message}\n")
+
+
 def test_check_rejects_a_negative_budget():
     rc, out, err = run_cli(
         "check", REPAIRED, "--assert", "maxSpFunctional", "--sizes", SIZES, "--ints", INTS,
