@@ -507,10 +507,12 @@ _SEARCHED_CASES = sorted(p.name for p in CASES.glob("*.l4") if p.name != "speedl
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("case", _SEARCHED_CASES)
 def test_cases_are_staged_as_by_free_vars(case, variant):
+    # the problems check_assertion searches: each case has an assertion
     m = transform_module(load_case(case), variant).module
-    goals = [assertion_problem(m, a.name) for a in m.assertions]
-    for fs, (name, _, goal) in goals or [(rules_to_formulas(m), ("", "", None))]:
-        probe = fs if goal is None else replace(fs, formulas=fs.formulas + ((name, Not(goal)),))
+    assert m.assertions
+    for a in m.assertions:
+        fs, (name, _, goal) = assertion_problem(m, a.name)
+        probe = replace(fs, formulas=fs.formulas + ((name, Not(goal)),))
         sizes = {s: 2 for s in fs.sorts}
         _assert_staged_as_by_free_vars(ModelProblem(probe, sizes, (90, 130, 320)))
 
@@ -525,7 +527,7 @@ def test_random_modules_are_staged_as_by_free_vars(variant):
 # Formulas that fail to compile, binders that shadow a symbol, and
 # symbols read in one operand only, over p, q : S -> Boolean, c : S and
 # b : Boolean, ranked in that order; T has no carrier.
-_FAILING_FORMULAS = [
+_HAND_MADE_FORMULAS = [
     "p c && nothing",  # unknown symbol
     "forall x: S. p x --> nothing (q x) c",  # unknown symbol applied
     "forall x: S. x (q c) && p x",  # bound variable applied
@@ -542,7 +544,7 @@ _FAILING_FORMULAS = [
 ]
 
 
-@pytest.mark.parametrize("text", _FAILING_FORMULAS)
+@pytest.mark.parametrize("text", _HAND_MADE_FORMULAS)
 def test_hand_made_formulas_are_staged_by_their_free_names(text):
     decls = (
         FunDecl("p", FunT(ClassT("S"), BoolT()), loc=None),
@@ -550,6 +552,7 @@ def test_hand_made_formulas_are_staged_by_their_free_names(text):
         FunDecl("c", ClassT("S"), loc=None),
         FunDecl("b", BoolT(), loc=None),
     )
+    # a formula before it, so that two are staged
     formulas = (("first", parse_expr("exists x: S. q x")), ("f", parse_expr(text)))
     fs = FormulaSet(("S",), (), (), decls, formulas)
     _assert_staged_as_by_free_vars(ModelProblem(fs, {"S": 2}))
