@@ -66,12 +66,14 @@ class TVar:
 Term = Union[int, str, TVar, "Atom"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class Atom:
-    """An atom, or a compound term inside one.  It hashes structurally,
-    like any frozen dataclass, but computes its hash once and keeps it
-    in `_hash`, which is not a field: `==`, `repr` and
-    `dataclasses.replace` ignore it, and a pickled atom leaves it
+    """An atom, or a compound term inside one.  Atoms are values, like
+    expression nodes (`syntax.Expr`): no field is assigned after
+    construction, which the tests check rather than a frozen dataclass.
+    An atom hashes structurally, by `(pred, args)`, computed once, on
+    first use, and kept in `_hash`, which is not a field: `==`, `repr`
+    and `dataclasses.replace` ignore it, and a pickled atom leaves it
     behind, since string hashes differ between processes."""
 
     pred: str
@@ -82,7 +84,7 @@ class Atom:
         h = self._hash
         if h is None:
             h = hash((self.pred, self.args))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __getstate__(self):
@@ -923,8 +925,11 @@ def _unify(pattern: Term, value: Term, b: dict) -> Optional[dict]:
     return b if pattern == value else None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GroundRule:
+    """One ground instance of a clause.  A value like `Atom`, hashed by
+    its field tuple."""
+
     head: Atom
     pos: tuple
     neg: tuple

@@ -304,7 +304,9 @@ class Symbol(NamedTuple):
 class _Node:
     """A compiled node.  `closure(want)` returns its closure of no
     arguments for `want`, made by `build(node, want)` from `parts` on
-    the first request and kept: for _VALUE the node's three-valued
+    the first request and kept in `built`, a list made on the first
+    request of any closure, since leaves and shared variables are never
+    asked for one: for _VALUE the node's three-valued
     value, for _IS_FALSE (_IS_TRUE) whether it is False (True) under
     every completion of the tables.  Also: the values it may return
     (None if not known), whether it is safe, its binder cell if it is a
@@ -324,16 +326,19 @@ class _Node:
         self.true_from: float = true_from
         self.false_from: float = false_from
         self.refs: int = refs
-        self.built: list = [None, None, None]
+        self.built: Optional[list] = None
 
     @property
     def definite_from(self) -> float:
         return min(self.true_from, self.false_from)
 
     def closure(self, want: int) -> Callable[[], object]:
-        fn = self.built[want]
+        built = self.built
+        if built is None:
+            built = self.built = [None, None, None]
+        fn = built[want]
         if fn is None:
-            fn = self.built[want] = self.build(self, want)
+            fn = built[want] = self.build(self, want)
         return fn
 
 

@@ -140,15 +140,20 @@ def uncurry(t: LType) -> tuple[tuple[LType, ...], LType]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class Expr:
     """Base class of all expressions.
 
-    Nodes hash structurally, like any frozen dataclass, but each node
-    computes its hash once and keeps it in `_hash`, which is not a
-    field: `==`, `repr` and `dataclasses.replace` ignore it, and a
-    pickled node leaves it behind, since string hashes differ between
-    processes."""
+    Nodes are values: no field is assigned after construction, and a
+    pass that changes a node builds a new one (`rebuild`,
+    `dataclasses.replace`).  Nothing enforces this at run time, since a
+    frozen dataclass makes every construction pay for the guard; the
+    tests check it instead, by pickling a pipeline's inputs before and
+    after it runs.  Nodes compare and hash structurally, by the tuple
+    of their compared fields, and each node computes its hash once, on
+    first use, and keeps it in `_hash`.  `_hash` is not a field: `==`,
+    `repr` and `dataclasses.replace` ignore it, and a pickled node
+    leaves it behind, since string hashes differ between processes."""
 
     _hash = None
 
@@ -161,71 +166,71 @@ class Expr:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass
 class Var(Expr):
     name: str
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoolLit(Expr):
     value: bool
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class IntLit(Expr):
     value: int
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class FloatLit(Expr):
     value: float
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class StringLit(Expr):
     value: str
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Not(Expr):
     arg: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class And(Expr):
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Or(Expr):
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Implies(Expr):
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Eq(Expr):
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Cmp(Expr):
     """Numeric comparison; op is one of < <= > >=."""
 
@@ -239,14 +244,14 @@ class Cmp(Expr):
 CMP_OPS = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 
-@dataclass(frozen=True)
+@dataclass
 class App(Expr):
     fn: Expr
     arg: Expr
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Lambda(Expr):
     var: str
     var_type: LType
@@ -254,7 +259,7 @@ class Lambda(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class IfThenElse(Expr):
     cond: Expr
     then: Expr
@@ -262,7 +267,7 @@ class IfThenElse(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Forall(Expr):
     var: str
     var_type: LType
@@ -270,7 +275,7 @@ class Forall(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class Exists(Expr):
     var: str
     var_type: LType
@@ -278,7 +283,7 @@ class Exists(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass
 class FieldAccess(Expr):
     obj: Expr
     fieldname: str
@@ -290,9 +295,10 @@ _FOLD_DEPTH = 100
 
 
 def _hash_once(cls: type) -> None:
-    """Replace a node class's field hash by one computed on first use.
-    The value is the dataclass's own, the hash of the tuple of compared
-    fields, so sets and dicts of nodes behave exactly as before.  The
+    """Give a node class a structural hash, computed on first use and
+    kept in `_hash`.  The value is the one a frozen dataclass has, the
+    hash of the tuple of compared fields, so sets and dicts of nodes
+    iterate in the same order as with that hash.  The
     unhashed nodes below are hashed first: `_FOLD_DEPTH` levels down by
     recursion, and below that from an explicit stack."""
     names = [f.name for f in fields(cls) if f.compare]
@@ -308,7 +314,7 @@ def _hash_once(cls: type) -> None:
                 elif k._hash is None:
                     _hash_below(k)
             h = hash((get(self),) if single else get(self))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     cls.__hash__ = __hash__
@@ -440,6 +446,7 @@ def _fold_stack(e: Expr, ks, combine, memo: dict, kids) -> object:
 
 
 TRUE = BoolLit(True)
+FALSE = BoolLit(False)
 
 
 def apply(fn: Union[str, Expr], *args: Expr) -> Expr:

@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .syntax import (
     CMP_OPS,
+    FALSE,
     ROOT_CLASS,
     TRUE,
     And,
@@ -623,6 +624,20 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
     for sub, sups in entails.items():
         for sup in sups:
             entailed_by.setdefault(sup, set()).add(sub)
+    implied: dict[tuple[Expr, bool], list[Expr]] = {}
+
+    def implied_atoms(e: Expr, val: bool) -> list[Expr]:
+        """The atoms that take value `val` with `e`: its superclass atoms
+        if `e` holds, its subclass atoms if it fails; built once."""
+        out = implied.get((e, val))
+        if out is None:
+            out = implied[(e, val)] = []
+            parts = atom_parts(e)
+            if parts is not None:
+                head, args = parts
+                for name in entails.get(head, ()) if val else entailed_by.get(head, ()):
+                    out.append(apply(Var(name), *args) if args else Var(name))
+        return out
 
     def assume(ctx: dict[Expr, bool], e: Expr, val: bool) -> None:
         """Record that `e` has value `val`, and so do the operands of a
@@ -641,41 +656,36 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
                 stack.append((e.right, val))
                 stack.append((e.left, val))
                 continue
-            parts = atom_parts(e)
-            if parts is not None:
-                head, args = parts
-                if val:
-                    for sup in entails.get(head, ()):
-                        ctx[apply(Var(sup), *args) if args else Var(sup)] = True
-                else:
-                    for sub in entailed_by.get(head, ()):
-                        ctx[apply(Var(sub), *args) if args else Var(sub)] = False
+            for atom in implied_atoms(e, val):
+                ctx[atom] = val
 
     def purge(ctx: dict[Expr, bool], var: str) -> dict[Expr, bool]:
         return {k: v for k, v in ctx.items() if var not in free_vars(k)}
 
     def go(e: Expr, ctx: dict[Expr, bool]) -> Expr:
         if e in ctx:
-            return BoolLit(ctx[e])
+            return TRUE if ctx[e] else FALSE
         kind = type(e)
         if kind is And or kind is Or:
             # Each operand is simplified assuming that its siblings hold
-            # (&&) or fail (||); `unit` is the value an operand can drop.
-            unit = kind is And
+            # (&&) or fail (||); `unit` is the literal an operand can
+            # drop, `zero` the one that decides the whole chain.
+            holds = kind is And
+            unit, zero = (TRUE, FALSE) if holds else (FALSE, TRUE)
             parts = spine(e, kind)
             done: list[Expr] = []
             for i, p in enumerate(parts):
                 local = dict(ctx)
                 for j in range(len(parts)):
                     if j != i:
-                        assume(local, done[j] if j < i else parts[j], unit)
+                        assume(local, done[j] if j < i else parts[j], holds)
                 sp = go(p, local)
-                if sp == BoolLit(not unit):
-                    return BoolLit(not unit)
+                if sp == zero:
+                    return zero
                 done.append(sp)
-            keep = [p for p in done if p != BoolLit(unit)]
+            keep = [p for p in done if p != unit]
             if not keep:
-                return BoolLit(unit)
+                return unit
             out = keep[0]
             for p in keep[1:]:
                 out = kind(out, p)
@@ -683,7 +693,7 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
         if isinstance(e, Not):
             inner = go(e.arg, ctx)
             if isinstance(inner, BoolLit):
-                return BoolLit(not inner.value)
+                return FALSE if inner.value else TRUE
             if isinstance(inner, Not):
                 return inner.arg
             return Not(inner)
@@ -691,21 +701,21 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             left = go(e.left, ctx)
             if left == TRUE:
                 return go(e.right, ctx)
-            if left == BoolLit(False):
+            if left == FALSE:
                 return TRUE
             local = dict(ctx)
             assume(local, left, True)
             right = go(e.right, local)
             if right == TRUE:
                 return TRUE
-            if right == BoolLit(False):
+            if right == FALSE:
                 return go(Not(left), ctx)
             return Implies(left, right)
         if isinstance(e, IfThenElse):
             cond = go(e.cond, ctx)
             if cond == TRUE:
                 return go(e.then, ctx)
-            if cond == BoolLit(False):
+            if cond == FALSE:
                 return go(e.other, ctx)
             then_ctx = dict(ctx)
             assume(then_ctx, cond, True)
@@ -722,11 +732,11 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
             if e.left == e.right:
                 return TRUE
             if isinstance(e.left, IntLit) and isinstance(e.right, IntLit):
-                return BoolLit(e.left.value == e.right.value)
+                return TRUE if e.left.value == e.right.value else FALSE
             return e
         if isinstance(e, Cmp):
             if isinstance(e.left, IntLit) and isinstance(e.right, IntLit):
-                return BoolLit(CMP_OPS[e.op](e.left.value, e.right.value))
+                return TRUE if CMP_OPS[e.op](e.left.value, e.right.value) else FALSE
             return e
         if isinstance(e, Lambda):
             return replace(e, body=go(e.body, purge(ctx, e.var)))
