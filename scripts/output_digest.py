@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
-"""Digest the output of `normlog check` and `normlog correspond`, one
-line per command line, so that two versions of the program can be
-compared with `diff`.
+"""Digest the output of the `normlog` commands, one line per command
+line, so that two versions of the program can be compared with `diff`.
 
 Each line holds the exit code, the sha1 of stdout and the sha1 of
 stderr, then the command line.  The command lines are:
@@ -11,8 +10,15 @@ stderr, then the command line.  The command lines are:
   under both variants, and `correspond`, each plain and with `--json`,
   at the default budget and at the small ones of CASE_BUDGETS (they put
   the cap hits, exit 3, where the count of cell assignments puts them);
+  then the front end: `parse`, `invert` and `transform` under both
+  variants with and without `--simplify`, each plain and with
+  `--json`, and `emit-smt` under both variants with and without
+  `--simplify`, without `--assert` and with each assertion;
 * on `--n` seeded `randgen` modules, each given one random assertion:
-  the same commands at the module's sizes and integers, at `--budget`.
+  the same commands at the module's sizes and integers, at `--budget`;
+* on every `cases/*.cfg` and on `--n` seeded `randgen` configurations:
+  `emit-asp`, `legal-models`, `answer-sets`, `verify-lemma4` and
+  `ground`, the three that have `--json` also with it.
 
 The commands run in this process through `normlog.cli.main`.  Compare
 two checkouts by running the script from each and diffing the output:
@@ -35,10 +41,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from normlog import cli
 from normlog.models import DEFAULT_NODE_BUDGET
 from normlog.parser import parse_module
-from normlog.randgen import random_annotated_module
+from normlog.randgen import random_annotated_module, random_config
 from normlog.syntax import ROOT_CLASS, IntLit, IntT, children, print_module, uncurry
 
 CASE_BUDGETS = (DEFAULT_NODE_BUDGET, 10, 100, 1000)
+VARIANTS = ("precond", "deriv")
+SIMPLIFY = ([], ["--simplify"])
+CFG_JSON = ("legal-models", "answer-sets", "verify-lemma4")
 
 
 def _digest(text: str) -> str:
@@ -58,10 +67,27 @@ def commands(path: str, assertions: list[str], sizes: str, ints: str, budget: in
     common = ["--sizes", sizes, "--budget", str(budget)] + (["--ints", ints] if ints else [])
     lines = []
     for name in assertions:
-        for variant in ("precond", "deriv"):
+        for variant in VARIANTS:
             lines.append(["check", path, "--assert", name, "--variant", variant, *common])
     lines.append(["correspond", path, *common])
     return [argv + flag for argv in lines for flag in ([], ["--json"])]
+
+
+def frontend_commands(path: str, assertions: list[str]) -> list[list[str]]:
+    lines = [["parse", path], ["invert", path]]
+    lines += [["transform", path, "--variant", v, *simp] for v in VARIANTS for simp in SIMPLIFY]
+    out = [argv + flag for argv in lines for flag in ([], ["--json"])]
+    goals = [[]] + [["--assert", name] for name in assertions]
+    out += [["emit-smt", path, "--variant", v, *simp, *goal] for v in VARIANTS for simp in SIMPLIFY for goal in goals]
+    return out
+
+
+def cfg_commands(path: str) -> list[list[str]]:
+    out = []
+    for command in ("emit-asp", "legal-models", "answer-sets", "verify-lemma4", "ground"):
+        flags = ([], ["--json"]) if command in CFG_JSON else ([],)
+        out += [[command, path, *flag] for flag in flags]
+    return out
 
 
 def _int_literals(m) -> str:
@@ -83,9 +109,12 @@ def case_lines() -> list[str]:
         m = parse_module(path.read_text(encoding="utf-8"))
         sizes = ",".join(f"{c.name}=1" for c in m.classes if c.parent == ROOT_CLASS)
         ints = _int_literals(m)
+        names = [a.name for a in m.assertions]
         for budget in CASE_BUDGETS:
-            for argv in commands(str(path), [a.name for a in m.assertions], sizes, ints, budget):
+            for argv in commands(str(path), names, sizes, ints, budget):
                 out.append(run(argv, label))
+        for argv in frontend_commands(str(path), names):
+            out.append(run(argv, label))
     return out
 
 
@@ -120,8 +149,32 @@ def randgen_lines(n: int, seed: int, budget: int) -> list[str]:
             path.write_text(print_module(sample.module) + _assertion(sample.module, rng), encoding="utf-8")
             sizes = ",".join(f"{s}={k}" for s, k in sample.sizes.items())
             ints = ",".join(map(str, sample.ints))
-            for argv in commands(str(path), ["a"], sizes, ints, budget):
-                out.append(run(argv, f"randgen:{seed}:{i}"))
+            label = f"randgen:{seed}:{i}"
+            for argv in commands(str(path), ["a"], sizes, ints, budget) + frontend_commands(str(path), ["a"]):
+                out.append(run(argv, label))
+    return out
+
+
+def _config_text(cfg) -> str:
+    """A configuration as `.cfg` source, the way `normlog ground` prints it."""
+    lines = [str(r) for r in cfg.rules] + [f"fact: {a}." for a in cfg.facts]
+    lines += [f"modifier: {m}." for m in cfg.modifiers]
+    lines += ["inconsistent: {" + ", ".join(map(str, k)) + "}." for k in cfg.inconsistent]
+    return "\n".join(lines) + "\n"
+
+
+def cfg_lines(n: int, seed: int) -> list[str]:
+    out = []
+    for path in sorted((ROOT / "cases").glob("*.cfg")):
+        for argv in cfg_commands(str(path)):
+            out.append(run(argv, f"cases/{path.name}"))
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.cfg"
+        for i in range(n):
+            path.write_text(_config_text(random_config(rng)), encoding="utf-8")
+            for argv in cfg_commands(str(path)):
+                out.append(run(argv, f"randcfg:{seed}:{i}"))
     return out
 
 
@@ -131,7 +184,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="budget of the randgen commands")
     args = ap.parse_args()
-    for line in case_lines() + randgen_lines(args.n, args.seed, args.budget):
+    lines = case_lines() + randgen_lines(args.n, args.seed, args.budget) + cfg_lines(args.n, args.seed)
+    for line in lines:
         print(line)
     return 0
 

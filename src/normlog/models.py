@@ -305,8 +305,7 @@ class _Node:
     """A compiled node.  `closure(want)` returns its closure of no
     arguments for `want`, made by `build(node, want)` from `parts` on
     the first request and kept in `built`, a list made on the first
-    request of any closure, since leaves and shared variables are never
-    asked for one: for _VALUE the node's three-valued
+    request of any closure: for _VALUE the node's three-valued
     value, for _IS_FALSE (_IS_TRUE) whether it is False (True) under
     every completion of the tables.  Also: the values it may return
     (None if not known), whether it is safe, its binder cell if it is a

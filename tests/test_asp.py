@@ -20,11 +20,13 @@ from normlog.asp import (
     Config,
     ConfigError,
     DefRule,
+    GroundRule,
     LegalModel,
     Literal,
     Modifier,
     TVar,
     _ValiditySearch,
+    _ground_program,
     axiom_violations,
     config_constants,
     emit_asp,
@@ -162,7 +164,7 @@ def test_equal_atoms_built_apart_hash_equal():
     ]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
-        # the cached value is the plain frozen dataclass hash
+        # the cached value is the field-tuple hash a frozen dataclass has
         assert hash(a) == hash((a.pred, a.args))
     assert A("p", X) != A("p", TVar("Y")) and A("p", "a") != A("q", "a")
 
@@ -206,6 +208,25 @@ def test_pickled_atom_carries_no_hash():
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == b"True True True 1\n"
+
+
+def test_ground_rule_hashes_as_its_field_tuple():
+    def rule():
+        return GroundRule(A("p", "a"), (A("q", "a"),), (A("r"),))
+
+    g, twin = rule(), rule()
+    assert g is not twin and g == twin and hash(g) == hash(twin) == hash((g.head, g.pos, g.neg))
+    assert [f.name for f in dataclasses.fields(GroundRule)] == ["head", "pos", "neg"]
+    other = dataclasses.replace(g, neg=())
+    assert other != g and len({g, twin, other}) == 2 and {g: 1, other: 2}[twin] == 1
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.head._hash is None and copy == g and hash(copy) == hash(g)
+    # the ground program of a configuration, grounded twice, keys alike
+    program = emit_asp(cfg_file("bob"))
+    rules, again = _ground_program(program), _ground_program(program)
+    assert rules == again and len(set(rules)) == len(rules)
+    index = {g: i for i, g in enumerate(rules)}
+    assert [index[g] for g in again] == list(range(len(rules)))
 
 
 # ---------------------------------------------------------------------------

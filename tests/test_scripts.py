@@ -51,15 +51,24 @@ def test_output_digest_runs():
     lines = out.splitlines()
     # per budget (four) and file: check of each assertion under both
     # variants and correspond, each plain and with --json (the original
-    # speed limit has no assertion); then six lines per random module
-    assert len(lines) == 4 * (6 + 2 + 6 + 6) + 2 * 6
+    # speed limit has no assertion); per file, the front end: parse,
+    # invert and four transforms, each plain and with --json, and
+    # emit-smt four times plus four per assertion; the same per random
+    # module, with one assertion; then eight lines per configuration
+    checks, frontend = 6 + 2 + 6 + 6, (12 + 8) + (12 + 4) + (12 + 8) + (12 + 8)
+    assert len(lines) == 4 * checks + frontend + 2 * (6 + 20) + (7 + 2) * 8
     empty = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
     assert lines[0].startswith("1 ") and lines[0].endswith(
         f" {empty}  normlog check cases/selfref.l4 --assert anything --variant precond --sizes  --budget 5000000"
     )
-    assert lines[-1].endswith(
-        "  normlog correspond randgen:3:1 --sizes Thing=2 --budget 5000000 --ints 1,2 --json"
-    )
+    shown = [line.split("  normlog ")[1] for line in lines]
+    assert "correspond randgen:3:1 --sizes Thing=2 --budget 5000000 --ints 1,2 --json" in shown
+    assert "emit-smt randgen:3:1 --variant deriv --simplify --assert a" in shown
+    assert "verify-lemma4 cases/bob.cfg --json" in shown and shown[-1] == "ground randcfg:3:1"
+    assert {s.split()[0] for s in shown} == {
+        "check", "correspond", "parse", "invert", "transform", "emit-smt",
+        "emit-asp", "legal-models", "answer-sets", "verify-lemma4", "ground",
+    }
     for line in lines:
         rc, stdout, stderr = line.split("  normlog ")[0].split(" ")
         assert rc in "0123" and len(stdout) == len(stderr) == 40

@@ -1,6 +1,7 @@
 """AST helpers, the traversal core, the pretty printer, and module
 well-formedness checks."""
 
+import copy
 import pickle
 import random
 from dataclasses import fields, replace
@@ -281,11 +282,52 @@ def test_children_are_the_expr_fields_and_rebuild_keeps_the_rest():
         assert rebuild(e, kids) is e and rebuild(e, list(kids)) is e
         new = [Var(f"k{i}") for i in range(len(kids))]
         if new:
+            before = pickle.dumps(e)
             r = rebuild(e, new)
             assert type(r) is type(e) and list(children(r)) == new
             # every other field, the location included, is the old one
             assert all(getattr(r, f.name) is getattr(e, f.name) for f in fields(e) if f.type != "Expr")
             assert r.loc == _L
+            # and the old node is a new node's source, not its storage
+            assert pickle.dumps(e) == before and children(e) == kids
+    cmp = rebuild(Cmp(">=", Var("a"), Var("b"), _L), [IntLit(1), IntLit(2)])
+    assert (cmp.op, cmp.loc) == (">=", _L)
+    for binder in (Forall, Exists, Lambda):
+        b = rebuild(binder("v", ClassT("Car"), Var("v"), _L), [Var("w")])
+        assert (b.var, b.var_type, b.body, b.loc) == ("v", ClassT("Car"), Var("w"), _L)
+
+
+def _compared(e) -> tuple:
+    return tuple(getattr(e, f.name) for f in fields(e) if f.compare)
+
+
+def test_every_node_class_compares_and_hashes_structurally_and_ignores_loc():
+    for e in _NODES:
+        twin, moved, bare = copy.deepcopy(e), replace(e, loc=Loc(8, 9)), replace(e, loc=None)
+        assert twin is not e and e == twin == moved == bare and moved.loc != e.loc
+        assert hash(e) == hash(twin) == hash(moved) == hash(bare) == hash(_compared(e))
+        assert repr(e) == repr(bare) and "loc" not in repr(e)
+        assert len({e, twin, moved, bare}) == 1 and {e: 1}[moved] == 1
+    assert len(set(_NODES) | set(map(copy.deepcopy, _NODES))) == len(_NODES) == 17
+    # a compared field that differs makes the nodes differ, and so does the class
+    assert Cmp("<", Var("x"), Var("y")) != Cmp("<=", Var("x"), Var("y"))
+    assert Forall("x", ClassT("A"), Var("x")) != Forall("x", ClassT("B"), Var("x"))
+    assert Forall("x", ClassT("A"), Var("x")) != Exists("x", ClassT("A"), Var("x"))
+    assert And(Var("p"), Var("q")) != Or(Var("p"), Var("q"))
+    # Hashes are those of the compared-field tuples, so a set of nodes
+    # iterates in the order of a set of those tuples built alike.
+    nodes = [App(Var(f"p{i % 5}"), IntLit(i)) for i in range(40)]
+    assert [_compared(e) for e in set(nodes)] == list(set(_compared(e) for e in nodes))
+
+
+def test_every_pickled_node_carries_no_hash():
+    for e in _NODES:
+        h = hash(e)
+        data = pickle.dumps(e)
+        assert e._hash == h and b"_hash" not in data
+        twin = pickle.loads(data)
+        assert twin._hash is None and twin == e and hash(twin) == h
+        assert twin.loc == _L and pickle.dumps(twin) == data
 
 
 def test_fold_printer_matches_the_tree_printer_at_every_child_position():

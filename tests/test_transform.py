@@ -13,11 +13,16 @@ from oracles import digraph_has_cycle, equivalent, is_topological
 from normlog.parser import parse_module
 from normlog.randgen import random_annotated_module
 from normlog.syntax import (
+    FALSE,
+    TRUE,
     And,
     BoolLit,
     ClassT,
+    Cmp,
     Derived,
+    Eq,
     Implies,
+    IntLit,
     Not,
     Or,
     Restrict,
@@ -525,3 +530,11 @@ def test_simplify_examples():
     assert simplify(e, _INCL) == apply("isC", Var("x"))
     contradictory = And(apply("isC", Var("x")), Not(apply("isA", Var("x"))))
     assert simplify(contradictory, _INCL) == BoolLit(False)
+
+
+def test_simplify_returns_the_shared_literals():
+    p = Var("p")
+    assert simplify(And(p, Not(p))) is FALSE and simplify(Or(p, Not(p))) is TRUE
+    assert simplify(Implies(p, p)) is TRUE and simplify(Not(BoolLit(True))) is FALSE
+    assert simplify(Eq(IntLit(1), IntLit(2))) is FALSE
+    assert simplify(Cmp("<", IntLit(1), IntLit(2))) is TRUE
