@@ -55,8 +55,10 @@ DEFAULT_CAP_BITS = 20
 # terms, atoms, rules
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TVar:
+    """A variable of a schematic term, such as `X`."""
+
     name: str
 
     def __str__(self) -> str:
@@ -68,9 +70,10 @@ Term = Union[int, str, TVar, "Atom"]
 
 @dataclass
 class Atom:
-    """An atom, or a compound term inside one.  Atoms are values, like
-    expression nodes (`syntax.Expr`): no field is assigned after
-    construction, which the tests check rather than a frozen dataclass.
+    """An atom, or a compound term inside one.  Atoms are values, under
+    the one rule for every value class (`syntax.Expr`): a plain
+    dataclass, no field of which is assigned after construction, which
+    the tests check rather than a frozen dataclass.
     An atom hashes structurally, by `(pred, args)`, computed once, on
     first use, and kept in `_hash`, which is not a field: `==`, `repr`
     and `dataclasses.replace` ignore it, and a pickled atom leaves it
@@ -96,8 +99,10 @@ class Atom:
         return f"{self.pred}(" + ",".join(str(a) for a in self.args) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Literal:
+    """A body literal: an atom, positive or under `not`."""
+
     atom: Atom
     positive: bool = True
 
@@ -105,8 +110,10 @@ class Literal:
         return str(self.atom) if self.positive else f"not {self.atom}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DefRule:
+    """A numbered defeasible rule of a configuration: its head and body literals."""
+
     id: int
     head: Atom
     body: tuple = ()
@@ -123,8 +130,10 @@ STRONG_SUBJECT_TO = "strong_subject_to"
 MODIFIER_KINDS = (DESPITE, SUBJECT_TO, STRONG_SUBJECT_TO)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Modifier:
+    """A modifier between two rules by id: despite, subject_to or strong_subject_to."""
+
     kind: str
     first: int
     second: int
@@ -133,8 +142,10 @@ class Modifier:
         return f"{self.kind}({self.first},{self.second})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Config:
+    """A configuration: rules, facts, modifiers and inconsistent sets of atoms."""
+
     rules: tuple = ()
     facts: tuple = ()
     modifiers: tuple = ()
@@ -484,8 +495,10 @@ def ground(cfg: Config, constants: Optional[Sequence[str]] = None) -> Config:
 # legal models, checked directly against their defining conditions
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LegalModel:
+    """A legal model: the legal atoms and the valid (rule id, conclusion) pairs."""
+
     is_legal: frozenset
     legally_valid: frozenset  # of (rule id, conclusion atom)
 
@@ -808,8 +821,10 @@ def minimal_only(models: Sequence[LegalModel]) -> list[LegalModel]:
 # the answer set encoding
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AspRule:
+    """A rule of an answer-set program: its head and body literals."""
+
     head: Atom
     body: tuple = ()
 
@@ -819,8 +834,10 @@ class AspRule:
         return f"{self.head} :- " + ", ".join(str(b) for b in self.body) + "."
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AspProgram:
+    """An answer-set program, its rules in order."""
+
     rules: tuple = ()
 
     def to_text(self) -> str:
@@ -951,7 +968,11 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     semi-naively (Bancilhon & Ramakrishnan 1986): against the derived
     atoms, kept per predicate in derivation order, where a positive
     literal binds an atom of the round before.  An unsafe clause
-    raises `ConfigError` when its positive literals first match."""
+    raises `ConfigError` in the round its positive literals first
+    match, the first round if it has none.  So when several unsafe
+    clauses could fire, the error names the one that matches in the
+    earliest round, and among those the first in clause order: for
+    ``u(X) :- f(a).  f(a).  v(X) :- f(a).`` it names ``u(X)``."""
     derived: dict[str, list[Atom]] = {}
     possible: set[Atom] = set()
     instances: set[GroundRule] = set()
@@ -1155,8 +1176,10 @@ def project_answer_set(s: frozenset) -> LegalModel:
 # holding the two semantics against each other
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EncodingReport:
+    """What `verify_lemma4` found: answer sets, legal models and the mismatches."""
+
     answer_sets: int
     legal_models: Optional[int]
     unsound: tuple  # (projection json, violations) pairs

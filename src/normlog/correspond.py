@@ -44,15 +44,19 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Violation:
+    """A formula of one route that a model transferred from the other falsifies."""
+
     direction: str
     formula: str
     model: dict
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CorrespondenceReport:
+    """The models checked on each route and the violations found."""
+
     checked_precond: int
     checked_deriv: int
     violations: tuple[Violation, ...]

@@ -52,7 +52,7 @@ class InversionError(NormlogError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NormalizedRule:
     """A rule rewritten so its conclusion is the predicate applied to
     distinct parameter variables, one per argument position."""
@@ -173,8 +173,10 @@ def inversion_targets(m: RuleModule) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MonotonicityReport:
+    """Whether the rules are syntactically monotone, with each offending rule and why."""
+
     ok: bool
     offenders: tuple[tuple[str, str], ...]
 

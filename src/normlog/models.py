@@ -101,7 +101,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 # translation to closed formulas
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FormulaSet:
     """A self-contained finite-model problem: sorts, their fixed
     carriers where applicable, symbol declarations (types normalized so
@@ -244,8 +244,10 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
 # interpretations
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Interpretation:
+    """A finite model: the carriers, the integers and one table per symbol."""
+
     carriers: dict[str, tuple[str, ...]]
     ints: tuple[int, ...]
     tables: dict[str, dict[tuple, object]]
@@ -1128,8 +1130,10 @@ def enumerate_models(
 # assertion checking
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CheckOutcome:
+    """The verdict on one assertion, with the model that decides it if any."""
+
     assertion: str
     mode: str
     status: str  # valid | counter_model | satisfiable | unsatisfiable

@@ -128,6 +128,8 @@ _SYMBOLS = [
 
 @dataclass(slots=True)
 class Token:
+    """One token: its kind, text, location and value."""
+
     kind: str  # ident kw int float string sym eof
     text: str
     loc: Loc

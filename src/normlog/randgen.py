@@ -39,8 +39,10 @@ from .syntax import (
 from . import asp
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ModuleSample:
+    """A random module with the carrier sizes and integers to check it at."""
+
     module: RuleModule
     sizes: dict[str, int]
     ints: tuple[int, ...]

@@ -463,8 +463,10 @@ _BUILTIN_SORTS = {"Bool", "Int", "Real", "String"}
 _BUILTIN_OPS = {"and", "or", "not", "=>", "=", "distinct", "ite", "<", "<=", ">", ">=", "+", "-", "*"}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ScriptInfo:
+    """What `read_script` found in a script: sorts, symbols, definitions and commands."""
+
     sorts: tuple[str, ...]
     symbols: dict[str, int]  # declared name -> arity
     definitions: dict[str, int]  # defined name -> arity

@@ -53,45 +53,57 @@ def _loc_field():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class LType:
     """Base class of all object-language types."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BoolT(LType):
+    """The type Boolean."""
+
     def __str__(self) -> str:
         return "Boolean"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IntT(LType):
+    """The type Integer."""
+
     def __str__(self) -> str:
         return "Integer"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FloatT(LType):
+    """The type Float."""
+
     def __str__(self) -> str:
         return "Float"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StrT(LType):
+    """The type String."""
+
     def __str__(self) -> str:
         return "String"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ClassT(LType):
+    """A class type, by the name of its class."""
+
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FunT(LType):
+    """The function type `dom -> cod`; a function of several arguments is curried."""
+
     dom: LType
     cod: LType
 
@@ -102,8 +114,10 @@ class FunT(LType):
         return f"{dom} -> {self.cod}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TupleT(LType):
+    """The type of tuples of its item types."""
+
     items: tuple[LType, ...]
 
     def __str__(self) -> str:
@@ -144,13 +158,15 @@ def uncurry(t: LType) -> tuple[tuple[LType, ...], LType]:
 class Expr:
     """Base class of all expressions.
 
-    Nodes are values: no field is assigned after construction, and a
-    pass that changes a node builds a new one (`rebuild`,
-    `dataclasses.replace`).  Nothing enforces this at run time, since a
-    frozen dataclass makes every construction pay for the guard; the
-    tests check it instead, by pickling a pipeline's inputs before and
-    after it runs.  Nodes compare and hash structurally, by the tuple
-    of their compared fields, and each node computes its hash once, on
+    Nodes are values, under the one rule for every value class of the
+    package: a plain dataclass, no field of which is assigned after
+    construction.  A pass that changes a node builds a new one
+    (`rebuild`, `dataclasses.replace`).  Nothing enforces the rule at
+    run time, since a frozen dataclass makes every import generate its
+    guards and every construction pay for them; the tests check it
+    instead, by pickling a pipeline's inputs before and after it runs.
+    Nodes compare and hash structurally, by the tuple of their compared
+    fields, and each node computes its hash once, on
     first use, and keeps it in `_hash`.  `_hash` is not a field: `==`,
     `repr` and `dataclasses.replace` ignore it, and a pickled node
     leaves it behind, since string hashes differ between processes."""
@@ -168,42 +184,56 @@ class Expr:
 
 @dataclass
 class Var(Expr):
+    """A variable, a declared symbol or a constant, by name."""
+
     name: str
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class BoolLit(Expr):
+    """`true` or `false`."""
+
     value: bool
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class IntLit(Expr):
+    """An integer literal."""
+
     value: int
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class FloatLit(Expr):
+    """A decimal literal."""
+
     value: float
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class StringLit(Expr):
+    """A string literal."""
+
     value: str
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class Not(Expr):
+    """Negation: `not arg`."""
+
     arg: Expr
     loc: Optional[Loc] = _loc_field()
 
 
 @dataclass
 class And(Expr):
+    """Conjunction: `left && right`."""
+
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
@@ -211,6 +241,8 @@ class And(Expr):
 
 @dataclass
 class Or(Expr):
+    """Disjunction: `left || right`."""
+
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
@@ -218,6 +250,8 @@ class Or(Expr):
 
 @dataclass
 class Implies(Expr):
+    """Implication: `left --> right`."""
+
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
@@ -225,6 +259,8 @@ class Implies(Expr):
 
 @dataclass
 class Eq(Expr):
+    """Equality: `left == right`."""
+
     left: Expr
     right: Expr
     loc: Optional[Loc] = _loc_field()
@@ -246,6 +282,8 @@ CMP_OPS = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 @dataclass
 class App(Expr):
+    """Application of `fn` to one argument; several arguments are curried."""
+
     fn: Expr
     arg: Expr
     loc: Optional[Loc] = _loc_field()
@@ -253,6 +291,8 @@ class App(Expr):
 
 @dataclass
 class Lambda(Expr):
+    """A function of one argument: `\\var : var_type -> body`."""
+
     var: str
     var_type: LType
     body: Expr
@@ -261,6 +301,8 @@ class Lambda(Expr):
 
 @dataclass
 class IfThenElse(Expr):
+    """A conditional: `if cond then then else other`."""
+
     cond: Expr
     then: Expr
     other: Expr
@@ -269,6 +311,8 @@ class IfThenElse(Expr):
 
 @dataclass
 class Forall(Expr):
+    """Universal quantification: `forall var: var_type. body`."""
+
     var: str
     var_type: LType
     body: Expr
@@ -277,6 +321,8 @@ class Forall(Expr):
 
 @dataclass
 class Exists(Expr):
+    """Existential quantification: `exists var: var_type. body`."""
+
     var: str
     var_type: LType
     body: Expr
@@ -285,6 +331,8 @@ class Exists(Expr):
 
 @dataclass
 class FieldAccess(Expr):
+    """An attribute of an object: `obj.fieldname`."""
+
     obj: Expr
     fieldname: str
     loc: Optional[Loc] = _loc_field()
@@ -579,7 +627,7 @@ def fresh_name(base: str, taken: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RestrictSubjectTo:
     """Transformer: restrict rule `target` by the named overriding rules."""
 
@@ -590,7 +638,7 @@ class RestrictSubjectTo:
         return "restrictSubjectTo " + " ".join([self.target, *self.overriders])
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Remap:
     """Transformer: change a rule's parameter interface.
 
@@ -611,19 +659,23 @@ class Remap:
 TransformExpr = Union[RestrictSubjectTo, Remap]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Restrict:
+    """Annotation: a defeasible rule and the rules that restrict it."""
+
     subject_to: tuple[str, ...] = ()
     despite: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Source:
     """Marks the preserved original of a rewritten defeasible rule."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Derived:
+    """Annotation: a rule defined as a rule transformer applied to other rules."""
+
     apply: TransformExpr
 
 
@@ -635,8 +687,10 @@ RuleAnnotation = Union[Restrict, Source, Derived]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ClassDecl:
+    """A class declaration: its name, parent class and attributes."""
+
     name: str
     parent: str = ROOT_CLASS
     attrs: tuple[tuple[str, LType], ...] = ()
@@ -646,16 +700,20 @@ class ClassDecl:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FunDecl:
+    """A declared function symbol or global constant, with its type."""
+
     name: str
     type: LType
     system: bool = False
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Rule:
+    """A named rule: parameters, precondition, postcondition and annotation."""
+
     name: str
     params: tuple[tuple[str, LType], ...] = ()
     precond: Expr = TRUE
@@ -681,8 +739,10 @@ VALID = "valid"
 SATISFIABLE = "satisfiable"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Assertion:
+    """A named formula to check as valid or satisfiable, with rules added or deleted."""
+
     name: str
     formula: Expr
     mode: str = VALID
@@ -691,8 +751,10 @@ class Assertion:
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RuleModule:
+    """A module: its classes, declarations, global constants, rules and assertions."""
+
     classes: tuple[ClassDecl, ...] = ()
     decls: tuple[FunDecl, ...] = ()
     globals: tuple[FunDecl, ...] = ()
@@ -984,8 +1046,10 @@ def module_pieces(m: RuleModule, include_system: bool = False) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Diagnostic:
+    """An error or warning about a module, with its location if known."""
+
     severity: str  # "error" or "warning"
     loc: Optional[Loc]
     message: str

@@ -179,7 +179,7 @@ def subject_to_elim(rules: Sequence[Rule]) -> tuple[Rule, ...]:
 # stage 3: rule ordering
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RuleOrder:
     """Precedence constraints between rules, with a witnessing total
     order.  An edge (a, b) reads: a must be resolved before b."""
@@ -552,8 +552,10 @@ def eval_derived(
 # the whole pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TransformResult:
+    """A transformed module, the rule order it followed and a trace of its steps."""
+
     module: RuleModule
     order: RuleOrder
     trace: tuple[str, ...]

@@ -407,8 +407,12 @@ def _match(pattern, value, b):
 def reference_ground_program(p, instance_cap=1_000_000):
     """The ground instances of an answer set program by naive bottom-up
     evaluation: every round matches every clause against every atom
-    derived so far, until a round adds nothing.  Instances, their order
-    and the errors are those `_ground_program` promises."""
+    derived so far, until a round adds nothing.  Instances and their
+    order are those `_ground_program` promises.  Errors may differ
+    where an unsafe clause races another one or the instance cap: a
+    clause here also matches atoms derived earlier in the same round,
+    so for ``u(X) :- f(a).  f(a).  v(X) :- f(a).`` this names ``v(X)``
+    where `_ground_program` names ``u(X)``."""
     possible = set()
     instances = set()
 

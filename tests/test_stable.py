@@ -286,6 +286,24 @@ def random_mixed_program(rng):
     return AspProgram(tuple(facts + rules)), cap
 
 
+def test_first_unsafe_clause_is_the_earliest_round_then_clause_order():
+    # f(a) is derived in the first round, so both unsafe clauses match
+    # in the second and the grounder names the first in clause order.
+    # The naive oracle already matches v(X) in the round that derives
+    # f(a), after u(X) has had its turn; the two name different clauses.
+    X = TVar("X")
+    prog = AspProgram(
+        (
+            AspRule(Atom("u", (X,)), (Literal(Atom("f", ("a",))),)),
+            AspRule(Atom("f", ("a",))),
+            AspRule(Atom("v", (X,)), (Literal(Atom("f", ("a",))),)),
+        )
+    )
+    unbound = "unsafe clause: unbound variable in head {}"
+    assert outcome(_ground_program, prog) == ("ConfigError", unbound.format("u(X)"))
+    assert outcome(reference_ground_program, prog) == ("ConfigError", unbound.format("v(X)"))
+
+
 def test_grounding_matches_naive_on_ground_clauses_with_bodies():
     rng = random.Random(1984)
     kinds = set()

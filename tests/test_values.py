@@ -1,22 +1,28 @@
 """The pipeline assigns no field of a value it is handed.
 
-Expression nodes, atoms and ground rules are plain dataclasses, built
-in bulk, so nothing stops a pass from assigning a field in place.  These
-tests hold the contract instead: the whole pipeline, run on `cases/` and
-on seeded random modules and configurations, leaves every value it is
-handed exactly as it was, pickle for pickle.  A pickle holds every
+One rule holds for every value class of the package: it is a plain
+dataclass (`tests/test_dataclasses.py`), and no field of it is assigned
+after construction.  Nothing stops a pass from assigning a field in
+place, so these tests hold the rule instead: the whole pipeline, run on
+`cases/` and on seeded random modules and configurations, leaves every
+value it is handed exactly as it was, pickle for pickle, and so does
+each stage with what the one before hands it.  A pickle holds every
 field, `loc` included, and no cached hash.
 """
 
+import contextlib
 import pickle
 import random
 
 import pytest
 
 from conftest import CASES
+from normlog import asp, correspond
 from normlog.asp import (
     Atom,
+    DefRule,
     GroundRule,
+    LegalModel,
     Literal,
     TVar,
     _ground_program,
@@ -28,20 +34,29 @@ from normlog.asp import (
     verify_lemma4,
 )
 from normlog.correspond import check_model_correspondence
-from normlog.models import assertion_problem, check_assertion, rules_to_formulas
+from normlog.inversion import NormalizedRule
+from normlog.models import (
+    Interpretation,
+    ModelProblem,
+    assertion_problem,
+    check_assertion,
+    rules_to_formulas,
+)
 from normlog.parser import parse_module
 from normlog.randgen import random_annotated_module, random_config
 from normlog.smtlib import emit_smtlib, read_script
 from normlog.syntax import (
     ROOT_CLASS,
+    TRUE,
     And,
     App,
     Loc,
+    Rule,
     Var,
     print_module,
     uncurry,
 )
-from normlog.transform import CycleError, Variant, transform_module
+from normlog.transform import CycleError, RuleOrder, Variant, transform_module
 from normlog.typecheck import elaborate, typecheck_module
 
 
@@ -61,6 +76,41 @@ class _Kept:
         return [v for v, data in self.values if pickle.dumps(v) != data]
 
 
+@contextlib.contextmanager
+def _handed_over(keep: _Kept):
+    """Keep, as well, the values that one stage hands another inside a
+    call: the normalized rules `build_correspondence` hands the model
+    transfer, the images `false_formulas` loads and checks, and the
+    candidates `axiom_violations` reads."""
+    build, false_formulas, violations = (
+        correspond.build_correspondence,
+        ModelProblem.false_formulas,
+        asp.axiom_violations,
+    )
+
+    def build_keeping(m):
+        pair = build(m)
+        keep(tuple(pair.normalized.values()))
+        return pair
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correspond, "build_correspondence", build_keeping)
+        patch.setattr(ModelProblem, "false_formulas", lambda p, i: false_formulas(p, keep(i)))
+        patch.setattr(asp, "axiom_violations", lambda cfg, lm: violations(cfg, keep(lm)))
+        yield
+
+
+def _kinds(keep: _Kept) -> set:
+    """The classes of the values kept, and of the items of kept tuples."""
+    out = set()
+    for v, _ in keep.values:
+        out.update(map(type, v) if type(v) is tuple else [type(v)])
+    return out
+
+
+_HANDED_OVER = {RuleOrder, NormalizedRule, Interpretation, LegalModel}
+
+
 def _config_parts(cfg):
     # A Config keeps derived tables (rule_map, excluders, ...) in its
     # __dict__ once asked; its fields are what must not change.
@@ -76,9 +126,11 @@ def _run_l4(text: str, sizes: dict, ints, keep: _Kept) -> int:
     for variant in Variant:
         for simp in (False, True):
             try:
-                t = keep(transform_module(m, variant, simplify_preconds=simp).module)
+                result = transform_module(m, variant, simplify_preconds=simp)
             except CycleError:
                 continue
+            t = keep(result.module)
+            keep(result.order)
             read_script(emit_smtlib(keep(rules_to_formulas(t))))
             ran += 1
             for a in t.assertions:
@@ -131,14 +183,16 @@ inconsistent: {must_buy(rolls, bob), may_spend(bob)}.
 
 def test_pipeline_leaves_the_case_values_unchanged():
     keep, ran = _Kept(), 0
-    for path in sorted(CASES.glob("*.l4")):
-        text = path.read_text()
-        m = parse_module(text)
-        ran += _run_l4(text, _case_sizes(m), (90, 130, 320), keep)
-    for path in sorted(CASES.glob("*.cfg")):
-        _run_cfg(parse_config(path.read_text()), keep)
-    _run_cfg(parse_config(_SCHEMATIC), keep)
+    with _handed_over(keep):
+        for path in sorted(CASES.glob("*.l4")):
+            text = path.read_text()
+            m = parse_module(text)
+            ran += _run_l4(text, _case_sizes(m), (90, 130, 320), keep)
+        for path in sorted(CASES.glob("*.cfg")):
+            _run_cfg(parse_config(path.read_text()), keep)
+        _run_cfg(parse_config(_SCHEMATIC), keep)
     assert ran > 20 and len(keep.values) > 60
+    assert _HANDED_OVER <= _kinds(keep)
     assert keep.changed() == []
 
 
@@ -146,12 +200,14 @@ def test_pipeline_leaves_the_case_values_unchanged():
 def test_pipeline_leaves_random_values_unchanged(seed):
     rng = random.Random(seed)
     keep, ran = _Kept(), 0
-    for _ in range(25):
-        sample = random_annotated_module(rng)
-        text = print_module(sample.module) + _random_assertion(sample.module, rng)
-        ran += _run_l4(text, sample.sizes, sample.ints, keep)
-        _run_cfg(random_config(rng), keep)
+    with _handed_over(keep):
+        for _ in range(25):
+            sample = random_annotated_module(rng)
+            text = print_module(sample.module) + _random_assertion(sample.module, rng)
+            ran += _run_l4(text, sample.sizes, sample.ints, keep)
+            _run_cfg(random_config(rng), keep)
     assert ran >= 25 * 9
+    assert _HANDED_OVER <= _kinds(keep)
     assert keep.changed() == []
 
 
@@ -161,8 +217,12 @@ def test_the_guard_sees_a_field_assigned_in_place():
     a = keep(Atom("p", (Atom("f", ("a",)),)))
     g = keep(GroundRule(a, (), (Atom("q"),)))
     lit = keep(Literal(Atom("r", (TVar("X"),))))
-    hash(e), hash(a), hash(g), hash(lit)  # a cached hash is no change
+    r = keep(Rule("r", precond=App(Var("p"), Var("x"))))
+    d = keep(DefRule(1, Atom("p"), (lit,)))
+    hash(e), hash(a), hash(g), hash(lit), hash(r), hash(d)  # a cached hash is no change
     assert keep.changed() == []
     e.left.arg.loc = Loc(2, 2)  # a location only: no == or hash sees it
     a.args[0].args = ("b",)
-    assert keep.changed() == [e, a, g]
+    r.precond = TRUE
+    d.body = ()
+    assert keep.changed() == [e, a, g, r, d]
