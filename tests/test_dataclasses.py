@@ -53,7 +53,7 @@ def policy_breaches(module: types.ModuleType) -> list[str]:
     for cls in dataclasses_of(module):
         if cls.__dataclass_params__.frozen:
             out.append(f"{cls.__name__}: frozen")
-        if cls.__doc__ in (None, "", _written_by_dataclasses(cls)):
+        if cls.__doc__ == _written_by_dataclasses(cls):
             out.append(f"{cls.__name__}: no docstring of its own")
     return out
 
