@@ -20,7 +20,7 @@ model that triggered it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .syntax import RuleModule
@@ -41,6 +41,7 @@ from .models import (
     ModelProblem,
     enumerate_models,
     rules_to_formulas,
+    translate_formulas,
 )
 
 
@@ -87,7 +88,8 @@ class CorrespondencePair:
     lifted: dict[str, tuple[str, str]]
     # rule-name class -> constants, in declaration order
     constants: dict[str, tuple[str, ...]]
-    # final rule name -> normalized final rule on the precondition route
+    # final rule name -> normalized final rule on the precondition route,
+    # its precondition translated as the formulas are
     normalized: dict[str, NormalizedRule]
 
 
@@ -118,6 +120,8 @@ def build_correspondence(m: RuleModule) -> CorrespondencePair:
             )
         for r in rules:
             normalized[r.name] = normalize_rule(r, env_p)
+    preconds = translate_formulas([nr.precond for nr in normalized.values()], env_p)
+    normalized = {nr.name: replace(nr, precond=e) for nr, e in zip(normalized.values(), preconds)}
 
     return CorrespondencePair(fs_p, fs_d, lifted, constants, normalized)
 

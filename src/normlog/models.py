@@ -1,13 +1,17 @@
 """Finite-model enumeration for rule sets and assertions.
 
-Rules, globals and inversion formulas are first translated into closed
-Boolean formulas over the declared symbols; a backtracking enumerator
-then searches all interpretations over user-given carrier sizes and an
-explicit list of integer values.  Quantifiers over a subclass become
-quantifiers over its sort guarded by the characteristic predicate, so
-the enumerator only ever deals with sort carriers.  The precondition
-transform shares subterms between rules; the translation visits each
-distinct node once and keeps that sharing in the formulas it returns.
+Rules, globals and inversion formulas are first made closed Boolean
+formulas over the declared symbols; a backtracking enumerator then
+searches all interpretations over user-given carrier sizes and an
+explicit list of integer values.  The translation of a module's
+formulas makes attribute access an application of the accessor, and a
+quantifier over a subclass a quantifier over its sort guarded by the
+characteristic predicate, so the enumerator only ever deals with sort
+carriers.  Most modules have neither: one read-only walk over the
+distinct nodes of all the formulas looks for the first, and only if it
+finds one are the formulas rebuilt, by a fold that visits each distinct
+node once and keeps the sharing the precondition transform left between
+rules.
 
 The enumerator assigns one cell of one free symbol at a time: symbols
 in declaration order, each symbol's cells in order, values in codomain
@@ -75,6 +79,7 @@ from .syntax import (
     Var,
     atom_parts,
     char_pred_name,
+    children,
     fold,
     free_vars,
     rebuild,
@@ -159,15 +164,43 @@ def guard_quantifiers(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
     return fold(e, _guard(env), {} if memo is None else memo)
 
 
-def translate(e: Expr, env: Env, memo: Optional[dict] = None) -> Expr:
-    """`guard_quantifiers(rewrite_fields(e), env)` in one memoized
-    `fold`; `memo` may be shared between calls over one module."""
+def _needs_translation(formulas: Sequence[Expr], env: Env) -> bool:
+    """Whether some formula reads an attribute or binds a class that is
+    neither the root nor a sort: a proper subclass, or an unknown class
+    that `sort_of` rejects.  One read-only walk over the distinct nodes
+    of all the formulas, stopping at the first such node."""
+    seen: set[int] = set()
+    stack = list(formulas)
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is FieldAccess:
+            return True
+        if kind is Forall or kind is Exists:
+            t = e.var_type
+            if isinstance(t, ClassT) and t.name != ROOT_CLASS and not is_sort(t.name, env.classes):
+                return True
+        for k in children(e):
+            # a variable, the commonest leaf, is neither
+            if type(k) is not Var and id(k) not in seen:
+                seen.add(id(k))
+                stack.append(k)
+    return False
+
+
+def translate_formulas(formulas: list[Expr], env: Env) -> list[Expr]:
+    """`guard_quantifiers(rewrite_fields(e), env)` of each formula, in
+    one memoized `fold` with one memo for them all.  When no formula
+    needs it (`_needs_translation`), `formulas` itself is returned."""
+    if not _needs_translation(formulas, env):
+        return formulas
     guard = _guard(env)
 
     def combine(x: Expr, kids: list[Expr]) -> Expr:
         return _field_to_app(x, kids) if type(x) is FieldAccess else guard(x, kids)
 
-    return fold(e, combine, {} if memo is None else memo)
+    memo: dict = {}
+    return [fold(e, combine, memo) for e in formulas]
 
 
 def normalize_type(t: LType, env: Env) -> LType:
@@ -213,15 +246,9 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
         for d in m.all_decls()
     )
 
-    # One memo for the whole module: the transformed preconditions share
-    # subterms across rules, and each distinct node is translated once.
-    memo: dict = {}
-
-    formulas: list[tuple[str, Expr]] = []
-    for r in m.rules:
-        if r.is_bodyless():
-            continue
-        formulas.append((f"rule {r.name}", translate(closed_rule_formula(r), env, memo)))
+    formulas: list[tuple[str, Expr]] = [
+        (f"rule {r.name}", closed_rule_formula(r)) for r in m.rules if not r.is_bodyless()
+    ]
     for g in m.globals:
         if isinstance(g.type, ClassT) and g.type.name != ROOT_CLASS:
             if not is_sort(g.type.name, env.classes):
@@ -234,8 +261,12 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
     if include_inversions:
         body_rules = [r for r in m.rules if not r.is_bodyless()]
         for p in inversion_targets(m):
-            f = inversion_formula(body_rules, p, env)
-            formulas.append((f"inversion {p}", translate(f, env, memo)))
+            formulas.append((f"inversion {p}", inversion_formula(body_rules, p, env)))
+
+    # Translated together: the transformed preconditions share subterms
+    # across rules, and each distinct node is visited once.
+    bodies = translate_formulas([f for _, f in formulas], env)
+    formulas = list(zip([n for n, _ in formulas], bodies))
 
     return FormulaSet(sorts, tuple(fixed), char_true, decls, tuple(formulas))
 
@@ -1173,7 +1204,8 @@ def assertion_problem(
     a = byname[name]
     adjusted = adjusted_rules(m, a)
     fs = rules_to_formulas(adjusted, include_inversions)
-    return fs, (name, a.mode, translate(a.formula, Env.from_module(adjusted)))
+    [goal] = translate_formulas([a.formula], Env.from_module(adjusted))
+    return fs, (name, a.mode, goal)
 
 
 def check_assertion(

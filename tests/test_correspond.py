@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import load_case
-from normlog import correspond, models
+from normlog import cli, correspond, models
 from normlog.correspond import (
     build_correspondence,
     check_model_correspondence,
@@ -278,6 +278,45 @@ rule <r1>
     typecheck_module(m)
     rep = check_model_correspondence(m, {"Vehicle": 2})
     assert (rep.checked_precond, rep.checked_deriv, rep.violations) == (36, 36, ())
+
+
+def _fast(classes, r1, r2):
+    """Two rules concluding `fast v`, the second subject to the first,
+    so that the transfer compiles both final preconditions."""
+    return (
+        f"{classes}\ndecl fast : Vehicle -> Boolean\n\n"
+        f"rule <r1>\n  for v: Vehicle\n  if {r1}\n  then fast v\n\n"
+        "rule <r2> {restrict: {subjectTo: r1}}\n"
+        f"  for v: Vehicle\n  if {r2}\n  then fast v\n"
+    )
+
+
+_ATTRIBUTE = _fast("class Vehicle {speed: Integer}\nclass Day", "v.speed > 100", "v.speed > 50")
+_SUBCLASS_BINDER = _fast(
+    "class Vehicle\nclass Car extends Vehicle\nclass Day\ndecl owns : Vehicle -> Vehicle -> Boolean",
+    "exists c: Car. owns v c",
+    "isCar v",
+)
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    # Speeds 40, 60 and 120 per vehicle; Car membership per vehicle
+    # (`owns` is closed and concluded by no rule, so false).
+    [(_ATTRIBUTE, (3, 9)), (_SUBCLASS_BINDER, (2, 4))],
+    ids=["attribute", "subclass-binder"],
+)
+def test_final_preconditions_are_translated(tmp_path, capsys, text, counts):
+    path = tmp_path / "fast.l4"
+    path.write_text(text)
+    for vehicles, n in zip((1, 2), counts):
+        rc = cli.main(["correspond", str(path), "--sizes", f"Vehicle={vehicles},Day=1", "--ints", "40,60,120"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert out == (
+            f"checked {n} precondition-route and {n} derivability-route models\n"
+            "correspondence holds on every model\n"
+        )
 
 
 def test_unannotated_modules_correspond_as_well():

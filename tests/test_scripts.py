@@ -55,10 +55,14 @@ def test_output_digest_runs():
     # invert and four transforms, each plain and with --json, and
     # emit-smt four times plus four per assertion; the same per random
     # module, with one assertion; then eight lines per configuration
-    checks, frontend = 6 + 2 + 6 + 6, (12 + 8) + (12 + 4) + (12 + 8) + (12 + 8)
+    checks, frontend = 14 + 6 + 2 + 6 + 6, (12 + 16) + (12 + 8) + (12 + 4) + (12 + 8) + (12 + 8)
     assert len(lines) == 4 * checks + frontend + 2 * (6 + 20) + (7 + 2) * 8
     empty = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    assert lines[0].startswith("1 ") and lines[0].endswith(
+    # cases/attributes.l4 comes first: 14 lines per budget, then 28
+    assert lines[12].startswith("0 ") and lines[12].endswith(
+        f" {empty}  normlog correspond cases/attributes.l4 --sizes Vehicle=1,Day=1 --budget 5000000 --ints 80,100"
+    )
+    assert lines[84].startswith("1 ") and lines[84].endswith(
         f" {empty}  normlog check cases/selfref.l4 --assert anything --variant precond --sizes  --budget 5000000"
     )
     shown = [line.split("  normlog ")[1] for line in lines]

@@ -50,21 +50,20 @@ from normlog.syntax import (
     fun_type,
 )
 from normlog.transform import CycleError, Variant, transform_module
-from normlog.typecheck import Env, elaborate, typecheck_module
+from normlog.typecheck import Env, LTypeError, elaborate, typecheck_module
 
 MODES = [(v, simp) for v in Variant for simp in (False, True)]
 
 
-def _with_tree_walkers(run):
+def _tree_translate(formulas, env):
+    """Every formula translated by the reference, needed or not."""
+    return [oracles.tree_guard_quantifiers(oracles.tree_rewrite_fields(e), env) for e in formulas]
+
+
+def _with_tree_walkers(run, translate=_tree_translate):
     """run() with the translation replaced by the reference."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            models,
-            "translate",
-            lambda e, env, memo=None: oracles.tree_guard_quantifiers(
-                oracles.tree_rewrite_fields(e), env
-            ),
-        )
+        mp.setattr(models, "translate_formulas", translate)
         return run()
 
 
@@ -96,6 +95,67 @@ def test_random_modules_match_the_tree_walkers():
         m = elaborate(random_annotated_module(random.Random(seed)).module)
         typecheck_module(m)
         _same_as_reference(m)
+
+
+# A module with nothing to translate, and one trigger added to it per
+# test.  The pass must find the trigger: a formula it leaves
+# untranslated differs from the reference's.
+_PLAIN = """
+class Vehicle {speed: Integer}
+class Car extends Vehicle
+decl owns : Vehicle -> Vehicle -> Boolean
+decl fast : Vehicle -> Boolean
+
+rule <r>
+  for v: Vehicle
+  if owns v v && speed v > 100
+  then fast v
+
+assert <a> {SMT: {valid}}
+  forall v: Vehicle. fast v --> owns v v
+"""
+
+_TRIGGERS = {
+    "attribute": ("speed v > 100", "v.speed > 100"),
+    "precondition-binder": ("owns v v &&", "(exists c: Car. owns v c) &&"),
+    "goal-binder": ("forall v: Vehicle. fast", "forall v: Car. fast"),
+    "rule-parameter": ("for v: Vehicle", "for v: Car"),
+    "declared-argument": ("decl fast", "decl towed : Car -> Boolean\ndecl fast"),
+}
+
+
+def _problems(m):
+    return rules_to_formulas(m), assertion_problem(m, "a")
+
+
+@pytest.mark.parametrize("trigger", list(_TRIGGERS))
+def test_each_trigger_is_translated_as_by_the_tree_walkers(trigger):
+    plain, changed = _TRIGGERS[trigger]
+    assert _PLAIN.count(plain) == 1
+    m = elaborate(parse_module(_PLAIN.replace(plain, changed)))
+    typecheck_module(m)
+    got = _problems(m)
+    assert got == _with_tree_walkers(lambda: _problems(m))
+    assert got != _with_tree_walkers(lambda: _problems(m), lambda formulas, env: formulas)
+
+
+def test_an_unknown_binder_class_is_rejected_as_by_the_tree_walkers():
+    m = elaborate(parse_module(_PLAIN.replace("owns v v &&", "(exists c: Nope. owns v c) &&")))
+    for run in (lambda: rules_to_formulas(m), lambda: _with_tree_walkers(lambda: rules_to_formulas(m))):
+        with pytest.raises(LTypeError, match="^unknown class 'Nope'$"):
+            run()
+
+
+def test_a_plain_module_gets_its_own_formulas_back():
+    m = elaborate(parse_module(_PLAIN))
+    typecheck_module(m)
+    bodies = [e for _, e in rules_to_formulas(m).formulas]
+    assert models.translate_formulas(bodies, Env.from_module(m)) is bodies
+    fs, (_, _, goal) = assertion_problem(m, "a")
+    rule = next(r for r in m.rules if r.name == "r")
+    implies = dict(fs.formulas)["rule r"].body
+    assert implies.left is rule.precond and implies.right is rule.postcond
+    assert goal is m.assertions[0].formula
 
 
 @pytest.mark.parametrize("n", [100, 300, 1000])
