@@ -120,8 +120,10 @@ def build_correspondence(m: RuleModule) -> CorrespondencePair:
             )
         for r in rules:
             normalized[r.name] = normalize_rule(r, env_p)
-    preconds = translate_formulas([nr.precond for nr in normalized.values()], env_p)
-    normalized = {nr.name: replace(nr, precond=e) for nr, e in zip(normalized.values(), preconds)}
+    preconds = [nr.precond for nr in normalized.values()]
+    translated = translate_formulas(preconds, env_p)
+    if translated is not preconds:
+        normalized = {nr.name: replace(nr, precond=e) for nr, e in zip(normalized.values(), translated)}
 
     return CorrespondencePair(fs_p, fs_d, lifted, constants, normalized)
 

@@ -61,7 +61,8 @@ def _tree_translate(formulas, env):
 
 
 def _with_tree_walkers(run, translate=_tree_translate):
-    """run() with the translation replaced by the reference."""
+    """run() with `translate_formulas` replaced by `translate`, by
+    default the reference."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "translate_formulas", translate)
         return run()
@@ -136,6 +137,7 @@ def test_each_trigger_is_translated_as_by_the_tree_walkers(trigger):
     typecheck_module(m)
     got = _problems(m)
     assert got == _with_tree_walkers(lambda: _problems(m))
+    # and left untranslated, the trigger shows
     assert got != _with_tree_walkers(lambda: _problems(m), lambda formulas, env: formulas)
 
 
