@@ -268,6 +268,8 @@ def cmd_correspond(args) -> int:
         if report.ok:
             print("correspondence holds on every model")
         else:
+            if not report.counts_agree:
+                print("the two routes have different numbers of models")
             for v in report.violations:
                 print(f"violation ({v.direction}): {v.formula}")
     return 0 if report.ok else 1

@@ -56,15 +56,21 @@ class Violation:
 
 @dataclass(unsafe_hash=True)
 class CorrespondenceReport:
-    """The models checked on each route and the violations found."""
+    """The models checked on each route and the violations found.  The
+    correspondence holds if no model violates it and the two routes have
+    as many models, which the transfers make a bijection."""
 
     checked_precond: int
     checked_deriv: int
     violations: tuple[Violation, ...]
 
     @property
+    def counts_agree(self) -> bool:
+        return self.checked_precond == self.checked_deriv
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and self.counts_agree
 
     def to_json(self) -> dict:
         return {
@@ -120,12 +126,23 @@ def build_correspondence(m: RuleModule) -> CorrespondencePair:
             )
         for r in rules:
             normalized[r.name] = normalize_rule(r, env_p)
-    preconds = [nr.precond for nr in normalized.values()]
-    translated = translate_formulas(preconds, env_p)
-    if translated is not preconds:
-        normalized = {nr.name: replace(nr, precond=e) for nr, e in zip(normalized.values(), translated)}
+    # A final precondition adds to its rule's precondition only equations
+    # and binders over the rule's parameter types, so it needs translating
+    # only if the rules did.
+    if fs_p.translated:
+        preconds = [nr.precond for nr in normalized.values()]
+        translated = translate_formulas(preconds, env_p)
+        if translated is not preconds:
+            normalized = {nr.name: replace(nr, precond=e) for nr, e in zip(normalized.values(), translated)}
 
     return CorrespondencePair(fs_p, fs_d, lifted, constants, normalized)
+
+
+def concluded(pair: CorrespondencePair) -> tuple[list[str], list[str]]:
+    """The predicates that rules conclude, as each route names them: the
+    originals on the precondition route, the lifted ones on the
+    derivability route."""
+    return list(pair.lifted), [plus for _, plus in pair.lifted.values()]
 
 
 def final_preconditions(pair: CorrespondencePair, compiler: FormulaCompiler) -> dict[str, Compiled]:
@@ -205,13 +222,41 @@ def check_model_correspondence(
     violation_cap: int = 20,
 ) -> CorrespondenceReport:
     """Enumerate all models of both compiled forms and verify each
-    transfers to a model of the other side.  Each route is compiled
-    once, and that one problem serves its search, the transfer out of
-    its models and the check of the other route's images; the images of
-    one route are checked while no search of the other is suspended."""
+    transfers to a model of the other side.
+
+    Each route searches the predicates its rules conclude (`concluded`)
+    after all other symbols, so that the class predicates their rules
+    read are set first.  A passing report holds only the two counts,
+    which are the same in any search order.  A failing one lists
+    violations in the order the searches find them, up to
+    `violation_cap`, so it is made again by searches in declared order.
+    So are the checks of a pair with a formula that may raise, because
+    the first model or image that raises decides the error.
+    `node_budget` caps each search that runs."""
     pair = build_correspondence(m)
+    last_p, last_d = concluded(pair)
+    precond = ModelProblem(pair.fs_precond, sizes, ints, last_p)
+    deriv = ModelProblem(pair.fs_deriv, sizes, ints, last_d)
+    if precond.safe and deriv.safe:
+        report = _check_pair(pair, precond, deriv, node_budget, violation_cap)
+        if report.ok:
+            return report
     precond = ModelProblem(pair.fs_precond, sizes, ints)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints)
+    return _check_pair(pair, precond, deriv, node_budget, violation_cap)
+
+
+def _check_pair(
+    pair: CorrespondencePair,
+    precond: ModelProblem,
+    deriv: ModelProblem,
+    node_budget: int,
+    violation_cap: int,
+) -> CorrespondenceReport:
+    """The report on `pair` from a search of each route's problem.
+    That one problem serves its search, the transfer out of its models
+    and the check of the other route's images; the images of one route
+    are checked while no search of the other is suspended."""
     preconds = final_preconditions(pair, precond.compiler)
     violations: list[Violation] = []
 

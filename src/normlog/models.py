@@ -14,11 +14,18 @@ node once and keeps the sharing the precondition transform left between
 rules.
 
 The enumerator assigns one cell of one free symbol at a time: symbols
-in declaration order, each symbol's cells in order, values in codomain
-order, so models come out in the order of whole tables.  Every formula
-is compiled once per search (`FormulaCompiler`) into a closure that
-reads unset cells as unknown and says whether the formula is
-definitely false, false under every completion of the tables; each
+in search order, each symbol's cells in order, values in codomain
+order, so models come out in the order of whole tables.  The search
+order is the declaration order, except for symbols a problem names to
+search last (`ModelProblem`).  `check_assertion` searches in declared
+order, because the first model found is the countermodel it reports;
+the correspondence check searches the predicates that rules conclude
+last, so that the class predicates their rules read constrain them
+first (correspond.py).
+
+Every formula is compiled once per search (`FormulaCompiler`) into a
+closure that reads unset cells as unknown and says whether the formula
+is definitely false, false under every completion of the tables; each
 subterm is asked only the direction its parent acts on.  The same walk
 records the free symbols each node reads, which give a formula its
 watch set and stage.  After each cell every formula mentioning its
@@ -26,7 +33,8 @@ symbol that can already be false is asked, and the search backtracks
 as soon as one is false; a formula is also staged at the last symbol it
 mentions, where its cells are all set.  A formula that may raise a
 ModelError takes part only at its stage, so errors are raised where a
-whole-table search raises them.  The budget counts cell assignments.
+whole-table search raises them.  The budget counts the cell
+assignments of the search that runs, so it depends on the search order.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
@@ -40,9 +48,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
     CMP_OPS,
@@ -110,13 +118,16 @@ DEFAULT_NODE_BUDGET = 5_000_000
 class FormulaSet:
     """A self-contained finite-model problem: sorts, their fixed
     carriers where applicable, symbol declarations (types normalized so
-    only sorts appear), and named closed formulas."""
+    only sorts appear), and named closed formulas.  `translated` says
+    whether the module's formulas needed translating
+    (`translate_formulas`); it takes no part in comparisons."""
 
     sorts: tuple[str, ...]
     fixed: tuple[tuple[str, tuple[str, ...]], ...]
     char_true: tuple[str, ...]
     decls: tuple[FunDecl, ...]
     formulas: tuple[tuple[str, Expr], ...]
+    translated: bool = field(default=False, compare=False)
 
     def fixed_map(self) -> dict[str, tuple[str, ...]]:
         return dict(self.fixed)
@@ -265,10 +276,11 @@ def rules_to_formulas(m: RuleModule, include_inversions: bool = True) -> Formula
 
     # Translated together: the transformed preconditions share subterms
     # across rules, and each distinct node is visited once.
-    bodies = translate_formulas([f for _, f in formulas], env)
+    raw = [f for _, f in formulas]
+    bodies = translate_formulas(raw, env)
     formulas = list(zip([n for n, _ in formulas], bodies))
 
-    return FormulaSet(sorts, tuple(fixed), char_true, decls, tuple(formulas))
+    return FormulaSet(sorts, tuple(fixed), char_true, decls, tuple(formulas), bodies is not raw)
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +953,17 @@ class ModelProblem:
     is suspended at a model, or a check; `compiler` compiles more
     against the same tables.  Sorts take their size from `sizes` (or
     their fixed carrier); Integer ranges over `ints` exactly.  Bad sizes
-    raise at construction."""
+    raise at construction.
 
-    def __init__(self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = ()) -> None:
+    The search assigns the free symbols in declared order, except those
+    named in `last`, which it assigns after all the others, each group
+    in declared order; a symbol's rank is its place in that order.  The
+    tables of a model are listed in declared order whatever the search
+    order, but the models come out in another order."""
+
+    def __init__(
+        self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = (), last: Collection[str] = ()
+    ) -> None:
         fixed = fs.fixed_map()
         carriers: dict[str, tuple[str, ...]] = {}
         for s in fs.sorts:
@@ -990,19 +1010,34 @@ class ModelProblem:
                 arg_domains = [domain(a) for a in args]
                 cells = tuple(itertools.product(*arg_domains))
                 values = domain(cod)
-                symbols[d.name] = Symbol({}, frozenset(cells), frozenset(values), len(free))
+                symbols[d.name] = Symbol({}, frozenset(cells), frozenset(values))
                 free.append((d.name, cells, values))
                 continue
             pinned.append(d.name)
             symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()))
+        self._names = pinned + [name for name, _, _ in free]
+        # the free symbols in search order
+        free = [f for f in free if f[0] not in last] + [f for f in free if f[0] in last]
+        for rank, (name, _, _) in enumerate(free):
+            symbols[name] = symbols[name]._replace(rank=rank)
 
         self.carriers = carriers
         self.ints = int_values
         self.symbols = symbols
         self.compiler = FormulaCompiler(symbols, carriers, int_values)
         self._fs = fs
-        self._names = pinned + [name for name, _, _ in free]
         self._free = free
+
+    @cached_property
+    def _compiled(self) -> list[Compiled]:
+        """The formulas compiled, in formula order, on first use."""
+        return [self.compiler.compile(expr) for _, expr in self._fs.formulas]
+
+    @property
+    def safe(self) -> bool:
+        """Whether no formula may raise a ModelError, whichever of its
+        cells are set, so that the search order decides no error."""
+        return all(c.safe for c in self._compiled)
 
     @cached_property
     def _stages(self) -> tuple[list, list, list]:
@@ -1020,8 +1055,7 @@ class ModelProblem:
         # may raise is evaluated at its stage only, and no formula after it
         # in stage order prunes before that stage is complete, so an error
         # is raised at the same assignment as by a search of whole tables.
-        compiled = [self.compiler.compile(expr) for _, expr in self._fs.formulas]
-        staged = [(c.node.refs.bit_length() - 1, c.node.refs, c) for c in compiled]
+        staged = [(c.node.refs.bit_length() - 1, c.node.refs, c) for c in self._compiled]
         # Built in formula order, each formula's closure finds those of
         # the subterms it shares with earlier formulas built.
         is_false = [c.is_false for _, _, c in staged]
@@ -1074,10 +1108,11 @@ class ModelProblem:
             yield self._model()
             return
 
-        # Depth-first over the cells in order, values in codomain order, so
-        # the models come out in the order itertools.product gives whole
-        # tables.  Cells are inserted in order and deleted on backtracking,
-        # so every table keeps its cells in order.
+        # Depth-first over the cells in search order, values in codomain
+        # order, so the models come out in the order itertools.product
+        # gives whole tables in search order.  Cells are inserted in order
+        # and deleted on backtracking, so every table keeps its cells in
+        # order.
         budget = node_budget
         last = len(flat) - 1
         tried = [0] * len(flat)

@@ -644,6 +644,21 @@ def reference_models(fs, sizes, ints=()):
     return found
 
 
+def declared_key(problem):
+    """A sort key that puts the models of `problem`, found in any search
+    order, in the order of `reference_models`: the codomain index of
+    every free cell, free symbols in declared order, cells in order."""
+    shapes = {name: (cells, values) for name, cells, values in problem._free}
+    declared = [(name, *shapes[name]) for name in problem._names if name in shapes]
+
+    def key(interp):
+        return tuple(
+            values.index(interp.tables[name][cell]) for name, cells, values in declared for cell in cells
+        )
+
+    return key
+
+
 def reference_stages(problem):
     """What `problem._stages` must be, staged from `free_vars`: a formula
     watches the free symbols among its free names and is staged at the

@@ -23,7 +23,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import CASES, load_case
-from oracles import carriers_and_domain, eval_expr, reference_models, reference_stages
+from oracles import carriers_and_domain, declared_key, eval_expr, reference_models, reference_stages
+from normlog.correspond import build_correspondence, concluded
 from normlog.models import (
     FormulaCompiler,
     FormulaSet,
@@ -234,6 +235,18 @@ def _formula_set(seed, variant):
     return fs, sample.sizes, sample.ints
 
 
+def _concluded(m, variant):
+    """The predicates that `correspond` searches last on the `variant`
+    route of the elaborated module `m`."""
+    precond, deriv = concluded(build_correspondence(m))
+    return precond if variant is Variant.PRECOND else deriv
+
+
+def _concluded_in_sample(seed, variant):
+    """`_concluded` of the module `_formula_set(seed, variant)` builds."""
+    return _concluded(random_annotated_module(random.Random(seed)).module, variant)
+
+
 def _random_tables(fs, sizes, ints, rng):
     carriers, domain = carriers_and_domain(fs, sizes, ints)
     tables = {}
@@ -380,16 +393,42 @@ def test_random_module_models_match_the_reference(seed, variant):
     _same_models(fs, sizes, ints)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_models_searched_concluded_last_are_the_reference_models(variant):
+    # The same models, in another order: sorted by the declared key
+    # they are the reference's list.  Whole-table search takes seconds
+    # on a module of two things with an integer argument, so on those
+    # the declared-order search, itself checked against the reference
+    # above, stands in for it.
+    referenced = reordered = seed = 0
+    while referenced < 300:
+        fs, sizes, ints = _formula_set(seed, variant)
+        problem = ModelProblem(fs, sizes, ints, _concluded_in_sample(seed, variant))
+        if sizes["Thing"] == 2 and ints:
+            want = enumerate_models(fs, sizes, ints)
+        else:
+            want = reference_models(fs, sizes, ints)
+            referenced += 1
+        want = [json.dumps(m.to_json()) for m in want]
+        found = [(declared_key(problem)(m), json.dumps(m.to_json())) for m in problem.models()]
+        assert [m for _, m in sorted(found)] == want, seed
+        reordered += [m for _, m in found] != want
+        seed += 1
+    assert reordered > 30
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     variant=st.sampled_from(list(Variant)),
     table_seed=st.integers(0, 10_000),
+    order=st.sampled_from(["declared", "concluded last"]),
 )
-def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_seed):
-    # Rank the symbols in declaration order; with the cells of ranks up
-    # to k partly set and none above k, a formula whose false_from
-    # exceeds k must not evaluate to False.
+def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_seed, order):
+    # Rank the symbols by search position, in declaration order or with
+    # the concluded predicates last; with the cells of ranks up to k
+    # partly set and none above k, a formula whose false_from exceeds k
+    # must not evaluate to False.
     fs, sizes, ints = _formula_set(seed, variant)
     rng = random.Random(table_seed)
     carriers, domain = carriers_and_domain(fs, sizes, ints)
@@ -397,6 +436,11 @@ def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_
     for d in fs.decls:
         args, cod = uncurry(d.type)
         shapes[d.name] = (list(product(*map(domain, args))), domain(cod))
+    if order == "concluded last":
+        last = _concluded_in_sample(seed, variant)
+        assert set(last) <= set(shapes)
+        searched = [n for n in shapes if n not in last] + [n for n in shapes if n in last]
+        shapes = {n: shapes[n] for n in searched}
     full = _complete({name: {} for name in shapes}, shapes, rng)
     k = rng.randrange(len(shapes))
     partial = {}
@@ -504,17 +548,30 @@ def _assert_staged_as_by_free_vars(problem):
 _SEARCHED_CASES = sorted(p.name for p in CASES.glob("*.l4") if p.name != "speedlimit_original.l4")
 
 
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("case", _SEARCHED_CASES)
-def test_cases_are_staged_as_by_free_vars(case, variant):
+def _assert_case_staged_as_by_free_vars(case, variant, concluded_last):
     # the problems check_assertion searches: each case has an assertion
-    m = transform_module(load_case(case), variant).module
+    m = load_case(case)
+    last = _concluded(m, variant) if concluded_last else ()
+    m = transform_module(m, variant).module
     assert m.assertions
     for a in m.assertions:
         fs, (name, _, goal) = assertion_problem(m, a.name)
         probe = replace(fs, formulas=fs.formulas + ((name, Not(goal)),))
         sizes = {s: 2 for s in fs.sorts}
-        _assert_staged_as_by_free_vars(ModelProblem(probe, sizes, (90, 130, 320)))
+        _assert_staged_as_by_free_vars(ModelProblem(probe, sizes, (90, 130, 320), last))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("case", _SEARCHED_CASES)
+def test_cases_are_staged_as_by_free_vars(case, variant):
+    _assert_case_staged_as_by_free_vars(case, variant, concluded_last=False)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("case", _SEARCHED_CASES)
+def test_cases_searched_concluded_last_are_staged_as_by_free_vars(case, variant):
+    # ranks are search positions
+    _assert_case_staged_as_by_free_vars(case, variant, concluded_last=True)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -522,6 +579,32 @@ def test_random_modules_are_staged_as_by_free_vars(variant):
     for seed in range(300):
         fs, sizes, ints = _formula_set(seed, variant)
         _assert_staged_as_by_free_vars(ModelProblem(fs, sizes, ints))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_random_modules_searched_concluded_last_are_staged_as_by_free_vars(variant):
+    for seed in range(300):
+        fs, sizes, ints = _formula_set(seed, variant)
+        _assert_staged_as_by_free_vars(ModelProblem(fs, sizes, ints, _concluded_in_sample(seed, variant)))
+
+
+def _search_order(problem):
+    return [name for name, _, _ in problem._free]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_concluded_predicates_are_searched_last_in_declared_order(variant):
+    m = load_case("speedlimit_repaired.l4")
+    fs = rules_to_formulas(transform_module(m, variant).module)
+    sizes = {"Vehicle": 1, "Day": 1, "Road": 1}
+    declared = ModelProblem(fs, sizes, (90, 130, 320))
+    reordered = ModelProblem(fs, sizes, (90, 130, 320), _concluded(m, variant))
+    concluded_name = "maxSp" if variant is Variant.PRECOND else "maxSp+"
+    assert _search_order(declared)[0] == concluded_name
+    assert _search_order(reordered) == [n for n in _search_order(declared) if n != concluded_name] + [concluded_name]
+    assert [reordered.symbols[n].rank for n in _search_order(reordered)] == list(range(5))
+    # tables are listed in declared order all the same
+    assert list(next(reordered.models()).tables) == list(next(declared.models()).tables)
 
 
 # Formulas that fail to compile, binders that shadow a symbol, and

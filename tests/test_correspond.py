@@ -9,18 +9,26 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import load_case
+from conftest import CASES, load_case
 from normlog import cli, correspond, models
 from normlog.correspond import (
     build_correspondence,
     check_model_correspondence,
+    concluded,
     final_preconditions,
     to_deriv,
     to_precond,
 )
-from normlog.models import CorrespondenceError, Interpretation, ModelProblem, enumerate_models
+from normlog.models import (
+    DEFAULT_NODE_BUDGET,
+    CorrespondenceError,
+    Interpretation,
+    ModelProblem,
+    enumerate_models,
+)
 from normlog.parser import parse_module
 from normlog.randgen import random_annotated_module
+from normlog.syntax import ROOT_CLASS, IntLit, NormlogError, children
 from normlog.typecheck import elaborate, typecheck_module
 from oracles import eval_expr
 
@@ -319,6 +327,16 @@ def test_final_preconditions_are_translated(tmp_path, capsys, text, counts):
         )
 
 
+@pytest.mark.parametrize("case, walked", [("speedlimit_repaired.l4", False), ("attributes.l4", True)])
+def test_final_preconditions_are_walked_only_if_the_rules_were_translated(monkeypatch, case, walked):
+    calls = []
+    real = correspond.translate_formulas
+    monkeypatch.setattr(correspond, "translate_formulas", lambda fs, env: calls.append(fs) or real(fs, env))
+    pair = build_correspondence(load_case(case))
+    assert pair.fs_precond.translated is walked
+    assert bool(calls) is walked
+
+
 def test_unannotated_modules_correspond_as_well():
     # Lifting does not depend on defeasibility annotations.
     rep = check_model_correspondence(
@@ -403,3 +421,161 @@ def test_images_list_carriers_and_cells_in_search_order():
         assert len(images) > 2
         for image, layout in images:
             assert _layout(image) == layout
+
+
+# ---------------------------------------------------------------------------
+# the search order: concluded predicates last, the same reports
+
+
+def _declared_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET, violation_cap=20):
+    """The report of searches of both routes in declared order."""
+    precond = ModelProblem(pair.fs_precond, sizes, ints)
+    deriv = ModelProblem(pair.fs_deriv, sizes, ints)
+    return correspond._check_pair(pair, precond, deriv, node_budget, violation_cap)
+
+
+def _concluded_last_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET, violation_cap=20):
+    """The report of searches with concluded predicates last, kept
+    whatever it holds."""
+    last_p, last_d = concluded(pair)
+    precond = ModelProblem(pair.fs_precond, sizes, ints, last_p)
+    deriv = ModelProblem(pair.fs_deriv, sizes, ints, last_d)
+    return correspond._check_pair(pair, precond, deriv, node_budget, violation_cap)
+
+
+def _outcome(report):
+    try:
+        return report().to_json()
+    except NormlogError as e:
+        return type(e).__name__, str(e)
+
+
+def _assert_reports_as_in_declared_order(m, sizes, ints, **caps):
+    try:
+        pair = build_correspondence(m)
+    except NormlogError:
+        with pytest.raises(NormlogError):
+            check_model_correspondence(m, sizes, ints, **caps)
+        return
+    got = _outcome(lambda: check_model_correspondence(m, sizes, ints, **caps))
+    assert got == _outcome(lambda: _declared_report(pair, sizes, ints, **caps))
+
+
+def _int_literals(m):
+    stack = [e for r in m.rules for e in (r.precond, r.postcond)] + [a.formula for a in m.assertions]
+    values = set()
+    while stack:
+        e = stack.pop()
+        if type(e) is IntLit:
+            values.add(e.value)
+        stack.extend(children(e))
+    return tuple(sorted(values))
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in CASES.glob("*.l4")))
+def test_case_reports_are_those_of_the_declared_order(case):
+    # at `scripts/output_digest.py`'s sizes and integers
+    m = load_case(case)
+    sizes = {c.name: 1 for c in m.classes if c.parent == ROOT_CLASS}
+    _assert_reports_as_in_declared_order(m, sizes, _int_literals(m))
+
+
+def test_random_module_reports_are_those_of_the_declared_order():
+    for seed in range(300):
+        sample = random_annotated_module(random.Random(seed))
+        _assert_reports_as_in_declared_order(sample.module, sample.sizes, sample.ints)
+
+
+def _weakened_pair():
+    pair = build_correspondence(load_case("speedlimit_repaired.l4"))
+    return replace(pair, fs_deriv=_without_inversions(pair.fs_deriv))
+
+
+def test_a_report_with_violations_is_that_of_the_declared_order(monkeypatch):
+    # 4928 derivability-route models, 20 of them reported: which ones
+    # depends on the order of the models, and searched concluded last
+    # they are others.
+    pair = _weakened_pair()
+    monkeypatch.setattr(correspond, "build_correspondence", lambda m: pair)
+    rep = check_model_correspondence(None, _SIZES, _INTS)
+    assert (rep.checked_precond, rep.checked_deriv, len(rep.violations)) == (12, 4928, 20)
+    assert rep == _declared_report(pair, _SIZES, _INTS)
+    assert rep.violations != _concluded_last_report(pair, _SIZES, _INTS).violations
+
+
+def test_a_formula_that_may_raise_keeps_the_declared_order(monkeypatch):
+    # Without 320 among the integers `maxSp ... 320` may fall outside
+    # the table, and which model raises first decides the error.
+    pair = build_correspondence(load_case("speedlimit_repaired.l4"))
+    searched = []
+    real = correspond.enumerate_models
+
+    def recording(problem, **kwargs):
+        searched.append([name for name, _, _ in problem._free])
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(correspond, "enumerate_models", recording)
+    for ints, safe in (((90, 130), False), (_INTS, True)):
+        last_p, last_d = concluded(pair)
+        assert ModelProblem(pair.fs_precond, _SIZES, ints, last_p).safe is safe
+        assert ModelProblem(pair.fs_deriv, _SIZES, ints, last_d).safe is safe
+        searched.clear()
+        outcome = _outcome(lambda: check_model_correspondence(load_case("speedlimit_repaired.l4"), _SIZES, ints))
+        assert searched and all((order[-1] in ("maxSp", "maxSp+")) is safe for order in searched)
+        assert outcome == _outcome(lambda: _declared_report(pair, _SIZES, ints))
+        if not safe:
+            assert outcome == ("ModelError", "partial application of 'maxSp'")
+
+
+def test_the_budget_counts_the_search_that_runs():
+    # The budget caps each search.  Searched concluded last, the
+    # derivability route of the repaired speed limit takes 256 cell
+    # assignments (`maxSp+`'s cells are ruled out once per class
+    # combination), 96 in declared order; the precondition route 96
+    # either way.
+    m = load_case("speedlimit_repaired.l4")
+    pair = build_correspondence(m)
+    with pytest.raises(models.ResourceCapError, match="exceeded 255 cell"):
+        check_model_correspondence(m, _SIZES, _INTS, node_budget=255)
+    assert check_model_correspondence(m, _SIZES, _INTS, node_budget=256).ok
+    assert _declared_report(pair, _SIZES, _INTS, node_budget=96).ok
+    with pytest.raises(models.ResourceCapError):
+        _declared_report(pair, _SIZES, _INTS, node_budget=95)
+
+
+def _dropping_a_derivability_model(monkeypatch):
+    """A mutant search that skips the first model of the derivability
+    route (the one with rule-name carriers)."""
+    real = correspond.enumerate_models
+
+    def dropping(problem, **kwargs):
+        found = real(problem, **kwargs)
+        if problem._fs.fixed:
+            next(found)
+        return found
+
+    monkeypatch.setattr(correspond, "enumerate_models", dropping)
+
+
+def test_unequal_model_counts_fail_the_report(monkeypatch):
+    _dropping_a_derivability_model(monkeypatch)
+    rep = check_model_correspondence(load_case("speedlimit_repaired.l4"), _SIZES, _INTS)
+    assert (rep.checked_precond, rep.checked_deriv, rep.violations) == (12, 11, ())
+    assert not rep.ok and not rep.counts_agree
+    assert rep.to_json()["ok"] is False
+
+
+def test_unequal_model_counts_exit_1(monkeypatch, capsys):
+    _dropping_a_derivability_model(monkeypatch)
+    argv = ["correspond", str(CASES / "speedlimit_repaired.l4"), "--sizes", "Vehicle=1,Day=1,Road=1"]
+    argv += ["--ints", "90,130,320"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "checked 12 precondition-route and 11 derivability-route models\n"
+        "the two routes have different numbers of models\n",
+        "",
+    )
+    assert cli.main(argv + ["--json"]) == 1
+    out, _ = capsys.readouterr()
+    assert '"ok": false' in out and '"checked_deriv": 11' in out
