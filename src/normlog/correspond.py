@@ -57,8 +57,8 @@ class Violation:
 @dataclass(unsafe_hash=True)
 class CorrespondenceReport:
     """The models checked on each route and the violations found.  The
-    correspondence holds if no model violates it and the two routes have
-    as many models, which the transfers make a bijection."""
+    correspondence holds if no transferred model falsifies a formula of
+    the other route and both routes have the same number of models."""
 
     checked_precond: int
     checked_deriv: int

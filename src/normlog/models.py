@@ -957,9 +957,9 @@ class ModelProblem:
 
     The search assigns the free symbols in declared order, except those
     named in `last`, which it assigns after all the others, each group
-    in declared order; a symbol's rank is its place in that order.  The
-    tables of a model are listed in declared order whatever the search
-    order, but the models come out in another order."""
+    in declared order; a symbol's rank is its place in that order.  A
+    model lists its tables in declared order whatever the search order;
+    only the order in which the models come out follows the search."""
 
     def __init__(
         self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = (), last: Collection[str] = ()
