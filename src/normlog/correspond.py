@@ -39,6 +39,7 @@ from .models import (
     FormulaSet,
     Interpretation,
     ModelProblem,
+    ResourceCapError,
     enumerate_models,
     rules_to_formulas,
     translate_formulas,
@@ -231,16 +232,23 @@ def check_model_correspondence(
     violations in the order the searches find them, up to
     `violation_cap`, so it is made again by searches in declared order.
     So are the checks of a pair with a formula that may raise, because
-    the first model or image that raises decides the error.
-    `node_budget` caps each search that runs."""
+    the first model or image that raises decides the error, and those
+    whose concluded-last search exceeds the budget, so that the budget
+    is exceeded only where a declared-order search exceeds it too.
+    `node_budget` caps each search that runs: a check runs up to four,
+    two per route."""
     pair = build_correspondence(m)
     last_p, last_d = concluded(pair)
     precond = ModelProblem(pair.fs_precond, sizes, ints, last_p)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints, last_d)
     if precond.safe and deriv.safe:
-        report = _check_pair(pair, precond, deriv, node_budget, violation_cap)
-        if report.ok:
-            return report
+        try:
+            report = _check_pair(pair, precond, deriv, node_budget, violation_cap)
+        except ResourceCapError:
+            pass
+        else:
+            if report.ok:
+                return report
     precond = ModelProblem(pair.fs_precond, sizes, ints)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints)
     return _check_pair(pair, precond, deriv, node_budget, violation_cap)

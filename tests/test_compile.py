@@ -422,13 +422,11 @@ def test_models_searched_concluded_last_are_the_reference_models(variant):
     seed=st.integers(0, 10_000),
     variant=st.sampled_from(list(Variant)),
     table_seed=st.integers(0, 10_000),
-    order=st.sampled_from(["declared", "concluded last"]),
 )
-def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_seed, order):
-    # Rank the symbols by search position, in declaration order or with
-    # the concluded predicates last; with the cells of ranks up to k
-    # partly set and none above k, a formula whose false_from exceeds k
-    # must not evaluate to False.
+def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_seed):
+    # Rank the symbols in declaration order; with the cells of ranks up
+    # to k partly set and none above k, a formula whose false_from
+    # exceeds k must not evaluate to False.
     fs, sizes, ints = _formula_set(seed, variant)
     rng = random.Random(table_seed)
     carriers, domain = carriers_and_domain(fs, sizes, ints)
@@ -436,11 +434,44 @@ def test_a_formula_is_not_false_before_its_false_from_rank(seed, variant, table_
     for d in fs.decls:
         args, cod = uncurry(d.type)
         shapes[d.name] = (list(product(*map(domain, args))), domain(cod))
-    if order == "concluded last":
-        last = _concluded_in_sample(seed, variant)
-        assert set(last) <= set(shapes)
-        searched = [n for n in shapes if n not in last] + [n for n in shapes if n in last]
-        shapes = {n: shapes[n] for n in searched}
+    full = _complete({name: {} for name in shapes}, shapes, rng)
+    k = rng.randrange(len(shapes))
+    partial = {}
+    for rank, (name, table) in enumerate(full.items()):
+        keep = 1.0 if rank < k else 0.5 if rank == k else 0.0
+        partial[name] = {c: v for c, v in table.items() if rng.random() < keep}
+    symbols = {
+        name: Symbol(partial[name], frozenset(cells), frozenset(cod), rank)
+        for rank, (name, (cells, cod)) in enumerate(shapes.items())
+    }
+    compiler = FormulaCompiler(symbols, carriers, ints)
+    for _, e in fs.formulas:
+        compiled = compiler.compile(e)
+        if compiled.safe and compiled.false_from > k:
+            assert compiled.is_false() is False
+            assert compiled.value() is not False
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    variant=st.sampled_from(list(Variant)),
+    table_seed=st.integers(0, 10_000),
+)
+def test_a_formula_is_not_false_before_its_false_from_search_position(seed, variant, table_seed):
+    # As above, with the symbols ranked by search position when the
+    # concluded predicates are searched last.
+    fs, sizes, ints = _formula_set(seed, variant)
+    rng = random.Random(table_seed)
+    carriers, domain = carriers_and_domain(fs, sizes, ints)
+    shapes = {}
+    for d in fs.decls:
+        args, cod = uncurry(d.type)
+        shapes[d.name] = (list(product(*map(domain, args))), domain(cod))
+    last = _concluded_in_sample(seed, variant)
+    assert set(last) <= set(shapes)
+    searched = [n for n in shapes if n not in last] + [n for n in shapes if n in last]
+    shapes = {n: shapes[n] for n in searched}
     full = _complete({name: {} for name in shapes}, shapes, rng)
     k = rng.randrange(len(shapes))
     partial = {}

@@ -527,20 +527,24 @@ def test_a_formula_that_may_raise_keeps_the_declared_order(monkeypatch):
             assert outcome == ("ModelError", "partial application of 'maxSp'")
 
 
-def test_the_budget_counts_the_search_that_runs():
+def test_a_search_over_budget_falls_back_to_the_declared_order():
     # The budget caps each search.  Searched concluded last, the
     # derivability route of the repaired speed limit takes 256 cell
     # assignments (`maxSp+`'s cells are ruled out once per class
     # combination), 96 in declared order; the precondition route 96
-    # either way.
+    # either way.  The check exceeds the budget only where the
+    # declared-order searches exceed it.
     m = load_case("speedlimit_repaired.l4")
     pair = build_correspondence(m)
     with pytest.raises(models.ResourceCapError, match="exceeded 255 cell"):
-        check_model_correspondence(m, _SIZES, _INTS, node_budget=255)
-    assert check_model_correspondence(m, _SIZES, _INTS, node_budget=256).ok
-    assert _declared_report(pair, _SIZES, _INTS, node_budget=96).ok
-    with pytest.raises(models.ResourceCapError):
-        _declared_report(pair, _SIZES, _INTS, node_budget=95)
+        _concluded_last_report(pair, _SIZES, _INTS, node_budget=255)
+    assert _concluded_last_report(pair, _SIZES, _INTS, node_budget=256).ok
+    with pytest.raises(models.ResourceCapError, match="exceeded 95 cell"):
+        check_model_correspondence(m, _SIZES, _INTS, node_budget=95)
+    for budget in (96, 255, 256):
+        assert check_model_correspondence(m, _SIZES, _INTS, node_budget=budget).ok
+    for budget in range(0, 300, 7):
+        _assert_reports_as_in_declared_order(m, _SIZES, _INTS, node_budget=budget)
 
 
 def _dropping_a_derivability_model(monkeypatch):
