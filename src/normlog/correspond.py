@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .syntax import RuleModule
+from .syntax import RuleModule, uncurry
 from .typecheck import Env, elaborate, typecheck_module
 from .transform import (
     RULENAME_CLASS_PREFIX,
@@ -150,12 +150,16 @@ def final_preconditions(pair: CorrespondencePair, compiler: FormulaCompiler) -> 
     """The final precondition of every rule concluding a lifted
     predicate, by rule name, compiled once by `compiler` (that of the
     precondition-route problem) over the rule's parameters, one per
-    argument of the concluded predicate."""
+    argument of the concluded predicate and typed by that argument's
+    sort in the formula set, so that applications to them fit the
+    tables as in the rule formulas."""
+    arg_types = {d.name: uncurry(d.type)[0] for d in pair.fs_precond.decls if d.name in pair.lifted}
     out: dict[str, Compiled] = {}
-    for cls, _ in pair.lifted.values():
+    for orig, (cls, _) in pair.lifted.items():
         for rn in pair.constants[cls]:
             nr = pair.normalized[rn]
-            out[rn] = compiler.compile(nr.precond, [p[0] for p in nr.params])
+            params = [(name, t) for (name, _), t in zip(nr.params, arg_types[orig])]
+            out[rn] = compiler.compile(nr.precond, params)
     return out
 
 

@@ -18,10 +18,13 @@ in search order, each symbol's cells in order, values in codomain
 order, so models come out in the order of whole tables.  The search
 order is the declaration order, except for symbols a problem names to
 search last (`ModelProblem`).  `check_assertion` searches in declared
-order, because the first model found is the countermodel it reports;
-the correspondence check searches the predicates that rules conclude
-last, so that the class predicates their rules read constrain them
-first (correspond.py).
+order, because the first model found is the countermodel it reports,
+and prunes every partial model that a renaming of a sort's elements
+makes smaller in that order (symmetry.py): the first model is the least
+of all, so no renaming prunes it.  The correspondence check enumerates
+every model, and searches the predicates that rules conclude last, so
+that the class predicates their rules read constrain them first
+(correspond.py).
 
 Every formula is compiled once per search (`FormulaCompiler`) into a
 closure that reads unset cells as unknown and says whether the formula
@@ -34,7 +37,8 @@ as soon as one is false; a formula is also staged at the last symbol it
 mentions, where its cells are all set.  A formula that may raise a
 ModelError takes part only at its stage, so errors are raised where a
 whole-table search raises them.  The budget counts the cell
-assignments of the search that runs, so it depends on the search order.
+assignments of the search that runs, so it depends on the search order
+and on the pruning.
 
 Deliberate limitations, reported as errors rather than silently
 approximated: Float and String symbols, tuple types, lambdas applied to
@@ -96,6 +100,7 @@ from .syntax import (
 )
 from .typecheck import Env, is_sort, sort_of
 from .inversion import inversion_formula, inversion_targets
+from .symmetry import lex_leader_checks
 
 
 class ModelError(NormlogError):
@@ -491,26 +496,29 @@ class FormulaCompiler:
         self._binders: dict[tuple, object] = {}
         self._depth: list[int] = [0]
 
-    def compile(self, e: Expr, params: Sequence[str] = ()) -> Compiled:
-        """Compile `e`, whose free variables among `params` are bound to
-        cells returned in `params` order; all other names are symbols."""
+    def compile(self, e: Expr, params: Sequence[tuple[str, LType]] = ()) -> Compiled:
+        """Compile `e`, whose free variables among `params`, (name, type)
+        pairs, are bound to cells returned in `params` order, to be
+        filled with values of their types; all other names are symbols."""
         scope: dict[str, _Node] = {}
         context = 0
-        for name in params:
-            context, scope[name], _ = self._binder(context, name, None)
+        for name, t in params:
+            binder = self._binder(context, name, t)
+            if isinstance(binder, str):
+                raise ModelError(binder)
+            context, scope[name], _ = binder
         node = self._comp(e, scope, context)
-        return Compiled(node, tuple(scope[name].cell for name in params))
+        return Compiled(node, tuple(scope[name].cell for name, _ in params))
 
-    def _binder(self, outer: int, var: str, t: Optional[LType]):
+    def _binder(self, outer: int, var: str, t: LType):
         """For a binder of `var` of type `t` in context `outer`: the
         context inside it, the node of its variable and its domain; or
-        the message of the ModelError for a type without a domain.  A
-        parameter has no type, and its values are not known."""
+        the message of the ModelError for a type without a domain."""
         key = (outer, var, t)
         hit = self._binders.get(key)
         if hit is None:
             try:
-                domain = () if t is None else self._domain(t)
+                domain = self._domain(t)
             except ModelError as err:
                 hit = self._binders[key] = str(err)
                 return hit
@@ -518,8 +526,7 @@ class FormulaCompiler:
             cell = self._cells.get((var, depth))
             if cell is None:
                 cell = self._cells[(var, depth)] = [None]
-            values = None if t is None else frozenset(domain)
-            node = _Node(_variable, None, values, True, cell, -1, -1, 0)
+            node = _Node(_variable, None, frozenset(domain), True, cell, -1, -1, 0)
             self._depth.append(depth + 1)
             hit = self._binders[key] = (len(self._depth) - 1, node, domain)
         return hit
@@ -959,10 +966,22 @@ class ModelProblem:
     named in `last`, which it assigns after all the others, each group
     in declared order; a symbol's rank is its place in that order.  A
     model lists its tables in declared order whatever the search order;
-    only the order in which the models come out follows the search."""
+    only the order in which the models come out follows the search.
+
+    With `prune_symmetry` the search yields only the models that no
+    adjacent transposition of a sort's elements makes smaller in search
+    order (symmetry.py), and skips the rest of the space as soon as its
+    cells decide that; the first model is the same.  It applies to the
+    sorts whose carrier is not fixed and whose elements no ordering
+    comparison may read, and only if the problem is `safe`."""
 
     def __init__(
-        self, fs: FormulaSet, sizes: dict[str, int], ints: Sequence[int] = (), last: Collection[str] = ()
+        self,
+        fs: FormulaSet,
+        sizes: dict[str, int],
+        ints: Sequence[int] = (),
+        last: Collection[str] = (),
+        prune_symmetry: bool = False,
     ) -> None:
         fixed = fs.fixed_map()
         carriers: dict[str, tuple[str, ...]] = {}
@@ -1027,6 +1046,7 @@ class ModelProblem:
         self.compiler = FormulaCompiler(symbols, carriers, int_values)
         self._fs = fs
         self._free = free
+        self._prune_symmetry = prune_symmetry
 
     @cached_property
     def _compiled(self) -> list[Compiled]:
@@ -1087,6 +1107,28 @@ class ModelProblem:
         initial = [fn for (stage, _, _), fn in zip(staged, is_false) if stage == -1]
         return formulas, initial, flat
 
+    @cached_property
+    def _search(self) -> tuple[list, list]:
+        """The closures of the formulas that mention no free symbol, and
+        the search's list of `_stages`, with each lex-leader check asked
+        first after the cell it is due at when symmetry is pruned."""
+        _, initial, flat = self._stages
+        fixed = self._fs.fixed_map()
+        swappable = {s: es for s, es in self.carriers.items() if len(es) > 1 and s not in fixed}
+        if not (self._prune_symmetry and swappable and self.safe):
+            return initial, flat
+        checks = lex_leader_checks(
+            self._free,
+            {name: self.symbols[name].table for name, _, _ in self._free},
+            {d.name: d.type for d in self._fs.decls},
+            swappable,
+            (_union(n.parts[1].values, n.parts[2].values) for e, n in self.compiler._memo.values() if type(e) is Cmp),
+        )
+        return initial, [
+            (table, cell, values, [checks[d], *fns] if d in checks else fns)
+            for d, (table, cell, values, fns) in enumerate(flat)
+        ]
+
     def _model(self) -> Interpretation:
         return Interpretation(
             carriers=dict(self.carriers),
@@ -1098,7 +1140,7 @@ class ModelProblem:
         """All models, in a deterministic order.  While suspended at a
         model the tables hold it.  Raises ResourceCapError when the
         number of cell assignments exceeds the budget."""
-        _, initial, flat = self._stages
+        initial, flat = self._search
         for name, _, _ in self._free:
             self.symbols[name].table.clear()
         for fn in initial:
@@ -1256,15 +1298,16 @@ def check_assertion(
     Validity is checked by searching for a model of the rules plus the
     negated assertion (a countermodel); satisfiability by searching for
     a model of the rules plus the assertion itself.  Either way the
-    first model found is returned."""
+    first model in declared order is returned; the search prunes
+    symmetric models, which leaves that model and fewer cells to try."""
     fs, (_, mode, goal) = assertion_problem(m, name, include_inversions)
     if mode == VALID:
         probe = fs.formulas + ((f"assertion {name} (negated)", Not(goal)),)
     else:
         probe = fs.formulas + ((f"assertion {name}", goal),)
-    probe_fs = replace(fs, formulas=probe)
 
-    found = next(enumerate_models(probe_fs, sizes, ints, node_budget), None)
+    problem = ModelProblem(replace(fs, formulas=probe), sizes, ints, prune_symmetry=True)
+    found = next(enumerate_models(problem, node_budget=node_budget), None)
     if mode == VALID:
         status = "counter_model" if found is not None else "valid"
     else:

@@ -659,6 +659,25 @@ def declared_key(problem):
     return key
 
 
+def renamed(interp, fs, renaming):
+    """`interp` with the carrier elements renamed: `renaming` maps a
+    sort to a dict from each of its elements to its new name, which is
+    applied to every cell argument and value of that sort, as the
+    declared types of `fs` give them."""
+
+    def rename(x, t):
+        return renaming[t.name][x] if isinstance(t, ClassT) and t.name in renaming else x
+
+    tables = {}
+    for d in fs.decls:
+        args, cod = uncurry(d.type)
+        tables[d.name] = {
+            tuple(rename(x, t) for x, t in zip(cell, args)): rename(v, cod)
+            for cell, v in interp.tables[d.name].items()
+        }
+    return Interpretation(dict(interp.carriers), interp.ints, tables)
+
+
 def reference_stages(problem):
     """What `problem._stages` must be, staged from `free_vars`: a formula
     watches the free symbols among its free names and is staged at the

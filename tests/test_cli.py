@@ -565,6 +565,16 @@ def test_check_budget_exhaustion_is_exit_3():
     assert err == "resource cap: model search exceeded 1 cell assignments\n"
 
 
+def test_check_budget_counts_the_cells_of_the_pruned_search():
+    # Pruning symmetric models leaves 19,102 of the 57,392 cell
+    # assignments of the search that checks every model.
+    args = ["check", REPAIRED, "--assert", "maxSpFunctional", "--sizes", "Vehicle=2,Day=2,Road=1", "--ints", INTS]
+    rc, out, err = run_cli(*args, "--budget", "19102")
+    assert (rc, out, err) == (0, "assertion maxSpFunctional (valid): valid\n", "")
+    rc, out, err = run_cli(*args, "--budget", "19101")
+    assert (rc, out, err) == (3, "", "resource cap: model search exceeded 19101 cell assignments\n")
+
+
 def test_check_integer_outside_the_pool_is_bad_input():
     # 320 is not among the integers, so the sports car rule applies
     # maxSp outside its table: an error where the whole-table search

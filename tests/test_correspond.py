@@ -337,6 +337,38 @@ def test_final_preconditions_are_walked_only_if_the_rules_were_translated(monkey
     assert bool(calls) is walked
 
 
+def test_final_preconditions_compile_safe():
+    # Their parameters take the concluded predicate's argument sorts, so
+    # applications to them fit the tables as in the rule formulas.
+    pair = build_correspondence(load_case("speedlimit_repaired.l4"))
+    problem = ModelProblem(pair.fs_precond, _SIZES, _INTS)
+    preconds = final_preconditions(pair, problem.compiler)
+    assert len(preconds) == 3
+    assert all(c.safe for c in preconds.values())
+
+
+@pytest.mark.parametrize(
+    "case, sizes, counts",
+    [
+        ("attributes.l4", {"Vehicle": 2, "Day": 1}, 72),
+        ("attributes.l4", {"Vehicle": 1, "Day": 2}, 48),
+        ("speedlimit_plain.l4", {"Vehicle": 2, "Day": 1, "Road": 1}, 16),
+        ("speedlimit_repaired.l4", {"Vehicle": 2, "Day": 1, "Road": 1}, 36),
+        ("speedlimit_repaired.l4", {"Vehicle": 1, "Day": 2, "Road": 1}, 24),
+        ("speedlimit_repaired.l4", {"Vehicle": 1, "Day": 1, "Road": 2}, 24),
+    ],
+)
+def test_correspondence_counts_every_model_of_two_elements(case, sizes, counts):
+    # `check` prunes models symmetric under a renaming of elements;
+    # `correspond` enumerates them all.
+    m = load_case(case)
+    ints = _int_literals(m)
+    rep = check_model_correspondence(m, sizes, ints)
+    pair = build_correspondence(m)
+    every = [sum(1 for _ in enumerate_models(fs, sizes, ints)) for fs in (pair.fs_precond, pair.fs_deriv)]
+    assert (rep.checked_precond, rep.checked_deriv) == (counts, counts) == tuple(every)
+
+
 def test_unannotated_modules_correspond_as_well():
     # Lifting does not depend on defeasibility annotations.
     rep = check_model_correspondence(
