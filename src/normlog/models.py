@@ -472,7 +472,9 @@ class FormulaCompiler:
     of its expression and the binders above it (variables and types,
     numbered as contexts), and a binder's cell is keyed by its variable
     and depth, so a subterm shared between rules compiles once.  Each
-    node records the ranked symbols it reads (`_Node.refs`) when built.
+    node records the ranked symbols it reads (`_Node.refs`) when built,
+    and `compared` lists the values each ordering comparison compiled
+    may read (None if not known).
     Compiling spends one frame per tree level, and building a closure
     two.  A call of `is_false` or `is_true` spends one frame per level
     of the tree, none per `not`, and one per chain of && or || of any
@@ -495,6 +497,7 @@ class FormulaCompiler:
         # no binders, and _depth gives each context's count
         self._binders: dict[tuple, object] = {}
         self._depth: list[int] = [0]
+        self.compared: list[Optional[frozenset]] = []
 
     def compile(self, e: Expr, params: Sequence[tuple[str, LType]] = ()) -> Compiled:
         """Compile `e`, whose free variables among `params`, (name, type)
@@ -603,7 +606,11 @@ class FormulaCompiler:
         elif kind is Eq or kind is Cmp:
             ln, rn = comp(e.left, scope, context), comp(e.right, scope, context)
             safe = ln.safe and rn.safe and (kind is Eq or _orderable(ln.values, rn.values))
-            op = operator.eq if kind is Eq else CMP_OPS[e.op]
+            if kind is Eq:
+                op = operator.eq
+            else:
+                op = CMP_OPS[e.op]
+                self.compared.append(_union(ln.values, rn.values))
             definite_from = max(ln.definite_from, rn.definite_from)
             refs = ln.refs | rn.refs
             out = _Node(_comparison, (op, ln, rn), BOOLS, safe, None, definite_from, definite_from, refs)
@@ -1122,12 +1129,13 @@ class ModelProblem:
             {name: self.symbols[name].table for name, _, _ in self._free},
             {d.name: d.type for d in self._fs.decls},
             swappable,
-            (_union(n.parts[1].values, n.parts[2].values) for e, n in self.compiler._memo.values() if type(e) is Cmp),
+            self.compiler.compared,
         )
-        return initial, [
-            (table, cell, values, [checks[d], *fns] if d in checks else fns)
-            for d, (table, cell, values, fns) in enumerate(flat)
-        ]
+        flat = list(flat)
+        for d, check in checks.items():
+            table, cell, values, fns = flat[d]
+            flat[d] = (table, cell, values, [check, *fns])
+        return initial, flat
 
     def _model(self) -> Interpretation:
         return Interpretation(
@@ -1226,10 +1234,10 @@ def enumerate_models(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Interpretation]:
     """All interpretations of the formula set over `sizes` and `ints`,
-    or of a problem already compiled (see `ModelProblem.models`).  The
-    correspondence check runs its searches through here as well, so a
-    wrapper of this one function (as in bench/tracing.py) sees every
-    search."""
+    or of a problem already compiled (see `ModelProblem.models`).
+    `check_assertion` and the correspondence check run their searches
+    through here, so a wrapper of this one function (as in
+    bench/tracing.py) sees every search."""
     problem = fs if isinstance(fs, ModelProblem) else ModelProblem(fs, sizes or {}, ints)
     yield from problem.models(node_budget)
 

@@ -52,29 +52,36 @@ def lex_leader_checks(
         if not sorts:
             return {}
 
-    at: dict[tuple[str, tuple], int] = {}
-    for name, cells, _ in free:
-        for cell in cells:
-            at[(name, cell)] = len(at)
+    # (first search position, cells, position of each cell, table,
+    # value ranks, argument sorts, codomain sort) of each free symbol
+    # that reads or returns an element of a renamed sort
+    symbols = []
+    size = 0
+    for name, cells, values in free:
+        args, cod = uncurry(types[name])
+        arg_sorts = tuple(t.name if type(t) is ClassT else None for t in args)
+        cod_sort = cod.name if type(cod) is ClassT else None
+        if cod_sort in sorts or not sorts.keys().isdisjoint(arg_sorts):
+            index = {cell: i for i, cell in enumerate(cells)}
+            rank = {v: i for i, v in enumerate(values)}
+            symbols.append((size, cells, index, tables[name], rank, arg_sorts, cod_sort))
+        size += len(cells)
+
     rows_of: list[list[tuple]] = []
     for sort, elements in sorts.items():
-        t = ClassT(sort)
         for a, b in zip(elements, elements[1:]):
             swap = {a: b, b: a}
             rows = []
-            for name, cells, values in free:
-                args, cod = uncurry(types[name])
-                mapped = cod == t
-                if not mapped and t not in args:
+            for first, cells, index, table, rank, arg_sorts, cod_sort in symbols:
+                mapped = cod_sort == sort
+                if not mapped and sort not in arg_sorts:
                     continue
-                rank = {v: i for i, v in enumerate(values)}
-                image = {v: rank[swap.get(v, v)] for v in values} if mapped else rank
-                table = tables[name]
-                for cell in cells:
-                    swapped = tuple(swap.get(x, x) if s == t else x for x, s in zip(cell, args))
-                    p, q = at[(name, cell)], at[(name, swapped)]
+                image = {v: rank[swap.get(v, v)] for v in rank} if mapped else rank
+                for p, cell in enumerate(cells):
+                    swapped = tuple([swap.get(x, x) if s == sort else x for x, s in zip(cell, arg_sorts)])
+                    q = index[swapped]
                     if q > p or q == p and mapped:
-                        rows.append((q, table, cell, swapped, rank, image))
+                        rows.append((first + q, table, cell, swapped, rank, image))
             if rows:
                 rows_of.append(rows)
 
@@ -83,7 +90,7 @@ def lex_leader_checks(
     # the slot of the one asked before it, so backtracking restores it.
     by_depth: dict[int, list[tuple]] = {}
     for rows in rows_of:
-        trail = [0] * (len(at) + 1)
+        trail = [0] * (size + 1)
         read = 0
         for depth in sorted({row[0] for row in rows}):
             by_depth.setdefault(depth, []).append((trail, read, rows, len(rows)))
@@ -98,10 +105,10 @@ def _check(depth: int, generators: list[tuple]) -> Callable[[], bool]:
         for trail, read, rows, end in generators:
             k = trail[read]
             while k < end:
-                due, table, p, q, rank, image = rows[k]
+                due, table, cell, swapped, rank, image = rows[k]
                 if due > depth:
                     break
-                a, b = rank[table[p]], image[table[q]]
+                a, b = rank[table[cell]], image[table[swapped]]
                 if a != b:
                     if b < a:
                         return True
