@@ -952,6 +952,20 @@ class GroundRule:
     neg: tuple
 
 
+def _joins(derived: dict[str, list[Atom]], pos, spans, b, matched):
+    """Bindings extending `b` that match each pos[j] against the atoms
+    derived[pred][lo:hi], spans[j] = (lo, hi), with the atoms matched."""
+    j = len(matched)
+    if j == len(pos):
+        yield b, matched
+        return
+    (lo, hi), atoms = spans[j], derived.get(pos[j].pred, ())
+    for a in atoms[lo:hi]:
+        nb = _unify(pos[j], a, b)
+        if nb is not None:
+            yield from _joins(derived, pos, spans, nb, matched + (a,))
+
+
 def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[GroundRule]:
     """Instantiate the clauses against the least model of the
     negation-free relaxation.  Every stable model is a subset of that
@@ -1008,19 +1022,6 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
         for a in body:
             waiting.setdefault(a, []).append(k)
 
-    def joins(pos, spans, b, matched):
-        """Bindings extending `b` that match each pos[j] against the
-        atoms derived[pred][lo:hi], spans[j] = (lo, hi)."""
-        j = len(matched)
-        if j == len(pos):
-            yield b, matched
-            return
-        (lo, hi), atoms = spans[j], derived.get(pos[j].pred, ())
-        for a in atoms[lo:hi]:
-            nb = _unify(pos[j], a, b)
-            if nb is not None:
-                yield from joins(pos, spans, nb, matched + (a,))
-
     def add(g: GroundRule) -> None:
         n = len(instances)
         instances.add(g)
@@ -1064,7 +1065,7 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
                     + [(lo, hi)]
                     + [(0, now.get(a.pred, 0)) for a in pos[i + 1 :]]
                 )
-                for b, matched in joins(pos, spans, {}, ()):
+                for b, matched in _joins(derived, pos, spans, {}, ()):
                     if unsafe:
                         raise ConfigError(unsafe)
                     gneg = tuple(_subst_term(a, b) for a in neg)

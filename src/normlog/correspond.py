@@ -149,17 +149,17 @@ def concluded(pair: CorrespondencePair) -> tuple[list[str], list[str]]:
 def final_preconditions(pair: CorrespondencePair, compiler: FormulaCompiler) -> dict[str, Compiled]:
     """The final precondition of every rule concluding a lifted
     predicate, by rule name, compiled once by `compiler` (that of the
-    precondition-route problem) over the rule's parameters, one per
-    argument of the concluded predicate and typed by that argument's
-    sort in the formula set, so that applications to them fit the
-    tables as in the rule formulas."""
+    precondition-route problem) for the `is_true` that `to_deriv` asks,
+    over the rule's parameters, one per argument of the concluded
+    predicate and typed by that argument's sort in the formula set, so
+    that applications to them fit the tables as in the rule formulas."""
     arg_types = {d.name: uncurry(d.type)[0] for d in pair.fs_precond.decls if d.name in pair.lifted}
     out: dict[str, Compiled] = {}
     for orig, (cls, _) in pair.lifted.items():
         for rn in pair.constants[cls]:
             nr = pair.normalized[rn]
             params = [(name, t) for (name, _), t in zip(nr.params, arg_types[orig])]
-            out[rn] = compiler.compile(nr.precond, params)
+            out[rn] = compiler.compile(nr.precond, params, want="is_true")
     return out
 
 

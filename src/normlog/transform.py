@@ -621,27 +621,43 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
     (isSportsCar x forces isCar x) and prune entailed or contradictory
     literals.  The result is logically equivalent to the input.
     """
-    entails: dict[str, frozenset[str]] = inclusions or {}
-    entailed_by: dict[str, set[str]] = {}
-    for sub, sups in entails.items():
-        for sup in sups:
-            entailed_by.setdefault(sup, set()).add(sub)
-    implied: dict[tuple[Expr, bool], list[Expr]] = {}
+    simplifier = _Simplifier(inclusions or {})
+    prev = None
+    cur = e
+    for _ in range(12):
+        if cur == prev:
+            break
+        prev, cur = cur, simplifier.go(cur, {})
+    return cur
 
-    def implied_atoms(e: Expr, val: bool) -> list[Expr]:
+
+class _Simplifier:
+    """The passes of `simplify` over one inclusion map.  Its methods
+    recurse through `self`, which holds no reference to them, so a run
+    leaves no reference cycle behind."""
+
+    def __init__(self, entails: dict[str, frozenset[str]]) -> None:
+        self.entails = entails
+        self.entailed_by: dict[str, set[str]] = {}
+        for sub, sups in entails.items():
+            for sup in sups:
+                self.entailed_by.setdefault(sup, set()).add(sub)
+        self.implied: dict[tuple[Expr, bool], list[Expr]] = {}
+
+    def implied_atoms(self, e: Expr, val: bool) -> list[Expr]:
         """The atoms that take value `val` with `e`: its superclass atoms
         if `e` holds, its subclass atoms if it fails; built once."""
-        out = implied.get((e, val))
+        out = self.implied.get((e, val))
         if out is None:
-            out = implied[(e, val)] = []
+            out = self.implied[(e, val)] = []
             parts = atom_parts(e)
             if parts is not None:
                 head, args = parts
-                for name in entails.get(head, ()) if val else entailed_by.get(head, ()):
+                for name in self.entails.get(head, ()) if val else self.entailed_by.get(head, ()):
                     out.append(apply(Var(name), *args) if args else Var(name))
         return out
 
-    def assume(ctx: dict[Expr, bool], e: Expr, val: bool) -> None:
+    def assume(self, ctx: dict[Expr, bool], e: Expr, val: bool) -> None:
         """Record that `e` has value `val`, and so do the operands of a
         conjunction that holds or a disjunction that fails, in pre-order."""
         stack = [(e, val)]
@@ -658,13 +674,14 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
                 stack.append((e.right, val))
                 stack.append((e.left, val))
                 continue
-            for atom in implied_atoms(e, val):
+            for atom in self.implied_atoms(e, val):
                 ctx[atom] = val
 
+    @staticmethod
     def purge(ctx: dict[Expr, bool], var: str) -> dict[Expr, bool]:
         return {k: v for k, v in ctx.items() if var not in free_vars(k)}
 
-    def go(e: Expr, ctx: dict[Expr, bool]) -> Expr:
+    def go(self, e: Expr, ctx: dict[Expr, bool]) -> Expr:
         if e in ctx:
             return TRUE if ctx[e] else FALSE
         kind = type(e)
@@ -680,8 +697,8 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
                 local = dict(ctx)
                 for j in range(len(parts)):
                     if j != i:
-                        assume(local, done[j] if j < i else parts[j], holds)
-                sp = go(p, local)
+                        self.assume(local, done[j] if j < i else parts[j], holds)
+                sp = self.go(p, local)
                 if sp == zero:
                     return zero
                 done.append(sp)
@@ -693,39 +710,39 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
                 out = kind(out, p)
             return out
         if isinstance(e, Not):
-            inner = go(e.arg, ctx)
+            inner = self.go(e.arg, ctx)
             if isinstance(inner, BoolLit):
                 return FALSE if inner.value else TRUE
             if isinstance(inner, Not):
                 return inner.arg
             return Not(inner)
         if isinstance(e, Implies):
-            left = go(e.left, ctx)
+            left = self.go(e.left, ctx)
             if left == TRUE:
-                return go(e.right, ctx)
+                return self.go(e.right, ctx)
             if left == FALSE:
                 return TRUE
             local = dict(ctx)
-            assume(local, left, True)
-            right = go(e.right, local)
+            self.assume(local, left, True)
+            right = self.go(e.right, local)
             if right == TRUE:
                 return TRUE
             if right == FALSE:
-                return go(Not(left), ctx)
+                return self.go(Not(left), ctx)
             return Implies(left, right)
         if isinstance(e, IfThenElse):
-            cond = go(e.cond, ctx)
+            cond = self.go(e.cond, ctx)
             if cond == TRUE:
-                return go(e.then, ctx)
+                return self.go(e.then, ctx)
             if cond == FALSE:
-                return go(e.other, ctx)
+                return self.go(e.other, ctx)
             then_ctx = dict(ctx)
-            assume(then_ctx, cond, True)
+            self.assume(then_ctx, cond, True)
             else_ctx = dict(ctx)
-            assume(else_ctx, cond, False)
-            return IfThenElse(cond, go(e.then, then_ctx), go(e.other, else_ctx))
+            self.assume(else_ctx, cond, False)
+            return IfThenElse(cond, self.go(e.then, then_ctx), self.go(e.other, else_ctx))
         if isinstance(e, (Forall, Exists)):
-            body = go(e.body, purge(ctx, e.var))
+            body = self.go(e.body, self.purge(ctx, e.var))
             if isinstance(body, BoolLit):
                 # sound because carriers are never empty
                 return body
@@ -741,13 +758,5 @@ def simplify(e: Expr, inclusions: Optional[dict[str, frozenset[str]]] = None) ->
                 return TRUE if CMP_OPS[e.op](e.left.value, e.right.value) else FALSE
             return e
         if isinstance(e, Lambda):
-            return replace(e, body=go(e.body, purge(ctx, e.var)))
+            return replace(e, body=self.go(e.body, self.purge(ctx, e.var)))
         return e
-
-    prev = None
-    cur = e
-    for _ in range(12):
-        if cur == prev:
-            break
-        prev, cur = cur, go(cur, {})
-    return cur

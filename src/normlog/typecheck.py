@@ -156,102 +156,104 @@ _CONNECTIVES = {And: "&&", Or: "||", Implies: "-->"}
 
 def type_of(env: Env, e: Expr, vars: Optional[dict[str, LType]] = None) -> LType:
     """Type of an expression, or an LTypeError describing the mismatch."""
-    vs = vars or {}
+    return _type_of(env, e, vars or {})
 
-    def go(e: Expr, vs: dict[str, LType]) -> LType:
-        if isinstance(e, Var):
-            if e.name in vs:
-                return vs[e.name]
-            if e.name in env.decls:
-                return env.decls[e.name]
-            raise LTypeError(f"unknown identifier '{e.name}'", e.loc)
-        if isinstance(e, BoolLit):
-            return BOOL
-        if isinstance(e, IntLit):
-            return IntT()
-        if isinstance(e, FloatLit):
-            return FloatT()
-        if isinstance(e, StringLit):
-            return StrT()
-        if isinstance(e, Not):
-            expect_bool(e.arg, vs, "operand of 'not'")
-            return BOOL
-        if isinstance(e, (And, Or, Implies)):
-            # The left spine in a loop, not a frame per connective: its
-            # first operand, then the right operands from the inside out.
-            chain = []
-            while type(e) in _CONNECTIVES:
-                chain.append(e)
-                e = e.left
-            expect_bool(e, vs, f"left operand of '{_CONNECTIVES[type(chain[-1])]}'")
-            for c in reversed(chain):
-                expect_bool(c.right, vs, f"right operand of '{_CONNECTIVES[type(c)]}'")
-            return BOOL
-        if isinstance(e, Eq):
-            t1 = go(e.left, vs)
-            t2 = go(e.right, vs)
-            if not comparable(t1, t2, env.classes):
-                raise LTypeError(f"cannot compare '{t1}' with '{t2}'", e.loc)
-            return BOOL
-        if isinstance(e, Cmp):
-            t1 = go(e.left, vs)
-            t2 = go(e.right, vs)
-            ok = (isinstance(t1, IntT) and isinstance(t2, IntT)) or (
-                isinstance(t1, FloatT) and isinstance(t2, FloatT)
+
+def _type_of(env: Env, e: Expr, vs: dict[str, LType]) -> LType:
+    """`type_of` under the bound variables `vs`.  A module-level
+    function, so that the recursion leaves no reference cycle behind."""
+    if isinstance(e, Var):
+        if e.name in vs:
+            return vs[e.name]
+        if e.name in env.decls:
+            return env.decls[e.name]
+        raise LTypeError(f"unknown identifier '{e.name}'", e.loc)
+    if isinstance(e, BoolLit):
+        return BOOL
+    if isinstance(e, IntLit):
+        return IntT()
+    if isinstance(e, FloatLit):
+        return FloatT()
+    if isinstance(e, StringLit):
+        return StrT()
+    if isinstance(e, Not):
+        _expect_bool(env, e.arg, vs, "operand of 'not'")
+        return BOOL
+    if isinstance(e, (And, Or, Implies)):
+        # The left spine in a loop, not a frame per connective: its
+        # first operand, then the right operands from the inside out.
+        chain = []
+        while type(e) in _CONNECTIVES:
+            chain.append(e)
+            e = e.left
+        _expect_bool(env, e, vs, f"left operand of '{_CONNECTIVES[type(chain[-1])]}'")
+        for c in reversed(chain):
+            _expect_bool(env, c.right, vs, f"right operand of '{_CONNECTIVES[type(c)]}'")
+        return BOOL
+    if isinstance(e, Eq):
+        t1 = _type_of(env, e.left, vs)
+        t2 = _type_of(env, e.right, vs)
+        if not comparable(t1, t2, env.classes):
+            raise LTypeError(f"cannot compare '{t1}' with '{t2}'", e.loc)
+        return BOOL
+    if isinstance(e, Cmp):
+        t1 = _type_of(env, e.left, vs)
+        t2 = _type_of(env, e.right, vs)
+        ok = (isinstance(t1, IntT) and isinstance(t2, IntT)) or (
+            isinstance(t1, FloatT) and isinstance(t2, FloatT)
+        )
+        if not ok:
+            raise LTypeError(f"'{e.op}' needs two Integers or two Floats, got '{t1}' and '{t2}'", e.loc)
+        return BOOL
+    if isinstance(e, App):
+        tf = _type_of(env, e.fn, vs)
+        if not isinstance(tf, FunT):
+            raise LTypeError(f"'{e.fn}' of type '{tf}' is not a function", e.loc)
+        ta = _type_of(env, e.arg, vs)
+        if not is_subtype(ta, tf.dom, env.classes):
+            raise LTypeError(
+                f"argument '{e.arg}' has type '{ta}', expected '{tf.dom}'", e.loc
             )
-            if not ok:
-                raise LTypeError(f"'{e.op}' needs two Integers or two Floats, got '{t1}' and '{t2}'", e.loc)
-            return BOOL
-        if isinstance(e, App):
-            tf = go(e.fn, vs)
-            if not isinstance(tf, FunT):
-                raise LTypeError(f"'{e.fn}' of type '{tf}' is not a function", e.loc)
-            ta = go(e.arg, vs)
-            if not is_subtype(ta, tf.dom, env.classes):
-                raise LTypeError(
-                    f"argument '{e.arg}' has type '{ta}', expected '{tf.dom}'", e.loc
-                )
-            return tf.cod
-        if isinstance(e, Lambda):
-            inner = dict(vs)
-            inner[e.var] = e.var_type
-            return FunT(e.var_type, go(e.body, inner))
-        if isinstance(e, (Forall, Exists)):
-            inner = dict(vs)
-            inner[e.var] = e.var_type
-            tb = go(e.body, inner)
-            if not isinstance(tb, BoolT):
-                raise LTypeError(f"quantifier body must be Boolean, got '{tb}'", e.loc)
-            return BOOL
-        if isinstance(e, IfThenElse):
-            expect_bool(e.cond, vs, "condition of 'if'")
-            t1 = go(e.then, vs)
-            t2 = go(e.other, vs)
-            if is_subtype(t1, t2, env.classes):
-                return t2
-            if is_subtype(t2, t1, env.classes):
-                return t1
-            raise LTypeError(f"branches of 'if' have unrelated types '{t1}' and '{t2}'", e.loc)
-        if isinstance(e, FieldAccess):
-            to = go(e.obj, vs)
-            if not isinstance(to, ClassT):
-                raise LTypeError(f"field access on non-class type '{to}'", e.loc)
-            for cname in [to.name] + ancestors(to.name, env.classes):
-                c = env.classes.get(cname)
-                if c is None:
-                    continue
-                for n, t in c.attrs:
-                    if n == e.fieldname:
-                        return t
-            raise LTypeError(f"class '{to.name}' has no attribute '{e.fieldname}'", e.loc)
-        raise LTypeError(f"cannot type expression node {type(e).__name__}", getattr(e, "loc", None))
+        return tf.cod
+    if isinstance(e, Lambda):
+        inner = dict(vs)
+        inner[e.var] = e.var_type
+        return FunT(e.var_type, _type_of(env, e.body, inner))
+    if isinstance(e, (Forall, Exists)):
+        inner = dict(vs)
+        inner[e.var] = e.var_type
+        tb = _type_of(env, e.body, inner)
+        if not isinstance(tb, BoolT):
+            raise LTypeError(f"quantifier body must be Boolean, got '{tb}'", e.loc)
+        return BOOL
+    if isinstance(e, IfThenElse):
+        _expect_bool(env, e.cond, vs, "condition of 'if'")
+        t1 = _type_of(env, e.then, vs)
+        t2 = _type_of(env, e.other, vs)
+        if is_subtype(t1, t2, env.classes):
+            return t2
+        if is_subtype(t2, t1, env.classes):
+            return t1
+        raise LTypeError(f"branches of 'if' have unrelated types '{t1}' and '{t2}'", e.loc)
+    if isinstance(e, FieldAccess):
+        to = _type_of(env, e.obj, vs)
+        if not isinstance(to, ClassT):
+            raise LTypeError(f"field access on non-class type '{to}'", e.loc)
+        for cname in [to.name] + ancestors(to.name, env.classes):
+            c = env.classes.get(cname)
+            if c is None:
+                continue
+            for n, t in c.attrs:
+                if n == e.fieldname:
+                    return t
+        raise LTypeError(f"class '{to.name}' has no attribute '{e.fieldname}'", e.loc)
+    raise LTypeError(f"cannot type expression node {type(e).__name__}", getattr(e, "loc", None))
 
-    def expect_bool(e: Expr, vs: dict[str, LType], what: str) -> None:
-        t = go(e, vs)
-        if not isinstance(t, BoolT):
-            raise LTypeError(f"{what} must be Boolean, got '{t}'", getattr(e, "loc", None))
 
-    return go(e, vs)
+def _expect_bool(env: Env, e: Expr, vs: dict[str, LType], what: str) -> None:
+    t = _type_of(env, e, vs)
+    if not isinstance(t, BoolT):
+        raise LTypeError(f"{what} must be Boolean, got '{t}'", getattr(e, "loc", None))
 
 
 def inclusion_rule_name(child: str, parent: str) -> str:

@@ -25,12 +25,14 @@ import hypothesis.strategies as st
 
 from conftest import CASES, load_case
 from oracles import carriers_and_domain, declared_key, eval_expr, reference_models, reference_stages, renamed
+from normlog import closures, symmetry
 from normlog.correspond import build_correspondence, concluded
 from normlog.models import (
     FormulaCompiler,
     FormulaSet,
     ModelError,
     ModelProblem,
+    ResourceCapError,
     Symbol,
     assertion_problem,
     enumerate_models,
@@ -173,14 +175,28 @@ def test_compiled_closure_reads_the_tables_at_call_time():
 _S = ClassT("S")
 
 
-def test_shared_subterms_compile_once():
+def test_shared_subterms_compile_once(monkeypatch):
+    made = []
+
+    class Counted(closures._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(closures, "_Node", Counted)
     compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
     shared = parse_expr("p y && not p (f y)")
-    compiler.compile(Forall("y", _S, shared))
-    size = len(compiler._memo)
-    compiler.compile(Exists("y", _S, shared))
-    # only the new binder is compiled: same variable, type and depth
-    assert len(compiler._memo) == size + 1
+    first = compiler.compile(Forall("y", _S, shared), want="is_false")
+    assert made
+    del made[:]
+    second = compiler.compile(Exists("y", _S, shared), want="is_false")
+    # only the new binder is compiled: same variable, type and depth; it
+    # reads the one node of the shared body, with the closure built for
+    # the first
+    assert made == [second.node]
+    assert second.node.parts[3] is first.node.parts[3]
 
 
 def test_a_shared_subterm_under_other_binders_reads_their_cells():
@@ -204,16 +220,26 @@ def test_negation_hands_over_the_other_direction():
     assert nne.is_false is e.is_false and nne.is_true is e.is_true
 
 
-def test_closures_are_built_only_in_the_directions_asked():
+@pytest.mark.parametrize("on_request", [False, True])
+def test_closures_are_built_only_in_the_directions_asked(on_request):
+    # The compile walk builds the closure it is asked for, and a closure
+    # looked up later is built then; either way each node has the same
+    # closures, one per direction asked.
     compiler = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
-    compiled = compiler.compile(parse_expr("forall y: S. p y --> r y y || not p (f y)"))
+    e = parse_expr("forall y: S. p y --> r y y || not p (f y)")
+
+    def node_closures():
+        # (value, is_false, is_true) of each node
+        return {print_expr(e): (node.value, node.is_false, node.is_true) for e, node in compiler._memo.values()}
+
+    if on_request:
+        compiled = compiler.compile(e)
+        assert all(fns == (None, None, None) for fns in node_closures().values())
+    else:
+        compiled = compiler.compile(e, want="is_false")
     assert compiled.is_false() is False
-    # which of (value, is_false, is_true) each node has built
-    built = {
-        print_expr(e): tuple(fn is not None for fn in node.built)
-        for e, node in compiler._memo.values()
-    }
-    assert built == {
+    built = node_closures()
+    assert {k: tuple(fn is not None for fn in fns) for k, fns in built.items()} == {
         "forall y: S. p y --> r y y || not p (f y)": (False, True, False),
         "p y --> r y y || not p (f y)": (False, True, False),
         "p y": (False, False, True),
@@ -223,6 +249,18 @@ def test_closures_are_built_only_in_the_directions_asked():
         "p (f y)": (False, False, True),
         "f y": (True, False, False),
     }
+    # `r y y` is checked (not every pair is a cell of r), so it reads
+    # `y` as a value; where an application is not checked, its
+    # arguments' cells are read directly and `y` builds no closure
+    [(_, y, _)] = compiler._binders.values()
+    assert (y.value is not None, y.is_false, y.is_true) == (True, None, None)
+    unchecked = FormulaCompiler(_symbols(_TABLES), _CARRIERS, ())
+    assert unchecked.compile(parse_expr("forall y: S. p (f y) && p y"), want="is_false").is_false() is True
+    [(_, y, _)] = unchecked._binders.values()
+    assert (y.value, y.is_false, y.is_true) == (None, None, None)
+    # asked again, the nodes hand out the closures they have
+    assert compiler.compile(e, want="is_false").is_false is compiled.is_false
+    assert all(node_closures()[k][i] is fns[i] for k, fns in built.items() for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -794,3 +832,30 @@ def test_symmetry_is_pruned_only_where_nothing_tells_elements_apart(formula, saf
         assert len(_assert_lex_leaders(fs, problem, every)) < len(every)
     else:
         assert _json(problem.models()) == _json(every)
+
+
+def test_lex_leader_rows_are_built_as_the_search_first_reaches_them(monkeypatch):
+    # Each position's rows are built once, when the search first gets
+    # there, in search order: a first-model search that the budget stops
+    # at depth d, after d assignments, builds none deeper than d.
+    reached = []
+    reach = symmetry.LexLeader.reach
+
+    def recording(self, depth):
+        reached.append(depth)
+        return reach(self, depth)
+
+    monkeypatch.setattr(symmetry.LexLeader, "reach", recording)
+    fs, sizes, ints = _symmetric_problem("p c || c == d")
+    problem = ModelProblem(fs, sizes, ints, prune_symmetry=True)
+    every = list(problem.models())
+    # c, d, f and p read or return elements of S; q does not
+    assert reached == list(range(6)) and every
+    for budget in range(1, 6):
+        del reached[:]
+        problem = ModelProblem(fs, sizes, ints, prune_symmetry=True)
+        with pytest.raises(ResourceCapError):
+            next(problem.models(node_budget=budget))
+        assert reached == list(range(budget + 1))
+        # a second search finds the rows built
+        assert _json(problem.models()) == _json(every) and reached == list(range(6))

@@ -135,9 +135,9 @@ def test_each_formula_compiles_once_per_query(monkeypatch):
     calls = []
     compile_ = models.FormulaCompiler.compile
 
-    def counting(self, e, params=()):
+    def counting(self, e, params=(), want=None):
         calls.append((self, e))
-        return compile_(self, e, params)
+        return compile_(self, e, params, want)
 
     monkeypatch.setattr(models.FormulaCompiler, "compile", counting)
     m = load_case("speedlimit_repaired.l4")

@@ -114,10 +114,10 @@ def test_every_top_level_definition_is_named(path):
 KIND_DISPATCH = 6
 PER_KIND_ALGEBRAS = {
     "syntax.py:_print_node",
-    "typecheck.py:type_of.go",
-    "transform.py:simplify.go",
+    "typecheck.py:_type_of",
+    "transform.py:_Simplifier.go",
     "smtlib.py:_form",
-    "models.py:FormulaCompiler._comp",
+    "closures.py:FormulaCompiler._comp",
     "models.py:_guard.guard",
 }
 

@@ -141,6 +141,37 @@ def test_each_trigger_is_translated_as_by_the_tree_walkers(trigger):
     assert got != _with_tree_walkers(lambda: _problems(m), lambda formulas, env: formulas)
 
 
+def _trigger_module(trigger):
+    plain, changed = _TRIGGERS[trigger]
+    m = elaborate(parse_module(_PLAIN.replace(plain, changed)))
+    typecheck_module(m)
+    return m
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_translation_is_decided_as_by_walking_every_formula(variant):
+    # rules_to_formulas reads only the outer binders of the inversion
+    # formulas; the decision must be the walk over all of them.
+    modules = [load_case(p.name) for p in sorted(CASES.glob("*.l4"))]
+    modules += [_trigger_module(t) for t in _TRIGGERS]
+    for seed in range(100):
+        m = elaborate(random_annotated_module(random.Random(seed)).module)
+        typecheck_module(m)
+        modules.append(m)
+    decided = []
+    for m in modules:
+        try:
+            m = transform_module(m, variant).module
+        except CycleError:
+            continue
+        env = Env.from_module(m)
+        formulas, needed = models._module_formulas(m, env, include_inversions=True)
+        assert needed == models._needs_translation([f for _, f in formulas], env)
+        assert rules_to_formulas(m).translated is needed
+        decided.append(needed)
+    assert decided.count(True) >= len(_TRIGGERS) and False in decided
+
+
 def test_an_unknown_binder_class_is_rejected_as_by_the_tree_walkers():
     m = elaborate(parse_module(_PLAIN.replace("owns v v &&", "(exists c: Nope. owns v c) &&")))
     for run in (lambda: rules_to_formulas(m), lambda: _with_tree_walkers(lambda: rules_to_formulas(m))):
