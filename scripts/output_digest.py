@@ -10,6 +10,9 @@ stderr, then the command line.  The command lines are:
   under both variants, and `correspond`, each plain and with `--json`,
   at the default budget and at the small ones of CASE_BUDGETS (they put
   the cap hits, exit 3, where the count of cell assignments puts them);
+  then `check` and `correspond` again at the default budget with one
+  sort at two elements and the others at one, for each sort in turn,
+  so that exhaustive searches over more than one element are covered;
   then the front end: `parse`, `invert` and `transform` under both
   variants with and without `--simplify`, each plain and with
   `--json`, and `emit-smt` under both variants with and without
@@ -107,11 +110,16 @@ def case_lines() -> list[str]:
     for path in sorted((ROOT / "cases").glob("*.l4")):
         label = f"cases/{path.name}"
         m = parse_module(path.read_text(encoding="utf-8"))
-        sizes = ",".join(f"{c.name}=1" for c in m.classes if c.parent == ROOT_CLASS)
+        sorts = [c.name for c in m.classes if c.parent == ROOT_CLASS]
+        sizes = ",".join(f"{s}=1" for s in sorts)
         ints = _int_literals(m)
         names = [a.name for a in m.assertions]
         for budget in CASE_BUDGETS:
             for argv in commands(str(path), names, sizes, ints, budget):
+                out.append(run(argv, label))
+        for two in sorts:
+            sizes = ",".join(f"{s}={2 if s == two else 1}" for s in sorts)
+            for argv in commands(str(path), names, sizes, ints, DEFAULT_NODE_BUDGET):
                 out.append(run(argv, label))
         for argv in frontend_commands(str(path), names):
             out.append(run(argv, label))

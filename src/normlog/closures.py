@@ -7,6 +7,18 @@ of the tables; each subterm is asked only the direction its parent acts
 on.  The walk that builds a node builds the closure its parent asks for
 as it leaves it, and records the free symbols the node reads, which give
 a formula its watch set and stage in the search (models.py).
+
+Some equations are decided while compiling.  A pinned constant symbol
+(a rule name) is a literal.  A `forall v` over the integers, the
+Booleans or a fixed carrier whose body, perhaps under more `forall`s, is
+`h --> d1 || ... || dn`, with every di a && chain holding `v == c` for a
+constant c of v's domain, and which is safe, is unrolled: the && of one
+instance per value c, `h --> ` the di pinned to c without that equation
+(`not h` if there is none), with v's cell set to c.  Inner binders that
+every di pins too are unrolled with it.  This is the shape of an
+inversion formula of a predicate whose rules conclude constants (the
+Clark completion's equations), and each instance reads only the
+preconditions of its own value.
 """
 
 from __future__ import annotations
@@ -14,10 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from .syntax import (
     CMP_OPS,
+    TRUE,
     And,
     App,
     BoolLit,
@@ -80,12 +93,15 @@ class Symbol(NamedTuple):
     cell assigned so far to its value and is read in place at every
     call; `cells` holds every cell it may hold and `values` every value
     it may take (None when not known).  `rank` is the symbol's place in
-    the order the search assigns tables, -1 for a complete table."""
+    the order the search assigns tables, -1 for a complete table.
+    `pinned` says that the table is complete and fixed for the life of
+    the compiler, so a constant's value is read when compiling."""
 
     table: dict
     cells: frozenset
     values: Optional[frozenset]
     rank: int = -1
+    pinned: bool = False
 
     @property
     def bit(self) -> int:
@@ -99,6 +115,8 @@ class _Node:
     the first request and kept in the slot `want` names, None until
     then: `value` holds its three-valued value, `is_false` (`is_true`)
     whether it is False (True) under every completion of the tables.
+    A bound variable's `parts` say whether its domain may hold a
+    constant, so that a `forall` binding it may be unrolled.
     Also: the values it may return (None if not known), whether it is
     safe, its binder cell if it is a bound variable, and the ranks from
     which it may be True and False (a term: any definite value) while
@@ -229,6 +247,22 @@ class FormulaCompiler:
     values each ordering comparison compiled may read (None if not
     known).
 
+    A pinned constant symbol compiles as a literal, and an application
+    reads bound variables' cells and literal arguments directly.  A node
+    whose values exclude False (True) is never False (True): its
+    `false_from` (`true_from`) is NEVER, so a formula over a predicate
+    that is True everywhere, as a sort's characteristic predicate is,
+    is neither staged nor watched.  A `forall` is unrolled (`_unrolled`)
+    only if its domain is fixed (integers, Booleans, or a carrier of
+    pinned constants), every disjunct of its body pins its variable to a
+    constant of that domain, and the body is safe; otherwise it compiles
+    as a quantifier.  The instances are built from the nodes of the
+    body's head and conjuncts, in the contexts the body's walk gives
+    them, so no expression is rebuilt; `safe` and `refs` are those of the
+    body, and the three-valued result is the quantifier's at every
+    partial assignment.  Its `false_from` is the least of its instances',
+    which is tighter when an instance leaves out a disjunct.
+
     The compile walk builds each node's closure for the direction its
     parent asks as it leaves the node, so `compile(e, want=...)` returns
     with every closure that one needs, and spends one frame per tree
@@ -291,7 +325,8 @@ class FormulaCompiler:
             cell = self._cells.get((var, depth))
             if cell is None:
                 cell = self._cells[(var, depth)] = [None]
-            node = _Node(_variable, None, frozenset(domain), True, cell, -1, -1, 0)
+            pinnable = not isinstance(t, ClassT) or self._pinnable(domain)
+            node = _Node(_variable, pinnable, frozenset(domain), True, cell, -1, -1, 0)
             self._depth.append(depth + 1)
             hit = self._binders[key] = (len(self._depth) - 1, node, domain)
         return hit
@@ -316,13 +351,14 @@ class FormulaCompiler:
                 return _fail(f"no interpretation for symbol '{e.name}'")
             if () not in sym.cells:
                 return _fail(f"symbol '{e.name}' used without arguments", sym.bit)
-            return _Node(_constant_symbol, sym.table.get, sym.values, True, None, sym.rank, sym.rank, sym.bit)
+            if sym.pinned:
+                return _literal_node(sym.table[()])
+            true_from, false_from = _definite_ranks(sym.values, sym.rank, sym.rank)
+            return _Node(_constant_symbol, sym.table.get, sym.values, True, None, true_from, false_from, sym.bit)
         if isinstance(e, (BoolLit, IntLit)):
-            value = e.value
-            true_from = NEVER if value is False else -1
-            false_from = NEVER if value is True else -1
-            return _Node(_literal, value, frozenset((value,)), True, None, true_from, false_from, 0)
+            return _literal_node(e.value)
         return _fail(f"{type(e).__name__} values are not supported by the enumerator")
+
 
     def _comp(self, e: Expr, scope: dict[str, _Node], context: int, want: Optional[str]) -> _Node:
         """The node of `e`, with its closure for `want` built unless
@@ -380,9 +416,7 @@ class FormulaCompiler:
         elif kind is Not:
             arg = self._comp(e.arg, scope, context, _OTHER[want])
             key = (kind, arg)
-            out = shared.get(key) or shared.setdefault(
-                key, _Node(_negation, arg, BOOLS, arg.safe, None, arg.false_from, arg.true_from, arg.refs)
-            )
+            out = shared.get(key) or shared.setdefault(key, _negation_node(arg))
         elif kind is And or kind is Or:
             left, right, ask = e.left, e.right, _SAME[want]
             # A chain of any length, however bracketed, is one node:
@@ -398,19 +432,7 @@ class FormulaCompiler:
             ln = self._comp(e.left, scope, context, _OTHER[want])
             rn = self._comp(e.right, scope, context, _SAME[want])
             key = (kind, ln, rn)
-            out = shared.get(key) or shared.setdefault(
-                key,
-                _Node(
-                    _implication,
-                    (ln, rn),
-                    _with_bools((ln, rn)),
-                    ln.safe and rn.safe,
-                    None,
-                    min(ln.false_from, rn.true_from),
-                    max(ln.true_from, rn.false_from),
-                    ln.refs | rn.refs,
-                ),
-            )
+            out = shared.get(key) or shared.setdefault(key, _implication_node(ln, rn))
         elif kind is Eq or kind is Cmp:
             ask = None if want is None else _VALUE
             ln, rn = self._comp(e.left, scope, context, ask), self._comp(e.right, scope, context, ask)
@@ -429,21 +451,14 @@ class FormulaCompiler:
                 out = self._failing(e, scope, binder)
             else:
                 inner, var, values = binder
-                body = self._comp(e.body, {**scope, e.var: var}, inner, _SAME[want])
-                key = (kind, var, body)
-                out = shared.get(key) or shared.setdefault(
-                    key,
-                    _Node(
-                        _quantifier,
-                        (kind is Forall, values, var.cell, body),
-                        BOOLS,
-                        body.safe,
-                        None,
-                        body.true_from,
-                        body.false_from,
-                        body.refs,
-                    ),
-                )
+                inner_scope = {**scope, e.var: var}
+                out = None
+                if kind is Forall and var.parts:
+                    out = self._unrolled(e, var, values, inner_scope, inner, want)
+                if out is None:
+                    body = self._comp(e.body, inner_scope, inner, _SAME[want])
+                    key = (kind, var, body)
+                    out = shared.get(key) or shared.setdefault(key, _quantifier_node(kind is Forall, var, values, body))
         elif kind is IfThenElse:
             out = _conditional(
                 self._comp(e.cond, scope, context, None if want is None else _VALUE),
@@ -457,6 +472,176 @@ class FormulaCompiler:
         self._memo[memo_key] = (e, out)
         return out
 
+    def _pinnable(self, carrier: tuple) -> bool:
+        """Whether some element of `carrier` names a pinned constant
+        symbol whose value it is, as the elements of a fixed carrier do."""
+        for x in carrier:
+            sym = self.symbols.get(x)
+            if sym is not None and sym.pinned and sym.table.get(()) == x:
+                return True
+        return False
+
+    def _unrolled(
+        self, e: Forall, var: _Node, values: tuple, scope: dict[str, _Node], context: int, want: Optional[str]
+    ) -> Optional[_Node]:
+        """The node of `e`, `forall v. (forall ...) h --> d1 || ... || dn`,
+        with `v` and each inner binder whose variable every di also pins
+        (`_pin`) unrolled: the binders left are quantifiers, outermost
+        first, over the && of one instance per tuple of the pinned
+        variables' values, in the order of their nested loops.  Instance
+        t sets the pinned variables' cells to t and is `h --> ` the || of
+        the di pinned to t, their equations dropped, or `not h` if none
+        is.  None if some di does not pin `v`, or if the body is not safe:
+        its safe and refs are those of h and the conjuncts of the di
+        together, since its connectives and binders add none (a binder
+        without a domain adds a failing node) and an equation `v == c` is
+        safe and reads no symbol."""
+        binders = []
+        body = e.body
+        while type(body) is Forall:
+            binders.append(body)
+            body = body.body
+        if type(body) is not Implies:
+            return None
+        right = body.right
+        disjuncts = [
+            spine(d, And) if type(d) is And else [d] for d in (spine(right, Or) if type(right) is Or else [right])
+        ]
+        pins: list[list] = [[] for _ in disjuncts]
+        if not self._pin(e.var, var, scope, binders, disjuncts, pins):
+            return None
+        pinned = [(var, values)]
+        kept = []
+        for i, b in enumerate(binders):
+            binder = self._binder(context, b.var, b.var_type)
+            if isinstance(binder, str):
+                return None
+            context, bvar, bvalues = binder
+            scope = {**scope, b.var: bvar}
+            if bvar.parts and self._pin(b.var, bvar, scope, binders[i + 1 :], disjuncts, pins):
+                pinned.append((bvar, bvalues))
+            else:
+                kept.append((bvar, bvalues))
+
+        groups: dict[tuple, list] = {}
+        for conjuncts, pin in zip(disjuncts, pins):
+            key = tuple(pin)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [conjuncts]
+            else:
+                group.append(conjuncts)
+        ask = _SAME[want]
+        shared = self._shared
+        head = self._comp(body.left, scope, context, _OTHER[ask])
+        for key, group in groups.items():
+            groups[key] = self._instance(scope, context, head, group, ask)
+        combos = list(itertools.product(*[vs for _, vs in pinned]))
+        if len(groups) < len(combos):
+            # the instance of the values no disjunct is pinned to
+            key = (Not, head)
+            negated = shared.get(key) or shared.setdefault(key, _negation_node(head))
+            instances = [groups.get(combo, negated) for combo in combos]
+        else:
+            instances = [groups[combo] for combo in combos]
+        out = _unrolled_node(combos, tuple([v.cell for v, _ in pinned]), instances)
+        for bvar, bvalues in reversed(kept):
+            if ask is not None:
+                out.closure(ask)
+            key = (Forall, bvar, out)
+            out = shared.get(key) or shared.setdefault(key, _quantifier_node(True, bvar, bvalues, out))
+        return out if out.safe else None
+
+    def _pin(
+        self,
+        name: str,
+        var: _Node,
+        scope: dict[str, _Node],
+        inner: list,
+        disjuncts: list[list[Expr]],
+        pins: list[list],
+    ) -> bool:
+        """Whether every list of `disjuncts` holds `name == c` (or `c ==
+        name`) with c an integer or Boolean literal or a pinned constant
+        symbol, not bound in `scope` or by one of the binders `inner`,
+        whose value is one of `var`'s, and no binder of `inner` binds
+        `name`.  If so the last such equation is dropped from each list
+        (rule conclusions put their equations last) and the value of its
+        c appended to that list's `pins`."""
+        bound = {b.var for b in inner} if inner else ()
+        if name in bound:
+            return False
+        # a domain holds integers, Booleans or elements, of one type
+        domain = var.values
+        kind = type(next(iter(domain)))
+        found = []
+        for conjuncts in disjuncts:
+            i = len(conjuncts)
+            while i:
+                i -= 1
+                c = conjuncts[i]
+                if type(c) is not Eq:
+                    continue
+                left, right = c.left, c.right
+                if type(left) is Var and left.name == name:
+                    value = self._constant_of(right, scope, bound)
+                elif type(right) is Var and right.name == name:
+                    value = self._constant_of(left, scope, bound)
+                else:
+                    continue
+                if value is not _MISSING:
+                    break
+            else:
+                return False
+            if type(value) is not kind or value not in domain:
+                return False
+            found.append((i, value))
+        for conjuncts, pin, (i, value) in zip(disjuncts, pins, found):
+            del conjuncts[i]
+            pin.append(value)
+        return True
+
+    def _constant_of(self, e: Expr, scope: dict[str, _Node], bound: Collection[str]):
+        """The value of `e` if it is an integer or Boolean literal or a
+        pinned constant symbol not bound in `scope` or `bound`, else
+        _MISSING."""
+        kind = type(e)
+        if kind is IntLit or kind is BoolLit:
+            return e.value
+        if kind is Var and e.name not in scope and e.name not in bound:
+            sym = self.symbols.get(e.name)
+            if sym is not None and sym.pinned and () in sym.table:
+                return sym.table[()]
+        return _MISSING
+
+    def _instance(
+        self, scope: dict[str, _Node], context: int, head: _Node, disjuncts: list[list[Expr]], want: Optional[str]
+    ) -> _Node:
+        """The node of `head --> d1 || ... || dk`, each di the && of one
+        list of `disjuncts` (true if it is empty), compiled in `context`
+        with its closure for `want` built unless `want` is None."""
+        shared = self._shared
+        options = []
+        for conjuncts in disjuncts:
+            operands = [self._comp(c, scope, context, want) for c in conjuncts]
+            if len(operands) == 1:
+                options.append(operands[0])
+            elif not operands:
+                options.append(self._comp(TRUE, scope, context, want))
+            else:
+                key = (And, *operands)
+                options.append(shared.get(key) or shared.setdefault(key, _junction(True, operands)))
+        if len(options) == 1:
+            rn = options[0]
+        else:
+            key = (Or, *options)
+            rn = shared.get(key) or shared.setdefault(key, _junction(False, options))
+        key = (Implies, head, rn)
+        out = shared.get(key) or shared.setdefault(key, _implication_node(head, rn))
+        if want is not None:
+            out.closure(want)
+        return out
+
     def _failing(self, e: Expr, scope: dict[str, _Node], message: str) -> _Node:
         """The node of `e` that raises `message`.  It stands for every
         free symbol `e` names, so that a formula that may raise keeps
@@ -468,6 +653,17 @@ class FormulaCompiler:
 
 
 # Closure builders: `build(node, want)` of each node kind.
+
+
+def _definite_ranks(values: Optional[frozenset], true_from: float, false_from: float) -> tuple[float, float]:
+    """`true_from` and `false_from` of a node whose values are `values`:
+    NEVER for True (False) if they are Booleans without it."""
+    if values is not None and values is not BOOLS and all([type(v) is bool for v in values]):
+        if True not in values:
+            true_from = NEVER
+        if False not in values:
+            false_from = NEVER
+    return true_from, false_from
 
 
 def _kleene(node: _Node) -> Callable[[], object]:
@@ -497,6 +693,12 @@ def _fail(message: str, refs: int = 0) -> _Node:
     return _Node(_raise, message, None, False, None, -1, -1, refs)
 
 
+def _literal_node(value) -> _Node:
+    true_from = NEVER if value is False else -1
+    false_from = NEVER if value is True else -1
+    return _Node(_literal, value, frozenset((value,)), True, None, true_from, false_from, 0)
+
+
 def _literal(node: _Node, want: str) -> Callable[[], object]:
     value = node.parts if want == _VALUE else node.parts is (want == _IS_TRUE)
     return lambda: value
@@ -516,6 +718,10 @@ def _variable(node: _Node, want: str) -> Callable[[], object]:
         return lambda: cell[0]
     expect = want == _IS_TRUE
     return lambda: cell[0] is expect
+
+
+def _negation_node(arg: _Node) -> _Node:
+    return _Node(_negation, arg, BOOLS, arg.safe, None, arg.false_from, arg.true_from, arg.refs)
 
 
 def _negation(node: _Node, want: str) -> Callable[[], object]:
@@ -573,6 +779,19 @@ def _junction_closure(node: _Node, want: str) -> Callable[[], object]:
         return True
 
     return every
+
+
+def _implication_node(ln: _Node, rn: _Node) -> _Node:
+    return _Node(
+        _implication,
+        (ln, rn),
+        _with_bools((ln, rn)),
+        ln.safe and rn.safe,
+        None,
+        min(ln.false_from, rn.true_from),
+        max(ln.true_from, rn.false_from),
+        ln.refs | rn.refs,
+    )
 
 
 def _implication(node: _Node, want: str) -> Callable[[], object]:
@@ -671,7 +890,11 @@ def _application(head: str, sym: Symbol, args: list[_Node], fits: dict) -> _Node
     safe = fits.get(key)
     if safe is None:
         safe = fits[key] = None not in values and _fits(sym.cells, values)
-    return _Node(_application_closure, (head, sym, args), sym.values, safe, None, definite_from, definite_from, refs)
+    if sym.values is BOOLS:
+        true_from = false_from = definite_from
+    else:
+        true_from, false_from = _definite_ranks(sym.values, definite_from, definite_from)
+    return _Node(_application_closure, (head, sym, args), sym.values, safe, None, true_from, false_from, refs)
 
 
 def _application_closure(node: _Node, want: str) -> Callable[[], object]:
@@ -693,9 +916,12 @@ def _application_closure(node: _Node, want: str) -> Callable[[], object]:
 
         return _decided(checked, want)
     # An unset argument makes a key with None, which no table holds.  A
-    # key of bound variables' cells, or of one argument, is read here;
-    # only the arguments read as values need their value closures.
+    # key of bound variables' cells and literals, or of one argument, is
+    # read here, a literal from a one-element tuple of its own; only the
+    # other arguments need their value closures.
     cells = [a.cell for a in args]
+    if None in cells:
+        cells = [(a.parts,) if a.build is _literal else c for a, c in zip(args, cells)]
     expect = want == _IS_TRUE
     if len(args) == 1:
         (c,) = cells
@@ -728,6 +954,12 @@ def _fits(cells: frozenset, values: list[frozenset]) -> bool:
     return all(k in cells for k in itertools.product(*values))
 
 
+def _quantifier_node(forall: bool, var: _Node, values: tuple, body: _Node) -> _Node:
+    return _Node(
+        _quantifier, (forall, values, var.cell, body), BOOLS, body.safe, None, body.true_from, body.false_from, body.refs
+    )
+
+
 def _quantifier(node: _Node, want: str) -> Callable[[], object]:
     forall, values, cell, body = node.parts
     if want == _VALUE:
@@ -753,3 +985,53 @@ def _quantifier(node: _Node, want: str) -> Callable[[], object]:
         return True
 
     return every
+
+
+def _unrolled_node(combos: list[tuple], cells: tuple[list, ...], instances: list[_Node]) -> _Node:
+    """The && of `instances`, each asked with `cells` set to the tuple
+    of `combos` at its place."""
+    refs = 0
+    for x in instances:
+        refs |= x.refs
+    return _Node(
+        _unrolled_closure,
+        (combos, cells, instances),
+        BOOLS,
+        all([x.safe for x in instances]),
+        None,
+        max([x.true_from for x in instances]),
+        min([x.false_from for x in instances]),
+        refs,
+    )
+
+
+def _unrolled_closure(node: _Node, want: str) -> Callable[[], object]:
+    combos, cells, instances = node.parts
+    if want == _VALUE:
+        return _kleene(node)
+    fns = [x.closure(want) for x in instances]
+    # && is false as soon as one instance is, true when all are
+    some = want == _IS_FALSE
+    if len(cells) == 1:
+        (cell,) = cells
+        pairs = tuple(zip([v for v, in combos], fns))
+
+        def one():
+            for v, fn in pairs:
+                cell[0] = v
+                if fn() is some:
+                    return some
+            return not some
+
+        return one
+    pairs = tuple(zip([tuple(zip(cells, combo)) for combo in combos], fns))
+
+    def each():
+        for assignment, fn in pairs:
+            for c, v in assignment:
+                c[0] = v
+            if fn() is some:
+                return some
+        return not some
+
+    return each

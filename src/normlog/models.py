@@ -389,6 +389,7 @@ class ModelProblem:
         symbols: dict[str, Symbol] = {}
         pinned: list[str] = []
         free: list[tuple[str, tuple[tuple, ...], tuple]] = []
+        value_sets: dict[str, frozenset] = {}
         for d in fs.decls:
             args, cod = uncurry(d.type)
             if d.name in fs.char_true:
@@ -406,17 +407,18 @@ class ModelProblem:
                 values = domain(cod)
                 # a predicate's values are BOOLS itself, which the
                 # connectives over it join without making a set
-                value_set = BOOLS if isinstance(cod, BoolT) else frozenset(values)
-                symbols[d.name] = Symbol({}, frozenset(cells), value_set)
+                value_sets[d.name] = BOOLS if isinstance(cod, BoolT) else frozenset(values)
+                # made below with its rank; the dict keeps declared order
+                symbols[d.name] = None
                 free.append((d.name, cells, values))
                 continue
             pinned.append(d.name)
-            symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()))
+            symbols[d.name] = Symbol(table, frozenset(table), frozenset(table.values()), -1, True)
         self._names = pinned + [name for name, _, _ in free]
         # the free symbols in search order
         free = [f for f in free if f[0] not in last] + [f for f in free if f[0] in last]
-        for rank, (name, _, _) in enumerate(free):
-            symbols[name] = symbols[name]._replace(rank=rank)
+        for rank, (name, cells, _) in enumerate(free):
+            symbols[name] = Symbol({}, frozenset(cells), value_sets[name], rank)
 
         self.carriers = carriers
         self.ints = int_values

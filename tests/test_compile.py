@@ -35,12 +35,14 @@ from normlog.models import (
     ResourceCapError,
     Symbol,
     assertion_problem,
+    check_assertion,
     enumerate_models,
     rules_to_formulas,
 )
 from normlog.parser import parse_expr
 from normlog.randgen import random_annotated_module
 from normlog.syntax import (
+    ROOT_CLASS,
     And,
     BoolT,
     ClassT,
@@ -859,3 +861,228 @@ def test_lex_leader_rows_are_built_as_the_search_first_reaches_them(monkeypatch)
         assert reached == list(range(budget + 1))
         # a second search finds the rows built
         assert _json(problem.models()) == _json(every) and reached == list(range(6))
+
+
+# ---------------------------------------------------------------------------
+# unrolled quantifiers: a `forall` whose disjuncts each pin its variable
+# to a constant compiles as the && of one instance per value
+
+
+def _nodes(node, seen=None):
+    """Every compiled node reachable from `node`, each once."""
+    seen = set() if seen is None else seen
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        yield n
+        parts = n.parts
+        for x in parts if isinstance(parts, (tuple, list)) else (parts,):
+            if isinstance(x, closures._Node):
+                stack.append(x)
+            elif isinstance(x, (tuple, list)):
+                stack.extend(y for y in x if isinstance(y, closures._Node))
+
+
+def _unrolled(node):
+    return [n for n in _nodes(node) if n.build is closures._unrolled_closure]
+
+
+def _problems_with_pinned_constants():
+    """(label, problem) of the searched cases' assertion problems at two
+    elements per sort and of 300 randgen modules, under both variants:
+    problems whose symbols ModelProblem built, rule-name constants
+    pinned."""
+    for case in _SEARCHED_CASES:
+        for variant in Variant:
+            m = transform_module(load_case(case), variant).module
+            for a in m.assertions:
+                fs, (name, _, goal) = assertion_problem(m, a.name)
+                probe = replace(fs, formulas=fs.formulas + ((name, Not(goal)),))
+                yield f"{case} {variant.name} {a.name}", ModelProblem(probe, {s: 2 for s in fs.sorts}, (90, 130, 320))
+    for seed in range(300):
+        for variant in Variant:
+            fs, sizes, ints = _formula_set(seed, variant)
+            yield f"{seed} {variant.name}", ModelProblem(fs, sizes, ints)
+
+
+def test_unrolled_formulas_keep_the_compiled_properties():
+    # On complete tables every closure matches eval_expr; on partial ones
+    # a closure never answers what a completion contradicts; and with the
+    # symbols ranked above k unset, a formula is not false if its
+    # false_from exceeds k.
+    rng = random.Random(24)
+    unrolled = 0
+    for label, problem in _problems_with_pinned_constants():
+        compiled = [(e, problem.compiler.compile(e)) for _, e in problem._fs.formulas]
+        found = sum(len(_unrolled(c.node)) for _, c in compiled)
+        if not found:
+            continue
+        unrolled += found
+        free = problem._free
+        tables = {name: sym.table for name, sym in problem.symbols.items()}
+        full = {name: {cell: rng.choice(values) for cell in cells} for name, cells, values in free}
+        k = rng.randrange(len(free))
+        for rank, (name, cells, values) in enumerate(free):
+            keep = 1.0 if rank < k else 0.5 if rank == k else 0.0
+            tables[name].clear()
+            tables[name].update({c: v for c, v in full[name].items() if rng.random() < keep})
+        partial = {name: dict(t) for name, t in tables.items()}
+        completions = []
+        for _ in range(4):
+            completion = {name: dict(t) for name, t in partial.items()}
+            for name, cells, values in free:
+                for cell in cells:
+                    completion[name].setdefault(cell, rng.choice(values))
+            completions.append(completion)
+        for e, c in compiled:
+            if not c.safe:
+                continue
+            r, false, true = c.value(), c.is_false(), c.is_true()
+            assert (false, true) == (r is False, r is True), label
+            if c.false_from > k:
+                assert not false, label
+            for completion in completions if r is not None else ():
+                assert eval_expr(e, completion, problem.carriers, problem.ints) is r, label
+        for name, _, _ in free:
+            tables[name].clear()
+            tables[name].update(full[name])
+        for e, c in compiled:
+            want = _outcome(lambda: eval_expr(e, full | {n: tables[n] for n in tables if n not in full}, problem.carriers, problem.ints))
+            assert _outcome(c.value) == want, label
+            for closure, expect in ((c.is_false, False), (c.is_true, True)):
+                got = _outcome(closure)
+                assert got == (want if want[0] == "error" else (bool, want[1] is expect)), label
+    assert unrolled > 300
+
+
+def _cells_of(monkeypatch):
+    """A list that counts, per ModelProblem built from now on, the cells
+    its searches assign."""
+    counts = []
+    init = ModelProblem.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts.append(0)
+        index = len(counts) - 1
+
+        class Counted(dict):
+            def __setitem__(self, key, value):
+                counts[index] += 1
+                dict.__setitem__(self, key, value)
+
+        for name, _, _ in self._free:
+            self.symbols[name] = self.symbols[name]._replace(table=Counted())
+
+    monkeypatch.setattr(ModelProblem, "__init__", counting)
+    return counts
+
+
+# Cells check_assertion assigns per query: each searched case's
+# assertions under both variants, at one element per sort and with each
+# sort at two in turn, the integer literals of the speed limits as ints.
+_CHECK_CELLS = {
+    "attributes.l4": [22, 8, 9, 192, 54, 14, 24, 8, 10, 30, 18, 10, 260, 134, 16, 32, 18, 11],
+    "selfref.l4": [2, 2],
+    "speedlimit_plain.l4": [17, 21, 44, 56, 26, 47, 66, 90],
+    "speedlimit_repaired.l4": [40, 488, 310, 266, 40, 166, 166, 166],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_CELLS))
+def test_check_assigns_the_pinned_number_of_cells(case, monkeypatch):
+    counts = _cells_of(monkeypatch)
+    m = load_case(case)
+    sorts = [c.name for c in m.classes if c.parent == ROOT_CLASS]
+    ints = (80, 100) if case == "attributes.l4" else (90, 130, 320)
+    shapes = [{s: 1 for s in sorts}] + [{s: 2 if s == two else 1 for s in sorts} for two in sorts]
+    got = []
+    for variant in Variant:
+        t = transform_module(m, variant).module
+        for sizes in shapes:
+            for a in t.assertions:
+                del counts[:]
+                check_assertion(t, a.name, sizes, ints)
+                got.append(sum(counts))
+    assert got == _CHECK_CELLS[case]
+
+
+def _invert(text, decls, ints):
+    fs = FormulaSet((), (), (), decls, (("f", parse_expr(text)),))
+    return ModelProblem(fs, {}, ints)
+
+
+_INT_PREDICATES = (
+    FunDecl("p", FunT(IntT(), BoolT()), loc=None),
+    FunDecl("a", BoolT(), loc=None),
+    FunDecl("b", BoolT(), loc=None),
+)
+
+
+def test_an_equation_with_a_constant_outside_the_pool_is_not_unrolled():
+    inside = _invert("forall k: Integer. p k --> a && k == 1 || b && k == 2", _INT_PREDICATES, (1, 2))
+    outside = _invert("forall k: Integer. p k --> a && k == 10 || b && k == 2", _INT_PREDICATES, (1, 2))
+    [node] = [c.node for c in inside._compiled]
+    assert len(_unrolled(node)) == 1
+    [node] = [c.node for c in outside._compiled]
+    assert _unrolled(node) == [] and node.build is closures._quantifier
+    # p, a and b are all read, the pinned one through the instances
+    for problem in (inside, outside):
+        assert problem._compiled[0].node.refs == 0b111
+        assert [len(m.tables["p"]) for m in problem.models()] and problem.safe
+
+
+def test_a_disjunct_of_the_equation_alone_is_true_in_its_instance():
+    problem = _invert("forall k: Integer. p k --> k == 1 || b && k == 2", _INT_PREDICATES, (1, 2, 3))
+    [node] = [c.node for c in problem._compiled]
+    [unrolled] = _unrolled(node)
+    assert len(unrolled.parts[2]) == 3
+    _same_models(problem._fs, {}, (1, 2, 3))
+
+
+def test_an_unsafe_body_is_not_unrolled_and_raises_where_it_did(monkeypatch):
+    # `p 5` is no cell of p, so the body may raise: it compiles as a
+    # quantifier, and the search raises at the assignment at which the
+    # search of the quantifier raises.
+    text = "forall k: Integer. p k --> a && k == 1 || p 5 && k == 2"
+    problem = _invert(text, _INT_PREDICATES, (1, 2))
+    [node] = [c.node for c in problem._compiled]
+    assert _unrolled(node) == [] and not problem.safe
+
+    counts = _cells_of(monkeypatch)
+
+    def outcome():
+        with pytest.raises(ModelError) as err:
+            list(_invert(text, _INT_PREDICATES, (1, 2)).models())
+        return str(err.value), counts[-1]
+
+    got = outcome()
+    monkeypatch.setattr(FormulaCompiler, "_unrolled", lambda self, *args: None)
+    assert got == outcome() and got[0] == "partial application of 'p'"
+
+
+def test_the_speed_limit_inversion_compiles_to_three_instances():
+    m = transform_module(load_case("speedlimit_repaired.l4"), Variant.PRECOND).module
+    problem = ModelProblem(rules_to_formulas(m), {"Vehicle": 1, "Day": 1, "Road": 1}, (90, 130, 320))
+    [(_, compiled)] = [(n, c) for (n, _), c in zip(problem._fs.formulas, problem._compiled) if n == "inversion maxSp"]
+    [unrolled] = _unrolled(compiled.node)
+    combos, cells, instances = unrolled.parts
+    assert combos == [(90,), (130,), (320,)] and len(cells) == 1
+    # each instance reads one rule's precondition: maxSp's instance is
+    # `maxSp v d r c --> precondition`, and none is `not maxSp ...`
+    assert [x.build for x in instances] == [closures._implication] * 3
+    assert len({x.parts[1] for x in instances}) == 3
+
+
+def test_a_formula_over_an_all_true_predicate_is_neither_staged_nor_watched():
+    m = transform_module(load_case("speedlimit_repaired.l4"), Variant.PRECOND).module
+    problem = ModelProblem(rules_to_formulas(m), {"Vehicle": 2, "Day": 1, "Road": 1}, (90, 130, 320))
+    checks = {id(fn) for _, _, _, fns in problem._stages[2] for fn in fns}
+    for (name, _), c in zip(problem._fs.formulas, problem._compiled):
+        # forall x: Vehicle. isCar x --> isVehicle x, isVehicle all True
+        never = name in ("rule incl'Car'Vehicle", "rule incl'Workday'Day", "rule incl'Highway'Road")
+        assert (c.false_from == closures.NEVER) is never, name
+        assert (id(c.is_false) in checks) is not never, name

@@ -51,21 +51,32 @@ def test_output_digest_runs():
     lines = out.splitlines()
     # per budget (four) and file: check of each assertion under both
     # variants and correspond, each plain and with --json (the original
-    # speed limit has no assertion); per file, the front end: parse,
-    # invert and four transforms, each plain and with --json, and
-    # emit-smt four times plus four per assertion; the same per random
-    # module, with one assertion; then eight lines per configuration
+    # speed limit has no assertion); the same once per sort of the file
+    # (two, none, three, three and three), with that sort at two
+    # elements; per file, the front end: parse, invert and four
+    # transforms, each plain and with --json, and emit-smt four times
+    # plus four per assertion; the same per random module, with one
+    # assertion; then eight lines per configuration
     checks, frontend = 14 + 6 + 2 + 6 + 6, (12 + 16) + (12 + 8) + (12 + 4) + (12 + 8) + (12 + 8)
-    assert len(lines) == 4 * checks + frontend + 2 * (6 + 20) + (7 + 2) * 8
+    two = 2 * 14 + 3 * 2 + 3 * 6 + 3 * 6
+    assert len(lines) == 4 * checks + two + frontend + 2 * (6 + 20) + (7 + 2) * 8
     empty = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    # cases/attributes.l4 comes first: 14 lines per budget, then 28
+    # cases/attributes.l4 comes first: 14 lines per budget, 14 per sort,
+    # then 28
     assert lines[12].startswith("0 ") and lines[12].endswith(
         f" {empty}  normlog correspond cases/attributes.l4 --sizes Vehicle=1,Day=1 --budget 5000000 --ints 80,100"
     )
-    assert lines[84].startswith("1 ") and lines[84].endswith(
+    assert lines[68].endswith(
+        f" {empty}  normlog correspond cases/attributes.l4 --sizes Vehicle=2,Day=1 --budget 5000000 --ints 80,100"
+    )
+    assert lines[112].startswith("1 ") and lines[112].endswith(
         f" {empty}  normlog check cases/selfref.l4 --assert anything --variant precond --sizes  --budget 5000000"
     )
     shown = [line.split("  normlog ")[1] for line in lines]
+    assert (
+        "check cases/speedlimit_repaired.l4 --assert maxSpFunctional --variant deriv"
+        " --sizes Vehicle=1,Day=2,Road=1 --budget 5000000 --ints 90,130,320" in shown
+    )
     assert "correspond randgen:3:1 --sizes Thing=2 --budget 5000000 --ints 1,2 --json" in shown
     assert "emit-smt randgen:3:1 --variant deriv --simplify --assert a" in shown
     assert "verify-lemma4 cases/bob.cfg --json" in shown and shown[-1] == "ground randcfg:3:1"
