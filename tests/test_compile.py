@@ -950,7 +950,7 @@ def test_unrolled_formulas_keep_the_compiled_properties():
             tables[name].clear()
             tables[name].update(full[name])
         for e, c in compiled:
-            want = _outcome(lambda: eval_expr(e, full | {n: tables[n] for n in tables if n not in full}, problem.carriers, problem.ints))
+            want = _outcome(lambda: eval_expr(e, tables, problem.carriers, problem.ints))
             assert _outcome(c.value) == want, label
             for closure, expect in ((c.is_false, False), (c.is_true, True)):
                 got = _outcome(closure)
