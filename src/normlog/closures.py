@@ -8,17 +8,23 @@ on.  The walk that builds a node builds the closure its parent asks for
 as it leaves it, and records the free symbols the node reads, which give
 a formula its watch set and stage in the search (models.py).
 
+&&, ||, forall and exists compile to one node kind, a gate (`_gate`):
+the && or || of its operands, asked left to right up to the first that
+decides it, perhaps once per entry of a value list with binder cells set
+to that entry.  A quantifier is a gate over its one body, asked at every
+value of its domain.
+
 Some equations are decided while compiling.  A pinned constant symbol
 (a rule name) is a literal.  A `forall v` over the integers, the
 Booleans or a fixed carrier whose body, perhaps under more `forall`s, is
 `h --> d1 || ... || dn`, with every di a && chain holding `v == c` for a
-constant c of v's domain, and which is safe, is unrolled: the && of one
-instance per value c, `h --> ` the di pinned to c without that equation
-(`not h` if there is none), with v's cell set to c.  Inner binders that
-every di pins too are unrolled with it.  This is the shape of an
-inversion formula of a predicate whose rules conclude constants (the
-Clark completion's equations), and each instance reads only the
-preconditions of its own value.
+constant c of v's domain, and which is safe, is unrolled: a gate, the
+&& of one instance per value c, `h --> ` the di pinned to c without that
+equation (`not h` if there is none), asked with v's cell set to c.
+Inner binders that every di pins too are unrolled with it.  This is the
+shape of an inversion formula of a predicate whose rules conclude
+constants (the Clark completion's equations), and each instance reads
+only the preconditions of its own value.
 """
 
 from __future__ import annotations
@@ -110,11 +116,13 @@ class Symbol(NamedTuple):
 
 
 class _Node:
-    """A compiled node.  `closure(want)` returns its closure of no
-    arguments for `want`, made by `build(node, want)` from `parts` on
-    the first request and kept in the slot `want` names, None until
-    then: `value` holds its three-valued value, `is_false` (`is_true`)
-    whether it is False (True) under every completion of the tables.
+    """A compiled node: a leaf, `not`, `-->`, `=` or a comparison, `if`,
+    an application, or a gate (&&, ||, a quantifier or an unrolled
+    one).  `closure(want)` returns its closure of no arguments for
+    `want`, made by `build(node, want)` from `parts` on the first
+    request and kept in the slot `want` names, None until then: `value`
+    holds its three-valued value, `is_false` (`is_true`) whether it is
+    False (True) under every completion of the tables.
     A bound variable's `parts` say whether its domain may hold a
     constant, so that a `forall` binding it may be unrolled.
     Also: the values it may return (None if not known), whether it is
@@ -215,15 +223,17 @@ class FormulaCompiler:
     asked whether it is definitely False (`is_false`), which is True
     only if every completion of the tables makes it False; `is_true` is
     the dual.  A connective asks its operands the directions that decide
-    it: && is false once an operand is false, left to right, and true
-    when all are true; || is the dual; `a --> b` is false when `a` is
+    it.  &&, ||, forall and exists are gates (`_gate`): && is false once
+    an operand is false, left to right, and true when all are true; ||
+    is the dual; a quantifier is the && (forall) or || (exists) of its
+    body at each value of its domain, set in its binder's cell, and
+    stops at the first that decides it.  `a --> b` is false when `a` is
     true and `b` false, and true when `a` is false or `b` true; `not`
-    hands over the other direction of its operand and adds no closure; a
-    quantifier stops at the first instance that decides it.  A value is
-    read, three-valued (None while a cell it reads is unset, Kleene's
-    strong connectives), only by `=`, comparisons, the condition of `if`
-    and application arguments other than bound variables, whose cells
-    are read directly.
+    hands over the other direction of its operand and adds no closure.
+    A value is read, three-valued (None while a cell it reads is unset,
+    Kleene's strong connectives), only by `=`, comparisons, the
+    condition of `if` and application arguments other than bound
+    variables, whose cells are read directly.
 
     When every cell it reads is set a closure agrees with the
     tree-walking reference evaluator (tests/oracles.py), raises the same
@@ -240,12 +250,12 @@ class FormulaCompiler:
     One compiler serves one search.  A node is memoized by the identity
     of its expression and the binders above it (variables and types,
     numbered as contexts), and a binder's cell is keyed by its variable
-    and depth, so a subterm shared between rules compiles once; a node
-    of the same kind over the same operand nodes as one compiled before,
-    a comparison aside, is that node.  Each node records the ranked
-    symbols it reads (`_Node.refs`) when built, and `compared` lists the
-    values each ordering comparison compiled may read (None if not
-    known).
+    and depth, so a subterm shared between rules compiles once; a leaf
+    naming the symbol or literal of one compiled before, and a node of
+    the same kind over the same operand nodes, a comparison aside, is
+    that node (`_shared`).  Each node records the ranked symbols it
+    reads (`_Node.refs`) when built, and `compared` lists the values
+    each ordering comparison compiled may read (None if not known).
 
     A pinned constant symbol compiles as a literal, and an application
     reads bound variables' cells and literal arguments directly.  A node
@@ -256,12 +266,14 @@ class FormulaCompiler:
     only if its domain is fixed (integers, Booleans, or a carrier of
     pinned constants), every disjunct of its body pins its variable to a
     constant of that domain, and the body is safe; otherwise it compiles
-    as a quantifier.  The instances are built from the nodes of the
-    body's head and conjuncts, in the contexts the body's walk gives
-    them, so no expression is rebuilt; `safe` and `refs` are those of the
-    body, and the three-valued result is the quantifier's at every
-    partial assignment.  Its `false_from` is the least of its instances',
-    which is tighter when an instance leaves out a disjunct.
+    as a quantifier.  It is a gate over one instance per value, each
+    asked with the variable's cell set to its value.  The instances are
+    built from the nodes of the body's head and conjuncts, in the
+    contexts the body's walk gives them, so no expression is rebuilt;
+    `safe` and `refs` are those of the body, and the three-valued result
+    is the quantifier's at every partial assignment.  Its `false_from`
+    is the least of its instances', which is tighter when an instance
+    leaves out a disjunct.
 
     The compile walk builds each node's closure for the direction its
     parent asks as it leaves the node, so `compile(e, want=...)` returns
@@ -282,7 +294,6 @@ class FormulaCompiler:
         self.ints = tuple(ints)
         self._memo: dict[tuple[int, int], tuple[Expr, _Node]] = {}
         self._cells: dict[tuple[str, int], list] = {}
-        self._leaves: dict[tuple, _Node] = {}
         self._fits: dict[tuple, bool] = {}
         self._shared: dict[tuple, _Node] = {}
         # (outer context, variable, type) -> see _binder; context 0 has
@@ -370,9 +381,9 @@ class FormulaCompiler:
                 node = scope[e.name]
             else:
                 leaf_key = (kind, e.name if kind is Var else e.value)
-                node = self._leaves.get(leaf_key)
+                node = self._shared.get(leaf_key)
                 if node is None:
-                    node = self._leaves[leaf_key] = self._leaf(e)
+                    node = self._shared[leaf_key] = self._leaf(e)
             if want is not None:
                 node.closure(want)
             return node
@@ -427,7 +438,7 @@ class FormulaCompiler:
             else:
                 operands = [self._comp(left, scope, context, ask), self._comp(right, scope, context, ask)]
             key = (kind, *operands)
-            out = shared.get(key) or shared.setdefault(key, _junction(kind is And, operands))
+            out = shared.get(key) or shared.setdefault(key, _gate(kind is And, operands))
         elif kind is Implies:
             ln = self._comp(e.left, scope, context, _OTHER[want])
             rn = self._comp(e.right, scope, context, _SAME[want])
@@ -458,7 +469,9 @@ class FormulaCompiler:
                 if out is None:
                     body = self._comp(e.body, inner_scope, inner, _SAME[want])
                     key = (kind, var, body)
-                    out = shared.get(key) or shared.setdefault(key, _quantifier_node(kind is Forall, var, values, body))
+                    out = shared.get(key) or shared.setdefault(
+                        key, _gate(kind is Forall, [body], (var.cell,), values)
+                    )
         elif kind is IfThenElse:
             out = _conditional(
                 self._comp(e.cond, scope, context, None if want is None else _VALUE),
@@ -544,12 +557,13 @@ class FormulaCompiler:
             instances = [groups.get(combo, negated) for combo in combos]
         else:
             instances = [groups[combo] for combo in combos]
-        out = _unrolled_node(combos, tuple([v.cell for v, _ in pinned]), instances)
+        cells = tuple([v.cell for v, _ in pinned])
+        out = _gate(True, instances, cells, pinned[0][1] if len(cells) == 1 else combos)
         for bvar, bvalues in reversed(kept):
             if ask is not None:
                 out.closure(ask)
             key = (Forall, bvar, out)
-            out = shared.get(key) or shared.setdefault(key, _quantifier_node(True, bvar, bvalues, out))
+            out = shared.get(key) or shared.setdefault(key, _gate(True, [out], (bvar.cell,), bvalues))
         return out if out.safe else None
 
     def _pin(
@@ -630,12 +644,12 @@ class FormulaCompiler:
                 options.append(self._comp(TRUE, scope, context, want))
             else:
                 key = (And, *operands)
-                options.append(shared.get(key) or shared.setdefault(key, _junction(True, operands)))
+                options.append(shared.get(key) or shared.setdefault(key, _gate(True, operands)))
         if len(options) == 1:
             rn = options[0]
         else:
             key = (Or, *options)
-            rn = shared.get(key) or shared.setdefault(key, _junction(False, options))
+            rn = shared.get(key) or shared.setdefault(key, _gate(False, options))
         key = (Implies, head, rn)
         out = shared.get(key) or shared.setdefault(key, _implication_node(head, rn))
         if want is not None:
@@ -730,55 +744,104 @@ def _negation(node: _Node, want: str) -> Callable[[], object]:
     return node.parts.closure(_OTHER[want])
 
 
-def _junction(conjunction: bool, operands: list[_Node]) -> _Node:
-    """The node of a chain of && (`conjunction`) or || over compiled
-    `operands`, left to right."""
-    refs = 0
-    for x in operands:
-        refs |= x.refs
+def _gate(conjunction: bool, operands: list[_Node], cells: tuple = (), entries: Sequence = ()) -> _Node:
+    """A gate: the && (`conjunction`) or || of `operands`, asked left to
+    right.  With binder `cells` it is asked once per entry of `entries`,
+    in order, with the cells set to that entry (a value for one cell, a
+    tuple of values for several): a single operand is asked at every
+    entry, as a quantifier's body is, and otherwise the operand at the
+    entry's place, as an unrolled quantifier's instances are."""
     # && is true once all operands may be, false once one may be
-    true_at, false_at = (max, min) if conjunction else (min, max)
-    return _Node(
-        _junction_closure,
-        (conjunction, operands),
-        _with_bools(operands),
-        all([x.safe for x in operands]),
-        None,
-        true_at([x.true_from for x in operands]),
-        false_at([x.false_from for x in operands]),
-        refs,
-    )
+    x = operands[0]
+    safe, true_from, false_from, refs = x.safe, x.true_from, x.false_from, x.refs
+    for x in operands[1:]:
+        safe = safe and x.safe
+        if (x.true_from > true_from) is conjunction:
+            true_from = x.true_from
+        if (x.false_from < false_from) is conjunction:
+            false_from = x.false_from
+        refs |= x.refs
+    values = BOOLS if cells else _with_bools(operands)
+    return _Node(_gate_closure, (conjunction, operands, cells, entries), values, safe, None, true_from, false_from, refs)
 
 
-def _junction_closure(node: _Node, want: str) -> Callable[[], object]:
-    conjunction, operands = node.parts
+def _gate_closure(node: _Node, want: str) -> Callable[[], object]:
+    conjunction, operands, cells, entries = node.parts
     if want == _VALUE:
         return _kleene(node)
+    # && is false, || true, as soon as one operand is
+    stop = (want == _IS_FALSE) == conjunction
+    if len(operands) == 1 and len(cells) == 1:
+        # a quantifier: its body at every entry
+        fn = operands[0].closure(want)
+        cell = cells[0]
+        if stop:
+
+            def some_entry():
+                for v in entries:
+                    cell[0] = v
+                    if fn():
+                        return True
+                return False
+
+            return some_entry
+
+        def every_entry():
+            for v in entries:
+                cell[0] = v
+                if not fn():
+                    return False
+            return True
+
+        return every_entry
     fns = [x.closure(want) for x in operands]
-    if (want == _IS_FALSE) == conjunction:
-        # && is false, || true, as soon as one operand is
+    if not cells:
         if len(fns) == 2:
             a, b = fns
-            return lambda: a() or b()
+            if stop:
+                return lambda: a() or b()
+            return lambda: a() and b()
+        if stop:
 
-        def some():
-            for f in fns:
-                if f():
-                    return True
-            return False
-
-        return some
-    if len(fns) == 2:
-        a, b = fns
-        return lambda: a() and b()
-
-    def every():
-        for f in fns:
-            if not f():
+            def some():
+                for f in fns:
+                    if f():
+                        return True
                 return False
-        return True
 
-    return every
+            return some
+
+        def every():
+            for f in fns:
+                if not f():
+                    return False
+            return True
+
+        return every
+    # one operand per entry
+    if len(cells) == 1:
+        cell = cells[0]
+        pairs = tuple(zip(entries, fns))
+
+        def one():
+            for v, fn in pairs:
+                cell[0] = v
+                if fn() is stop:
+                    return stop
+            return not stop
+
+        return one
+    pairs = tuple(zip([tuple(zip(cells, entry)) for entry in entries], fns))
+
+    def each():
+        for assignment, fn in pairs:
+            for c, v in assignment:
+                c[0] = v
+            if fn() is stop:
+                return stop
+        return not stop
+
+    return each
 
 
 def _implication_node(ln: _Node, rn: _Node) -> _Node:
@@ -952,86 +1015,3 @@ def _fits(cells: frozenset, values: list[frozenset]) -> bool:
     if math.prod(map(len, values)) > _MAX_CHECKED_KEYS:
         return False
     return all(k in cells for k in itertools.product(*values))
-
-
-def _quantifier_node(forall: bool, var: _Node, values: tuple, body: _Node) -> _Node:
-    return _Node(
-        _quantifier, (forall, values, var.cell, body), BOOLS, body.safe, None, body.true_from, body.false_from, body.refs
-    )
-
-
-def _quantifier(node: _Node, want: str) -> Callable[[], object]:
-    forall, values, cell, body = node.parts
-    if want == _VALUE:
-        return _kleene(node)
-    fn = body.closure(want)
-    if (want == _IS_FALSE) == forall:
-        # forall is false, exists true, at the first instance that is
-
-        def some():
-            for v in values:
-                cell[0] = v
-                if fn():
-                    return True
-            return False
-
-        return some
-
-    def every():
-        for v in values:
-            cell[0] = v
-            if not fn():
-                return False
-        return True
-
-    return every
-
-
-def _unrolled_node(combos: list[tuple], cells: tuple[list, ...], instances: list[_Node]) -> _Node:
-    """The && of `instances`, each asked with `cells` set to the tuple
-    of `combos` at its place."""
-    refs = 0
-    for x in instances:
-        refs |= x.refs
-    return _Node(
-        _unrolled_closure,
-        (combos, cells, instances),
-        BOOLS,
-        all([x.safe for x in instances]),
-        None,
-        max([x.true_from for x in instances]),
-        min([x.false_from for x in instances]),
-        refs,
-    )
-
-
-def _unrolled_closure(node: _Node, want: str) -> Callable[[], object]:
-    combos, cells, instances = node.parts
-    if want == _VALUE:
-        return _kleene(node)
-    fns = [x.closure(want) for x in instances]
-    # && is false as soon as one instance is, true when all are
-    some = want == _IS_FALSE
-    if len(cells) == 1:
-        (cell,) = cells
-        pairs = tuple(zip([v for v, in combos], fns))
-
-        def one():
-            for v, fn in pairs:
-                cell[0] = v
-                if fn() is some:
-                    return some
-            return not some
-
-        return one
-    pairs = tuple(zip([tuple(zip(cells, combo)) for combo in combos], fns))
-
-    def each():
-        for assignment, fn in pairs:
-            for c, v in assignment:
-                c[0] = v
-            if fn() is some:
-                return some
-        return not some
-
-    return each

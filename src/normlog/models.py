@@ -85,7 +85,7 @@ from .syntax import (
     rebuild,
     uncurry,
 )
-from .closures import BOOLS, Compiled, FormulaCompiler, ModelError, Symbol
+from .closures import BOOLS, NEVER, Compiled, FormulaCompiler, ModelError, Symbol
 from .typecheck import Env, is_sort, sort_of
 from .inversion import inversion_formula, inversion_targets
 from .symmetry import LexLeader, lex_leader_checks
@@ -440,13 +440,24 @@ class ModelProblem:
         return all(c.safe for c in self._compiled)
 
     @cached_property
-    def _stages(self) -> tuple[list, list, list]:
-        """The formulas compiled and staged, on first use: each
-        formula's name and `is_false` closure in formula order, the
-        closures of the formulas that mention no free symbol, and the
-        search's list of (table, cell, values, closures evaluated once
-        it is set).  Stage and watch set come from the compiled node's
-        `refs`: its highest bit, and the ranks whose bit is set."""
+    def _asked(self) -> list[tuple[str, Callable[[], bool]]]:
+        """The name and `is_false` closure of each formula that
+        `false_formulas` asks, in formula order: all but the safe ones
+        that are never False, so that one that may raise still does."""
+        nodes = [c.node for c in self._compiled]
+        return [
+            (name, node.is_false)
+            for (name, _), node in zip(self._fs.formulas, nodes)
+            if not node.safe or node.false_from != NEVER
+        ]
+
+    @cached_property
+    def _stages(self) -> tuple[list, list]:
+        """The formulas compiled and staged, on first use: the closures
+        of the formulas that mention no free symbol, and the search's
+        list of (table, cell, values, closures evaluated once it is
+        set).  Stage and watch set come from the compiled node's `refs`:
+        its highest bit, and the ranks whose bit is set."""
         # A formula is staged at the last free symbol it mentions: it is
         # evaluated once that symbol's last cell is set, in formula order.
         # A safe formula is also evaluated after each cell of every free
@@ -494,8 +505,7 @@ class ModelProblem:
             for i, cell in enumerate(cells):
                 flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
 
-        formulas = [(name, node.is_false) for (name, _), node in zip(self._fs.formulas, nodes)]
-        return formulas, initial, flat
+        return initial, flat
 
     @cached_property
     def _search(self) -> tuple[list, list, Optional[LexLeader]]:
@@ -503,7 +513,7 @@ class ModelProblem:
         search's list of `_stages`, and when symmetry is pruned its
         lex-leader checks, each put first after the cell it is due at as
         the search first reaches that cell (`_reach`)."""
-        _, initial, flat = self._stages
+        initial, flat = self._stages
         fixed = self._fs.fixed_map()
         swappable = {s: es for s, es in self.carriers.items() if len(es) > 1 and s not in fixed}
         if not (self._prune_symmetry and swappable and self.safe):
@@ -587,12 +597,12 @@ class ModelProblem:
         misfit = self._misfit(interp)
         if misfit is not None:
             raise CorrespondenceError(misfit)
-        formulas, _, _ = self._stages
+        asked = self._asked
         for name, _, _ in self._free:
             table = self.symbols[name].table
             table.clear()
             table.update(interp.tables[name])
-        return [name for name, fn in formulas if fn()]
+        return [name for name, fn in asked if fn()]
 
     def _misfit(self, interp: Interpretation) -> Optional[str]:
         if interp.carriers != self.carriers:

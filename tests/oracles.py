@@ -713,9 +713,8 @@ def reference_stages(problem):
         for i, cell in enumerate(cells):
             flat.append((table, cell, values, complete if i == len(cells) - 1 else early_fns))
 
-    formulas = [(name, fn) for (name, _), fn in zip(problem._fs.formulas, is_false)]
     initial = [fn for (stage, _, _), fn in zip(staged, is_false) if stage == -1]
-    return formulas, initial, flat
+    return initial, flat
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,11 @@ def test_subject_to_chain_below_the_limit_compiles(tmp_path):
     for args in (("emit-smt",), ("check", "--assert", "a", "--sizes", "S=1")):
         rc, out, err = run_cli(args[0], path, *args[1:])
         assert (rc, err) == (0, ""), args
+    # The search's closures spend one frame per link: the README's
+    # 987 links pass.
+    path.write_text(subject_to_chain(987))
+    rc, out, err = run_cli("check", path, "--no-inversions", "--assert", "a", "--sizes", "S=1")
+    assert (rc, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def test_shared_subterms_compile_once(monkeypatch):
     # reads the one node of the shared body, with the closure built for
     # the first
     assert made == [second.node]
-    assert second.node.parts[3] is first.node.parts[3]
+    [second_body], [first_body] = second.node.parts[1], first.node.parts[1]
+    assert second_body is first_body
 
 
 def test_a_shared_subterm_under_other_binders_reads_their_cells():
@@ -741,7 +742,7 @@ def test_pruning_symmetry_keeps_the_first_model_of_the_declared_order(variant):
                 got = _json(itertools.islice(problem.models(), 1))
                 assert got == _json(itertools.islice(enumerate_models(fs, sizes, ints), 1)), seed
                 # the lex-leader checks are in the search
-                assert problem._search[1] != problem._stages[2]
+                assert problem._search[1] != problem._stages[1]
                 searched += 1
     assert searched > 1000
 
@@ -864,8 +865,9 @@ def test_lex_leader_rows_are_built_as_the_search_first_reaches_them(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# unrolled quantifiers: a `forall` whose disjuncts each pin its variable
-# to a constant compiles as the && of one instance per value
+# gates: &&, ||, quantifiers, and unrolled quantifiers, where a `forall`
+# whose disjuncts each pin its variable to a constant compiles as the &&
+# of one instance per value
 
 
 def _nodes(node, seen=None):
@@ -886,8 +888,55 @@ def _nodes(node, seen=None):
                 stack.extend(y for y in x if isinstance(y, closures._Node))
 
 
+def _shape(node):
+    """Which of the five gate shapes `node` has, as `_gate_closure`
+    tells them apart, or None if it is not a gate."""
+    if node.build is not closures._gate_closure:
+        return None
+    _, operands, cells, _ = node.parts
+    if not cells:
+        return "two operands" if len(operands) == 2 else "chain"
+    if len(cells) > 1:
+        return "several pinned cells"
+    return "quantifier" if len(operands) == 1 else "one pinned cell"
+
+
 def _unrolled(node):
-    return [n for n in _nodes(node) if n.build is closures._unrolled_closure]
+    """The unrolled quantifiers reachable from `node`: gates with one
+    operand per entry.  One of a single instance is a quantifier over
+    one value, and is not among them."""
+    return [n for n in _nodes(node) if _shape(n) in ("one pinned cell", "several pinned cells")]
+
+
+# One formula per gate shape, over p : Integer -> Boolean, q : Integer ->
+# Integer -> Boolean and a, b : Boolean, with the integers 1 and 2.
+_GATE_SHAPES = {
+    "two operands": "a && p 1",
+    "chain": "a || b || p 2",
+    "quantifier": "exists k: Integer. p k && a",
+    "one pinned cell": "forall k: Integer. p k --> a && k == 1 || b && k == 2",
+    "several pinned cells": (
+        "forall k: Integer. forall j: Integer. q k j --> k == 1 && j == 2 || a && k == 2 && j == 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GATE_SHAPES))
+def test_every_gate_shape_matches_eval_expr(shape):
+    # value, is_false and is_true of each shape against eval_expr on
+    # every table of the symbols
+    e = parse_expr(_GATE_SHAPES[shape])
+    ints = (1, 2)
+    cells = {"p": [(1,), (2,)], "q": list(product(ints, ints)), "a": [()], "b": [()]}
+    flat = [(name, cell) for name, cs in cells.items() for cell in cs]
+    reached = set()
+    for combo in product((False, True), repeat=len(flat)):
+        tables = {name: {} for name in cells}
+        for (name, cell), v in zip(flat, combo):
+            tables[name][cell] = v
+        reached.update(_shape(n) for n in _nodes(_compile(e, tables, {}, ints).node))
+        _agree(e, tables, {}, ints)
+    assert shape in reached
 
 
 def _problems_with_pinned_constants():
@@ -1028,7 +1077,7 @@ def test_an_equation_with_a_constant_outside_the_pool_is_not_unrolled():
     [node] = [c.node for c in inside._compiled]
     assert len(_unrolled(node)) == 1
     [node] = [c.node for c in outside._compiled]
-    assert _unrolled(node) == [] and node.build is closures._quantifier
+    assert _unrolled(node) == [] and _shape(node) == "quantifier"
     # p, a and b are all read, the pinned one through the instances
     for problem in (inside, outside):
         assert problem._compiled[0].node.refs == 0b111
@@ -1039,7 +1088,7 @@ def test_a_disjunct_of_the_equation_alone_is_true_in_its_instance():
     problem = _invert("forall k: Integer. p k --> k == 1 || b && k == 2", _INT_PREDICATES, (1, 2, 3))
     [node] = [c.node for c in problem._compiled]
     [unrolled] = _unrolled(node)
-    assert len(unrolled.parts[2]) == 3
+    assert len(unrolled.parts[1]) == 3
     _same_models(problem._fs, {}, (1, 2, 3))
 
 
@@ -1069,8 +1118,8 @@ def test_the_speed_limit_inversion_compiles_to_three_instances():
     problem = ModelProblem(rules_to_formulas(m), {"Vehicle": 1, "Day": 1, "Road": 1}, (90, 130, 320))
     [(_, compiled)] = [(n, c) for (n, _), c in zip(problem._fs.formulas, problem._compiled) if n == "inversion maxSp"]
     [unrolled] = _unrolled(compiled.node)
-    combos, cells, instances = unrolled.parts
-    assert combos == [(90,), (130,), (320,)] and len(cells) == 1
+    _, instances, cells, entries = unrolled.parts
+    assert tuple(entries) == (90, 130, 320) and len(cells) == 1
     # each instance reads one rule's precondition: maxSp's instance is
     # `maxSp v d r c --> precondition`, and none is `not maxSp ...`
     assert [x.build for x in instances] == [closures._implication] * 3
@@ -1080,7 +1129,7 @@ def test_the_speed_limit_inversion_compiles_to_three_instances():
 def test_a_formula_over_an_all_true_predicate_is_neither_staged_nor_watched():
     m = transform_module(load_case("speedlimit_repaired.l4"), Variant.PRECOND).module
     problem = ModelProblem(rules_to_formulas(m), {"Vehicle": 2, "Day": 1, "Road": 1}, (90, 130, 320))
-    checks = {id(fn) for _, _, _, fns in problem._stages[2] for fn in fns}
+    checks = {id(fn) for _, _, _, fns in problem._stages[1] for fn in fns}
     for (name, _), c in zip(problem._fs.formulas, problem._compiled):
         # forall x: Vehicle. isCar x --> isVehicle x, isVehicle all True
         never = name in ("rule incl'Car'Vehicle", "rule incl'Workday'Day", "rule incl'Highway'Road")

@@ -19,9 +19,11 @@ from normlog.correspond import (
     to_deriv,
     to_precond,
 )
+from normlog.closures import NEVER
 from normlog.models import (
     DEFAULT_NODE_BUDGET,
     CorrespondenceError,
+    FormulaCompiler,
     Interpretation,
     ModelProblem,
     enumerate_models,
@@ -198,6 +200,31 @@ def test_an_image_over_other_carriers_or_symbols_is_rejected():
     pinned = next(n for n, t in md.tables.items() if t == {(): n})
     with pytest.raises(CorrespondenceError, match=f"table of '{pinned}'"):
         deriv.false_formulas(_with_table(md, pinned, {(): "maxSpNone"}))
+
+
+def test_the_transfer_never_asks_a_formula_that_cannot_be_false(monkeypatch):
+    # The incl'...' rules read all-True characteristic predicates, so
+    # they are never False and no check of an image asks them.
+    never, asked = {}, []
+    compile = FormulaCompiler.compile
+
+    def recording(self, e, params=(), want=None):
+        compiled = compile(self, e, params, want)
+        node = compiled.node
+        if want == "is_false" and node.safe and node.false_from == NEVER and id(node) not in never:
+            fn = never[id(node)] = node.is_false
+
+            def ask():
+                asked.append(e)
+                return fn()
+
+            node.is_false = ask
+        return compiled
+
+    monkeypatch.setattr(FormulaCompiler, "compile", recording)
+    rep = check_model_correspondence(load_case("speedlimit_repaired.l4"), _SIZES, _INTS)
+    assert (rep.ok, rep.checked_precond, rep.checked_deriv) == (True, 12, 12)
+    assert len(never) >= 3 and asked == []
 
 
 @settings(max_examples=25, deadline=None)

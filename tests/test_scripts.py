@@ -91,3 +91,17 @@ def test_output_digest_runs():
     assert any(line.startswith("3 ") and "--budget 10 " in line for line in lines)
     rc, again, err = _script("output_digest.py", "--n", "2", "--seed", "3")
     assert again == out
+
+
+def test_bytecodes_counts_a_round_split_at_compile():
+    rc, out, err = _script("bytecodes.py", "--workload", "l4_check", "--seed", "1")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "workload:  l4_check (seed 1, 104 queries)"
+    counts = {}
+    for line in lines[1:]:
+        label, number = line.split(":")
+        counts[label] = int(number.replace(",", ""))
+    assert list(counts) == ["compile", "rest", "total"]
+    assert counts["compile"] > 0 and counts["rest"] > 0
+    assert counts["total"] == counts["compile"] + counts["rest"]
