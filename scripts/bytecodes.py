@@ -7,7 +7,11 @@ The workload's queries are built as `bench/run.py` builds them
 (`bench/workloads.py`), one round is run untraced to warm up, and one
 more round is run with `sys.settrace` opcode events on.  The script
 prints the bytecodes executed inside `FormulaCompiler.compile` (the
-compile walk and the closures it builds), the rest, and their sum.
+compile walk and the closures it builds), the rest, and their sum.  A
+last line counts, out of that sum, the bytecodes run in the frames of
+the traversal core, `syntax.fold` and `Expr.__hash__`, themselves: the
+callbacks a fold runs and the field hashes a node hash asks for are
+left out, so a change to the core is sized without what it calls.
 Counts are of Python bytecodes only, not of time, so they are the same
 on any machine for the same Python version and source; builtins and C
 code count nothing.  `bench/` is read, not written.
@@ -26,10 +30,11 @@ import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count_round(queries, compile_code) -> tuple[int, int]:
-    """(bytecodes inside `compile_code`'s frames, the others) of one
-    round of `queries`, answers unchecked."""
-    counts = [0, 0]
+def count_round(queries, compile_code, core_codes) -> tuple[int, int, int]:
+    """(bytecodes inside `compile_code`'s frames, the others, those run
+    in frames of `core_codes` themselves) of one round of `queries`,
+    answers unchecked."""
+    counts = [0, 0, 0]
     depth = [0]
 
     def local(frame, event, arg):
@@ -39,11 +44,17 @@ def count_round(queries, compile_code) -> tuple[int, int]:
             depth[0] -= 1
         return local
 
+    def core(frame, event, arg):
+        if event == "opcode":
+            counts[depth[0] == 0] += 1
+            counts[2] += 1
+        return core
+
     def call(frame, event, arg):
         frame.f_trace_opcodes = True
         if frame.f_code is compile_code:
             depth[0] += 1
-        return local
+        return core if frame.f_code in core_codes else local
 
     sys.settrace(call)
     try:
@@ -51,7 +62,7 @@ def count_round(queries, compile_code) -> tuple[int, int]:
             q.run()
     finally:
         sys.settrace(None)
-    return counts[0], counts[1]
+    return counts[0], counts[1], counts[2]
 
 
 def main(argv=None) -> int:
@@ -63,11 +74,15 @@ def main(argv=None) -> int:
     queries = workloads.build(args.workload, lib, args.seed, bench.read_cases())
     for q in queries:  # warm-up round
         q.run()
-    compiling, rest = count_round(queries, lib.models.FormulaCompiler.compile.__code__)
+    core_codes = {lib.syntax.fold.__code__, lib.syntax.Var.__hash__.__code__}
+    compiling, rest, core = count_round(
+        queries, lib.models.FormulaCompiler.compile.__code__, core_codes
+    )
     print(f"workload:  {args.workload} (seed {args.seed}, {len(queries)} queries)")
     print(f"compile:   {compiling:,}")
     print(f"rest:      {rest:,}")
     print(f"total:     {compiling + rest:,}")
+    print(f"traversal: {core:,}")
     return 0
 
 

@@ -1135,9 +1135,7 @@ def _well_founded(least_model) -> tuple[frozenset, frozenset]:
         true = closer
 
 
-def answer_sets(
-    p: AspProgram, guess_cap_bits: int = DEFAULT_CAP_BITS, instance_cap: int = 1_000_000
-) -> list[frozenset]:
+def answer_sets(p: AspProgram, guess_cap_bits: int = DEFAULT_CAP_BITS) -> list[frozenset]:
     """All stable models.  The reduct, and hence stability, depends
     only on which negated atoms a candidate holds.  The well-founded
     model fixes those it makes true as held and those outside its
@@ -1145,7 +1143,7 @@ def answer_sets(
     rest, and each is kept when the least model of its reduct holds
     exactly the negated atoms guessed.  `guess_cap_bits` bounds the
     number of negated atoms the well-founded model leaves undecided."""
-    ground_rules = _ground_program(p, instance_cap)
+    ground_rules = _ground_program(p)
     neg_set = frozenset(a for g in ground_rules for a in g.neg)
     least_model = _reduct(ground_rules)
     true, possible = _well_founded(least_model)

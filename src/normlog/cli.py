@@ -390,20 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_module_opts(p, with_variant=True):
+    def add_module_opts(p):
         p.add_argument("file", help="rule module (.l4)")
-        if with_variant:
-            p.add_argument(
-                "--variant",
-                choices=[v.value for v in Variant],
-                default=Variant.PRECOND.value,
-                help="restriction semantics (default: precond)",
-            )
-            p.add_argument(
-                "--simplify",
-                action="store_true",
-                help="simplify preconditions of the transformed rules",
-            )
+        p.add_argument(
+            "--variant",
+            choices=[v.value for v in Variant],
+            default=Variant.PRECOND.value,
+            help="restriction semantics (default: precond)",
+        )
+        p.add_argument(
+            "--simplify",
+            action="store_true",
+            help="simplify preconditions of the transformed rules",
+        )
 
     p = sub.add_parser("parse", help="parse, elaborate and typecheck a module")
     p.add_argument("file")

@@ -45,6 +45,9 @@ from .models import (
     translate_formulas,
 )
 
+# A failing report lists at most this many violations.
+VIOLATION_CAP = 20
+
 
 @dataclass(unsafe_hash=True)
 class Violation:
@@ -224,7 +227,6 @@ def check_model_correspondence(
     sizes: dict[str, int],
     ints: Sequence[int] = (),
     node_budget: int = DEFAULT_NODE_BUDGET,
-    violation_cap: int = 20,
 ) -> CorrespondenceReport:
     """Enumerate all models of both compiled forms and verify each
     transfers to a model of the other side.
@@ -234,7 +236,7 @@ def check_model_correspondence(
     read are set first.  A passing report holds only the two counts,
     which are the same in any search order.  A failing one lists
     violations in the order the searches find them, up to
-    `violation_cap`, so it is made again by searches in declared order.
+    `VIOLATION_CAP`, so it is made again by searches in declared order.
     So are the checks of a pair with a formula that may raise, because
     the first model or image that raises decides the error, and those
     whose concluded-last search exceeds the budget, so that the budget
@@ -247,7 +249,7 @@ def check_model_correspondence(
     deriv = ModelProblem(pair.fs_deriv, sizes, ints, last_d)
     if precond.safe and deriv.safe:
         try:
-            report = _check_pair(pair, precond, deriv, node_budget, violation_cap)
+            report = _check_pair(pair, precond, deriv, node_budget)
         except ResourceCapError:
             pass
         else:
@@ -255,7 +257,7 @@ def check_model_correspondence(
                 return report
     precond = ModelProblem(pair.fs_precond, sizes, ints)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints)
-    return _check_pair(pair, precond, deriv, node_budget, violation_cap)
+    return _check_pair(pair, precond, deriv, node_budget)
 
 
 def _check_pair(
@@ -263,7 +265,6 @@ def _check_pair(
     precond: ModelProblem,
     deriv: ModelProblem,
     node_budget: int,
-    violation_cap: int,
 ) -> CorrespondenceReport:
     """The report on `pair` from a search of each route's problem.
     That one problem serves its search, the transfer out of its models
@@ -274,7 +275,7 @@ def _check_pair(
 
     def check(problem: ModelProblem, image: Interpretation, direction: str) -> None:
         for name in problem.false_formulas(image):
-            if len(violations) < violation_cap:
+            if len(violations) < VIOLATION_CAP:
                 violations.append(Violation(direction, name, image.to_json()))
 
     checked_p = 0

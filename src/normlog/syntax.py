@@ -338,51 +338,41 @@ class FieldAccess(Expr):
     loc: Optional[Loc] = _loc_field()
 
 
-# A fold, or a node's hash, recurses this many levels, then keeps a stack.
-_FOLD_DEPTH = 100
-
-
-def _hash_once(cls: type) -> None:
-    """Give a node class a structural hash, computed on first use and
-    kept in `_hash`.  The value is the one a frozen dataclass has, the
-    hash of the tuple of compared fields, so sets and dicts of nodes
-    iterate in the same order as with that hash.  The
-    unhashed nodes below are hashed first: `_FOLD_DEPTH` levels down by
-    recursion, and below that from an explicit stack."""
+def _key(cls: type) -> Callable[[Expr], tuple]:
     names = [f.name for f in fields(cls) if f.compare]
     get = attrgetter(*names)
-    single = len(names) == 1
+    return (lambda e: (get(e),)) if len(names) == 1 else get
 
-    def __hash__(self, depth: int = _FOLD_DEPTH) -> int:
+
+# The tuple of each node class's compared fields.
+_KEY = {cls: _key(cls) for cls in Expr.__subclasses__()}
+
+
+def _hash_once(self: Expr) -> int:
+    """The structural hash of a node, computed on first use and kept in
+    `_hash`.  The value is the one a frozen dataclass has, the hash of
+    the tuple of compared fields, so sets and dicts of nodes iterate in
+    the same order as with that hash.  The unhashed nodes below are
+    hashed first, bottom-up from a stack, so the depth of a node does
+    not bound its hash."""
+    h = self._hash
+    if h is None:
+        stack = [self]
+        while stack:
+            x = stack[-1]
+            for k in _CHILDREN[type(x)](x):
+                if k._hash is None:
+                    stack.append(k)
+                    break
+            else:
+                x._hash = hash(_KEY[type(x)](x))
+                stack.pop()
         h = self._hash
-        if h is None:
-            for k in children(self):
-                if k._hash is None and depth:
-                    type(k).__hash__(k, depth - 1)
-                elif k._hash is None:
-                    _hash_below(k)
-            h = hash((get(self),) if single else get(self))
-            self._hash = h
-        return h
-
-    cls.__hash__ = __hash__
+    return h
 
 
-def _hash_below(e: Expr) -> None:
-    """Hash the unhashed descendants of `e` bottom-up, from a stack."""
-    below, seen, stack = [], set(), list(children(e))
-    while stack:
-        x = stack.pop()
-        if x._hash is None and id(x) not in seen:
-            seen.add(id(x))
-            below.append(x)
-            stack.extend(children(x))
-    for x in reversed(below):
-        hash(x)
-
-
-for _cls in Expr.__subclasses__():
-    _hash_once(_cls)
+for _cls in _KEY:
+    _cls.__hash__ = _hash_once
 
 
 # ---------------------------------------------------------------------------
@@ -442,55 +432,35 @@ def fold(
     `id(node)` to `(node, value)`, keeping the node alive so that its
     id is not reused, and may be shared by calls over expressions with
     common subterms.  A node without kids is combined where it occurs
-    and not memoized.  The depth of the expression does not bound the
-    walk: it recurses `_FOLD_DEPTH` levels and keeps its own stack below."""
+    and not memoized.  The walk is one loop over a stack of (node, its
+    kids still to fold, the values of those folded) in place of frames,
+    so the depth of the expression does not bound it."""
     hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
-    return _fold(e, kids(e), combine, memo, kids, _FOLD_DEPTH)
-
-
-def _fold(e: Expr, ks, combine, memo: dict, kids, depth: int) -> object:
-    values = []
-    for k in ks:
-        hit = memo.get(id(k))
-        if hit is not None:
-            values.append(hit[1])
-            continue
-        below = kids(k)
-        if not below:
-            values.append(combine(k, []))
-        elif depth:
-            values.append(_fold(k, below, combine, memo, kids, depth - 1))
-        else:
-            values.append(_fold_stack(k, below, combine, memo, kids))
-    out = combine(e, values)
-    if ks:
-        memo[id(e)] = (e, out)
-    return out
-
-
-def _fold_stack(e: Expr, ks, combine, memo: dict, kids) -> object:
-    """`_fold` with a stack of (node, kids, values so far) for frames."""
     get = memo.get
-    stack = [(e, ks, [])]
+    stack = []
+    node, rest, values = e, iter(kids(e)), []
     while True:
-        node, ks, values = stack[-1]
-        while len(values) < len(ks):
-            hit = get(id(ks[len(values)]))
-            if hit is None:
-                k = ks[len(values)]
-                stack.append((k, kids(k), []))
+        for k in rest:
+            hit = get(id(k))
+            if hit is not None:
+                values.append(hit[1])
+                continue
+            below = kids(k)
+            if below:
+                stack.append((node, rest, values))
+                node, rest, values = k, iter(below), []
                 break
-            values.append(hit[1])
+            values.append(combine(k, []))
         else:
-            stack.pop()
             out = combine(node, values)
-            if ks:
+            if values:
                 memo[id(node)] = (node, out)
             if not stack:
                 return out
-            stack[-1][2].append(out)
+            node, rest, values = stack.pop()
+            values.append(out)
 
 
 TRUE = BoolLit(True)
@@ -545,16 +515,15 @@ def spine(e: Expr, kind: type) -> list[Expr]:
     return out
 
 
-def free_vars(e: Expr, memo: Optional[dict] = None) -> frozenset[str]:
+def free_vars(e: Expr) -> frozenset[str]:
     """Names of free variables, treating every unbound name as a variable.
 
     Declared function symbols are names too, so callers that only want
     genuine rule variables must subtract the declared vocabulary.
 
-    A memoized `fold`: `memo` may be shared by calls over formulas with
-    common subterms.  A unary atom on a variable, the commonest node,
+    A memoized `fold`.  A unary atom on a variable, the commonest node,
     is a leaf of the fold and stays out of the memo."""
-    return fold(e, _free_names, {} if memo is None else memo, _names_below)
+    return fold(e, _free_names, {}, _names_below)
 
 
 def _names_below(e: Expr) -> tuple[Expr, ...]:

@@ -123,11 +123,12 @@ def test_tampered_pair_reports_capped_violations(monkeypatch):
     pair = build_correspondence(load_case("speedlimit_repaired.l4"))
     weakened = _without_inversions(pair.fs_deriv)
     monkeypatch.setattr(correspond, "build_correspondence", lambda m: replace(pair, fs_deriv=weakened))
-    rep = check_model_correspondence(None, _SIZES, _INTS, violation_cap=5)
+    rep = check_model_correspondence(None, _SIZES, _INTS)
     assert (rep.checked_precond, rep.checked_deriv) == (12, 4928)
-    assert len(rep.violations) == 5
+    assert len(rep.violations) == correspond.VIOLATION_CAP == 20
     assert {(v.direction, v.formula) for v in rep.violations} == {
-        ("deriv->precond", "inversion maxSp")
+        ("deriv->precond", "inversion maxSp"),
+        ("deriv->precond", "rule maxSpCarHighway"),
     }
 
 
@@ -486,20 +487,20 @@ def test_images_list_carriers_and_cells_in_search_order():
 # the search order: concluded predicates last, the same reports
 
 
-def _declared_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET, violation_cap=20):
+def _declared_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET):
     """The report of searches of both routes in declared order."""
     precond = ModelProblem(pair.fs_precond, sizes, ints)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints)
-    return correspond._check_pair(pair, precond, deriv, node_budget, violation_cap)
+    return correspond._check_pair(pair, precond, deriv, node_budget)
 
 
-def _concluded_last_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET, violation_cap=20):
+def _concluded_last_report(pair, sizes, ints, node_budget=DEFAULT_NODE_BUDGET):
     """The report of searches with concluded predicates last, kept
     whatever it holds."""
     last_p, last_d = concluded(pair)
     precond = ModelProblem(pair.fs_precond, sizes, ints, last_p)
     deriv = ModelProblem(pair.fs_deriv, sizes, ints, last_d)
-    return correspond._check_pair(pair, precond, deriv, node_budget, violation_cap)
+    return correspond._check_pair(pair, precond, deriv, node_budget)
 
 
 def _outcome(report):

@@ -102,6 +102,9 @@ def test_bytecodes_counts_a_round_split_at_compile():
     for line in lines[1:]:
         label, number = line.split(":")
         counts[label] = int(number.replace(",", ""))
-    assert list(counts) == ["compile", "rest", "total"]
+    assert list(counts) == ["compile", "rest", "total", "traversal"]
     assert counts["compile"] > 0 and counts["rest"] > 0
     assert counts["total"] == counts["compile"] + counts["rest"]
+    # An `l4_check` round compiles and searches formulas built at set-up:
+    # it neither folds nor hashes a node.
+    assert counts["traversal"] == 0

@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 
 import oracles
 from conftest import CASES, load_case, subject_to_chain
-from normlog import models
+from normlog import models, syntax
 from normlog.models import (
     FormulaSet,
     assertion_problem,
@@ -46,6 +46,7 @@ from normlog.syntax import (
     Or,
     StringLit,
     Var,
+    fold,
     free_vars,
     fun_type,
 )
@@ -410,22 +411,27 @@ def test_translation_keeps_the_sharing_of_the_transform():
     assert len(_distinct(e for _, e in fs.formulas)) <= len(_distinct(bodies)) + wrappers
 
 
-def test_free_vars_visits_each_distinct_node_once():
+def test_free_vars_visits_each_distinct_node_once(monkeypatch):
     m = elaborate(parse_module(subject_to_chain(30)))
     fs = rules_to_formulas(transform_module(m, Variant.PRECOND).module)
-    memo = {}
-    for _, e in fs.formulas:
-        assert free_vars(e, memo) == oracles.tree_free_vars(e)
-    # every node but the leaves and the unary atoms on a variable
+    memos = []
+
+    def spy(e, combine, memo, kids):
+        memos.append(memo)
+        return fold(e, combine, memo, kids)
+
+    monkeypatch.setattr(syntax, "fold", spy)
     leaves = (Var, BoolLit, IntLit, FloatLit, StringLit)
-    inner = {
-        id(x)
-        for _, e in fs.formulas
-        for x in oracles.iter_subexprs(e)
-        if not isinstance(x, leaves)
-        and not (isinstance(x, App) and isinstance(x.fn, Var) and isinstance(x.arg, Var))
-    }
-    assert set(memo) == inner
+    for _, e in fs.formulas:
+        assert free_vars(e) == oracles.tree_free_vars(e)
+        # every node but the leaves and the unary atoms on a variable
+        inner = {
+            id(x)
+            for x in oracles.iter_subexprs(e)
+            if not isinstance(x, leaves)
+            and not (isinstance(x, App) and isinstance(x.fn, Var) and isinstance(x.arg, Var))
+        }
+        assert set(memos.pop()) == inner
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -434,9 +440,8 @@ def test_free_vars_match_the_tree_walk_on_random_modules(variant):
         m = elaborate(random_annotated_module(random.Random(seed)).module)
         typecheck_module(m)
         fs = rules_to_formulas(transform_module(m, variant).module)
-        memo = {}
         for _, e in fs.formulas:
-            assert free_vars(e, memo) == oracles.tree_free_vars(e)
+            assert free_vars(e) == oracles.tree_free_vars(e)
 
 
 # Characters that matter to the tokenizer, and a few that do not.

@@ -366,6 +366,59 @@ def test_fold_combines_each_distinct_inner_node_once_in_post_order():
     assert fold(e.left, combine, memo) == 4 and len(seen) == 5
 
 
+def _fold_orders(e):
+    """The nodes a fold over `e` with a fresh memo gives `kids`, and
+    those it combines, in order: a walk over the occurrences that
+    `iter_subexprs` yields which skips an inner node met before, with
+    its subterms (a memo hit), and keeps every occurrence of a leaf."""
+    walk = list(oracles.iter_subexprs(e))
+    pre, post, seen, open_ = [], [], set(), []
+    i = 0
+    while i < len(walk):
+        x = walk[i]
+        if id(x) in seen:
+            i += sum(1 for _ in oracles.iter_subexprs(x))
+            open_[-1][1] -= 1
+        else:
+            i += 1
+            pre.append(x)
+            if children(x):
+                seen.add(id(x))
+            open_.append([x, len(children(x))])
+        while open_ and open_[-1][1] == 0:
+            post.append(open_.pop()[0])
+            if open_:
+                open_[-1][1] -= 1
+    return pre, post
+
+
+def test_fold_pairs_kids_and_combine_calls_at_depth():
+    shared = Or(App(Var("p"), Var("x")), Var("q"))
+    e = Var("r")
+    for i in range(150):  # `shared` and level 75 occur more than once
+        e = And(e, e) if i == 75 else And(e, shared) if i % 3 else Not(e)
+    asked, combined, forms = [], [], []
+
+    def kids(x):
+        asked.append(x)
+        forms.append(x)
+        return children(x)
+
+    def combine(x, values):
+        assert forms.pop() is x  # the form its own `kids` call pushed
+        assert len(values) == len(children(x))
+        assert all(v is k for v, k in zip(values, children(x)))
+        combined.append(x)
+        return x
+
+    assert fold(e, combine, {}, kids) is e and forms == []
+    pre, post = _fold_orders(e)
+    assert [id(x) for x in asked] == [id(x) for x in pre]
+    assert [id(x) for x in combined] == [id(x) for x in post]
+    inner = [id(x) for x in asked if children(x)]
+    assert len(inner) == len(set(inner)) == 2 + 100 + 50  # shared, its atom, the levels
+
+
 def _deep(levels):
     e = Var("p")
     for i in range(levels):
@@ -474,8 +527,8 @@ def test_cached_hash_is_the_dataclass_hash():
     e = Cmp("<", IntLit(1), Var("y"))
     assert hash(e) == hash(("<", IntLit(1), Var("y")))
     assert hash(Var("y")) == hash(("y",))
-    # A chain deeper than the recursion limit hashes its nodes bottom-up
-    # from a stack, to the same value.
+    # A node hashes the unhashed nodes below it bottom-up from a stack,
+    # so a chain deeper than the recursion limit hashes to the same value.
     deep = conj([App(Var("p"), Var("x"))] * 5000)
     assert hash(deep) == hash((deep.left, deep.right))
     assert hash(deep) == hash(conj([App(Var("p"), Var("x"))] * 5000))
