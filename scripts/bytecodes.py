@@ -7,14 +7,17 @@ The workload's queries are built as `bench/run.py` builds them
 (`bench/workloads.py`), one round is run untraced to warm up, and one
 more round is run with `sys.settrace` opcode events on.  The script
 prints the bytecodes executed inside `FormulaCompiler.compile` (the
-compile walk and the closures it builds), the rest, and their sum.  A
-last line counts, out of that sum, the bytecodes run in the frames of
-the traversal core, `syntax.fold` and `Expr.__hash__`, themselves: the
-callbacks a fold runs and the field hashes a node hash asks for are
-left out, so a change to the core is sized without what it calls.
-Counts are of Python bytecodes only, not of time, so they are the same
-on any machine for the same Python version and source; builtins and C
-code count nothing.  `bench/` is read, not written.
+compile walk and the closures it builds), the rest, and their sum.
+The `traversal` line counts, out of that sum, the bytecodes run in the
+frames of the traversal core, `syntax.fold` and `Expr.__hash__`,
+themselves: the callbacks a fold runs and the field hashes a node
+hash asks for are left out, so a change to the core is sized without
+what it calls.
+The `grounding` line counts, out of the sum too, the bytecodes run
+inside `asp._ground_program` and its callees.  Counts are of Python
+bytecodes only, not of time, so they are the same on any machine for
+the same Python version and source; builtins and C code count nothing.
+`bench/` is read, not written.
 """
 
 import argparse
@@ -30,30 +33,32 @@ import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count_round(queries, compile_code, core_codes) -> tuple[int, int, int]:
+def count_round(queries, compile_code, ground_code, core_codes) -> tuple[int, int, int, int]:
     """(bytecodes inside `compile_code`'s frames, the others, those run
-    in frames of `core_codes` themselves) of one round of `queries`,
-    answers unchecked."""
-    counts = [0, 0, 0]
-    depth = [0]
+    in frames of `core_codes` themselves, those inside `ground_code`'s
+    frames) of one round of `queries`, answers unchecked."""
+    counts = [0, 0, 0, 0]
+    depth = {compile_code: 0, ground_code: 0}
 
     def local(frame, event, arg):
         if event == "opcode":
-            counts[depth[0] == 0] += 1
-        elif event == "return" and frame.f_code is compile_code:
-            depth[0] -= 1
+            counts[depth[compile_code] == 0] += 1
+            counts[3] += depth[ground_code] > 0
+        elif event == "return" and frame.f_code in depth:
+            depth[frame.f_code] -= 1
         return local
 
     def core(frame, event, arg):
         if event == "opcode":
-            counts[depth[0] == 0] += 1
+            counts[depth[compile_code] == 0] += 1
             counts[2] += 1
+            counts[3] += depth[ground_code] > 0
         return core
 
     def call(frame, event, arg):
         frame.f_trace_opcodes = True
-        if frame.f_code is compile_code:
-            depth[0] += 1
+        if frame.f_code in depth:
+            depth[frame.f_code] += 1
         return core if frame.f_code in core_codes else local
 
     sys.settrace(call)
@@ -62,7 +67,7 @@ def count_round(queries, compile_code, core_codes) -> tuple[int, int, int]:
             q.run()
     finally:
         sys.settrace(None)
-    return counts[0], counts[1], counts[2]
+    return counts[0], counts[1], counts[2], counts[3]
 
 
 def main(argv=None) -> int:
@@ -75,14 +80,18 @@ def main(argv=None) -> int:
     for q in queries:  # warm-up round
         q.run()
     core_codes = {lib.syntax.fold.__code__, lib.syntax.Var.__hash__.__code__}
-    compiling, rest, core = count_round(
-        queries, lib.models.FormulaCompiler.compile.__code__, core_codes
+    compiling, rest, core, grounding = count_round(
+        queries,
+        lib.models.FormulaCompiler.compile.__code__,
+        lib.asp._ground_program.__code__,
+        core_codes,
     )
     print(f"workload:  {args.workload} (seed {args.seed}, {len(queries)} queries)")
     print(f"compile:   {compiling:,}")
     print(f"rest:      {rest:,}")
     print(f"total:     {compiling + rest:,}")
     print(f"traversal: {core:,}")
+    print(f"grounding: {grounding:,}")
     return 0
 
 

@@ -27,14 +27,17 @@ answer set encoding (`emit_asp`) computes a subset of them;
 The stable-model search grounds the program against the least model
 of the negation-free relaxation (every stable model is contained in
 it): ground clauses by counting their missing atoms, schematic ones
-semi-naively.  The well-founded model then decides most negated
-atoms, and candidate assignments are tried only for the negated atoms
-it leaves undecided.
+semi-naively.  The ground program is kept in the order its instances
+are first derived and is never sorted.  The well-founded model then
+decides most negated atoms, and candidate assignments are tried only
+for the negated atoms it leaves undecided.  Answer sets are sorted
+when they are returned.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -217,6 +220,14 @@ class Config:
             yield from k
 
 
+def _is_ground(a: Atom) -> bool:
+    """Whether an atom holds no variable, by a walk that builds no set."""
+    for t in a.args:
+        if type(t) is TVar or (type(t) is Atom and not _is_ground(t)):
+            return False
+    return True
+
+
 def _term_vars(t: Term) -> set:
     if isinstance(t, TVar):
         return {t.name}
@@ -235,6 +246,9 @@ def _term_vars(t: Term) -> set:
 
 
 _CFG_KEYWORDS = {"rule", "fact", "modifier", "inconsistent", "not"}
+# ASCII only: every identifier is then an ASP-Core-2 symbol as it stands.
+_CFG_DIGITS = frozenset(string.digits)
+_CFG_IDENT = _CFG_DIGITS.union(string.ascii_letters, "_")
 
 
 class _CfgParser:
@@ -260,18 +274,18 @@ class _CfgParser:
             elif c == "#":
                 while i < n and text[i] != "\n":
                     i += 1
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            elif c.isdecimal() or (c == "-" and i + 1 < n and text[i + 1].isdecimal()):
+            elif c in _CFG_DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _CFG_DIGITS):
                 j = i + 1
-                while j < n and text[j].isdecimal():
+                while j < n and text[j] in _CFG_DIGITS:
                     j += 1
                 toks.append(("int", text[i:j], line, col))
+                col += j - i
+                i = j
+            elif c in _CFG_IDENT:  # not a digit, taken above
+                j = i
+                while j < n and text[j] in _CFG_IDENT:
+                    j += 1
+                toks.append(("ident", text[i:j], line, col))
                 col += j - i
                 i = j
             elif text.startswith("<-", i):
@@ -921,25 +935,32 @@ def emit_asp(cfg: Config) -> AspProgram:
 # stable models
 
 
-def _unify(pattern: Term, value: Term, b: dict) -> Optional[dict]:
-    if isinstance(pattern, TVar):
-        if pattern.name in b:
-            return b if b[pattern.name] == value else None
-        b2 = dict(b)
-        b2[pattern.name] = value
-        return b2
-    if isinstance(pattern, Atom):
-        if not isinstance(value, Atom) or pattern.pred != value.pred:
-            return None
-        if len(pattern.args) != len(value.args):
-            return None
-        for pa, va in zip(pattern.args, value.args):
-            nb = _unify(pa, va, b)
+def _unify(pattern: Atom, value: Term, b: dict) -> Optional[dict]:
+    """`b` extended by the bindings that make `pattern` equal `value`,
+    or None.  Variable and constant arguments are matched in place:
+    `b` is copied once, when a variable is first bound, and never
+    changed; only a compound argument recurses."""
+    if type(value) is not Atom or pattern.pred != value.pred:
+        return None
+    if len(pattern.args) != len(value.args):
+        return None
+    nb = b
+    for pa, va in zip(pattern.args, value.args):
+        if type(pa) is TVar:
+            v = nb.get(pa.name)
+            if v is None:
+                if nb is b:
+                    nb = dict(b)
+                nb[pa.name] = va
+            elif v != va:
+                return None
+        elif type(pa) is Atom:
+            nb = _unify(pa, va, nb)
             if nb is None:
                 return None
-            b = nb
-        return b
-    return b if pattern == value else None
+        elif pa != va:
+            return None
+    return nb
 
 
 @dataclass(unsafe_hash=True)
@@ -971,12 +992,13 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     negation-free relaxation.  Every stable model is a subset of that
     least model, so instances pruned here cannot fire in any stable
     model.  Negative literals on atoms outside it are dropped as
-    trivially true.
+    trivially true.  The instances come in the order they are first
+    derived and are never sorted; every caller reads them as a set.
 
     The least model is built in rounds: the first fires the clauses
     without positive literals, each later one, in clause order, the
     clauses an atom of the round before can make fire.  A clause
-    without variables waits on a count of its missing positive atoms
+    without variables, told apart by one walk over its atoms, waits on a count of its missing positive atoms
     and fires once, in the round after the count reaches zero (Dowling
     & Gallier 1984).  Only clauses with variables are matched,
     semi-naively (Bancilhon & Ramakrishnan 1986): against the derived
@@ -989,7 +1011,8 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     ``u(X) :- f(a).  f(a).  v(X) :- f(a).`` it names ``u(X)``."""
     derived: dict[str, list[Atom]] = {}
     possible: set[Atom] = set()
-    instances: set[GroundRule] = set()
+    seen: set[GroundRule] = set()
+    instances: list[GroundRule] = []  # in derivation order
     waiting: dict[Atom, list[int]] = {}  # ground clauses by a missing atom
     missing: dict[int, int] = {}  # per ground clause, its missing atoms
     ready: list[int] = []  # ground clauses whose last atom came this round
@@ -999,6 +1022,13 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     for k, r in enumerate(p.rules):
         pos = tuple(l.atom for l in r.body if l.positive)
         neg = tuple(l.atom for l in r.body if not l.positive)
+        if all(map(_is_ground, (r.head, *pos, *neg))):
+            clauses.append(GroundRule(r.head, pos, neg))
+            body = set(pos)
+            missing[k] = len(body)
+            for a in body:
+                waiting.setdefault(a, []).append(k)
+            continue
         bound = set().union(*map(_term_vars, pos))
         unsafe = next(
             (
@@ -1011,22 +1041,16 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
             if _term_vars(r.head) - bound
             else None,
         )
-        if bound or unsafe:
-            clauses.append((r.head, pos, neg, unsafe))
-            if pos:
-                schematic.append(k)
-            continue
-        clauses.append(GroundRule(r.head, pos, neg))
-        body = set(pos)
-        missing[k] = len(body)
-        for a in body:
-            waiting.setdefault(a, []).append(k)
+        clauses.append((r.head, pos, neg, unsafe))
+        if pos:
+            schematic.append(k)
 
     def add(g: GroundRule) -> None:
-        n = len(instances)
-        instances.add(g)
-        if len(instances) == n:
+        n = len(seen)
+        seen.add(g)
+        if len(seen) == n:
             return
+        instances.append(g)
         if len(instances) > instance_cap:
             raise ResourceCapError(f"grounding exceeded {instance_cap} rule instances")
         h = g.head
@@ -1072,16 +1096,11 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
                     add(GroundRule(_subst_term(head, b), matched, gneg))
         before, now = now, {q: len(atoms) for q, atoms in derived.items()}
 
-    at = {a: str(a) for a in possible.union(*(g.neg for g in instances))}.__getitem__
-
-    def key(g: GroundRule):
-        return (at(g.head), tuple(map(at, g.pos)), tuple(map(at, g.neg)))
-
     return [
         g
         if possible.issuperset(g.neg)
         else GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
-        for g in sorted(instances, key=key)
+        for g in instances
     ]
 
 
@@ -1142,7 +1161,8 @@ def answer_sets(p: AspProgram, guess_cap_bits: int = DEFAULT_CAP_BITS) -> list[f
     possible atoms as not held; candidates are generated only over the
     rest, and each is kept when the least model of its reduct holds
     exactly the negated atoms guessed.  `guess_cap_bits` bounds the
-    number of negated atoms the well-founded model leaves undecided."""
+    number of negated atoms the well-founded model leaves undecided.
+    The sets are returned sorted, by size and then by their atoms' text."""
     ground_rules = _ground_program(p)
     neg_set = frozenset(a for g in ground_rules for a in g.neg)
     least_model = _reduct(ground_rules)

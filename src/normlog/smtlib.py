@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -79,7 +80,8 @@ class SmtError(NormlogError):
     pass
 
 
-_SIMPLE_EXTRA = set("~!@$%^&*_-+=<>.?/")
+# SMT-LIB 2.6 simple symbols are ASCII.
+_SIMPLE = frozenset(string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/")
 
 
 # A script writes few names many times: the 99 scripts of one
@@ -89,10 +91,7 @@ _SIMPLE_EXTRA = set("~!@$%^&*_-+=<>.?/")
 def smt_symbol(name: str) -> str:
     """Quote a symbol with |...| when it is not a simple symbol (our
     generated names with apostrophes need this)."""
-    ok = name and not name[0].isdigit() and all(
-        c.isalnum() or c in _SIMPLE_EXTRA for c in name
-    )
-    if ok:
+    if name and not name[0].isdigit() and _SIMPLE.issuperset(name):
         return name
     if "|" in name or "\\" in name:
         raise SmtError(f"symbol '{name}' cannot be represented in SMT-LIB")

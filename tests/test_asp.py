@@ -116,6 +116,9 @@ def test_str_of_rule_reparses_to_equal_rule():
         ("rule x: p.", "expected int"),
         ("rule 1: p <- .", "1:14: expected ident"),
         ("rule 1: p ? q.", "unexpected character '?'"),
+        ("rule 1: a\u00b2 <- b.", "1:10: unexpected character '\u00b2'"),
+        ("rule \u0663: p.", "1:6: unexpected character '\u0663'"),
+        ("fact: caf\u00e9.", "1:10: unexpected character '\u00e9'"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -164,12 +164,22 @@ def test_superscript_digit_in_a_configuration_is_bad_input(tmp_path):
     assert err == "error: 1:6: unexpected character '\u00b2'\n"
 
 
-def test_decimal_digits_of_other_scripts_number_rules(tmp_path):
-    good = tmp_path / "arabic.cfg"
-    good.write_text("rule \u0663: a.\n", encoding="utf-8")
-    rc, out, err = run_cli("legal-models", str(good))
-    assert rc == 0, err
-    assert out == "1 legal model(s)\nmodel 1: is_legal {a} legally_valid {(3, a)}\n"
+def test_decimal_digits_of_other_scripts_in_a_configuration_are_bad_input(tmp_path):
+    # A configuration's integers are ASCII: '\u0663' is not read as rule 3.
+    bad = tmp_path / "arabic.cfg"
+    bad.write_text("rule \u0663: a.\n", encoding="utf-8")
+    rc, out, err = run_cli("legal-models", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == "error: 1:6: unexpected character '\u0663'\n"
+
+
+def test_non_ascii_identifier_in_a_configuration_is_bad_input(tmp_path):
+    # `according_to(1,a\u00b2)` would not be an ASP-Core-2 symbol.
+    bad = tmp_path / "sup.cfg"
+    bad.write_text("rule 1: a\u00b2 <- b.\n", encoding="utf-8")
+    rc, out, err = run_cli("emit-asp", str(bad))
+    assert (rc, out) == (2, "")
+    assert err == "error: 1:10: unexpected character '\u00b2'\n"
 
 
 _NESTED = """class S

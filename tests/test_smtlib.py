@@ -23,6 +23,25 @@ def test_smt_symbol_quoting():
     assert smt_symbol("maxSp+") == "maxSp+"  # '+' is a legal symbol character
     assert smt_symbol("maxSpCarHighway'Orig") == "|maxSpCarHighway'Orig|"
     assert smt_symbol("incl'Car'Vehicle") == "|incl'Car'Vehicle|"
+    # Simple symbols are ASCII, letters and digits included.
+    assert smt_symbol("p\u00e9") == "|p\u00e9|"
+    assert smt_symbol("\u00b2p") == "|\u00b2p|"
+
+
+def test_non_ascii_declaration_is_quoted_and_read_back():
+    m = elaborate(
+        parse_module(
+            "class Thing\ndecl p\u00e9 : Thing -> Boolean\ndecl q : Thing -> Boolean\n"
+            "rule <r> for x: Thing if p\u00e9 x then q x\n"
+        )
+    )
+    typecheck_module(m)
+    script = emit_smtlib(rules_to_formulas(transform_module(m, Variant.PRECOND).module))
+    assert "(declare-fun |p\u00e9| (Thing) Bool)" in script
+    commands = [x for x in script.splitlines() if not x.startswith(";")]
+    assert all("p\u00e9" not in x.replace("|p\u00e9|", "") for x in commands)
+    info = read_script(script)
+    assert info.symbols["p\u00e9"] == 1 and info.has_check_sat
 
 
 def term(e):

@@ -2,7 +2,10 @@
 back to legal models, and the soundness check that holds the two
 semantics against each other."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -102,10 +105,18 @@ def test_ground_program_instance_cap():
 # the semi-naive grounder against naive bottom-up grounding
 
 
+def instance_set(rules):
+    """The ground instances as a set, once none is listed twice: the
+    grounder keeps them in derivation order, the oracle sorted."""
+    out = set(rules)
+    assert len(out) == len(rules), rules
+    return out
+
+
 def outcome(ground_fn, prog, **kw):
-    """The instances, or the type and message of the error raised."""
+    """The set of instances, or the type and message of the error raised."""
     try:
-        return ground_fn(prog, **kw)
+        return instance_set(ground_fn(prog, **kw))
     except (ConfigError, ResourceCapError) as e:
         return type(e).__name__, str(e)
 
@@ -114,7 +125,29 @@ def test_grounding_matches_naive_on_random_configs():
     rng = random.Random(1986)
     for _ in range(250):
         prog = emit_asp(random_config(rng))
-        assert _ground_program(prog) == reference_ground_program(prog)
+        assert instance_set(_ground_program(prog)) == instance_set(reference_ground_program(prog))
+
+
+def test_grounding_order_is_independent_of_the_hash_seed():
+    # The instances come in derivation order, which must not follow the
+    # iteration order of a set of atoms: string hashes, and so that
+    # order, change with PYTHONHASHSEED.
+    script = (
+        "import random\n"
+        "from normlog.asp import emit_asp, _ground_program\n"
+        "from normlog.randgen import random_config\n"
+        "rng = random.Random(2028)\n"
+        "for _ in range(12):\n"
+        "    print([repr(g) for g in _ground_program(emit_asp(random_config(rng)))])\n"
+    )
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 12 and outs[0].count(b"GroundRule(") > 12 * 10
 
 
 def random_schematic_config(rng):
@@ -154,7 +187,7 @@ def test_grounding_matches_naive_on_grounded_schematic_configs():
         except ConfigError:  # an inconsistent set of one atom
             continue
         prog = emit_asp(cfg)
-        assert _ground_program(prog) == reference_ground_program(prog)
+        assert instance_set(_ground_program(prog)) == instance_set(reference_ground_program(prog))
         tried += 1
     assert tried >= 200
 
@@ -179,7 +212,7 @@ def test_legal_models_match_the_sweeps_on_grounded_schematic_configs():
 @pytest.mark.parametrize("path", sorted(CASES.glob("*.cfg")), ids=lambda p: p.stem)
 def test_grounding_matches_naive_on_cases(path):
     prog = emit_asp(parse_config(path.read_text()))
-    assert _ground_program(prog) == reference_ground_program(prog)
+    assert instance_set(_ground_program(prog)) == instance_set(reference_ground_program(prog))
 
 
 def random_schematic_program(rng):
@@ -218,7 +251,7 @@ def test_grounding_matches_naive_on_random_schematic_programs():
         got = outcome(_ground_program, prog, instance_cap=60)
         assert got == outcome(reference_ground_program, prog, instance_cap=60), prog
         kinds.add(got[0] if isinstance(got, tuple) else "instances")
-        joined += isinstance(got, list) and len(got) >= len(prog.rules) + 5
+        joined += isinstance(got, set) and len(got) >= len(prog.rules) + 5
     assert kinds == {"instances", "ConfigError", "ResourceCapError"}
     assert joined >= 30
 
@@ -314,7 +347,7 @@ def test_grounding_matches_naive_on_ground_clauses_with_bodies():
         assert got == outcome(reference_ground_program, prog, instance_cap=cap), prog
         kinds.add(got[0] if isinstance(got, tuple) else "instances")
         # a ground clause fired on a derived atom
-        fired += isinstance(got, list) and any(
+        fired += isinstance(got, set) and any(
             g.head.pred == "according_to" and g.pos for g in got
         )
         two_unsafe += sum(r.head.pred in ("u", "w") for r in prog.rules) == 2
