@@ -208,7 +208,7 @@ class Config:
 
     @cached_property
     def _ground(self) -> bool:
-        return not any(_term_vars(x) for x in self._all_atoms())
+        return all(map(_is_ground, self._all_atoms()))
 
     def _all_atoms(self) -> Iterable[Atom]:
         for r in self.rules:
