@@ -14,7 +14,9 @@ themselves: the callbacks a fold runs and the field hashes a node
 hash asks for are left out, so a change to the core is sized without
 what it calls.
 The `grounding` line counts, out of the sum too, the bytecodes run
-inside `asp._ground_program` and its callees.  Counts are of Python
+inside `asp._ground_program` and its callees, and the `lexing`,
+`smt-emit` and `smt-read` lines those inside `parser.tokenize`,
+`smtlib.emit_smtlib` and `smtlib.read_script`.  Counts are of Python
 bytecodes only, not of time, so they are the same on any machine for
 the same Python version and source; builtins and C code count nothing.
 `bench/` is read, not written.
@@ -33,26 +35,30 @@ import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
 
-def count_round(queries, compile_code, ground_code, core_codes) -> tuple[int, int, int, int]:
-    """(bytecodes inside `compile_code`'s frames, the others, those run
-    in frames of `core_codes` themselves, those inside `ground_code`'s
-    frames) of one round of `queries`, answers unchecked."""
-    counts = [0, 0, 0, 0]
-    depth = {compile_code: 0, ground_code: 0}
+def count_round(queries, compile_code, scoped: dict, core_codes) -> dict[str, int]:
+    """The bytecodes of one round of `queries`, answers unchecked:
+    `compile` inside `compile_code`'s frames, `rest` outside them,
+    `traversal` in frames of `core_codes` themselves, and for each
+    label of `scoped` those inside the frames of its code."""
+    counts = [0, 0, 0]
+    inside = dict.fromkeys(scoped, 0)
+    depth = dict.fromkeys([compile_code, *scoped.values()], 0)
+    labelled = list(scoped.items())
 
     def local(frame, event, arg):
         if event == "opcode":
             counts[depth[compile_code] == 0] += 1
-            counts[3] += depth[ground_code] > 0
+            for label, code in labelled:
+                if depth[code]:
+                    inside[label] += 1
         elif event == "return" and frame.f_code in depth:
             depth[frame.f_code] -= 1
         return local
 
     def core(frame, event, arg):
         if event == "opcode":
-            counts[depth[compile_code] == 0] += 1
             counts[2] += 1
-            counts[3] += depth[ground_code] > 0
+        local(frame, event, arg)
         return core
 
     def call(frame, event, arg):
@@ -67,7 +73,7 @@ def count_round(queries, compile_code, ground_code, core_codes) -> tuple[int, in
             q.run()
     finally:
         sys.settrace(None)
-    return counts[0], counts[1], counts[2], counts[3]
+    return {"compile": counts[0], "rest": counts[1], "traversal": counts[2], **inside}
 
 
 def main(argv=None) -> int:
@@ -80,18 +86,17 @@ def main(argv=None) -> int:
     for q in queries:  # warm-up round
         q.run()
     core_codes = {lib.syntax.fold.__code__, lib.syntax.Var.__hash__.__code__}
-    compiling, rest, core, grounding = count_round(
-        queries,
-        lib.models.FormulaCompiler.compile.__code__,
-        lib.asp._ground_program.__code__,
-        core_codes,
-    )
+    scoped = {
+        "grounding": lib.asp._ground_program.__code__,
+        "lexing": lib.parser.tokenize.__code__,
+        "smt-emit": lib.smtlib.emit_smtlib.__code__,
+        "smt-read": lib.smtlib.read_script.__code__,
+    }
+    counts = count_round(queries, lib.models.FormulaCompiler.compile.__code__, scoped, core_codes)
+    counts["total"] = counts["compile"] + counts["rest"]
     print(f"workload:  {args.workload} (seed {args.seed}, {len(queries)} queries)")
-    print(f"compile:   {compiling:,}")
-    print(f"rest:      {rest:,}")
-    print(f"total:     {compiling + rest:,}")
-    print(f"traversal: {core:,}")
-    print(f"grounding: {grounding:,}")
+    for label in ["compile", "rest", "total", "traversal", *scoped]:
+        print(f"{label + ':':<10} {counts[label]:,}")
     return 0
 
 

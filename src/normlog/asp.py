@@ -249,6 +249,9 @@ _CFG_KEYWORDS = {"rule", "fact", "modifier", "inconsistent", "not"}
 # ASCII only: every identifier is then an ASP-Core-2 symbol as it stands.
 _CFG_DIGITS = frozenset(string.digits)
 _CFG_IDENT = _CFG_DIGITS.union(string.ascii_letters, "_")
+# Newlines aside, as in `.l4` text: any other character, such as a
+# no-break space, is an error.
+_CFG_SPACE = frozenset(" \t\r")
 
 
 class _CfgParser:
@@ -268,7 +271,7 @@ class _CfgParser:
                 line += 1
                 col = 1
                 i += 1
-            elif c.isspace():
+            elif c in _CFG_SPACE:
                 col += 1
                 i += 1
             elif c == "#":
@@ -993,7 +996,8 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     least model, so instances pruned here cannot fire in any stable
     model.  Negative literals on atoms outside it are dropped as
     trivially true.  The instances come in the order they are first
-    derived and are never sorted; every caller reads them as a set.
+    derived, each once, also where dropping literals makes two equal,
+    and are never sorted; every caller reads them as a set.
 
     The least model is built in rounds: the first fires the clauses
     without positive literals, each later one, in clause order, the
@@ -1011,7 +1015,7 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
     ``u(X) :- f(a).  f(a).  v(X) :- f(a).`` it names ``u(X)``."""
     derived: dict[str, list[Atom]] = {}
     possible: set[Atom] = set()
-    seen: set[GroundRule] = set()
+    seen: dict[GroundRule, int] = {}  # each instance's place in `instances`
     instances: list[GroundRule] = []  # in derivation order
     waiting: dict[Atom, list[int]] = {}  # ground clauses by a missing atom
     missing: dict[int, int] = {}  # per ground clause, its missing atoms
@@ -1047,7 +1051,7 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
 
     def add(g: GroundRule) -> None:
         n = len(seen)
-        seen.add(g)
+        seen.setdefault(g, n)
         if len(seen) == n:
             return
         instances.append(g)
@@ -1096,12 +1100,25 @@ def _ground_program(p: AspProgram, instance_cap: int = 1_000_000) -> list[Ground
                     add(GroundRule(_subst_term(head, b), matched, gneg))
         before, now = now, {q: len(atoms) for q, atoms in derived.items()}
 
-    return [
-        g
-        if possible.issuperset(g.neg)
-        else GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
-        for g in instances
-    ]
+    # Dropping literals can make an instance equal to another one, which
+    # kept its literals or lost some too; the first in derivation order
+    # is listed.  `seen` gives the first place of each.
+    listed: list = instances.copy()
+    dropped = False
+    for j in [j for j, g in enumerate(instances) if not possible.issuperset(g.neg)]:
+        g = instances[j]
+        g = GroundRule(g.head, g.pos, tuple(a for a in g.neg if a in possible))
+        k = seen.setdefault(g, j)
+        if k < j:
+            listed[j] = None
+            dropped = True
+        else:
+            listed[j] = g
+            if k > j:  # an equal instance that kept its literals comes later
+                seen[g] = j
+                listed[k] = None
+                dropped = True
+    return [g for g in listed if g is not None] if dropped else listed
 
 
 def _reduct(ground_rules: Sequence[GroundRule]):

@@ -28,8 +28,7 @@ error.  Columns in source locations count characters, a tab as one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     BOOL,
@@ -126,8 +125,7 @@ _SYMBOLS = [
 ]
 
 
-@dataclass(slots=True)
-class Token:
+class Token(NamedTuple):
     """One token: its kind, text, location and value."""
 
     kind: str  # ident kw int float string sym eof
@@ -136,21 +134,22 @@ class Token:
     value: object = None
 
 
-# One match is one token and the whitespace and comments before it.  An
-# identifier starts with a character that `\w` matches and that is no
-# decimal digit; `tokenize` rejects the ones that are not letters or
-# `_` either, such as `²`.  A match without a token ends the input, or
-# stops at a character that starts no token.  The pattern matches the
-# empty string, so `finditer` goes through the text without a gap.
+# One match is the whitespace and comments before a token, then the
+# token in the group of its kind.  An identifier starts with a character
+# that `\w` matches and that is no decimal digit; `tokenize` rejects the
+# ones that are not letters or `_` either, such as `²`.  A match without
+# a token ends the input, or stops at a character that starts no token.
+# The pattern matches the empty string, so `findall` goes through the
+# text without a gap.
 _TOKEN = re.compile(
-    r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
-    (?:(?P<word>[^\W\d][\w']*\+?)
-      |(?P<float>-?\d+\.\d+)
-      |(?P<int>-?\d+)
-      |(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
-      |(?P<sym>"""
+    r"""([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?:([^\W\d][\w']*\+?)
+      |("""
     + "|".join(map(re.escape, _SYMBOLS))
-    + """)
+    + r""")
+      |(-?\d+\.\d+)
+      |(-?\d+)
+      |("[^"\\]*(?:\\.[^"\\]*)*")
     )?""",
     re.VERBOSE | re.DOTALL,
 )
@@ -158,43 +157,55 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with an `eof` token.  Tokens and
+    their locations are built with `tuple.__new__`, and a token's
+    position is the sum of the lengths before it: `findall` gives the
+    skipped text and the token of each match, and only skipped text or
+    a string can hold a newline."""
     toks: list[Token] = []
     append = toks.append
-    count = text.count
-    # Each token's line is counted from the newlines since the previous
-    # token's start, which only whitespace, comments and strings hold.
-    line, line_start, prev = 1, 0, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        i = m.start(kind) if kind else m.end()
-        if newlines := count("\n", prev, i):
-            line += newlines
-            line_start = text.rfind("\n", prev, i) + 1
-        prev = i
-        loc = Loc(line, i - line_start + 1)
-        if kind is None:
-            break
-        word = m[kind]
-        if kind == "sym":
-            append(Token(kind, word, loc))
-        elif kind == "word":
-            c = word[0]
-            if not (c.isalpha() or c == "_"):
-                raise LParseError(loc, f"unexpected character {c!r}")
-            append(Token("kw" if word in KEYWORDS else "ident", word, loc))
-        elif kind == "int":
-            append(Token(kind, word, loc, int(word)))
-        elif kind == "float":
-            append(Token(kind, word, loc, float(word)))
+    new = tuple.__new__
+    line, line_start, i = 1, 0, 0
+    for skip, word, sym, dec, num, string in _TOKEN.findall(text):
+        if skip:
+            i += len(skip)
+            if "\n" in skip:
+                line += skip.count("\n")
+                line_start = i - len(skip) + skip.rfind("\n") + 1
+        loc = new(Loc, (line, i - line_start + 1))
+        if word:
+            if word in KEYWORDS:
+                append(new(Token, ("kw", word, loc, None)))
+            else:
+                # `_` is ASCII, so a first character past ASCII must be a letter.
+                if word[0] >= "\x80" and not word[0].isalpha():
+                    raise LParseError(loc, f"unexpected character {word[0]!r}")
+                append(new(Token, ("ident", word, loc, None)))
+            i += len(word)
+        elif sym:
+            append(new(Token, ("sym", sym, loc, None)))
+            i += len(sym)
+        elif num:
+            append(new(Token, ("int", num, loc, int(num))))
+            i += len(num)
+        elif dec:
+            append(new(Token, ("float", dec, loc, float(dec))))
+            i += len(dec)
+        elif string:
+            body = string[1:-1]
+            append(new(Token, ("string", string, loc, _ESCAPE.sub(r"\1", body) if "\\" in body else body)))
+            i += len(string)
+            if "\n" in string:
+                line += string.count("\n")
+                line_start = i - len(string) + string.rfind("\n") + 1
         else:
-            body = word[1:-1]
-            append(Token(kind, word, loc, _ESCAPE.sub(r"\1", body) if "\\" in body else body))
+            break
     if i < len(text):
         c = text[i]
         if c == '"':
             raise LParseError(loc, "unterminated string literal")
         raise LParseError(loc, f"unexpected character {c!r}")
-    append(Token("eof", "", loc))
+    append(new(Token, ("eof", "", loc, None)))
     return toks
 
 

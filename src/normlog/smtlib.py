@@ -29,8 +29,9 @@ tracks declarations, definitions and binders, and checks every applied
 symbol is known with a consistent arity.  Numerals and decimals follow
 the SMT-LIB grammar (`0`, `[1-9][0-9]*`, optionally `.[0-9]+`); every
 other token, `inf` or `nan` included, is a symbol and must be
-declared.  That is enough to catch emitter regressions without an
-external dependency.
+declared, except the reserved words that `smt_symbol` quotes, which
+are no symbols unless quoted.  That is enough to catch emitter
+regressions without an external dependency.
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ class SmtError(NormlogError):
 # SMT-LIB 2.6 simple symbols are ASCII.
 _SIMPLE = frozenset(string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/")
 
+# The SMT-LIB 2.6 reserved words, command names included, that a `.l4`
+# identifier can spell; none of them is a symbol unless quoted.
+_RESERVED = frozenset(
+    "_ as let match par BINARY DECIMAL HEXADECIMAL NUMERAL STRING echo exit pop push reset".split()
+)
+
 
 # A script writes few names many times: the 99 scripts of one
 # `l4_compile` round make 45767 calls on 146 names, and emitting them
@@ -90,8 +97,8 @@ _SIMPLE = frozenset(string.ascii_letters + string.digits + "~!@$%^&*_-+=<>.?/")
 @lru_cache(maxsize=1 << 12)
 def smt_symbol(name: str) -> str:
     """Quote a symbol with |...| when it is not a simple symbol (our
-    generated names with apostrophes need this)."""
-    if name and not name[0].isdigit() and _SIMPLE.issuperset(name):
+    generated names with apostrophes need this) or is a reserved word."""
+    if name and not name[0].isdigit() and _SIMPLE.issuperset(name) and name not in _RESERVED:
         return name
     if "|" in name or "\\" in name:
         raise SmtError(f"symbol '{name}' cannot be represented in SMT-LIB")
@@ -198,34 +205,48 @@ class _Term:
         self.binders: Optional[dict] = binders  # a quantifier's, name -> sort
 
 
+# The leaf kinds of the emitter's fold, which `_terms` shares by text.
+_LEAVES = frozenset((Var, BoolLit, IntLit, FloatLit, StringLit))
+_NO_NAMES: frozenset = frozenset()
+
+
 def _terms(roots: list[Expr], bool_symbols: set[str]) -> tuple[list[_Term], list[_Term]]:
     """The terms of `roots` and, in post-order, their distinct inner
     terms: one memoized `fold` over the operands each node is written
-    with, counting the places each term is written from.  Each node's
-    form is taken once, when the fold asks for its operands, and kept
-    on a stack until the node is combined."""
+    with, counting the places each term is written from.  Each inner
+    node's form is taken once, when the fold asks for its operands, and
+    kept on a stack until the node is combined.  Leaves are shared by
+    kind and text, each form taken at its first occurrence."""
     order: list[_Term] = []
-    leaves: dict[int, _Term] = {}
+    names: dict[str, _Term] = {}
+    literals: dict[tuple, _Term] = {}
     forms: list[_Form] = []
 
     def operands(e: Expr) -> Sequence[Expr]:
+        if type(e) in _LEAVES:
+            return ()
         form = _form(e, bool_symbols)
         forms.append(form)
         return form[1]
 
     def combine(e: Expr, kids: list) -> _Term:
-        head, _, bool_, binders = forms.pop()
         if not kids:
-            hit = leaves.get(id(e))
+            if type(e) is Var:
+                hit = names.get(e.name)
+                if hit is None:
+                    hit = names[e.name] = _Term(_form(e, bool_symbols)[0], kids, frozenset((e.name,)), False)
+                return hit
+            key = (type(e), type(e.value), e.value)  # equal keys, equal texts
+            hit = literals.get(key)
             if hit is None:
-                free = frozenset((e.name,)) if type(e) is Var else frozenset()
-                hit = leaves[id(e)] = _Term(head, kids, free, bool_)
+                hit = literals[key] = _Term(_form(e, bool_symbols)[0], kids, _NO_NAMES, False)
             return hit
+        head, _, bool_, binders = forms.pop()
         free = kids[0].free
         for k in kids:
             k.places += 1
-            if k.free is not free and not k.free <= free:
-                free = free | k.free
+            if k.free is not free and k.free and not k.free <= free:
+                free = free | k.free if free else k.free
         if binders is not None:
             free = free - binders.keys()
         t = _Term(head, kids, free, kids[1].bool if bool_ is None else bool_, binders)
@@ -305,10 +326,15 @@ def _render(order: list[_Term], sorts: dict) -> list[str]:
         n = t.places
         if n < 2 or not t.bool:
             continue
+        name = f"{_SHARE_PREFIX}{len(defs)}"
+        # The definition is 22 characters longer than its name, its
+        # parameters and the text, and a reference no shorter than the
+        # name: a term that does not pay with no parameters never pays.
+        if 22 + len(name) + len(text) + n * len(name) >= n * len(text):
+            continue
         params = _params(t, sorts)
         if params is None:
             continue
-        name = f"{_SHARE_PREFIX}{len(defs)}"
         ref = "(" + " ".join([name, *(smt_symbol(v) for v, _ in params)]) + ")" if params else name
         sig = " ".join(f"({smt_symbol(v)} {sort})" for v, sort in params)
         line = f"(define-fun {name} ({sig}) Bool {text})"
@@ -396,20 +422,22 @@ def emit_smtlib(
 Sexp = Union[str, int, float, tuple, list]
 
 
-# One alternative per token kind, tried in order: a comment (the empty
-# group, dropped), a parenthesis, a |quoted symbol|, a "string" with ""
+# One match is the whitespace before a token or comment, then one
+# alternative per kind, tried in order: a comment (the empty group,
+# dropped), a parenthesis, a |quoted symbol|, a "string" with ""
 # escapes, a simple symbol or numeral.  A lone | or " is what remains
 # of an unterminated symbol or string.
-_TOKEN = re.compile(r';[^\n]*|([()]|\|[^|]*\||"(?:[^"]|"")*"|[^\s();|"]+|[|"])')
+_TOKEN = re.compile(r'\s*(?:;[^\n]*|([()]|\|[^|]*\||"(?:[^"]|"")*"|[^\s();|"]+|[|"]))')
 
 
 def _tokenize(text: str) -> list[str]:
     toks = list(filter(None, _TOKEN.findall(text)))
-    bad = [toks.index(t) for t in ("|", '"') if t in toks]
-    if bad:
-        if toks[min(bad)] == "|":
-            raise SmtError("unterminated |symbol|")
-        raise SmtError("unterminated string literal")
+    if "|" in text or '"' in text:  # a scan of the text is cheaper than one of the tokens
+        bad = [toks.index(t) for t in ("|", '"') if t in toks]
+        if bad:
+            if toks[min(bad)] == "|":
+                raise SmtError("unterminated |symbol|")
+            raise SmtError("unterminated string literal")
     if '""' in text:
         toks = [
             '"' + t[1:-1].replace('""', '"') + '"' if t[0] == '"' else t for t in toks
@@ -417,49 +445,62 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
+# SMT-LIB numerals and decimals; every other token is a symbol.
+_NUMBER = re.compile(r"(?:0|[1-9][0-9]*)(\.[0-9]+)?")
+# The first characters of a token that may be no plain symbol.
+_SPECIAL = frozenset('|"0123456789')
+
+
+class _Reserved:
+    """A reserved word written unquoted.  It is no `str`, so no check
+    of `read_script` takes it for a symbol."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: str) -> None:
+        self.word = word
+
+    def __repr__(self) -> str:
+        return self.word
+
+
 def _parse_sexps(toks: list[str]) -> list[Sexp]:
+    """The s-expressions of `toks`: a list per parenthesis, a
+    ("string", text) pair per string, an int or float per numeral or
+    decimal, a `_Reserved` per unquoted reserved word and a str per
+    other symbol, a quoted one without its bars.  A list joins its
+    parent when it opens."""
     out: list[Sexp] = []
     stack: list[list] = []
+    top = out
     for t in toks:
         if t == "(":
-            stack.append([])
+            stack.append(top)
+            top = []
+            stack[-1].append(top)
         elif t == ")":
             if not stack:
                 raise SmtError("unbalanced ')'")
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                out.append(done)
+            top = stack.pop()
+        elif (c := t[0]) not in _SPECIAL:
+            top.append(_Reserved(t) if t in _RESERVED else t)
+        elif c == "|":
+            top.append(t[1:-1])
+        elif c == '"':
+            top.append(("string", t[1:-1]))
+        elif (m := _NUMBER.fullmatch(t)) is not None:
+            top.append(float(t) if m.group(1) else int(t))
         else:
-            atom = _atom(t)
-            if stack:
-                stack[-1].append(atom)
-            else:
-                out.append(atom)
+            top.append(t)
     if stack:
         raise SmtError("unbalanced '('")
     return out
 
 
-# SMT-LIB numerals and decimals; every other token is a symbol.
-_NUMBER = re.compile(r"(?:0|[1-9][0-9]*)(\.[0-9]+)?")
-
-
-def _atom(t: str) -> Sexp:
-    if t[0] == '"':
-        return ("string", t[1:-1])
-    if t[0] == "|":
-        return t[1:-1]
-    if t[0] in "0123456789":
-        m = _NUMBER.fullmatch(t)
-        if m is not None:
-            return float(t) if m.group(1) else int(t)
-    return t
-
-
 _BUILTIN_SORTS = {"Bool", "Int", "Real", "String"}
 _BUILTIN_OPS = {"and", "or", "not", "=>", "=", "distinct", "ite", "<", "<=", ">", ">=", "+", "-", "*"}
+# Marks, on `check_term`'s stack, where a binder's body ends.
+_UNBIND = object()
 
 
 @dataclass(unsafe_hash=True)
@@ -493,76 +534,88 @@ def read_script(text: str) -> ScriptInfo:
         if not isinstance(s, str) or (s not in _BUILTIN_SORTS and s not in sorts):
             raise SmtError(f"unknown sort {s!r}")
 
+    def reserved(x: Sexp) -> None:
+        if type(x) is _Reserved:
+            raise SmtError(f"reserved word '{x}' used as a symbol")
+
     def not_defined(name: str) -> None:
         if name in definitions:
             raise SmtError(f"symbol '{name}' is already defined")
 
     def check_term(term: Sexp, params: Sequence[str] = ()) -> None:
-        """Check `term` depth first, left to right, with an explicit
-        stack of iterators over argument lists, `params` bound.  A
-        binder counts its names in `bound` while its body's frame is on
-        the stack."""
+        """Check `term` depth first, left to right, with `params` bound,
+        on an explicit stack of the terms still to check: a list pushes
+        its arguments in reverse.  A binder counts its names in `bound`
+        and pushes them under its body, after `_UNBIND`, to be uncounted
+        when the body is done."""
         bound: dict[str, int] = {}
         for name in params:
             bound[name] = bound.get(name, 0) + 1
-        stack = [iter((term,))]
-        scopes: list[list[str]] = [[]]
+        get = arity.get
+        stack = [term]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            for e in stack[-1]:
-                kind = type(e)
-                if kind is str:
-                    if e in bound or e == "true" or e == "false":
-                        continue
-                    if e not in arity:
-                        raise SmtError(f"unknown symbol '{e}'")
-                    if arity[e] != 0:
-                        raise SmtError(f"symbol '{e}' of arity {arity[e]} used without arguments")
+            e = pop()
+            kind = type(e)
+            if kind is str:
+                if e in bound or e == "true" or e == "false":
                     continue
-                if kind is not list or not e:
-                    if kind is int or kind is float or kind is tuple:  # tuple: a string literal
-                        continue
-                    raise SmtError(f"ill-formed term {e!r}")
-                head = e[0]
-                if head == "forall" or head == "exists":
-                    if len(e) != 3 or not isinstance(e[1], list):
-                        raise SmtError(f"ill-formed {head}")
-                    names = []
-                    for b in e[1]:
-                        if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
-                            raise SmtError(f"ill-formed binder in {head}")
-                        check_sort(b[1])
-                        names.append(b[0])
-                    for name in names:
-                        bound[name] = bound.get(name, 0) + 1
-                    stack.append(iter((e[2],)))
-                    scopes.append(names)
-                    break
-                if not isinstance(head, str):
-                    raise SmtError(f"ill-formed application {e!r}")
-                if head not in _BUILTIN_OPS:
-                    if head not in arity:
+                n = get(e)
+                if n != 0:
+                    if n is None:
+                        raise SmtError(f"unknown symbol '{e}'")
+                    raise SmtError(f"symbol '{e}' of arity {n} used without arguments")
+                continue
+            if kind is not list or not e:
+                if kind is int or kind is float or kind is tuple:  # tuple: a string literal
+                    continue
+                if e is _UNBIND:
+                    for name in pop():
+                        bound[name] -= 1
+                        if not bound[name]:
+                            del bound[name]
+                    continue
+                reserved(e)
+                raise SmtError(f"ill-formed term {e!r}")
+            head = e[0]
+            if head == "forall" or head == "exists":
+                if len(e) != 3 or not isinstance(e[1], list):
+                    raise SmtError(f"ill-formed {head}")
+                names = []
+                for b in e[1]:
+                    if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], str)):
+                        raise SmtError(f"ill-formed binder in {head}")
+                    check_sort(b[1])
+                    names.append(b[0])
+                for name in names:
+                    bound[name] = bound.get(name, 0) + 1
+                push(names)
+                push(_UNBIND)
+                push(e[2])
+                continue
+            if not isinstance(head, str):
+                reserved(head)
+                raise SmtError(f"ill-formed application {e!r}")
+            if head not in _BUILTIN_OPS:
+                n = get(head)
+                if n != len(e) - 1:
+                    if n is None:
                         raise SmtError(f"unknown symbol '{head}'")
-                    if arity[head] != len(e) - 1:
-                        how = "defined" if head in definitions else "declared"
-                        raise SmtError(
-                            f"symbol '{head}' {how} with arity {arity[head]}, applied to {len(e) - 1}"
-                        )
-                args = iter(e)
-                next(args)
-                stack.append(args)
-                scopes.append([])
-                break
-            else:
-                stack.pop()
-                for name in scopes.pop():
-                    bound[name] -= 1
-                    if not bound[name]:
-                        del bound[name]
+                    how = "defined" if head in definitions else "declared"
+                    raise SmtError(f"symbol '{head}' {how} with arity {n}, applied to {len(e) - 1}")
+            stack += e[:0:-1]
 
     for form in forms:
-        if not isinstance(form, list) or not form or not isinstance(form[0], str):
+        if not isinstance(form, list) or not form:
             raise SmtError(f"ill-formed command {form!r}")
         cmd = form[0]
+        if type(cmd) is _Reserved:
+            raise SmtError(f"unsupported command '{cmd}'")
+        if not isinstance(cmd, str):
+            raise SmtError(f"ill-formed command {form!r}")
+        if len(form) > 1:
+            reserved(form[1])  # a declared or defined name, or an asserted term
         if cmd == "set-logic":
             continue
         if cmd == "declare-sort":

@@ -119,6 +119,9 @@ def test_str_of_rule_reparses_to_equal_rule():
         ("rule 1: a\u00b2 <- b.", "1:10: unexpected character '\u00b2'"),
         ("rule \u0663: p.", "1:6: unexpected character '\u0663'"),
         ("fact: caf\u00e9.", "1:10: unexpected character '\u00e9'"),
+        # Whitespace is space, tab, CR and LF only, as in `.l4` text.
+        ("fact:\xa0a.", "1:6: unexpected character '\\xa0'"),
+        ("fact: a.\x0b", "1:9: unexpected character '\\x0b'"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -102,11 +102,15 @@ def test_bytecodes_counts_a_round_split_at_compile():
     for line in lines[1:]:
         label, number = line.split(":")
         counts[label] = int(number.replace(",", ""))
-    assert list(counts) == ["compile", "rest", "total", "traversal", "grounding"]
+    assert list(counts) == [
+        "compile", "rest", "total", "traversal", "grounding", "lexing", "smt-emit", "smt-read",
+    ]
     assert counts["compile"] > 0 and counts["rest"] > 0
     assert counts["total"] == counts["compile"] + counts["rest"]
     # An `l4_check` round compiles and searches formulas built at set-up:
     # it neither folds nor hashes a node.
     assert counts["traversal"] == 0
-    # Nor does it ground an answer set program.
-    assert counts["grounding"] == 0
+    # Nor does it ground an answer set program, lex `.l4` text or write
+    # or read an SMT-LIB script: its modules are parsed at set-up.
+    for label in ("grounding", "lexing", "smt-emit", "smt-read"):
+        assert counts[label] == 0

@@ -44,6 +44,44 @@ def test_non_ascii_declaration_is_quoted_and_read_back():
     assert info.symbols["p\u00e9"] == 1 and info.has_check_sat
 
 
+@pytest.mark.parametrize("word", sorted(smtlib._RESERVED))
+def test_reserved_words_are_quoted(word):
+    assert smt_symbol(word) == f"|{word}|"
+
+
+def test_reserved_word_declaration_is_quoted_and_read_back():
+    m = elaborate(
+        parse_module(
+            "class Thing\ndecl let : Thing -> Boolean\ndecl q : Thing -> Boolean\n"
+            "rule <r> for par: Thing if let par then q par\n"
+        )
+    )
+    typecheck_module(m)
+    script = emit_smtlib(rules_to_formulas(transform_module(m, Variant.PRECOND).module))
+    assert "(declare-fun |let| (Thing) Bool)" in script
+    assert "(|let| |par|)" in script
+    info = read_script(script)
+    assert info.symbols["let"] == 1 and info.has_check_sat
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("(declare-sort Thing 0)(declare-fun let (Thing) Bool)", "reserved word 'let' used as a symbol"),
+        ("(declare-sort STRING 0)", "reserved word 'STRING' used as a symbol"),
+        ("(declare-const |_| Bool)(assert (and true _))", "reserved word '_' used as a symbol"),
+        ("(declare-const |as| Bool)(assert as)", "reserved word 'as' used as a symbol"),
+        ("(declare-fun |par| (Int) Bool)(assert (par 1))", "reserved word 'par' used as a symbol"),
+        ("(declare-fun p (Int) Bool)(assert (or let (q 1)))", "reserved word 'let' used as a symbol"),
+        ("(declare-fun p (Int) Bool)(assert (or (q 1) let))", "unknown symbol 'q'"),
+        ("(push 1)", "unsupported command 'push'"),
+    ],
+)
+def test_reader_rejects_unquoted_reserved_words(script, message):
+    with pytest.raises(SmtError, match=f"^{re.escape(message)}$"):
+        read_script(script)
+
+
 def term(e):
     """The s-expression `emit_smtlib` asserts for `e`, the one formula
     of a set with no sorts or symbols: the expression's SMT-LIB term."""
@@ -229,6 +267,34 @@ def test_reader_reports_the_first_fault_in_term_order(term, message):
         read_script(script)
 
 
+_DEFINE_HEAD = "(declare-sort S 0)(declare-fun p (S) Bool)(declare-const c S)"
+
+
+# Pieces of scripts: parentheses, quoted and unquoted symbols, reserved
+# words, command names, numerals, strings and comments, complete or cut.
+_PIECES = st.sampled_from(
+    [
+        "x", "p", "c", "S", "Bool", "Int", "true", "not", "and", "=", "|p|", "|a b|", "|let|",
+        "let", "_", "as", "par", "NUMERAL", "push", "forall", "exists", "assert", "declare-sort",
+        "declare-fun", "declare-const", "define-fun", "check-sat", "set-logic", "0", "12",
+        "3.5", "007", "1.", '"s"', '"a""b"', "; c\n", "|", '"', "(", ")",
+    ]
+)
+_SEXPS = st.recursive(
+    _PIECES, lambda inner: st.lists(inner, max_size=5).map(lambda xs: "(" + " ".join(xs) + ")"),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from(["", _DEFINE_HEAD]), st.lists(_SEXPS, max_size=8).map(" ".join))
+def test_reader_raises_only_smt_errors(head, text):
+    try:
+        read_script(head + text)
+    except SmtError:
+        pass
+
+
 def test_reader_reads_the_script_of_a_long_subject_to_chain():
     # Each subjectTo link nests the precondition two levels deeper.  The
     # script defines each shared precondition once (68 KB here, where
@@ -243,9 +309,6 @@ def test_reader_reads_the_script_of_a_long_subject_to_chain():
     assert info.assert_count == len(fs.formulas) + 1  # the isS axiom besides
     assert info.symbols == {"p": 1, "q": 1, "isS": 1}
     assert len(info.definitions) > 200 and set(info.definitions.values()) == {1}
-
-
-_DEFINE_HEAD = "(declare-sort S 0)(declare-fun p (S) Bool)(declare-const c S)"
 
 
 def test_reader_accepts_definitions():
@@ -303,14 +366,15 @@ def test_random_modules_emit_readable_scripts(seed, variant):
 def test_reader_reads_smtlib_numerals(token, value):
     info = read_script(f"(declare-const p Bool)\n(assert (and p (< {token} 1)))\n")
     assert info.assert_count == 1
-    assert smtlib._atom(token) == value and type(smtlib._atom(token)) is type(value)
+    [atom] = smtlib._parse_sexps([token])
+    assert atom == value and type(atom) is type(value)
 
 
 @pytest.mark.parametrize("token", ["inf", "nan", "Infinity", "-1", "007", "1e5", "1.", "1_0"])
 def test_reader_takes_other_tokens_as_symbols(token):
     # Only SMT-LIB numerals and decimals are numbers; Python's int() and
     # float() accept these, and an undeclared one used to pass.
-    assert smtlib._atom(token) == token
+    assert smtlib._parse_sexps([token]) == [token]
     with pytest.raises(SmtError, match=f"unknown symbol '{token}'"):
         read_script(f"(declare-const p Bool)\n(assert (and p {token}))\n")
 
@@ -356,7 +420,7 @@ def test_reader_reports_unterminated_tokens(script, message):
 def test_floats_emit_as_smtlib_decimals(value, text):
     assert term(FloatLit(value)) == text
     if value >= 0:
-        assert smtlib._atom(text) == value
+        assert smtlib._parse_sexps([text]) == [value]
 
 
 def test_emitted_large_float_reads_back():

@@ -14,6 +14,7 @@ from normlog.asp import (
     AspRule,
     Atom,
     ConfigError,
+    GroundRule,
     Literal,
     TVar,
     answer_sets,
@@ -59,6 +60,20 @@ def test_ground_program_drops_never_derivable_negatives():
     )
     (g,) = _ground_program(prog)
     assert g.head == Atom("p") and g.pos == () and g.neg == ()
+
+
+def test_ground_program_lists_an_instance_once_after_dropping_literals():
+    # x is never derivable: dropping "not x" makes the first instance
+    # equal to the third, and the first in derivation order is kept.
+    a, x, y = Atom("a"), Atom("x"), Atom("y")
+    prog = AspProgram(
+        (
+            AspRule(a, (Literal(x, False), Literal(y, False))),
+            AspRule(y),
+            AspRule(a, (Literal(y, False),)),
+        )
+    )
+    assert _ground_program(prog) == [GroundRule(a, (), (y,)), GroundRule(y, (), ())]
 
 
 def test_ground_program_instantiates_over_derivable_atoms():
@@ -386,6 +401,15 @@ def test_well_founded_model_brackets_every_stable_model():
         key = lambda s: (len(s), tuple(sorted(map(str, s))))
         assert answer_sets(prog) == sorted(stable, key=key)
     assert decided > 50 and undecided > 50
+
+
+def test_random_ground_programs_list_each_instance_once():
+    # The corpus of the test above, where dropping literals made 44
+    # instances equal to others.
+    rng = random.Random(1991)
+    for _ in range(400):
+        rules = _ground_program(random_ground_program(rng))
+        assert len(set(rules)) == len(rules), rules
 
 
 def test_well_founded_model_brackets_stable_models_of_encodings():
